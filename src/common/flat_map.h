@@ -9,19 +9,26 @@
 namespace qagview {
 
 /// \brief Open-addressing hash map from uint64 keys to int32 values,
-/// specialized for the cluster-universe index hot path (packed cluster
-/// patterns -> cluster ids).
+/// specialized for two hot paths: the cluster-universe index (packed
+/// cluster patterns -> cluster ids) and the SQL executor's grouping kernel
+/// (column values and group keys -> dense first-seen ids).
 ///
 /// Linear probing over a power-of-two table with splitmix64 key mixing;
 /// keys and values live in flat arrays, so probes cost one cache line in
 /// the common case (node-based std::unordered_map costs several).
 ///
-/// The all-ones key is reserved as the empty marker. Packed patterns never
-/// produce it: a lane holds code+1 (up to 255) or 0, and the single shape
-/// that could saturate all eight lanes — 8 attributes, every domain exactly
-/// 255 values — is rejected by ClusterUniverse::CanPack, which falls back
-/// to the vector-keyed index for that corner. Any new FlatMap64 user must
-/// guarantee the same exclusion itself.
+/// The all-ones key is reserved as the empty marker, and every user
+/// guarantees it never inserts it:
+///  * Packed patterns never produce it: a lane holds code+1 (up to 255) or
+///    0, and the single shape that could saturate all eight lanes — 8
+///    attributes, every domain exactly 255 values — is rejected by
+///    ClusterUniverse::CanPack, which falls back to the vector-keyed index
+///    for that corner.
+///  * The executor (sql/executor.cc) gives the int64 -1, whose bit pattern
+///    is all ones, a fixed code of its own instead of a map entry; it maps
+///    doubles by canonical bits, where every NaN (all ones is one) shares a
+///    single non-all-ones pattern; and it re-densifies group keys before
+///    they reach 2^62.
 class FlatMap64 {
  public:
   explicit FlatMap64(size_t expected = 0) { Reset(expected); }

@@ -19,6 +19,12 @@ const char* AggKindToString(AggKind kind);
 
 /// \brief Streaming aggregate accumulator (SQL NULL semantics: NULL inputs
 /// are skipped by every aggregate except count(*)).
+///
+/// The row-at-a-time statement of the aggregate semantics. The executor
+/// does not call it -- its columnar kernel keeps the same state in flat
+/// per-group arrays (sql/executor.cc) -- but the reference evaluator of
+/// executor_differential_test does, holding the kernel to its results bit
+/// for bit.
 class Aggregator {
  public:
   explicit Aggregator(AggKind kind) : kind_(kind) {}
@@ -37,10 +43,10 @@ class Aggregator {
 
   AggKind kind() const { return kind_; }
 
-  /// Accumulator internals, exposed for the approximate executor's scaled
-  /// estimators and CLT standard errors (sql/executor.cc): non-null inputs
-  /// folded (rows for count(*)), their sum, and their sum of squares (sum
-  /// and sum_squares are maintained for sum/avg only).
+  /// Accumulator internals, from which approximate execution derives its
+  /// scaled estimators and CLT standard errors: non-null inputs folded
+  /// (rows for count(*)), their sum, and their sum of squares (sum and
+  /// sum_squares are maintained for sum/avg only).
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
   double sum_squares() const { return sum_squares_; }

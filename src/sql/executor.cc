@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <unordered_set>
 
+#include "common/flat_map.h"
 #include "common/string_util.h"
 #include "sql/aggregate.h"
 #include "sql/expr.h"
@@ -12,6 +17,7 @@
 
 namespace qagview::sql {
 
+using storage::Column;
 using storage::Field;
 using storage::Schema;
 using storage::Table;
@@ -45,78 +51,151 @@ const Catalog::SampleInfo* Catalog::FindSample(const std::string& name) const {
 
 namespace {
 
-// Infers a column type from materialized cells (INT64 if all ints,
-// DOUBLE if all numerics, else STRING; all-NULL columns default to INT64).
-ValueType InferType(const std::vector<std::vector<Value>>& rows, size_t col) {
-  bool any = false;
-  bool all_int = true;
-  bool all_num = true;
-  for (const auto& row : rows) {
-    const Value& v = row[col];
-    if (v.is_null()) continue;
-    any = true;
-    if (v.type() == ValueType::kString) return ValueType::kString;
-    if (v.type() == ValueType::kDouble) all_int = false;
-    if (v.type() != ValueType::kInt64 && v.type() != ValueType::kDouble) {
-      all_num = false;
+// ---------------------------------------------------------------------------
+// Result columns.
+//
+// Every table the executor builds -- the per-group env table and the result
+// -- follows one typing rule: a column takes its cells' type (DOUBLE where
+// ints and doubles mix) and a column without a non-NULL cell is INT64.
+
+// Builds a column from boxed cells under the result typing rule.
+Result<Column> ColumnFromValues(const std::string& name,
+                                const std::vector<Value>& cells) {
+  ValueType type = ValueType::kInt64;
+  for (const Value& v : cells) {
+    if (v.type() == ValueType::kString) {
+      type = ValueType::kString;
+      break;
     }
+    if (v.type() == ValueType::kDouble) type = ValueType::kDouble;
   }
-  if (!any) return ValueType::kInt64;
-  if (all_int) return ValueType::kInt64;
-  if (all_num) return ValueType::kDouble;
-  return ValueType::kString;
+  Column column(type);
+  for (const Value& v : cells) {
+    if (!v.is_null() && v.type() != type &&
+        !(type == ValueType::kDouble && v.type() == ValueType::kInt64)) {
+      return Status::InvalidArgument(
+          StrCat("column ", name, " expects ", ValueTypeToString(type),
+                 ", got ", ValueTypeToString(v.type())));
+    }
+    column.Append(v);
+  }
+  return column;
 }
 
-// Builds an output table from materialized rows, inferring column types.
-Result<Table> MaterializeTable(const std::vector<std::string>& names,
-                               std::vector<std::vector<Value>> rows) {
-  std::vector<Field> fields;
-  fields.reserve(names.size());
-  for (size_t c = 0; c < names.size(); ++c) {
-    fields.push_back({names[c], InferType(rows, c)});
+// Applies the result typing rule to a typed column: one without a non-NULL
+// cell becomes INT64.
+Column RetypeAllNull(Column column) {
+  const std::vector<uint8_t>& valid = column.validity();
+  if (column.type() == ValueType::kInt64 ||
+      std::find(valid.begin(), valid.end(), 1) != valid.end()) {
+    return column;
   }
-  Table out{Schema(std::move(fields))};
-  for (auto& row : rows) {
-    // Coerce ints feeding double columns (AppendRow accepts that directly).
-    QAG_RETURN_IF_ERROR(out.AppendRow(row));
-  }
+  Column out(ValueType::kInt64);
+  for (int64_t r = 0; r < column.size(); ++r) out.AppendNull();
   return out;
 }
 
-Status ApplyOrderAndLimit(const SelectStatement& stmt,
-                          const std::vector<std::string>& names,
-                          std::vector<std::vector<Value>>* rows) {
+// One select item's cells for the candidate result rows: a bare column
+// reference reads `column` at the candidate's source row; any other item
+// holds one evaluated cell per candidate.
+struct OutputColumn {
+  std::string name;
+  const Column* column = nullptr;
+  std::vector<Value> cells;
+};
+
+int Sign(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+// Value::Compare of two candidates' cells (`source` maps a candidate to its
+// row of a typed column): NULL first, numerics as doubles, strings
+// lexicographically.
+int CompareCells(const OutputColumn& out, const std::vector<int64_t>& source,
+                 size_t a, size_t b) {
+  if (out.column == nullptr) return out.cells[a].Compare(out.cells[b]);
+  const Column& column = *out.column;
+  const int64_t ra = source[a];
+  const int64_t rb = source[b];
+  const bool null_a = column.IsNull(ra);
+  const bool null_b = column.IsNull(rb);
+  if (null_a || null_b) return null_a == null_b ? 0 : (null_a ? -1 : 1);
+  const size_t ia = static_cast<size_t>(ra);
+  const size_t ib = static_cast<size_t>(rb);
+  switch (column.type()) {
+    case ValueType::kInt64:
+      return Sign(static_cast<double>(column.ints()[ia]),
+                  static_cast<double>(column.ints()[ib]));
+    case ValueType::kDouble:
+      return Sign(column.doubles()[ia], column.doubles()[ib]);
+    case ValueType::kString: {
+      const int32_t ca = column.codes()[ia];
+      const int32_t cb = column.codes()[ib];
+      if (ca == cb) return 0;
+      const int c = column.dictionary().GetString(ca).compare(
+          column.dictionary().GetString(cb));
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    case ValueType::kNull:
+      break;
+  }
+  return 0;
+}
+
+// ORDER BY (a stable sort, so ties keep candidate order) and LIMIT over the
+// candidates; returns the surviving candidate indices in result order.
+Result<std::vector<size_t>> OrderAndLimit(
+    const SelectStatement& stmt, const std::vector<OutputColumn>& columns,
+    const std::vector<int64_t>& source) {
+  std::vector<size_t> order(source.size());
+  std::iota(order.begin(), order.end(), size_t{0});
   if (!stmt.order_by.empty()) {
-    std::vector<std::pair<size_t, bool>> keys;  // column index, descending
+    std::vector<std::pair<const OutputColumn*, bool>> keys;  // descending?
     for (const OrderByItem& item : stmt.order_by) {
-      size_t idx = names.size();
-      for (size_t c = 0; c < names.size(); ++c) {
-        if (EqualsIgnoreCase(names[c], item.column)) {
-          idx = c;
-          break;
-        }
-      }
-      if (idx == names.size()) {
+      auto it = std::find_if(columns.begin(), columns.end(),
+                             [&item](const OutputColumn& c) {
+                               return EqualsIgnoreCase(c.name, item.column);
+                             });
+      if (it == columns.end()) {
         return Status::InvalidArgument(
             "ORDER BY column is not in the select list: " + item.column);
       }
-      keys.emplace_back(idx, item.descending);
+      keys.emplace_back(&*it, item.descending);
     }
-    std::stable_sort(rows->begin(), rows->end(),
-                     [&keys](const std::vector<Value>& a,
-                             const std::vector<Value>& b) {
-                       for (const auto& [idx, desc] : keys) {
-                         int c = a[idx].Compare(b[idx]);
+    std::stable_sort(order.begin(), order.end(),
+                     [&keys, &source](size_t a, size_t b) {
+                       for (const auto& [column, desc] : keys) {
+                         const int c = CompareCells(*column, source, a, b);
                          if (c != 0) return desc ? c > 0 : c < 0;
                        }
                        return false;
                      });
   }
-  if (stmt.limit >= 0 &&
-      static_cast<int64_t>(rows->size()) > stmt.limit) {
-    rows->resize(static_cast<size_t>(stmt.limit));
+  if (stmt.limit >= 0 && static_cast<int64_t>(order.size()) > stmt.limit) {
+    order.resize(static_cast<size_t>(stmt.limit));
   }
-  return Status::OK();
+  return order;
+}
+
+// Builds the result table from the candidates at `order`.
+Result<Table> MaterializeResult(std::vector<OutputColumn> columns,
+                                const std::vector<int64_t>& source,
+                                const std::vector<size_t>& order) {
+  std::vector<int64_t> rows(order.size());
+  for (size_t i = 0; i < order.size(); ++i) rows[i] = source[order[i]];
+  std::vector<Field> fields;
+  std::vector<Column> result;
+  for (OutputColumn& out : columns) {
+    if (out.column != nullptr) {
+      result.push_back(RetypeAllNull(out.column->Take(rows)));
+    } else {
+      std::vector<Value> cells;
+      cells.reserve(order.size());
+      for (size_t i : order) cells.push_back(std::move(out.cells[i]));
+      QAG_ASSIGN_OR_RETURN(Column column, ColumnFromValues(out.name, cells));
+      result.push_back(std::move(column));
+    }
+    fields.push_back({out.name, result.back().type()});
+  }
+  return Table::FromColumns(Schema(std::move(fields)), std::move(result));
 }
 
 // Evaluates the WHERE clause and returns the surviving row indices.
@@ -145,28 +224,256 @@ Result<Table> ExecuteProjection(const SelectStatement& stmt,
                                 const Table& table,
                                 const std::vector<int64_t>& rows) {
   std::vector<CompiledExpr> exprs;
-  std::vector<std::string> names;
   for (const SelectItem& item : stmt.items) {
     QAG_ASSIGN_OR_RETURN(CompiledExpr e,
                          CompiledExpr::Compile(*item.expr, table.schema()));
     exprs.push_back(std::move(e));
-    names.push_back(item.OutputName());
   }
-  std::vector<std::vector<Value>> cells;
-  cells.reserve(rows.size());
-  for (int64_t r : rows) {
-    std::vector<Value> row;
-    row.reserve(exprs.size());
-    for (const CompiledExpr& e : exprs) row.push_back(e.Eval(table, r));
-    cells.push_back(std::move(row));
+  std::vector<OutputColumn> columns(stmt.items.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Expr& expr = *stmt.items[i].expr;
+    columns[i].name = stmt.items[i].OutputName();
+    if (expr.kind == ExprKind::kColumnRef) {
+      columns[i].column = &table.column(table.schema().FindField(expr.column));
+      continue;
+    }
+    columns[i].cells.reserve(rows.size());
+    for (int64_t r : rows) columns[i].cells.push_back(exprs[i].Eval(table, r));
   }
-  QAG_RETURN_IF_ERROR(ApplyOrderAndLimit(stmt, names, &cells));
-  return MaterializeTable(names, std::move(cells));
+  QAG_ASSIGN_OR_RETURN(std::vector<size_t> order,
+                       OrderAndLimit(stmt, columns, rows));
+  return MaterializeResult(std::move(columns), rows, order);
 }
 
-struct GroupState {
-  std::vector<Aggregator> aggs;
+// ---------------------------------------------------------------------------
+// The grouping kernel (DESIGN.md, "The aggregate kernel").
+
+// Radix bound of a mixed-radix group key. Past it the partial key is
+// re-densified (see AssignGroups), which keeps every key below 2^62 and so
+// clear of FlatMap64's reserved all-ones key.
+constexpr uint64_t kMaxRadix = uint64_t{1} << 62;
+
+// Row limit of one aggregate: group ids are FlatMap64 values (int32), and
+// it keeps a re-densified key (< rows) times the next radix (<= rows + 2, or
+// a dictionary's size + 1) below 2^62.
+constexpr size_t kMaxAggregateRows = std::numeric_limits<int32_t>::max();
+
+// The one bit pattern every NaN groups under.
+constexpr uint64_t kCanonicalNaN = 0x7ff8000000000000ULL;
+
+// Replaces every key with a dense id in first-seen order; returns the number
+// of distinct keys. Keys are below kMaxRadix.
+uint64_t Densify(std::vector<uint64_t>* keys) {
+  FlatMap64 ids;
+  for (uint64_t& key : *keys) {
+    key = static_cast<uint64_t>(
+        ids.FindOrInsert(key, static_cast<int32_t>(ids.size())).first);
+  }
+  return ids.size();
+}
+
+// Writes one grouping column's dense code for every row at `rows` (0 = NULL)
+// and returns the column's radix, an exclusive bound on its codes. String
+// columns use their dictionary codes; int64 and double columns are made
+// dense in first-seen order.
+uint64_t DenseCodes(const Column& column, const std::vector<int64_t>& rows,
+                    std::vector<uint64_t>* codes) {
+  const std::vector<uint8_t>& valid = column.validity();
+  codes->resize(rows.size());
+  switch (column.type()) {
+    case ValueType::kString: {
+      const std::vector<int32_t>& dict_codes = column.codes();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const size_t r = static_cast<size_t>(rows[i]);
+        (*codes)[i] =
+            valid[r] ? static_cast<uint64_t>(dict_codes[r]) + 1 : 0;
+      }
+      return static_cast<uint64_t>(column.dictionary().size()) + 1;
+    }
+    case ValueType::kInt64: {
+      // Code 1 is -1: its all-ones bit pattern is FlatMap64's reserved key.
+      FlatMap64 seen;
+      uint64_t next = 2;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const size_t r = static_cast<size_t>(rows[i]);
+        const uint64_t bits = static_cast<uint64_t>(column.ints()[r]);
+        if (!valid[r]) {
+          (*codes)[i] = 0;
+        } else if (bits == ~uint64_t{0}) {
+          (*codes)[i] = 1;
+        } else {
+          auto [code, inserted] =
+              seen.FindOrInsert(bits, static_cast<int32_t>(next));
+          (*codes)[i] = static_cast<uint64_t>(code);
+          next += inserted;
+        }
+      }
+      return next;
+    }
+    case ValueType::kDouble: {
+      // -0.0 groups with 0.0 and every NaN with every other, so no key is
+      // all-ones (a NaN pattern).
+      FlatMap64 seen;
+      uint64_t next = 1;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const size_t r = static_cast<size_t>(rows[i]);
+        if (!valid[r]) {
+          (*codes)[i] = 0;
+          continue;
+        }
+        double x = column.doubles()[r];
+        if (x == 0.0) x = 0.0;
+        uint64_t bits = kCanonicalNaN;
+        if (!std::isnan(x)) std::memcpy(&bits, &x, sizeof(bits));
+        auto [code, inserted] =
+            seen.FindOrInsert(bits, static_cast<int32_t>(next));
+        (*codes)[i] = static_cast<uint64_t>(code);
+        next += inserted;
+      }
+      return next;
+    }
+    case ValueType::kNull:
+      break;
+  }
+  return 1;
+}
+
+// Assigns each row at `rows` a dense group id, numbering groups in
+// first-seen row order, and records each group's first table row. The key
+// of a row is a mixed-radix number over its grouping columns' dense codes.
+std::vector<uint64_t> AssignGroups(const Table& table,
+                                   const std::vector<int>& group_cols,
+                                   const std::vector<int64_t>& rows,
+                                   std::vector<int64_t>* first_row) {
+  std::vector<uint64_t> key(rows.size(), 0);
+  std::vector<uint64_t> codes;
+  uint64_t bound = 1;  // exclusive bound on the keys built so far
+  for (int c : group_cols) {
+    const uint64_t radix = DenseCodes(table.column(c), rows, &codes);
+    if (radix > kMaxRadix / bound) bound = std::max<uint64_t>(Densify(&key), 1);
+    for (size_t i = 0; i < key.size(); ++i) key[i] = key[i] * radix + codes[i];
+    bound *= radix;
+  }
+  first_row->reserve(static_cast<size_t>(Densify(&key)));
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (key[i] == first_row->size()) first_row->push_back(rows[i]);
+  }
+  return key;
+}
+
+// Flat per-group state of one unique aggregate call.
+struct AggArrays {
+  AggKind kind = AggKind::kCountStar;
+  std::string key;                    // canonical call text
+  const Column* arg = nullptr;        // nullptr for count(*)
+  std::unique_ptr<Column> evaluated;  // owns `arg` for expression arguments
+  std::vector<int64_t> count;         // non-NULL inputs (rows for count(*))
+  std::vector<double> sum;            // sum and avg only
+  std::vector<double> sum_squares;    // sum and avg only
+  std::vector<int64_t> extreme;       // min/max: row of the extreme, or -1
 };
+
+template <typename T>
+void AccumulateSum(const std::vector<T>& values,
+                   const std::vector<uint64_t>& group,
+                   const std::vector<int64_t>& rows, AggArrays* agg) {
+  const std::vector<uint8_t>& valid = agg->arg->validity();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t r = static_cast<size_t>(rows[i]);
+    if (!valid[r]) continue;
+    const size_t g = group[i];
+    const double x = static_cast<double>(values[r]);
+    agg->sum[g] += x;
+    agg->sum_squares[g] += x * x;
+    ++agg->count[g];
+  }
+}
+
+// Keeps the first row whose value no later row beats: `less(a, b)` orders
+// rows a and b by value.
+template <typename Less>
+void AccumulateExtreme(Less less, const std::vector<uint64_t>& group,
+                       const std::vector<int64_t>& rows, AggArrays* agg) {
+  const std::vector<uint8_t>& valid = agg->arg->validity();
+  const bool max = agg->kind == AggKind::kMax;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int64_t r = rows[i];
+    if (!valid[static_cast<size_t>(r)]) continue;
+    int64_t& e = agg->extreme[group[i]];
+    if (e < 0 || (max ? less(e, r) : less(r, e))) e = r;
+  }
+}
+
+// Folds every row into its group's accumulators in ascending row order --
+// per group the same sequence of double additions a streaming Aggregator
+// makes, so sums and averages match it bit for bit.
+void Accumulate(const std::vector<uint64_t>& group,
+                const std::vector<int64_t>& rows, size_t num_groups,
+                AggArrays* agg) {
+  agg->count.assign(num_groups, 0);
+  switch (agg->kind) {
+    case AggKind::kCountStar:
+      for (uint64_t g : group) ++agg->count[g];
+      return;
+    case AggKind::kCount: {
+      const std::vector<uint8_t>& valid = agg->arg->validity();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        agg->count[group[i]] += valid[static_cast<size_t>(rows[i])];
+      }
+      return;
+    }
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      agg->sum.assign(num_groups, 0.0);
+      agg->sum_squares.assign(num_groups, 0.0);
+      if (agg->arg->type() == ValueType::kInt64) {
+        AccumulateSum(agg->arg->ints(), group, rows, agg);
+      } else {
+        AccumulateSum(agg->arg->doubles(), group, rows, agg);
+      }
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      agg->extreme.assign(num_groups, -1);
+      const Column& arg = *agg->arg;
+      switch (arg.type()) {
+        case ValueType::kInt64: {
+          const std::vector<int64_t>& v = arg.ints();
+          AccumulateExtreme(
+              [&v](int64_t a, int64_t b) {
+                return static_cast<double>(v[static_cast<size_t>(a)]) <
+                       static_cast<double>(v[static_cast<size_t>(b)]);
+              },
+              group, rows, agg);
+          return;
+        }
+        case ValueType::kDouble: {
+          const std::vector<double>& v = arg.doubles();
+          AccumulateExtreme(
+              [&v](int64_t a, int64_t b) {
+                return v[static_cast<size_t>(a)] < v[static_cast<size_t>(b)];
+              },
+              group, rows, agg);
+          return;
+        }
+        case ValueType::kString: {
+          const std::vector<int32_t>& v = arg.codes();
+          const storage::Dictionary& dict = arg.dictionary();
+          AccumulateExtreme(
+              [&v, &dict](int64_t a, int64_t b) {
+                const int32_t ca = v[static_cast<size_t>(a)];
+                const int32_t cb = v[static_cast<size_t>(b)];
+                return ca != cb && dict.GetString(ca) < dict.GetString(cb);
+              },
+              group, rows, agg);
+          return;
+        }
+        case ValueType::kNull:
+          return;
+      }
+    }
+  }
+}
 
 // Scaling context for approximate execution: n sample rows drawn from N
 // population rows, and the sink for per-output-column standard errors.
@@ -176,54 +483,85 @@ struct ApproxContext {
   std::map<std::string, std::vector<double>>* column_se = nullptr;
 };
 
-// Horvitz-Thompson-style point estimate for one group's accumulator: count
-// and sum scale by N/n, avg is self-normalizing, min/max pass through (the
+// One aggregate call's env column: its value per group. Approximate
+// execution publishes Horvitz-Thompson-style estimates instead: count and
+// sum scale by N/n, avg is self-normalizing, min/max pass through (the
 // sample extreme is the best available estimate, but it carries no CLT
 // bound -- see EstimateSe).
-Value ScaledEstimate(const Aggregator& agg, double scale) {
-  switch (agg.kind()) {
+Column AggregateColumn(const AggArrays& agg, size_t num_groups,
+                       const ApproxContext* approx) {
+  const double scale =
+      approx == nullptr
+          ? 1.0
+          : static_cast<double>(approx->population_rows) /
+                static_cast<double>(approx->sample_rows);
+  switch (agg.kind) {
     case AggKind::kCount:
-    case AggKind::kCountStar:
-      return Value::Real(scale * static_cast<double>(agg.count()));
+    case AggKind::kCountStar: {
+      Column out(approx == nullptr ? ValueType::kInt64 : ValueType::kDouble);
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (approx == nullptr) {
+          out.AppendInt(agg.count[g]);
+        } else {
+          out.AppendDouble(scale * static_cast<double>(agg.count[g]));
+        }
+      }
+      return out;
+    }
     case AggKind::kSum:
-      return agg.count() == 0 ? Value::Null()
-                              : Value::Real(scale * agg.sum());
-    default:
-      return agg.Finish();
+    case AggKind::kAvg: {
+      Column out(ValueType::kDouble);
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (agg.count[g] == 0) {
+          out.AppendNull();
+        } else if (agg.kind == AggKind::kAvg) {
+          out.AppendDouble(agg.sum[g] / static_cast<double>(agg.count[g]));
+        } else {
+          out.AppendDouble(approx == nullptr ? agg.sum[g]
+                                             : scale * agg.sum[g]);
+        }
+      }
+      return out;
+    }
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return agg.arg->Take(agg.extreme);
   }
+  return Column(ValueType::kInt64);
 }
 
-// CLT standard error of ScaledEstimate under uniform sampling without
-// replacement (finite-population correction applied). Estimating a group's
-// count or sum from a uniform table sample is estimating a population
-// total of y_i = x_i * 1[row i in group] over all n sample rows, which is
-// why those variances are over n, not the group size. Returns HUGE_VAL
-// when no CLT error exists (min/max, avg over fewer than two sample rows).
-double EstimateSe(const Aggregator& agg, int64_t sample_rows,
+// CLT standard error of group g's approximate estimate under uniform
+// sampling without replacement (finite-population correction applied).
+// Estimating a group's count or sum from a uniform table sample is
+// estimating a population total of y_i = x_i * 1[row i in group] over all n
+// sample rows, which is why those variances are over n, not the group size.
+// Returns HUGE_VAL when no CLT error exists (min/max, avg over fewer than
+// two sample rows).
+double EstimateSe(const AggArrays& agg, size_t g, int64_t sample_rows,
                   int64_t population_rows) {
   const double n = static_cast<double>(sample_rows);
   const double N = static_cast<double>(population_rows);
   const double fpc = std::max(0.0, 1.0 - n / N);
-  switch (agg.kind()) {
+  switch (agg.kind) {
     case AggKind::kCount:
     case AggKind::kCountStar: {
       if (sample_rows < 2) return HUGE_VAL;
-      const double p = static_cast<double>(agg.count()) / n;
+      const double p = static_cast<double>(agg.count[g]) / n;
       return N * std::sqrt(p * (1.0 - p) / n) * std::sqrt(fpc);
     }
     case AggKind::kSum: {
       if (sample_rows < 2) return HUGE_VAL;
-      const double s = agg.sum();
+      const double s = agg.sum[g];
       const double var_y =
-          std::max(0.0, (agg.sum_squares() - s * s / n) / (n - 1.0));
+          std::max(0.0, (agg.sum_squares[g] - s * s / n) / (n - 1.0));
       return N * std::sqrt(var_y / n) * std::sqrt(fpc);
     }
     case AggKind::kAvg: {
-      if (agg.count() < 2) return HUGE_VAL;
-      const double c = static_cast<double>(agg.count());
-      const double s = agg.sum();
+      if (agg.count[g] < 2) return HUGE_VAL;
+      const double c = static_cast<double>(agg.count[g]);
+      const double s = agg.sum[g];
       const double var_x =
-          std::max(0.0, (agg.sum_squares() - s * s / c) / (c - 1.0));
+          std::max(0.0, (agg.sum_squares[g] - s * s / c) / (c - 1.0));
       return std::sqrt(var_x / c) * std::sqrt(fpc);
     }
     case AggKind::kMin:
@@ -233,138 +571,135 @@ double EstimateSe(const Aggregator& agg, int64_t sample_rows,
   return HUGE_VAL;
 }
 
+// sum and avg take numeric arguments only.
+Status CheckArgumentType(const AggArrays& agg) {
+  if ((agg.kind == AggKind::kSum || agg.kind == AggKind::kAvg) &&
+      agg.arg->type() == ValueType::kString) {
+    return Status::InvalidArgument(
+        StrCat("aggregate ", agg.key, " needs a numeric argument, got STRING"));
+  }
+  return Status::OK();
+}
+
+// Resolves every unique aggregate call of the select list and HAVING: its
+// kind and its argument, typed before the scan. A bare column argument is
+// read in place; any other argument is evaluated once per row into a column
+// of its own.
+Result<std::vector<AggArrays>> ResolveCalls(const SelectStatement& stmt,
+                                            const Table& table,
+                                            const std::vector<int64_t>& rows) {
+  std::vector<const Expr*> calls;
+  for (const SelectItem& item : stmt.items) CollectCalls(*item.expr, &calls);
+  if (stmt.having) CollectCalls(*stmt.having, &calls);
+
+  std::vector<const Expr*> unique_calls;
+  std::vector<AggArrays> aggs;
+  std::unordered_set<std::string> seen;
+  for (const Expr* call : calls) {
+    for (const auto& arg : call->args) {
+      if (arg->ContainsCall()) {
+        return Status::InvalidArgument(
+            "nested aggregate calls are not supported: " + call->ToString());
+      }
+    }
+    std::string key = call->ToString();
+    if (!seen.insert(key).second) continue;
+    unique_calls.push_back(call);
+    aggs.emplace_back();
+    aggs.back().key = std::move(key);
+  }
+
+  // Kinds and argument expressions, all checked before any is evaluated.
+  std::vector<std::optional<CompiledExpr>> arg_exprs(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const Expr& call = *unique_calls[a];
+    QAG_ASSIGN_OR_RETURN(aggs[a].kind,
+                         AggKindFromName(call.function, call.star_arg));
+    if (aggs[a].kind == AggKind::kCountStar) continue;
+    if (call.args.size() != 1) {
+      return Status::InvalidArgument(
+          StrCat("aggregate ", call.function, " takes exactly one argument"));
+    }
+    const Expr& arg = *call.args[0];
+    QAG_ASSIGN_OR_RETURN(CompiledExpr e,
+                         CompiledExpr::Compile(arg, table.schema()));
+    if (arg.kind == ExprKind::kColumnRef) {
+      aggs[a].arg = &table.column(table.schema().FindField(arg.column));
+      QAG_RETURN_IF_ERROR(CheckArgumentType(aggs[a]));
+    } else {
+      arg_exprs[a] = std::move(e);
+    }
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (!arg_exprs[a]) continue;
+    AggArrays& agg = aggs[a];
+    std::vector<Value> cells(static_cast<size_t>(table.num_rows()));
+    for (int64_t r : rows) {
+      cells[static_cast<size_t>(r)] = arg_exprs[a]->Eval(table, r);
+    }
+    QAG_ASSIGN_OR_RETURN(Column column, ColumnFromValues(agg.key, cells));
+    agg.evaluated = std::make_unique<Column>(std::move(column));
+    agg.arg = agg.evaluated.get();
+    QAG_RETURN_IF_ERROR(CheckArgumentType(agg));
+  }
+  return aggs;
+}
+
 // Grouped-aggregate path shared by exact and approximate execution. With
 // `approx` set, `table`/`rows` are the sample, estimates are scaled, and
 // per-row standard errors for bare count/sum/avg select items are written
-// to approx->column_se keyed by output column name. SE values ride along
-// the result rows as hidden trailing cells -- invisible to
-// ApplyOrderAndLimit, which only indexes named columns -- so they stay
-// aligned with their group through ORDER BY and LIMIT, then are stripped
-// off before materialization.
+// to approx->column_se keyed by output column name, aligned with the
+// result's rows.
 Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
                                const std::vector<int64_t>& rows,
                                const ApproxContext* approx) {
+  if (rows.size() > kMaxAggregateRows) {
+    return Status::InvalidArgument(
+        StrCat("aggregate input of ", rows.size(), " rows exceeds ",
+               kMaxAggregateRows));
+  }
   // Resolve grouping columns.
   std::vector<int> group_cols;
   for (const std::string& name : stmt.group_by) {
     QAG_ASSIGN_OR_RETURN(int idx, table.schema().GetFieldIndex(name));
     group_cols.push_back(idx);
   }
+  QAG_ASSIGN_OR_RETURN(std::vector<AggArrays> aggs,
+                       ResolveCalls(stmt, table, rows));
 
-  // Collect unique aggregate calls from the select list and HAVING.
-  std::vector<const Expr*> calls;
-  for (const SelectItem& item : stmt.items) {
-    CollectCalls(*item.expr, &calls);
-  }
-  if (stmt.having) CollectCalls(*stmt.having, &calls);
-
-  std::vector<const Expr*> unique_calls;
-  std::vector<std::string> call_keys;
-  {
-    std::unordered_set<std::string> seen;
-    for (const Expr* call : calls) {
-      for (const auto& arg : call->args) {
-        if (arg->ContainsCall()) {
-          return Status::InvalidArgument(
-              "nested aggregate calls are not supported: " + call->ToString());
-        }
-      }
-      std::string key = call->ToString();
-      if (seen.insert(key).second) {
-        unique_calls.push_back(call);
-        call_keys.push_back(std::move(key));
-      }
-    }
-  }
-
-  // Prepare per-call kinds and argument expressions.
-  std::vector<AggKind> kinds;
-  std::vector<std::optional<CompiledExpr>> arg_exprs;
-  for (const Expr* call : unique_calls) {
-    QAG_ASSIGN_OR_RETURN(AggKind kind,
-                         AggKindFromName(call->function, call->star_arg));
-    if (kind != AggKind::kCountStar && call->args.size() != 1) {
-      return Status::InvalidArgument(
-          StrCat("aggregate ", call->function, " takes exactly one argument"));
-    }
-    kinds.push_back(kind);
-    if (kind == AggKind::kCountStar) {
-      arg_exprs.emplace_back(std::nullopt);
-    } else {
-      QAG_ASSIGN_OR_RETURN(
-          CompiledExpr e,
-          CompiledExpr::Compile(*call->args[0], table.schema()));
-      arg_exprs.emplace_back(std::move(e));
-    }
-  }
-
-  // Group rows and accumulate.
-  std::unordered_map<std::vector<Value>, GroupState, ValueVectorHash,
-                     ValueVectorEq>
-      groups;
-  std::vector<std::vector<Value>> group_order;  // first-seen order
-  for (int64_t r : rows) {
-    std::vector<Value> key;
-    key.reserve(group_cols.size());
-    for (int c : group_cols) key.push_back(table.Get(r, c));
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) {
-      for (AggKind kind : kinds) it->second.aggs.emplace_back(kind);
-      group_order.push_back(key);
-    }
-    for (size_t a = 0; a < kinds.size(); ++a) {
-      if (kinds[a] == AggKind::kCountStar) {
-        it->second.aggs[a].AddRow();
-      } else {
-        it->second.aggs[a].Add(arg_exprs[a]->Eval(table, r));
-      }
-    }
-  }
+  // Group and accumulate.
+  std::vector<int64_t> first_row;
+  const std::vector<uint64_t> group =
+      AssignGroups(table, group_cols, rows, &first_row);
+  const size_t num_groups = first_row.size();
+  for (AggArrays& agg : aggs) Accumulate(group, rows, num_groups, &agg);
 
   // Build the intermediate "group env" table: group-by columns (original
-  // names/types) + one column per unique aggregate call, named by its
-  // canonical text. Select items and HAVING are evaluated against it after
-  // rewriting calls into column refs. Approximate execution publishes
-  // scaled estimates into the env, so expressions over aggregates (and
-  // HAVING predicates) see population-scale values.
-  std::vector<std::string> env_names;
-  for (int c : group_cols) env_names.push_back(table.schema().field(c).name);
-  for (const std::string& key : call_keys) env_names.push_back(key);
-
-  const double scale =
-      approx == nullptr
-          ? 1.0
-          : static_cast<double>(approx->population_rows) /
-                static_cast<double>(approx->sample_rows);
-  std::vector<std::vector<double>> group_ses;  // [group][unique call]
-  std::vector<std::vector<Value>> env_rows;
-  env_rows.reserve(group_order.size());
-  for (const auto& key : group_order) {
-    const GroupState& state = groups[key];
-    std::vector<Value> row = key;
-    if (approx == nullptr) {
-      for (const Aggregator& agg : state.aggs) row.push_back(agg.Finish());
-    } else {
-      std::vector<double> ses;
-      ses.reserve(state.aggs.size());
-      for (const Aggregator& agg : state.aggs) {
-        row.push_back(ScaledEstimate(agg, scale));
-        ses.push_back(EstimateSe(agg, approx->sample_rows,
-                                 approx->population_rows));
-      }
-      group_ses.push_back(std::move(ses));
-    }
-    env_rows.push_back(std::move(row));
+  // names, cells of each group's first row) + one column per unique
+  // aggregate call, named by its canonical text. Select items and HAVING
+  // are evaluated against it after rewriting calls into column refs, so
+  // under approximate execution they see population-scale estimates.
+  std::vector<Field> env_fields;
+  std::vector<Column> env_columns;
+  for (int c : group_cols) {
+    env_columns.push_back(RetypeAllNull(table.column(c).Take(first_row)));
+    env_fields.push_back(
+        {table.schema().field(c).name, env_columns.back().type()});
   }
-  QAG_ASSIGN_OR_RETURN(Table env_table,
-                       MaterializeTable(env_names, std::move(env_rows)));
+  for (const AggArrays& agg : aggs) {
+    env_columns.push_back(
+        RetypeAllNull(AggregateColumn(agg, num_groups, approx)));
+    env_fields.push_back({agg.key, env_columns.back().type()});
+  }
+  const Table env = Table::FromColumns(Schema(std::move(env_fields)),
+                                       std::move(env_columns));
 
   // Compile rewritten select items / HAVING against the env table.
+  std::vector<std::unique_ptr<Expr>> rewritten;
   std::vector<CompiledExpr> out_exprs;
-  std::vector<std::string> out_names;
   for (const SelectItem& item : stmt.items) {
-    std::unique_ptr<Expr> rewritten = RewriteCallsToColumns(*item.expr);
-    auto compiled = CompiledExpr::Compile(*rewritten, env_table.schema());
+    rewritten.push_back(RewriteCallsToColumns(*item.expr));
+    auto compiled = CompiledExpr::Compile(*rewritten.back(), env.schema());
     if (!compiled.ok()) {
       // A bare column that is neither grouped nor aggregated.
       return Status::InvalidArgument(
@@ -373,75 +708,63 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
                  compiled.status().message(), ")"));
     }
     out_exprs.push_back(std::move(compiled).value());
-    out_names.push_back(item.OutputName());
   }
   std::optional<CompiledExpr> having;
   if (stmt.having) {
-    std::unique_ptr<Expr> rewritten = RewriteCallsToColumns(*stmt.having);
+    std::unique_ptr<Expr> expr = RewriteCallsToColumns(*stmt.having);
     QAG_ASSIGN_OR_RETURN(CompiledExpr e,
-                         CompiledExpr::Compile(*rewritten, env_table.schema()));
+                         CompiledExpr::Compile(*expr, env.schema()));
     having = std::move(e);
   }
 
-  // Map bare aggregate-call select items to their unique-call index. Only
-  // kinds with a CLT bound participate; min/max items get no column_se
-  // entry, which tells the caller no bound exists for that column.
-  std::vector<int> item_call(stmt.items.size(), -1);
-  if (approx != nullptr) {
-    for (size_t i = 0; i < stmt.items.size(); ++i) {
-      const Expr& e = *stmt.items[i].expr;
-      if (e.kind != ExprKind::kCall) continue;
-      const std::string key = e.ToString();
-      for (size_t a = 0; a < call_keys.size(); ++a) {
-        if (call_keys[a] != key) continue;
-        if (kinds[a] == AggKind::kCount || kinds[a] == AggKind::kCountStar ||
-            kinds[a] == AggKind::kSum || kinds[a] == AggKind::kAvg) {
-          item_call[i] = static_cast<int>(a);
-        }
-        break;
-      }
-    }
-  }
-
-  std::vector<std::vector<Value>> out_rows;
-  for (int64_t g = 0; g < env_table.num_rows(); ++g) {
+  // Candidate result rows: the groups HAVING keeps, in first-seen order.
+  std::vector<int64_t> kept;
+  kept.reserve(num_groups);
+  for (int64_t g = 0; g < env.num_rows(); ++g) {
     if (having) {
-      Value keep = having->Eval(env_table, g);
+      Value keep = having->Eval(env, g);
       if (keep.is_null() || !keep.IsTruthy()) continue;
     }
-    std::vector<Value> row;
-    row.reserve(out_exprs.size());
-    for (const CompiledExpr& e : out_exprs) row.push_back(e.Eval(env_table, g));
-    if (approx != nullptr) {
-      for (size_t i = 0; i < item_call.size(); ++i) {
-        if (item_call[i] >= 0) {
-          row.push_back(Value::Real(group_ses[g][item_call[i]]));
-        }
-      }
-    }
-    out_rows.push_back(std::move(row));
+    kept.push_back(g);
   }
+  std::vector<OutputColumn> columns(stmt.items.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    columns[i].name = stmt.items[i].OutputName();
+    if (rewritten[i]->kind == ExprKind::kColumnRef) {
+      columns[i].column =
+          &env.column(env.schema().FindField(rewritten[i]->column));
+      continue;
+    }
+    columns[i].cells.reserve(kept.size());
+    for (int64_t g : kept) {
+      columns[i].cells.push_back(out_exprs[i].Eval(env, g));
+    }
+  }
+  QAG_ASSIGN_OR_RETURN(std::vector<size_t> order,
+                       OrderAndLimit(stmt, columns, kept));
 
-  QAG_RETURN_IF_ERROR(ApplyOrderAndLimit(stmt, out_names, &out_rows));
-
+  // Standard errors of bare count/sum/avg select items, in result order.
+  // min/max items get no column_se entry, which tells the caller no bound
+  // exists for that column.
   if (approx != nullptr) {
-    const size_t base = out_names.size();
-    size_t hidden = 0;
-    for (size_t i = 0; i < item_call.size(); ++i) {
-      if (item_call[i] < 0) continue;
-      std::vector<double>& ses =
-          (*approx->column_se)[stmt.items[i].OutputName()];
+    for (const SelectItem& item : stmt.items) {
+      if (item.expr->kind != ExprKind::kCall) continue;
+      const std::string key = item.expr->ToString();
+      const AggArrays& agg = *std::find_if(
+          aggs.begin(), aggs.end(),
+          [&key](const AggArrays& a) { return a.key == key; });
+      if (agg.kind == AggKind::kMin || agg.kind == AggKind::kMax) continue;
+      std::vector<double>& ses = (*approx->column_se)[item.OutputName()];
       ses.clear();
-      ses.reserve(out_rows.size());
-      for (const auto& row : out_rows) {
-        ses.push_back(row[base + hidden].ToDouble());
+      ses.reserve(order.size());
+      for (size_t i : order) {
+        ses.push_back(EstimateSe(agg, static_cast<size_t>(kept[i]),
+                                 approx->sample_rows,
+                                 approx->population_rows));
       }
-      ++hidden;
     }
-    for (auto& row : out_rows) row.resize(base);
   }
-
-  return MaterializeTable(out_names, std::move(out_rows));
+  return MaterializeResult(std::move(columns), kept, order);
 }
 
 }  // namespace

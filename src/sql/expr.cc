@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace qagview::sql {
@@ -189,36 +188,6 @@ void CollectCalls(const Expr& expr, std::vector<const Expr*>* calls) {
   if (expr.left) CollectCalls(*expr.left, calls);
   if (expr.right) CollectCalls(*expr.right, calls);
   for (const auto& a : expr.args) CollectCalls(*a, calls);
-}
-
-size_t HashValue(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return 0x9e3779b97f4a7c15ULL;
-    case ValueType::kInt64:
-      return std::hash<int64_t>()(v.as_int());
-    case ValueType::kDouble:
-      return std::hash<double>()(v.as_double());
-    case ValueType::kString:
-      return std::hash<std::string>()(v.as_string());
-  }
-  return 0;
-}
-
-size_t ValueVectorHash::operator()(
-    const std::vector<storage::Value>& key) const {
-  size_t seed = key.size();
-  for (const Value& v : key) HashCombine(&seed, HashValue(v));
-  return seed;
-}
-
-bool ValueVectorEq::operator()(const std::vector<storage::Value>& a,
-                               const std::vector<storage::Value>& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;
-  }
-  return true;
 }
 
 }  // namespace qagview::sql

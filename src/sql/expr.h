@@ -57,17 +57,6 @@ std::unique_ptr<Expr> RewriteCallsToColumns(const Expr& expr);
 /// first. Nested aggregates (a call inside a call) are rejected upstream.
 void CollectCalls(const Expr& expr, std::vector<const Expr*>* calls);
 
-/// Hash for boxed values (used for group-by keys).
-size_t HashValue(const storage::Value& v);
-
-struct ValueVectorHash {
-  size_t operator()(const std::vector<storage::Value>& key) const;
-};
-struct ValueVectorEq {
-  bool operator()(const std::vector<storage::Value>& a,
-                  const std::vector<storage::Value>& b) const;
-};
-
 }  // namespace qagview::sql
 
 #endif  // QAGVIEW_SQL_EXPR_H_

@@ -17,6 +17,51 @@ Column Column::Clone() const {
   return out;
 }
 
+Column Column::Take(const std::vector<int64_t>& rows) const {
+  Column out(type_);
+  out.valid_.reserve(rows.size());
+  std::vector<int32_t> remap;  // source code -> output code, -1 = unused
+  switch (type_) {
+    case ValueType::kInt64:
+      out.ints_.reserve(rows.size());
+      break;
+    case ValueType::kDouble:
+      out.doubles_.reserve(rows.size());
+      break;
+    case ValueType::kString:
+      out.codes_.reserve(rows.size());
+      remap.assign(static_cast<size_t>(dict_->size()), -1);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  for (const int64_t row : rows) {
+    if (row < 0 || IsNull(row)) {
+      out.AppendNull();
+      continue;
+    }
+    const size_t r = static_cast<size_t>(row);
+    switch (type_) {
+      case ValueType::kInt64:
+        out.AppendInt(ints_[r]);
+        break;
+      case ValueType::kDouble:
+        out.AppendDouble(doubles_[r]);
+        break;
+      case ValueType::kString: {
+        int32_t& code = remap[static_cast<size_t>(codes_[r])];
+        if (code < 0) code = out.dict_->Intern(dict_->GetString(codes_[r]));
+        out.codes_.push_back(code);
+        out.valid_.push_back(1);
+        break;
+      }
+      case ValueType::kNull:
+        break;
+    }
+  }
+  return out;
+}
+
 void Column::Append(const Value& v) {
   if (v.is_null()) {
     AppendNull();

@@ -54,6 +54,20 @@ class Column {
   /// The dictionary backing a string column.
   const Dictionary& dictionary() const;
 
+  /// Native per-row arrays for columnar kernels (sql/executor.cc). Only the
+  /// array of the column's type is populated; a NULL row holds a placeholder
+  /// (0, 0.0, or code -1) there and 0 in validity().
+  const std::vector<int64_t>& ints() const { return ints_; }
+  const std::vector<double>& doubles() const { return doubles_; }
+  const std::vector<int32_t>& codes() const { return codes_; }
+  const std::vector<uint8_t>& validity() const { return valid_; }
+
+  /// New column of the same type holding the cells at `rows`, in order; a
+  /// negative index yields NULL. A string column's dictionary holds only
+  /// the strings the selected cells use, in first-use order — the same
+  /// codes appending those cells one by one would assign.
+  Column Take(const std::vector<int64_t>& rows) const;
+
  private:
   ValueType type_;
   std::vector<int64_t> ints_;

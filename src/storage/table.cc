@@ -14,6 +14,23 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Table Table::FromColumns(Schema schema, std::vector<Column> columns) {
+  Table out(std::move(schema));
+  QAG_CHECK(static_cast<int>(columns.size()) == out.num_columns())
+      << "FromColumns: " << columns.size() << " columns for "
+      << out.num_columns() << " fields";
+  out.num_rows_ = columns.empty() ? 0 : columns.front().size();
+  for (int i = 0; i < out.num_columns(); ++i) {
+    Column& column = columns[static_cast<size_t>(i)];
+    QAG_CHECK(column.type() == out.schema_.field(i).type &&
+              column.size() == out.num_rows_)
+        << "FromColumns: column " << out.schema_.field(i).name
+        << " does not match its field or the first column's length";
+    *out.columns_[static_cast<size_t>(i)] = std::move(column);
+  }
+  return out;
+}
+
 Table Table::Clone() const {
   Table out(schema_);
   for (int i = 0; i < num_columns(); ++i) {

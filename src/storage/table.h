@@ -33,6 +33,10 @@ class Table {
   const Column& column(int i) const { return *columns_[static_cast<size_t>(i)]; }
   Column* mutable_column(int i) { return columns_[static_cast<size_t>(i)].get(); }
 
+  /// Assembles a table from whole columns, one per schema field, each of its
+  /// field's type and all of one length (a programming error otherwise).
+  static Table FromColumns(Schema schema, std::vector<Column> columns);
+
   /// Deep copy of the schema and all column data. Explicit — Table stays
   /// move-only so accidental copies never compile; the versioned dataset
   /// catalog clones the current snapshot before applying an update.

@@ -292,6 +292,23 @@ TEST_F(ServerTest, ServiceErrorsMapToHttpStatuses) {
   EXPECT_EQ(http->status, 405);
 }
 
+TEST_F(ServerTest, IllTypedAggregateIs400AndServerStaysUp) {
+  // SUM over a string column used to abort the whole process.
+  service::QueryRequest request;
+  request.sql = "SELECT g0, sum(g1) AS val FROM ratings GROUP BY g0";
+  request.value_column = "val";
+  Result<HttpClientResponse> http = Post("/query", ToJson(request));
+  ASSERT_TRUE(http.ok()) << http.status().ToString();
+  EXPECT_EQ(http->status, 400) << http->body;
+  Json error = MustParse(http->body);
+  ASSERT_NE(error.Find("error"), nullptr);
+  EXPECT_EQ(error.Find("error")->Find("code")->AsString(), "InvalidArgument");
+
+  Result<HttpClientResponse> health = Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(ServerTest, MalformedRequestCorpusNeverCrashesTheServer) {
   struct RawCase {
     std::string raw;

@@ -86,6 +86,39 @@ TEST_F(SqlEdgeTest, MinMaxWorkOnStrings) {
   EXPECT_EQ(r->Get(0, 1).as_string(), "b");
 }
 
+TEST_F(SqlEdgeTest, SumAndAvgOverStringColumnAreRejected) {
+  for (const char* query : {"SELECT x, sum(g) AS s FROM t GROUP BY x",
+                            "SELECT x, avg(g) AS a FROM t GROUP BY x",
+                            "SELECT sum(g) AS s FROM t",
+                            "SELECT x, count(*) AS n FROM t GROUP BY x "
+                            "HAVING avg(g) > 1"}) {
+    auto r = Run(query);
+    ASSERT_FALSE(r.ok()) << query;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(r.status().message().find("(g)"), std::string::npos)
+        << r.status().ToString();
+  }
+  // A string-valued expression argument is rejected the same way.
+  auto literal = Run("SELECT x, sum('s') AS s FROM t GROUP BY x");
+  ASSERT_FALSE(literal.ok());
+  EXPECT_EQ(literal.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SqlEdgeTest, CountMinMaxOverStringColumnStillWork) {
+  auto r = Run(
+      "SELECT x, count(g) AS n, min(g) AS lo, max(g) AS hi FROM t "
+      "GROUP BY x ORDER BY x");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 4);
+  EXPECT_EQ(r->schema().field(2).type, ValueType::kString);
+  // x NULL (g 'a'), then x = 1 ('a'), 3 ('b'), 4 (g NULL).
+  EXPECT_EQ(r->Get(0, 1).as_int(), 1);
+  EXPECT_EQ(r->Get(0, 2).as_string(), "a");
+  EXPECT_EQ(r->Get(2, 3).as_string(), "b");
+  EXPECT_EQ(r->Get(3, 1).as_int(), 0);
+  EXPECT_TRUE(r->Get(3, 2).is_null());
+}
+
 TEST_F(SqlEdgeTest, NullComparisonsNeverPass) {
   // Row 2 has x NULL and y 2.5; x > 1 is NULL there, y < 2.0 is false:
   // NULL OR false = NULL, so the row is filtered out.

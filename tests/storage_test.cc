@@ -100,6 +100,31 @@ TEST(ColumnTest, IntIntoDoubleColumn) {
   EXPECT_DOUBLE_EQ(col.GetDouble(1), 1.5);
 }
 
+TEST(ColumnTest, TakeGathersAndCompactsTheDictionary) {
+  Column col(ValueType::kString);
+  for (const char* s : {"a", "b", "c", "d"}) col.AppendString(s);
+  col.AppendNull();
+  Column taken = col.Take({3, -1, 1, 3, 4});
+  ASSERT_EQ(taken.size(), 5);
+  EXPECT_EQ(taken.GetString(0), "d");
+  EXPECT_TRUE(taken.IsNull(1));  // negative index
+  EXPECT_EQ(taken.GetString(2), "b");
+  EXPECT_TRUE(taken.IsNull(4));  // NULL cell
+  // Only the used strings, coded in first-use order.
+  EXPECT_EQ(taken.dictionary().size(), 2);
+  EXPECT_EQ(taken.GetStringCode(0), 0);
+  EXPECT_EQ(taken.GetStringCode(2), 1);
+  EXPECT_EQ(taken.GetStringCode(3), 0);
+
+  Column ints(ValueType::kInt64);
+  ints.AppendInt(7);
+  ints.AppendNull();
+  Column took = ints.Take({1, 0});
+  EXPECT_TRUE(took.IsNull(0));
+  EXPECT_EQ(took.GetInt(1), 7);
+  EXPECT_EQ(took.validity(), (std::vector<uint8_t>{0, 1}));
+}
+
 Table MakeSmallTable() {
   Schema schema({{"name", ValueType::kString},
                  {"age", ValueType::kInt64},
@@ -129,6 +154,19 @@ TEST(TableTest, AppendRowValidation) {
   EXPECT_FALSE(
       t.AppendRow({Value::Int(1), Value::Int(2), Value::Real(3.0)}).ok());
   EXPECT_EQ(t.num_rows(), 3);  // failed appends change nothing
+}
+
+TEST(TableTest, FromColumnsAssemblesWholeColumns) {
+  Table t = MakeSmallTable();
+  std::vector<Column> columns;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    columns.push_back(t.column(c).Take({2, 0}));
+  }
+  Table u = Table::FromColumns(t.schema(), std::move(columns));
+  EXPECT_EQ(u.num_rows(), 2);
+  EXPECT_EQ(u.Get(0, 0).as_string(), "cat");
+  EXPECT_TRUE(u.Get(0, 1).is_null());
+  EXPECT_DOUBLE_EQ(u.Get(1, 2).as_double(), 3.5);
 }
 
 TEST(TableTest, ToStringRendersHeader) {
