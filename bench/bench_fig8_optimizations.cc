@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
     with.use_delta_judgment = true;
     core::HybridOptions without;
     without.use_delta_judgment = false;
-    // Warm the shared LCA cache so neither variant pays one-time costs.
+    // One untimed run first, so neither variant pays first-touch costs
+    // (page faults, allocator growth) inside the clock.
     QAG_CHECK(core::Hybrid::Run(*u, {20, use_l, 2}, with).ok());
     benchutil::TimingStats with_t = benchutil::TimeStats(
         [&] { QAG_CHECK(core::Hybrid::Run(*u, {20, use_l, 2}, with).ok()); },

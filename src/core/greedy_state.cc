@@ -9,19 +9,19 @@ GreedyState::GreedyState(const ClusterUniverse* universe,
     : universe_(universe), use_delta_(use_delta_judgment) {
   QAG_CHECK(universe != nullptr);
   covered_.assign(static_cast<size_t>(universe->answer_set().size()), 0);
+  if (use_delta_) deltas_.resize(static_cast<size_t>(universe->num_clusters()));
 }
 
 void GreedyState::RefreshDelta(int id, Delta* delta) {
-  const std::vector<int32_t>& tc = universe_->covered(id);
   const AnswerSet& s = universe_->answer_set();
   const int top_l = universe_->top_l();
   if (delta->stamp == round_) return;  // up to date
   if (use_delta_ && delta->stamp == round_ - 1 && round_ >= 1) {
     // Incremental path (Algorithm 2): only the elements that became covered
-    // last round can leave Tc \ T. Compare the difference list against Tc.
+    // last round can leave Tc \ T. Probe each against the cluster.
     for (int32_t e : last_diff_) {
       ++comparisons_;
-      if (std::binary_search(tc.begin(), tc.end(), e)) {
+      if (universe_->CoversElement(id, e)) {
         delta->sum -= s.value(e);
         --delta->count;
         if (e < top_l) --delta->count_top;
@@ -32,7 +32,7 @@ void GreedyState::RefreshDelta(int id, Delta* delta) {
     delta->sum = 0.0;
     delta->count = 0;
     delta->count_top = 0;
-    for (int32_t e : tc) {
+    for (int32_t e : universe_->covered(id)) {
       ++comparisons_;
       if (!covered_[static_cast<size_t>(e)]) {
         delta->sum += s.value(e);
@@ -51,7 +51,7 @@ GreedyState::Delta& GreedyState::DeltaFor(int id, Delta* scratch) {
     RefreshDelta(id, scratch);
     return *scratch;
   }
-  Delta& delta = deltas_[id];
+  Delta& delta = deltas_[static_cast<size_t>(id)];
   RefreshDelta(id, &delta);
   return delta;
 }

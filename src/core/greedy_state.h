@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "core/semilattice.h"
@@ -20,7 +19,10 @@ namespace qagview::core {
 /// (TentativeAverage) asks "what would avg(O ∪ {c}) be?"; with delta
 /// judgment enabled, Δ(c) is cached with a round stamp and refreshed
 /// incrementally against the last round's difference list T_j \ T_{j-1}
-/// (Algorithm 2) instead of rescanning Tc against T.
+/// (Algorithm 2) instead of rescanning Tc against T. Deltas live in a flat
+/// array indexed by cluster id, and Algorithm 2's membership probe "is e in
+/// Tc?" is ClusterUniverse::CoversElement — O(1) on packed universes, and
+/// the same boolean as a search of Tc, so every score is bit-identical.
 ///
 /// Every mutation is an AddCluster (merges add the LCA, which subsumes the
 /// merged clusters): coverage only grows, so rounds form the monotone
@@ -95,7 +97,7 @@ class GreedyState {
   int covered_top_count_ = 0;
   int round_ = 0;                   // number of AddCluster commits
   std::vector<int32_t> last_diff_;  // T_round \ T_{round-1}
-  std::unordered_map<int, Delta> deltas_;
+  std::vector<Delta> deltas_;       // by cluster id (delta judgment only)
   int64_t comparisons_ = 0;
 };
 

@@ -116,10 +116,18 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
       lane_mask[mask] = lanes;
     }
 
+    // Every element is packed once; cluster generation, both coverage
+    // scans and CoversElement read these keys.
+    u.element_keys_.resize(static_cast<size_t>(s->size()));
+    for (int e = 0; e < s->size(); ++e) {
+      u.element_keys_[static_cast<size_t>(e)] =
+          PackPattern(s->element(e).attrs);
+    }
+
     u.packed_ids_.Reset(static_cast<size_t>(top_l) * num_masks);
     for (int i = 0; i < top_l; ++i) {
       const std::vector<int32_t>& attrs = s->element(i).attrs;
-      uint64_t base = PackPattern(attrs);
+      uint64_t base = u.element_keys_[static_cast<size_t>(i)];
       for (uint32_t mask = 0; mask < num_masks; ++mask) {
         uint64_t key = base & ~lane_mask[mask];
         auto [id, inserted] = u.packed_ids_.FindOrInsert(
@@ -131,6 +139,8 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
                                    : attrs[static_cast<size_t>(a)];
           }
           u.clusters_.emplace_back(scratch);
+          u.cluster_keys_.push_back(key);
+          u.concrete_lanes_.push_back(~lane_mask[mask]);
         }
         if (mask == 0) u.singleton_ids_[static_cast<size_t>(i)] = id;
       }
@@ -154,7 +164,7 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
       }
     } else if (num_threads == 1) {
       for (int e = 0; e < s->size(); ++e) {
-        uint64_t base = PackPattern(s->element(e).attrs);
+        uint64_t base = u.element_keys_[static_cast<size_t>(e)];
         double value = s->value(e);
         for (uint32_t mask = 0; mask < num_masks; ++mask) {
           int id = u.packed_ids_.FindOr(base & ~lane_mask[mask], -1);
@@ -175,8 +185,7 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
             auto& local = shard_covered[static_cast<size_t>(shard)];
             local.resize(static_cast<size_t>(num_clusters));
             for (int64_t e = e_begin; e < e_end; ++e) {
-              uint64_t base =
-                  PackPattern(s->element(static_cast<int>(e)).attrs);
+              uint64_t base = u.element_keys_[static_cast<size_t>(e)];
               for (uint32_t mask = 0; mask < num_masks; ++mask) {
                 int id = u.packed_ids_.FindOr(base & ~lane_mask[mask], -1);
                 if (id < 0) continue;
@@ -284,21 +293,29 @@ int ClusterUniverse::FindId(const Cluster& c) const {
   return it == ids_.end() ? -1 : it->second;
 }
 
+uint64_t ClusterUniverse::LcaKey(uint64_t a, uint64_t b) {
+  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  constexpr uint64_t kHigh = 0x8080808080808080ULL;
+  const uint64_t x = a ^ b;
+  // Sets the top bit of every nonzero lane of x. Adding 0x7F to a lane's
+  // low seven bits carries into its top bit iff they are nonzero and never
+  // past it; OR-ing x back in catches lanes whose only difference is the
+  // top bit itself (codes >= 127, and code 254 packing to 0xFF).
+  const uint64_t differs = (((x & kLow7) + kLow7) | x) & kHigh;
+  return a & ~((differs >> 7) * 0xFF);
+}
+
 int ClusterUniverse::LcaId(int a, int b) const {
-  if (a > b) std::swap(a, b);
-  uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                 static_cast<uint32_t>(b);
-  {
-    std::shared_lock<std::shared_mutex> lock(*lca_mu_);
-    auto it = lca_cache_.find(key);
-    if (it != lca_cache_.end()) return it->second;
+  int id;
+  if (packed_) {
+    id = packed_ids_.FindOr(LcaKey(cluster_keys_[static_cast<size_t>(a)],
+                                   cluster_keys_[static_cast<size_t>(b)]),
+                            -1);
+  } else {
+    id = FindId(Cluster::Lca(cluster(a), cluster(b)));
   }
-  Cluster lca = Cluster::Lca(cluster(a), cluster(b));
-  int id = FindId(lca);
   QAG_CHECK(id >= 0) << "LCA closure violated for " << cluster(a).ToString()
                      << " and " << cluster(b).ToString();
-  std::unique_lock<std::shared_mutex> lock(*lca_mu_);
-  lca_cache_.emplace(key, id);
   return id;
 }
 

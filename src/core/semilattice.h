@@ -2,8 +2,6 @@
 #define QAGVIEW_CORE_SEMILATTICE_H_
 
 #include <cstdint>
-#include <memory>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +32,8 @@ namespace qagview::core {
 ///    per-cluster scan for the Figure-8a ablation.
 ///
 /// All cluster ids used by algorithms/solutions index into this universe.
+/// The universe is immutable after Build, so any number of threads may read
+/// it (including LcaId and CoversElement) without synchronization.
 struct UniverseOptions {
   /// Ablation switch: per-cluster scans over all n elements.
   bool naive_mapping = false;
@@ -102,10 +102,22 @@ class ClusterUniverse {
     return singleton_ids_[static_cast<size_t>(i)];
   }
 
-  /// Id of LCA(cluster(a), cluster(b)); always present by closure.
-  /// Memoized; safe to call concurrently from pool workers (the memo is
-  /// guarded by a shared mutex, and the cached value is a pure function of
-  /// (a, b), so lookup order never affects results).
+  /// Whether cluster `id` covers element `e` of the answer set — the
+  /// membership probe of delta judgment (Algorithm 2). O(1) on a packed
+  /// universe: one AND and one compare of the element's key against the
+  /// cluster's concrete lanes.
+  bool CoversElement(int id, int e) const {
+    if (packed_) {
+      return (element_keys_[static_cast<size_t>(e)] &
+              concrete_lanes_[static_cast<size_t>(id)]) ==
+             cluster_keys_[static_cast<size_t>(id)];
+    }
+    return cluster(id).CoversElement(answer_set_->element(e).attrs);
+  }
+
+  /// Id of LCA(cluster(a), cluster(b)); always present by closure. On a
+  /// packed universe this is lane arithmetic on the two keys plus one index
+  /// probe; otherwise a pattern LCA plus FindId. Symmetric in (a, b).
   int LcaId(int a, int b) const;
 
   /// Ids of the level-(level) generalizations of each top-L element
@@ -123,6 +135,10 @@ class ClusterUniverse {
   /// to the vector-keyed index.
   static bool CanPack(const AnswerSet& s);
   static uint64_t PackPattern(const std::vector<int32_t>& pattern);
+  /// Clears every byte lane in which a and b differ: a lane is kept only
+  /// where both keys hold the same code (a wildcard on one side only
+  /// differs, so it becomes a wildcard, as in Cluster::Lca).
+  static uint64_t LcaKey(uint64_t a, uint64_t b);
 
   const AnswerSet* answer_set_ = nullptr;
   int top_l_ = 0;
@@ -131,15 +147,15 @@ class ClusterUniverse {
   std::vector<Cluster> clusters_;
   std::unordered_map<std::vector<int32_t>, int, VectorHash<int32_t>> ids_;
   FlatMap64 packed_ids_;
+  // Packed universes only: the key of every answer-set element, and per
+  // cluster id its key and the mask of its concrete (non-wildcard) lanes.
+  std::vector<uint64_t> element_keys_;
+  std::vector<uint64_t> cluster_keys_;
+  std::vector<uint64_t> concrete_lanes_;
   std::vector<std::vector<int32_t>> covered_;
   std::vector<double> covered_sum_;
   std::vector<int> top_covered_count_;
   std::vector<int> singleton_ids_;
-  // Behind a pointer so the universe stays movable (moves happen only
-  // before any concurrent use).
-  mutable std::unique_ptr<std::shared_mutex> lca_mu_ =
-      std::make_unique<std::shared_mutex>();
-  mutable std::unordered_map<uint64_t, int> lca_cache_;
 };
 
 }  // namespace qagview::core

@@ -678,17 +678,19 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
   // names, cells of each group's first row) + one column per unique
   // aggregate call, named by its canonical text. Select items and HAVING
   // are evaluated against it after rewriting calls into column refs, so
-  // under approximate execution they see population-scale estimates.
+  // under approximate execution they see population-scale estimates. The
+  // env columns keep their source types (no RetypeAllNull here), so a
+  // well-typed expression type-checks even over empty or all-NULL groups;
+  // MaterializeResult applies the result typing rule.
   std::vector<Field> env_fields;
   std::vector<Column> env_columns;
   for (int c : group_cols) {
-    env_columns.push_back(RetypeAllNull(table.column(c).Take(first_row)));
+    env_columns.push_back(table.column(c).Take(first_row));
     env_fields.push_back(
         {table.schema().field(c).name, env_columns.back().type()});
   }
   for (const AggArrays& agg : aggs) {
-    env_columns.push_back(
-        RetypeAllNull(AggregateColumn(agg, num_groups, approx)));
+    env_columns.push_back(AggregateColumn(agg, num_groups, approx));
     env_fields.push_back({agg.key, env_columns.back().type()});
   }
   const Table env = Table::FromColumns(Schema(std::move(env_fields)),
@@ -701,6 +703,9 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
     rewritten.push_back(RewriteCallsToColumns(*item.expr));
     auto compiled = CompiledExpr::Compile(*rewritten.back(), env.schema());
     if (!compiled.ok()) {
+      if (compiled.status().code() != StatusCode::kNotFound) {
+        return compiled.status();  // ill-typed
+      }
       // A bare column that is neither grouped nor aggregated.
       return Status::InvalidArgument(
           StrCat("select item ", item.expr->ToString(),

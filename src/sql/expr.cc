@@ -16,6 +16,24 @@ Result<CompiledExpr> CompiledExpr::Compile(const Expr& expr,
   return compiled;
 }
 
+namespace {
+
+// kNull is the type of a NULL literal only (columns are never NULL-typed);
+// it matches any operand, as the NULL it stands for propagates.
+bool MaybeNumeric(ValueType type) { return type != ValueType::kString; }
+
+bool Comparable(ValueType a, ValueType b) {
+  if (a == ValueType::kNull || b == ValueType::kNull) return true;
+  return (a == ValueType::kString) == (b == ValueType::kString);
+}
+
+Status TypeMismatch(const Expr& expr, const std::string& what) {
+  return Status::InvalidArgument(
+      StrCat("type mismatch in ", expr.ToString(), ": ", what));
+}
+
+}  // namespace
+
 Result<int> CompiledExpr::CompileNode(const Expr& expr,
                                       const storage::Schema& schema) {
   Node node;
@@ -23,21 +41,70 @@ Result<int> CompiledExpr::CompileNode(const Expr& expr,
   switch (expr.kind) {
     case ExprKind::kLiteral:
       node.literal = expr.literal;
+      node.type = expr.literal.type();
       break;
     case ExprKind::kColumnRef: {
       QAG_ASSIGN_OR_RETURN(node.column_index,
                            schema.GetFieldIndex(expr.column));
+      node.type = schema.field(node.column_index).type;
       break;
     }
     case ExprKind::kUnary: {
       node.unary_op = expr.unary_op;
       QAG_ASSIGN_OR_RETURN(node.left, CompileNode(*expr.left, schema));
+      const ValueType operand = nodes_[static_cast<size_t>(node.left)].type;
+      if (expr.unary_op == UnaryOp::kNot) {
+        node.type = ValueType::kInt64;
+      } else if (MaybeNumeric(operand)) {
+        node.type = operand;
+      } else {
+        return TypeMismatch(
+            expr, StrCat("unary minus needs a numeric operand, got ",
+                         ValueTypeToString(operand)));
+      }
       break;
     }
     case ExprKind::kBinary: {
       node.binary_op = expr.binary_op;
       QAG_ASSIGN_OR_RETURN(node.left, CompileNode(*expr.left, schema));
       QAG_ASSIGN_OR_RETURN(node.right, CompileNode(*expr.right, schema));
+      const ValueType lhs = nodes_[static_cast<size_t>(node.left)].type;
+      const ValueType rhs = nodes_[static_cast<size_t>(node.right)].type;
+      switch (expr.binary_op) {
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+        case BinaryOp::kMod:
+          if (!MaybeNumeric(lhs) || !MaybeNumeric(rhs)) {
+            return TypeMismatch(
+                expr, StrCat("operator ", BinaryOpToString(expr.binary_op),
+                             " needs numeric operands, got ",
+                             ValueTypeToString(lhs), " and ",
+                             ValueTypeToString(rhs)));
+          }
+          // Numeric; the checks only tell numbers from strings, so INT64
+          // vs DOUBLE (decided per row by Eval) need not be tracked.
+          node.type = ValueType::kDouble;
+          break;
+        case BinaryOp::kEq:
+        case BinaryOp::kNe:
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+        case BinaryOp::kGt:
+        case BinaryOp::kGe:
+          if (!Comparable(lhs, rhs)) {
+            return TypeMismatch(expr, StrCat("cannot compare ",
+                                             ValueTypeToString(lhs), " with ",
+                                             ValueTypeToString(rhs)));
+          }
+          node.type = ValueType::kInt64;
+          break;
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+          node.type = ValueType::kInt64;
+          break;
+      }
       break;
     }
     case ExprKind::kCall:

@@ -21,6 +21,12 @@ namespace qagview::sql {
 ///
 /// NULL semantics follow SQL: arithmetic and comparisons propagate NULL;
 /// AND/OR use three-valued logic; WHERE/HAVING treat NULL as not-satisfied.
+///
+/// Compile types every node from the schema (columns) and the literal
+/// values: arithmetic and unary minus need numeric operands, a comparison
+/// needs two strings or two numbers, and AND/OR/NOT accept any type (by
+/// truthiness). A mismatch returns InvalidArgument naming the expression,
+/// so evaluation never meets an ill-typed operand.
 class CompiledExpr {
  public:
   static Result<CompiledExpr> Compile(const Expr& expr,
@@ -33,6 +39,7 @@ class CompiledExpr {
  private:
   struct Node {
     ExprKind kind;
+    storage::ValueType type = storage::ValueType::kNull;  // static type
     storage::Value literal;         // kLiteral
     int column_index = -1;          // kColumnRef
     UnaryOp unary_op = UnaryOp::kNot;

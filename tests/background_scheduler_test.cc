@@ -62,8 +62,14 @@ TEST(BackgroundSchedulerTest, HigherLaneAlwaysDequeuesFirst) {
   // priority order, then release: execution order must follow lane
   // priority, not submission order.
   BackgroundScheduler scheduler(1);
-  Latch gate;
-  scheduler.Submit(Lane::kPrefetch, 0, [&] { gate.Wait(); });
+  Latch started, gate;
+  scheduler.Submit(Lane::kPrefetch, 0, [&] {
+    started.Open();
+    gate.Wait();
+  });
+  // The hostage must be *running* before the lanes fill up: still queued,
+  // it would lose the worker to the higher lanes submitted below.
+  started.Wait();
 
   std::mutex mu;
   std::vector<int> order;
@@ -132,8 +138,10 @@ TEST(BackgroundSchedulerTest, DestructorDropsQueuedAndJoinsRunning) {
   std::atomic<int> ran{0};
   std::atomic<bool> running_finished{false};
   {
-    BackgroundScheduler scheduler(1);
+    // Declared before the scheduler so they outlive the destructor's join:
+    // the running task may still be inside gate.Wait() when the block ends.
     Latch started, gate;
+    BackgroundScheduler scheduler(1);
     scheduler.Submit(Lane::kRefinement, 0, [&] {
       started.Open();
       gate.Wait();

@@ -10,6 +10,51 @@
 namespace qagview::core {
 namespace {
 
+std::vector<std::string> Names255() {
+  std::vector<std::string> names;
+  for (int i = 0; i < 255; ++i) names.push_back(StrCat("v", i));
+  return names;
+}
+
+// Two attributes: a 255-value domain (codes up to 254, which packs to the
+// lane 0xFF, and codes >= 127, which set a lane's top bit) next to a
+// four-value one.
+Result<AnswerSet> MakeDomain255Set() {
+  // The top elements hold lanes that differ only in the top bit: 0xFF vs
+  // 0x7F (codes 254 and 126), 0x80 vs a wildcard (code 127), and 0x81 vs
+  // 0x01 (codes 128 and 0).
+  const int32_t kLaneEdges[] = {254, 126, 127, 128, 0};
+  std::vector<Element> elements;
+  for (int i = 0; i < 60; ++i) {
+    const int32_t wide = i < 5 ? kLaneEdges[i]
+                               : static_cast<int32_t>(254 - (i * 13) % 255);
+    elements.push_back({{wide, static_cast<int32_t>(i % 4)}, 60.0 - i});
+  }
+  return AnswerSet::FromRaw({"wide", "narrow"},
+                            {Names255(), {"a", "b", "c", "d"}},
+                            std::move(elements));
+}
+
+// Eight attributes, each at the full 255-value domain, led by the element
+// holding code 254 in every position.
+Result<AnswerSet> MakeSaturatedSet() {
+  std::vector<Element> elements;
+  // The dangerous element: code 254 in every one of the 8 attributes.
+  elements.push_back({std::vector<int32_t>(8, 254), 100.0});
+  for (int i = 0; i < 20; ++i) {
+    std::vector<int32_t> attrs(8);
+    for (int a = 0; a < 8; ++a) {
+      attrs[static_cast<size_t>(a)] =
+          static_cast<int32_t>((i * 31 + a * 7) % 255);
+    }
+    elements.push_back({std::move(attrs), 50.0 - i});
+  }
+  std::vector<std::vector<std::string>> domains(8, Names255());
+  std::vector<std::string> attr_names;
+  for (int a = 0; a < 8; ++a) attr_names.push_back(StrCat("attr", a));
+  return AnswerSet::FromRaw(attr_names, domains, std::move(elements));
+}
+
 TEST(ClusterUniverseTest, GeneratesAllGeneralizationsOfTopL) {
   AnswerSet s = testutil::MakeMovieExample();
   auto u = ClusterUniverse::Build(&s, /*top_l=*/3);
@@ -116,18 +161,7 @@ TEST(ClusterUniverseTest, UnpackedFallbackAtWideDomain) {
 // packed path, and its clusters/coverage must match the forced fallback
 // cluster-for-cluster.
 TEST(ClusterUniverseTest, PackedPathAtDomain255Boundary) {
-  std::vector<std::string> names255;
-  for (int i = 0; i < 255; ++i) names255.push_back(StrCat("v", i));
-  std::vector<Element> elements;
-  for (int i = 0; i < 60; ++i) {
-    // Hit the maximal code 254 (lane 0xFF) in the top elements.
-    elements.push_back({{static_cast<int32_t>(254 - (i * 13) % 255),
-                         static_cast<int32_t>(i % 4)},
-                        60.0 - i});
-  }
-  auto s = AnswerSet::FromRaw({"wide", "narrow"},
-                              {names255, {"a", "b", "c", "d"}},
-                              std::move(elements));
+  auto s = MakeDomain255Set();
   ASSERT_TRUE(s.ok()) << s.status().ToString();
 
   auto packed = ClusterUniverse::Build(&*s, 10);
@@ -159,23 +193,7 @@ TEST(ClusterUniverseTest, PackedPathAtDomain255Boundary) {
 // pattern would pack to FlatMap64's reserved empty marker; that corner must
 // fall back to the vector-keyed index and still build correctly.
 TEST(ClusterUniverseTest, EightSaturatedLanesFallBackToUnpacked) {
-  std::vector<std::string> names255;
-  for (int i = 0; i < 255; ++i) names255.push_back(StrCat("v", i));
-  std::vector<Element> elements;
-  // The dangerous element: code 254 in every one of the 8 attributes.
-  elements.push_back({std::vector<int32_t>(8, 254), 100.0});
-  for (int i = 0; i < 20; ++i) {
-    std::vector<int32_t> attrs(8);
-    for (int a = 0; a < 8; ++a) {
-      attrs[static_cast<size_t>(a)] =
-          static_cast<int32_t>((i * 31 + a * 7) % 255);
-    }
-    elements.push_back({std::move(attrs), 50.0 - i});
-  }
-  std::vector<std::vector<std::string>> domains(8, names255);
-  std::vector<std::string> attr_names;
-  for (int a = 0; a < 8; ++a) attr_names.push_back(StrCat("attr", a));
-  auto s = AnswerSet::FromRaw(attr_names, domains, std::move(elements));
+  auto s = MakeSaturatedSet();
   ASSERT_TRUE(s.ok()) << s.status().ToString();
 
   auto u = ClusterUniverse::Build(&*s, 4);
@@ -237,7 +255,7 @@ TEST(ClusterUniverseTest, SingletonIdsMatchTopElements) {
   }
 }
 
-TEST(ClusterUniverseTest, LcaClosureAndCache) {
+TEST(ClusterUniverseTest, LcaClosureAndSymmetry) {
   AnswerSet s = testutil::MakeRandomAnswerSet(3, 40, 4, 3);
   auto u = ClusterUniverse::Build(&s, 8);
   ASSERT_TRUE(u.ok());
@@ -249,9 +267,68 @@ TEST(ClusterUniverseTest, LcaClosureAndCache) {
       ASSERT_GE(lca, 0);
       EXPECT_EQ(u->cluster(lca),
                 Cluster::Lca(u->cluster(a), u->cluster(b)));
-      EXPECT_EQ(u->LcaId(b, a), lca);  // cached/symmetric
+      EXPECT_EQ(u->LcaId(b, a), lca);
     }
   }
+}
+
+// The O(1) probes must agree with their definitions on every input: the
+// packed CoversElement with a search of the covered list, the packed
+// lane-arithmetic LCA with Cluster::Lca. Checked exhaustively on the packed
+// and the forced vector-keyed build of fixtures that stress the byte lanes.
+void ExpectProbesMatchDefinitions(const AnswerSet& s, int top_l) {
+  for (bool force_unpacked : {false, true}) {
+    UniverseOptions options;
+    options.force_unpacked = force_unpacked;
+    auto u = ClusterUniverse::Build(&s, top_l, options);
+    ASSERT_TRUE(u.ok()) << u.status().ToString();
+    for (int id = 0; id < u->num_clusters(); ++id) {
+      const std::vector<int32_t>& covered = u->covered(id);
+      for (int e = 0; e < s.size(); ++e) {
+        ASSERT_EQ(u->CoversElement(id, e),
+                  std::binary_search(covered.begin(), covered.end(), e))
+            << "packed=" << u->packed_index() << " cluster "
+            << u->cluster(id).ToString() << " element " << e;
+      }
+    }
+    for (int a = 0; a < u->num_clusters(); ++a) {
+      for (int b = a; b < u->num_clusters(); ++b) {
+        int lca = u->LcaId(a, b);
+        ASSERT_EQ(u->cluster(lca),
+                  Cluster::Lca(u->cluster(a), u->cluster(b)))
+            << "packed=" << u->packed_index() << " "
+            << u->cluster(a).ToString() << " ^ " << u->cluster(b).ToString();
+        ASSERT_EQ(u->LcaId(b, a), lca);
+      }
+    }
+  }
+}
+
+TEST(ClusterUniverseTest, ProbesMatchDefinitionsAtDomain255) {
+  auto s = MakeDomain255Set();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ExpectProbesMatchDefinitions(*s, 20);
+}
+
+// This fixture never packs (see EightSaturatedLanesFallBackToUnpacked), so
+// both builds take the vector-keyed path.
+TEST(ClusterUniverseTest, ProbesMatchDefinitionsOnSaturatedLanes) {
+  auto s = MakeSaturatedSet();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ExpectProbesMatchDefinitions(*s, 4);
+}
+
+TEST(ClusterUniverseTest, ProbesMatchDefinitionsAtEightAttributes) {
+  AnswerSet s = testutil::MakeRandomAnswerSet(31, 60, 8, 3);
+  auto u = ClusterUniverse::Build(&s, 4);
+  ASSERT_TRUE(u.ok());
+  ASSERT_TRUE(u->packed_index());
+  ExpectProbesMatchDefinitions(s, 4);
+}
+
+TEST(ClusterUniverseTest, ProbesMatchDefinitionsOnRandomSet) {
+  AnswerSet s = testutil::MakeRandomAnswerSet(37, 200, 5, 4);
+  ExpectProbesMatchDefinitions(s, 30);
 }
 
 TEST(ClusterUniverseTest, TrivialClusterCoversEverything) {

@@ -309,6 +309,25 @@ TEST_F(ServerTest, IllTypedAggregateIs400AndServerStaysUp) {
   EXPECT_EQ(health->status, 200);
 }
 
+TEST_F(ServerTest, IllTypedWhereIs400AndServerStaysUp) {
+  // A string column compared with a number used to abort the whole process
+  // at the first evaluated row.
+  service::QueryRequest request;
+  request.sql =
+      "SELECT g0, sum(rating) AS val FROM ratings WHERE g1 > 1 GROUP BY g0";
+  request.value_column = "val";
+  Result<HttpClientResponse> http = Post("/query", ToJson(request));
+  ASSERT_TRUE(http.ok()) << http.status().ToString();
+  EXPECT_EQ(http->status, 400) << http->body;
+  Json error = MustParse(http->body);
+  ASSERT_NE(error.Find("error"), nullptr);
+  EXPECT_EQ(error.Find("error")->Find("code")->AsString(), "InvalidArgument");
+
+  Result<HttpClientResponse> health = Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(ServerTest, MalformedRequestCorpusNeverCrashesTheServer) {
   struct RawCase {
     std::string raw;

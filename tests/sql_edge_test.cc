@@ -3,6 +3,7 @@
 // (Core template coverage lives in sql_test.cc.)
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,102 @@ TEST_F(SqlEdgeTest, WhereOnStringEquality) {
   ASSERT_TRUE(ne.ok());
   EXPECT_EQ(ne->num_rows(), 1);
   EXPECT_EQ(ne->Get(0, 0).as_int(), 3);
+}
+
+// a | b | v   — two string columns next to a double, for static typing:
+// p | p | 1     every ill-typed expression must come back as
+// p | q | 2     InvalidArgument from compilation, before any row is read.
+// p | r | 3
+// p | p | 4
+// q | q | 5
+// q | r | 6
+Table MakeTypingTable() {
+  Schema schema({{"a", ValueType::kString},
+                 {"b", ValueType::kString},
+                 {"v", ValueType::kDouble}});
+  Table t(schema);
+  const char* rows[][2] = {{"p", "p"}, {"p", "q"}, {"p", "r"},
+                           {"p", "p"}, {"q", "q"}, {"q", "r"}};
+  double v = 1.0;
+  for (const auto& row : rows) {
+    QAG_CHECK_OK(
+        t.AppendRow({Value::Str(row[0]), Value::Str(row[1]), Value::Real(v)}));
+    v += 1.0;
+  }
+  return t;
+}
+
+class SqlTypingTest : public testing::Test {
+ protected:
+  SqlTypingTest() : table_(MakeTypingTable()) {
+    catalog_.Register("t", &table_);
+  }
+
+  Result<Table> Run(const std::string& query) {
+    return ExecuteSql(query, catalog_);
+  }
+
+  void ExpectTypeMismatch(const std::string& query,
+                          const std::string& expression) {
+    auto r = Run(query);
+    ASSERT_FALSE(r.ok()) << query;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(r.status().message().find("type mismatch in " + expression),
+              std::string::npos)
+        << r.status().ToString();
+  }
+
+  Table table_;
+  Catalog catalog_;
+};
+
+// Each of these aborted the process before compilation typed expressions.
+// The last one is rejected even though no row would reach the comparison.
+TEST_F(SqlTypingTest, IllTypedExpressionsAreRejected) {
+  const std::pair<const char*, const char*> kCases[] = {
+      {"SELECT a, sum(v) AS s FROM t WHERE b > 1 GROUP BY a", "(b > 1)"},
+      {"SELECT a, avg(v) AS s FROM t GROUP BY a HAVING a > 0", "(a > 0)"},
+      {"SELECT a, sum(v) + a AS s FROM t GROUP BY a", "(sum(v) + a)"},
+      {"SELECT a, sum(b * 2) AS s FROM t GROUP BY a", "(b * 2)"},
+      {"SELECT a, b FROM t WHERE -b = 1", "-(b)"},
+      {"SELECT a, b FROM t WHERE v > 100 AND b > 1", "(b > 1)"},
+  };
+  for (const auto& [query, expression] : kCases) {
+    ExpectTypeMismatch(query, expression);
+  }
+}
+
+TEST_F(SqlTypingTest, WellTypedNeighboursStillRun) {
+  auto eq = Run("SELECT a, b FROM t WHERE b = 'p'");
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  EXPECT_EQ(eq->num_rows(), 2);
+
+  auto plus = Run("SELECT a, sum(v) + 1 AS s FROM t GROUP BY a ORDER BY a");
+  ASSERT_TRUE(plus.ok()) << plus.status().ToString();
+  ASSERT_EQ(plus->num_rows(), 2);
+  EXPECT_DOUBLE_EQ(plus->Get(0, 1).ToDouble(), 11.0);  // 1+2+3+4 + 1
+  EXPECT_DOUBLE_EQ(plus->Get(1, 1).ToDouble(), 12.0);  // 5+6 + 1
+
+  auto having = Run(
+      "SELECT a, avg(v) AS s FROM t GROUP BY a HAVING count(*) > 2");
+  ASSERT_TRUE(having.ok()) << having.status().ToString();
+  ASSERT_EQ(having->num_rows(), 1);
+  EXPECT_EQ(having->Get(0, 0).as_string(), "p");
+
+  // Logic accepts any operand type (truthiness), as before.
+  auto logic = Run("SELECT a, b FROM t WHERE b AND NOT v");
+  ASSERT_TRUE(logic.ok()) << logic.status().ToString();
+  EXPECT_EQ(logic->num_rows(), 0);
+}
+
+// A string group column keeps its type when no group survives the filter,
+// so a well-typed HAVING over it still compiles.
+TEST_F(SqlTypingTest, WellTypedHavingOverNoGroups) {
+  auto r = Run(
+      "SELECT a, sum(v) AS s FROM t WHERE v > 100 GROUP BY a "
+      "HAVING a = 'p'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 0);
 }
 
 }  // namespace
