@@ -102,7 +102,7 @@ double ReplaySession(service::QueryService& svc, const Workload& w,
   service::QueryHandle handle;
   {
     WallTimer timer;
-    auto info = svc.Query(sql, "val");
+    auto info = svc.Query({sql, "val", {}});
     QAG_CHECK(info.ok()) << info.status().ToString();
     handle = info->handle;
   }
@@ -113,17 +113,17 @@ double ReplaySession(service::QueryService& svc, const Workload& w,
     WallTimer timer;
     switch (move.kind) {
       case study::MoveKind::kSummarize: {
-        auto s = svc.Summarize(handle, {4, top_l, 2});
+        auto s = svc.Summarize({handle, {4, top_l, 2}});
         QAG_CHECK(s.ok()) << s.status().ToString();
         break;
       }
       case study::MoveKind::kExplore: {
-        auto e = svc.Explore(handle, {4, top_l, 2});
+        auto e = svc.Explore({handle, {4, top_l, 2}, 8});
         QAG_CHECK(e.ok()) << e.status().ToString();
         break;
       }
       case study::MoveKind::kGuidance: {
-        auto g = svc.Guidance(handle, top_l, Grid(w));
+        auto g = svc.Guidance({handle, top_l, Grid(w)});
         QAG_CHECK(g.ok()) << g.status().ToString();
         break;
       }
@@ -171,9 +171,9 @@ int main() {
     benchutil::TimingStats cold = benchutil::TimeStats(
         [&] {
           service::QueryService& svc = *services[next++];
-          auto info = svc.Query(sql, "val");
+          auto info = svc.Query({sql, "val", {}});
           QAG_CHECK(info.ok()) << info.status().ToString();
-          auto store = svc.Guidance(info->handle, w.top_l, Grid(w));
+          auto store = svc.Guidance({info->handle, w.top_l, Grid(w)});
           QAG_CHECK(store.ok()) << store.status().ToString();
         },
         reps);
@@ -193,9 +193,9 @@ int main() {
     // snapshot write land before "shutdown".
     {
       auto builder = MakeService(spec, seed, w, with_snapshots);
-      auto info = builder->Query(sql, "val");
+      auto info = builder->Query({sql, "val", {}});
       QAG_CHECK(info.ok()) << info.status().ToString();
-      auto store = builder->Guidance(info->handle, w.top_l, Grid(w));
+      auto store = builder->Guidance({info->handle, w.top_l, Grid(w)});
       QAG_CHECK(store.ok()) << store.status().ToString();
       builder->DrainBackgroundWork();
     }
@@ -208,15 +208,14 @@ int main() {
     benchutil::TimingStats warm = benchutil::TimeStats(
         [&] {
           service::QueryService& svc = *services[next++];
-          auto info = svc.Query(sql, "val");
+          auto info = svc.Query({sql, "val", {}});
           QAG_CHECK(info.ok()) << info.status().ToString();
           // The snapshot reload rides the foreground-build lane; waiting
           // it out is part of reaching the first grid response.
           svc.DrainBackgroundWork();
-          service::RequestStats rs;
-          auto store = svc.Guidance(info->handle, w.top_l, Grid(w), &rs);
+          auto store = svc.Guidance({info->handle, w.top_l, Grid(w)});
           QAG_CHECK(store.ok()) << store.status().ToString();
-          QAG_CHECK(!rs.built)
+          QAG_CHECK(!store->stats.built)
               << "warm-started Guidance rebuilt the grid from scratch";
           warm_loads += svc.stats().warm_start_loads;
         },

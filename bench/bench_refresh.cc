@@ -63,14 +63,14 @@ core::PrecomputeOptions Grid(const Workload& w) {
 /// summarize average as the bit-identity footprint.
 double Pipeline(service::QueryService& svc, const Workload& w,
                 const std::string& sql) {
-  auto info = svc.Query(sql, "val");
+  auto info = svc.Query({sql, "val", {}});
   QAG_CHECK(info.ok()) << info.status().ToString();
   const int top_l = std::min(w.top_l, info->num_answers);
-  auto store = svc.Guidance(info->handle, top_l, Grid(w));
+  auto store = svc.Guidance({info->handle, top_l, Grid(w)});
   QAG_CHECK(store.ok()) << store.status().ToString();
-  auto solution = svc.Summarize(info->handle, {4, top_l, 2});
+  auto solution = svc.Summarize({info->handle, {4, top_l, 2}});
   QAG_CHECK(solution.ok()) << solution.status().ToString();
-  return solution->average;
+  return solution->solution.average;
 }
 
 /// A fresh service over base(seed) + extra, fully warmed.
@@ -145,7 +145,7 @@ int main() {
     // Incremental: warm services built outside the clock; one rep times
     // AppendRows + the refreshing Query + Guidance.
     std::vector<std::unique_ptr<service::QueryService>> warmed;
-    std::vector<service::QueryService::Stats> before;
+    std::vector<service::ServiceStats> before;
     for (int r = 0; r < reps; ++r) {
       warmed.push_back(WarmService(spec, seed, w, sql, {}));
       before.push_back(warmed.back()->stats());
@@ -155,7 +155,7 @@ int main() {
     benchutil::TimingStats incremental = benchutil::TimeStats(
         [&] {
           service::QueryService& svc = *warmed[next++];
-          QAG_CHECK_OK(svc.AppendRows("ratings", extra).status());
+          QAG_CHECK_OK(svc.AppendRows({"ratings", extra}).status());
           live_footprint = Pipeline(svc, w, sql);
         },
         reps);
@@ -203,10 +203,9 @@ int main() {
       // The quiet row must take the reuse path: no universe or grid is
       // built, and every rep's refresh reuses the whole session cache.
       for (int r = 0; r < reps; ++r) {
-        const service::QueryService::Stats after =
+        const service::ServiceStats after =
             warmed[static_cast<size_t>(r)]->stats();
-        const service::QueryService::Stats& was =
-            before[static_cast<size_t>(r)];
+        const service::ServiceStats& was = before[static_cast<size_t>(r)];
         QAG_CHECK(after.builds == was.builds)
             << "1-row refresh built " << after.builds - was.builds
             << " structures instead of reusing the caches";
@@ -229,16 +228,13 @@ int main() {
     uint64_t cycle = 0;
     benchutil::TimingStats sustained = benchutil::TimeStats(
         [&] {
-          QAG_CHECK_OK(
-              svc->AppendRows("ratings",
-                              testutil::MakeRandomRows(
-                                  spec, seed ^ (0xBEEFu + ++cycle),
-                                  delta_rows))
-                  .status());
+          auto rows = testutil::MakeRandomRows(
+              spec, seed ^ (0xBEEFu + ++cycle), delta_rows);
+          QAG_CHECK_OK(svc->AppendRows({"ratings", std::move(rows)}).status());
           Pipeline(*svc, w, sql);  // handles dropped on return
         },
         cycles);
-    service::QueryService::Stats stats = svc->stats();
+    service::ServiceStats stats = svc->stats();
     // Strict: with every handle dropped, nothing may remain retained —
     // the bound is live readers (+1 live generation), and readers are 0.
     QAG_CHECK(stats.graveyard_size == 0)

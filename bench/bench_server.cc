@@ -131,9 +131,10 @@ int main() {
     core::PrecomputeOptions grid;
     grid.k_min = 2;
     grid.k_max = 8;
-    QAG_CHECK_OK(service.Guidance(opened->handle, /*top_l=*/8, grid).status());
     QAG_CHECK_OK(
-        service.Retrieve(opened->handle, /*top_l=*/8, /*d=*/1, /*k=*/4)
+        service.Guidance({opened->handle, /*top_l=*/8, grid}).status());
+    QAG_CHECK_OK(
+        service.Retrieve({opened->handle, /*top_l=*/8, /*d=*/1, /*k=*/4})
             .status());
 
     const std::vector<server::LoadgenRequest> script =

@@ -1,14 +1,19 @@
 #ifndef QAGVIEW_BENCH_BENCH_UTIL_H_
 #define QAGVIEW_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/answer_set.h"
 #include "datagen/answers.h"
@@ -77,9 +82,37 @@ inline bool SmokeMode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
+/// The machine a bench ran on, stamped into every BENCH_*.json.
+struct HostInfo {
+  /// CPUs in this process's affinity mask: what the run could use, which
+  /// on a pinned or containerized runner is less than the machine has.
+  int nproc = 0;
+  /// The first "model name" in /proc/cpuinfo.
+  std::string cpu_model = "unknown";
+};
+
+inline HostInfo CurrentHost() {
+  HostInfo out;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    out.nproc = CPU_COUNT(&mask);
+  }
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      out.cpu_model = std::string(StripWhitespace(line.substr(colon + 1)));
+      break;
+    }
+  }
+  return out;
+}
+
 /// \brief Machine-readable bench output: one BENCH_<figure>.json per
 /// driver, accumulating rows of (name, numeric params, median/min ms,
-/// reps) plus the figure id, git-describe string, and smoke flag.
+/// reps) plus the figure id, git-describe string, smoke flag, and host.
 ///
 /// The schema is documented in bench/README.md; CI runs the JSON-emitting
 /// drivers in smoke mode and uploads the files as artifacts, so the perf
@@ -134,10 +167,16 @@ class JsonReporter {
       std::fprintf(stderr, "JsonReporter: cannot write %s\n", path.c_str());
       return false;
     }
+    const HostInfo host = CurrentHost();
+    std::string cpu_model;
+    json::AppendQuoted(host.cpu_model, &cpu_model);
     std::fprintf(f, "{\n  \"figure\": \"%s\",\n  \"git\": \"%s\",\n"
-                    "  \"smoke\": %s,\n  \"entries\": [\n",
+                    "  \"smoke\": %s,\n"
+                    "  \"host\": {\"nproc\": %d, \"cpu_model\": %s},\n"
+                    "  \"entries\": [\n",
                  figure_.c_str(), QAGVIEW_GIT_DESCRIBE,
-                 SmokeMode() ? "true" : "false");
+                 SmokeMode() ? "true" : "false", host.nproc,
+                 cpu_model.c_str());
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(f, "%s%s\n", rows_[i].c_str(),
                    i + 1 < rows_.size() ? "," : "");

@@ -4,7 +4,9 @@
 Compares freshly produced bench JSONs (see bench/README.md for the schema)
 against the checked-in snapshots under bench/baselines/ and fails when any
 entry's median regresses beyond the threshold. Entries are join-keyed by
-(figure, name, params); the `git` stamp is informational and ignored.
+(figure, name, params); the `git` stamp is informational and ignored, and
+the `host` stamp (CPU count and model) is printed per figure, current vs
+baseline, but never gated.
 
 Design choices, tuned for a CI gate rather than a lab notebook:
 
@@ -73,6 +75,13 @@ def fmt_key(key):
     return f"{name}({inner})" if inner else name
 
 
+def fmt_host(doc):
+    """`nproc=N cpu="model"` from a BENCH JSON's host stamp."""
+    host = (doc or {}).get("host") or {}
+    return (f"nproc={host.get('nproc', 'unknown')} "
+            f"cpu=\"{host.get('cpu_model', 'unknown')}\"")
+
+
 def compare_extras(label, figure, entry, base, args, seen_ungated):
     """Gates the measured extras shared by both runs.
 
@@ -134,11 +143,15 @@ def compare_file(current_path, baseline_path, args):
     """Returns (regressions, warnings) message lists for one figure."""
     current = load(current_path)
     figure = current.get("figure", os.path.basename(current_path))
-    if not os.path.exists(baseline_path):
+    baseline = (load(baseline_path) if os.path.exists(baseline_path)
+                else None)
+    # Which machines the two sides ran on; informational, never gated.
+    print(f"  host:        {figure}: {fmt_host(current)} vs baseline "
+          f"{fmt_host(baseline)}")
+    if baseline is None:
         return [], [f"{figure}: no baseline at {baseline_path} "
                     f"(new bench? seed it with --update)"]
 
-    baseline = load(baseline_path)
     regressions, warnings = [], []
     if bool(current.get("smoke")) != bool(baseline.get("smoke")):
         # Different instance scales are incomparable by construction.

@@ -41,10 +41,12 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation (>= 0; 0 returns
+  /// the mean). Scales a standard normal draw: std::normal_distribution
+  /// requires a positive deviation, and computes the same
+  /// `z * stddev + mean` itself, so the stream is unchanged.
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   /// True with probability p.

@@ -14,9 +14,14 @@
 /// a struct that compares field-for-field (bit-for-bit for doubles, via
 /// json::FormatJsonNumber's shortest round-trip form) with the original,
 /// which is what lets server_test assert bit-identity between an HTTP
-/// response and a direct QueryService call. FromJson validates types and
-/// required fields and returns InvalidArgument — never crashes — on
-/// hostile documents; unknown fields are ignored (forward compatibility).
+/// response and a direct QueryService call. FromJson validates types,
+/// required fields, and `int` range, and returns InvalidArgument naming the
+/// field — never crashes — on hostile documents; unknown fields are ignored
+/// (forward compatibility).
+///
+/// Each struct's fields are listed once, in wire order, in serde.cc; one
+/// generic encoder and one generic decoder walk those lists, and every
+/// function below is a one-line forward to them.
 
 namespace qagview::server {
 
@@ -67,19 +72,9 @@ Result<service::AppendRowsResponse> AppendRowsResponseFromJson(
     const json::Json& doc);
 Result<service::ServiceStats> ServiceStatsFromJson(const json::Json& doc);
 
-// --- Shared pieces -------------------------------------------------------
-
+/// The per-request cost block every response embeds (also used alone by
+/// the build smoke test).
 json::Json ToJson(const service::RequestStats& stats);
-json::Json ToJson(const service::ApproxMeta& meta);
-json::Json ToJson(const core::Params& params);
-json::Json ToJson(const core::Solution& solution);
-json::Json ToJson(const core::TwoLayerView& view);
-
-Result<service::RequestStats> RequestStatsFromJson(const json::Json& doc);
-Result<service::ApproxMeta> ApproxMetaFromJson(const json::Json& doc);
-Result<core::Params> ParamsFromJson(const json::Json& doc);
-Result<core::Solution> SolutionFromJson(const json::Json& doc);
-Result<core::TwoLayerView> TwoLayerViewFromJson(const json::Json& doc);
 
 }  // namespace qagview::server
 

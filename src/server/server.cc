@@ -64,14 +64,14 @@ HttpResponse ErrorResponse(const Status& status) {
 template <typename Request, typename Response>
 HttpResponse HandleJson(const HttpRequest& request,
                         Result<Request> (*from_json)(const Json&),
-                        Result<Response> (*call)(service::QueryService*,
-                                                 const Request&),
+                        Result<Response> (service::QueryService::*call)(
+                            const Request&),
                         service::QueryService* service) {
   Result<Json> doc = Json::Parse(request.body);
   if (!doc.ok()) return ErrorResponse(doc.status());
   Result<Request> parsed = from_json(*doc);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  Result<Response> response = call(service, *parsed);
+  Result<Response> response = (service->*call)(*parsed);
   if (!response.ok()) return ErrorResponse(response.status());
   return JsonResponse(200, ToJson(*response));
 }
@@ -328,61 +328,34 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
   }
   if (!is_post) return ErrorResponse(405, "MethodNotAllowed", "use POST");
 
+  using service::QueryService;
   if (target == "/query") {
-    return HandleJson<service::QueryRequest, service::QueryResponse>(
-        request, &QueryRequestFromJson,
-        +[](service::QueryService* s, const service::QueryRequest& r) {
-          return s->Query(r);
-        },
-        service_);
+    return HandleJson(request, &QueryRequestFromJson, &QueryService::Query,
+                      service_);
   }
   if (target == "/summarize") {
-    return HandleJson<service::SummarizeRequest, service::SummarizeResponse>(
-        request, &SummarizeRequestFromJson,
-        +[](service::QueryService* s, const service::SummarizeRequest& r) {
-          return s->Summarize(r);
-        },
-        service_);
+    return HandleJson(request, &SummarizeRequestFromJson,
+                      &QueryService::Summarize, service_);
   }
   if (target == "/guidance") {
-    return HandleJson<service::GuidanceRequest, service::GuidanceResponse>(
-        request, &GuidanceRequestFromJson,
-        +[](service::QueryService* s, const service::GuidanceRequest& r) {
-          return s->Guidance(r);
-        },
-        service_);
+    return HandleJson(request, &GuidanceRequestFromJson,
+                      &QueryService::Guidance, service_);
   }
   if (target == "/retrieve") {
-    return HandleJson<service::RetrieveRequest, service::RetrieveResponse>(
-        request, &RetrieveRequestFromJson,
-        +[](service::QueryService* s, const service::RetrieveRequest& r) {
-          return s->Retrieve(r);
-        },
-        service_);
+    return HandleJson(request, &RetrieveRequestFromJson,
+                      &QueryService::Retrieve, service_);
   }
   if (target == "/explore") {
-    return HandleJson<service::ExploreRequest, service::ExploreResponse>(
-        request, &ExploreRequestFromJson,
-        +[](service::QueryService* s, const service::ExploreRequest& r) {
-          return s->Explore(r);
-        },
-        service_);
+    return HandleJson(request, &ExploreRequestFromJson, &QueryService::Explore,
+                      service_);
   }
   if (target == "/refine") {
-    return HandleJson<service::RefineRequest, service::RefineResponse>(
-        request, &RefineRequestFromJson,
-        +[](service::QueryService* s, const service::RefineRequest& r) {
-          return s->Refine(r);
-        },
-        service_);
+    return HandleJson(request, &RefineRequestFromJson, &QueryService::Refine,
+                      service_);
   }
   // target == "/append_rows"
-  return HandleJson<service::AppendRowsRequest, service::AppendRowsResponse>(
-      request, &AppendRowsRequestFromJson,
-      +[](service::QueryService* s, const service::AppendRowsRequest& r) {
-        return s->AppendRows(r);
-      },
-      service_);
+  return HandleJson(request, &AppendRowsRequestFromJson,
+                    &QueryService::AppendRows, service_);
 }
 
 }  // namespace qagview::server

@@ -24,7 +24,9 @@
 ///  * **Uniform provenance.** Every response embeds its RequestStats and
 ///    an ApproxMeta block instead of optional out-params, so clients (and
 ///    the HTTP layer) never need a side channel to learn what a request
-///    cost or whether it served exact data.
+///    cost or whether it served exact data. Each fact lives in one block:
+///    RequestStats says what the request cost, ApproxMeta what data it
+///    served.
 ///  * **Transport stays out.** src/server/ serializes these structs to
 ///    JSON; the structs themselves know nothing about JSON or sockets, and
 ///    QueryService knows nothing about either (DESIGN layering rules).
@@ -54,9 +56,9 @@ struct QueryOptions {
   double confidence = 0.95;
 };
 
-/// What one request cost and where its answer came from — returned
-/// alongside every response so clients (and the stress harness) can see
-/// cache behaviour per call, not just in aggregate.
+/// What one request cost — returned in every response so clients (and the
+/// stress harness) can see cache behaviour per call, not just in
+/// aggregate. Whether the answer was exact is the response's ApproxMeta.
 struct RequestStats {
   double latency_ms = 0.0;
   /// Served from an already-cached structure (session, universe, or grid).
@@ -71,15 +73,6 @@ struct RequestStats {
   /// re-executed against the new snapshot, caches reused or rebuilt by
   /// input fingerprint (core::Session::Refresh).
   bool refreshed = false;
-  /// The answer set this request served from was approximate (sample-based
-  /// estimates with error bounds); false = exact. Exact-mode responses are
-  /// never approximate, by construction.
-  bool approximate = false;
-  /// Sample fraction (n / N) behind an approximate response; 1.0 if exact.
-  double sample_fraction = 1.0;
-  /// Largest per-answer confidence-interval half-width in the served
-  /// answer set; 0.0 if exact.
-  double max_bound = 0.0;
 };
 
 /// Exact/approximate provenance of the answer set a response served from,
@@ -94,54 +87,19 @@ struct ApproxMeta {
   double max_bound = 0.0;
 };
 
-/// The ApproxMeta a finished request observed (RequestStats carries the
-/// same three facts, stamped from the same wait-free approximation() load).
-inline ApproxMeta ApproxFromStats(const RequestStats& stats) {
-  ApproxMeta out;
-  out.is_exact = !stats.approximate;
-  out.sample_fraction = stats.sample_fraction;
-  out.max_bound = stats.max_bound;
-  return out;
-}
-
 /// Opaque reference to a cached query answer set; obtained from Query().
 /// The handle itself (and the session behind it) stays valid for the
 /// service's lifetime — but the structures reached *through* it follow
-/// drain-then-evict semantics: Guidance returns a shared_ptr that pins its
-/// answer-set generation, and once a dataset update retires a generation
-/// it is destroyed as soon as the last such handle drops. Never store raw
-/// pointers extracted from those handles.
+/// drain-then-evict semantics: QueryService::Answers returns a shared_ptr
+/// that pins its answer-set generation, and once a dataset update retires
+/// a generation it is destroyed as soon as the last such handle drops.
+/// Never store raw pointers extracted from those handles.
 using QueryHandle = int64_t;
-
-/// Query() response: the handle plus the answer-set shape.
-struct QueryInfo {
-  QueryHandle handle = -1;
-  int num_answers = 0;  // n — ranked tuples in the answer set
-  int num_attrs = 0;    // m — grouping attributes
-  RequestStats stats;   // cache_hit = an existing session was reused
-  /// Provenance of the published answer set at response time. An
-  /// approx-first handle starts with is_exact == false and flips to true
-  /// once background refinement republishes the exact generation.
-  bool is_exact = true;
-  double sample_fraction = 1.0;  // n / N (1.0 when exact)
-  double max_bound = 0.0;        // largest per-answer CI half-width
-  double confidence = 0.0;       // bound confidence level (0 when exact)
-};
-
-/// Explore() response: the solution with both display layers rendered
-/// (Figures 1b/1c).
-struct ExploreResult {
-  core::Solution solution;
-  core::TwoLayerView view;
-  std::string summary;   // first layer (RenderSummary)
-  std::string expanded;  // second layer (RenderExpanded, bounded members)
-  RequestStats stats;
-};
 
 // --- Request/response pairs ----------------------------------------------
 
 /// Executes an aggregate query and opens (or reuses) the session over its
-/// ranked answers — the struct form of Query(sql, value_column, options).
+/// ranked answers.
 struct QueryRequest {
   std::string sql;
   /// The aggregate output column to rank by.

@@ -22,6 +22,15 @@ void MergeTrace(const core::Session::RequestTrace& trace, RequestStats* rs) {
   rs->built = trace.built;
 }
 
+/// A response's provenance block, from one approximation() load.
+ApproxMeta ApproxOf(const core::Approximation& approx) {
+  ApproxMeta out;
+  out.is_exact = approx.is_exact;
+  out.sample_fraction = approx.sample_fraction;
+  out.max_bound = approx.max_bound;
+  return out;
+}
+
 DatasetCatalogOptions CatalogOptionsFor(const ServiceOptions& options) {
   DatasetCatalogOptions out;
   out.sample_capacity = options.sample_capacity;
@@ -58,22 +67,15 @@ Status QueryService::RegisterCsvFile(const std::string& name,
   return datasets_.RegisterCsvFile(name, path);
 }
 
-Result<uint64_t> QueryService::AppendRows(
-    const std::string& name,
-    const std::vector<std::vector<storage::Value>>& rows) {
-  Result<uint64_t> version = datasets_.AppendRows(name, rows);
-  // The catalog moved: every queued speculative task tokened below the new
-  // version was predicted against data that no longer exists. Drop it at
-  // the queue instead of letting it build caches a refresh will retire.
-  if (version.ok()) scheduler_.InvalidateBelow(*version);
-  return version;
-}
-
 Result<AppendRowsResponse> QueryService::AppendRows(
     const AppendRowsRequest& request) {
   WallTimer timer;
   QAG_ASSIGN_OR_RETURN(uint64_t version,
-                       AppendRows(request.dataset, request.rows));
+                       datasets_.AppendRows(request.dataset, request.rows));
+  // The catalog moved: every queued speculative task tokened below the new
+  // version was predicted against data that no longer exists. Drop it at
+  // the queue instead of letting it build caches a refresh will retire.
+  scheduler_.InvalidateBelow(version);
   AppendRowsResponse out;
   out.version = version;
   out.stats.latency_ms = timer.ElapsedMillis();
@@ -95,14 +97,16 @@ uint64_t QueryService::catalog_version() const {
   return datasets_.version();
 }
 
-Result<QueryInfo> QueryService::Query(const std::string& sql,
-                                      const std::string& value_column) {
-  return Query(sql, value_column, QueryOptions());
+template <typename Response>
+Result<Response> QueryService::Finish(RequestKind kind, const WallTimer& timer,
+                                      const Status& status, Response out) {
+  out.stats.latency_ms = timer.ElapsedMillis();
+  Record(kind, out.stats, !out.approx.is_exact);
+  if (!status.ok()) return status;
+  return out;
 }
 
-Result<QueryInfo> QueryService::Query(const std::string& sql,
-                                      const std::string& value_column,
-                                      const QueryOptions& options) {
+Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
   WallTimer timer;
   // Foreground gate: while any serving request is in flight, the scheduler
   // parks its prefetch lane, so speculation can never delay the answer the
@@ -110,19 +114,20 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
   // makes the guard a no-op with zero atomics.
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  const std::string trimmed(StripWhitespace(sql));
-  RequestStats rs;
+  const std::string trimmed(StripWhitespace(request.sql));
+  const std::string& value_column = request.value_column;
+  const QueryOptions& options = request.options;
+  QueryResponse out;
   if (trimmed.empty()) {
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
-    return Status::InvalidArgument("empty SQL text");
+    return Finish(RequestKind::kQuery, timer,
+                  Status::InvalidArgument("empty SQL text"), std::move(out));
   }
   if (options.mode != QueryMode::kExactOnly &&
       !(options.confidence > 0.0 && options.confidence < 1.0)) {
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
-    return Status::InvalidArgument(
-        "QueryOptions::confidence must be in (0, 1)");
+    return Finish(RequestKind::kQuery, timer,
+                  Status::InvalidArgument(
+                      "QueryOptions::confidence must be in (0, 1)"),
+                  std::move(out));
   }
   // Session identity: byte-identical SQL (modulo surrounding whitespace)
   // over the same value column; approximate modes additionally key on the
@@ -138,17 +143,13 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
   }
   // Reports the published answer set's shape and provenance (one wait-free
   // answers() load covers both).
-  auto fill_info = [](const SessionEntry& entry, QueryHandle handle,
-                      QueryInfo* info) {
-    info->handle = handle;
+  auto fill = [&out](const SessionEntry& entry, QueryHandle handle) {
+    out.handle = handle;
     std::shared_ptr<const core::AnswerSet> answers = entry.session->answers();
-    info->num_answers = answers->size();
-    info->num_attrs = answers->num_attrs();
-    const core::Approximation& approx = answers->approximation();
-    info->is_exact = approx.is_exact;
-    info->sample_fraction = approx.sample_fraction;
-    info->max_bound = approx.max_bound;
-    info->confidence = approx.confidence;
+    out.num_answers = answers->size();
+    out.num_attrs = answers->num_attrs();
+    out.approx = ApproxOf(answers->approximation());
+    out.confidence = answers->approximation().confidence;
   };
   while (true) {
     {
@@ -163,26 +164,21 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       }
       if (entry != nullptr) {
         // Bring a stale handle up to date before reporting its shape.
-        Status fresh = EnsureFresh(entry, &rs);
+        Status fresh = EnsureFresh(entry, &out.stats);
         if (!fresh.ok()) {
-          rs.latency_ms = timer.ElapsedMillis();
-          Record(RequestKind::kQuery, rs);
-          return fresh;
+          return Finish(RequestKind::kQuery, timer, fresh, std::move(out));
         }
-        QueryInfo info;
-        fill_info(*entry, handle, &info);
-        if (entry->mode == QueryMode::kApproxFirst && !info.is_exact) {
+        fill(*entry, handle);
+        if (entry->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
           // Safety net: re-arm refinement if the set is still approximate
           // (e.g. a refresh republished an approximate generation, or an
           // earlier refinement errored). Deduplicated, never blocking.
           ScheduleRefinement(entry);
         }
-        if (!rs.coalesced && !rs.refreshed) rs.cache_hit = true;
-        StampApproximation(entry, &rs);
-        rs.latency_ms = timer.ElapsedMillis();
-        info.stats = rs;
-        Record(RequestKind::kQuery, rs);
-        return info;
+        if (!out.stats.coalesced && !out.stats.refreshed) {
+          out.stats.cache_hit = true;
+        }
+        return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
       }
     }
     // Miss: lead the execution, or join an identical in-flight one.
@@ -203,16 +199,14 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       }
     }
     if (!leader) {
-      rs.coalesced = true;
+      out.stats.coalesced = true;
       Status status = flight->Wait();
       if (!status.ok()) {
-        rs.latency_ms = timer.ElapsedMillis();
-        Record(RequestKind::kQuery, rs);
-        return status;
+        return Finish(RequestKind::kQuery, timer, status, std::move(out));
       }
       continue;  // the leader published the session; serve from cache
     }
-    rs.built = true;
+    out.stats.built = true;
     // Execute outside the lock: SQL + answer-set materialization are the
     // expensive part, and the pinned catalog snapshot stays valid
     // regardless of concurrent dataset updates (snapshots are immutable).
@@ -260,14 +254,11 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
     }
     flight->Finish(outcome.ok() ? Status::OK() : outcome.status());
     if (!outcome.ok()) {
-      rs.latency_ms = timer.ElapsedMillis();
-      Record(RequestKind::kQuery, rs);
-      return outcome.status();
+      return Finish(RequestKind::kQuery, timer, outcome.status(),
+                    std::move(out));
     }
-    QueryInfo info;
-    fill_info(*published, *outcome, &info);
-    StampApproximation(published, &rs);
-    if (published->mode == QueryMode::kApproxFirst && !info.is_exact) {
+    fill(*published, *outcome);
+    if (published->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
       // Two-phase publication, phase two: the exact build runs in the
       // background and republishes through the refresh machinery; this
       // (foreground) response returns the approximate set now.
@@ -279,10 +270,7 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
     // background tasks; neither delays this response.
     ScheduleWarmStartLoad(published);
     SchedulePrefetch(published, study::MoveKind::kQuery, /*level=*/0);
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
-    info.stats = rs;
-    return info;
+    return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
   }
 }
 
@@ -501,135 +489,121 @@ void QueryService::ScheduleRefinement(SessionEntry* entry) {
       std::lock_guard<std::mutex> lock(shard.mu);
       ++shard.stats.refinements_superseded;
     }
-    StampApproximation(entry, &rs);
     rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kRefine, rs);
+    Record(RequestKind::kRefine, rs, !entry->session->approximation().is_exact);
   };
   scheduler_.Submit(BackgroundScheduler::Lane::kRefinement, /*token=*/0,
                     std::move(task));
 }
 
-void QueryService::StampApproximation(SessionEntry* entry, RequestStats* rs) {
-  if (rs == nullptr) return;
-  const core::Approximation approx = entry->session->approximation();
-  rs->approximate = !approx.is_exact;
-  rs->sample_fraction = approx.sample_fraction;
-  rs->max_bound = approx.max_bound;
-}
-
-Status QueryService::Refine(QueryHandle handle, RequestStats* stats) {
+Result<RefineResponse> QueryService::Refine(const RefineRequest& request) {
   WallTimer timer;
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
+  RefineResponse out;
   auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/true, &rs));
-    StampApproximation(entry, &rs);
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+    QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/true, &out.stats));
+    out.approx = ApproxOf(entry->session->approximation());
     return Status::OK();
   };
   Status status = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kRefine, rs);
-  if (stats != nullptr) *stats = rs;
-  return status;
+  return Finish(RequestKind::kRefine, timer, status, std::move(out));
 }
 
-Result<core::Solution> QueryService::Summarize(QueryHandle handle,
-                                               const core::Params& params,
-                                               RequestStats* stats) {
+Result<SummarizeResponse> QueryService::Summarize(
+    const SummarizeRequest& request) {
   WallTimer timer;
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<core::Solution> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
+  SummarizeResponse out;
+  auto run = [&]() -> Status {
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
-    Result<core::Solution> solution =
-        entry->session->Summarize(params, core::HybridOptions(), &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    if (solution.ok()) {
-      CountPrefetchHit(entry, params.L, /*want_store=*/false, rs);
-      SchedulePrefetch(entry, study::MoveKind::kSummarize, params.L);
-    }
-    return solution;
+    Result<core::Solution> solution = entry->session->Summarize(
+        request.params, core::HybridOptions(), &trace);
+    MergeTrace(trace, &out.stats);
+    out.approx = ApproxOf(entry->session->approximation());
+    QAG_RETURN_IF_ERROR(solution.status());
+    out.solution = std::move(solution).value();
+    CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);
+    SchedulePrefetch(entry, study::MoveKind::kSummarize, request.params.L);
+    return Status::OK();
   };
-  Result<core::Solution> solution = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kSummarize, rs);
-  if (stats != nullptr) *stats = rs;
-  return solution;
+  Status status = run();
+  return Finish(RequestKind::kSummarize, timer, status, std::move(out));
 }
 
-Result<std::shared_ptr<const core::SolutionStore>> QueryService::Guidance(
-    QueryHandle handle, int top_l, const core::PrecomputeOptions& options,
-    RequestStats* stats) {
+Result<GuidanceResponse> QueryService::Guidance(
+    const GuidanceRequest& request) {
   WallTimer timer;
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<std::shared_ptr<const core::SolutionStore>> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
+  GuidanceResponse out;
+  auto run = [&]() -> Status {
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
     Result<std::shared_ptr<const core::SolutionStore>> store =
-        entry->session->Guidance(top_l, options, &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    if (store.ok()) {
-      CountPrefetchHit(entry, top_l, /*want_store=*/true, rs);
-      SchedulePrefetch(entry, study::MoveKind::kGuidance, top_l);
-      // A foreground-built exact grid is exactly what the next process
-      // start wants warm: persist it (best-effort, off the hot path).
-      if (rs.built && !rs.approximate) ScheduleSnapshotWrite(entry, top_l);
+        entry->session->Guidance(request.top_l, request.options, &trace);
+    MergeTrace(trace, &out.stats);
+    out.approx = ApproxOf(entry->session->approximation());
+    QAG_RETURN_IF_ERROR(store.status());
+    CountPrefetchHit(entry, request.top_l, /*want_store=*/true, out.stats);
+    SchedulePrefetch(entry, study::MoveKind::kGuidance, request.top_l);
+    // A foreground-built exact grid is exactly what the next process
+    // start wants warm: persist it (best-effort, off the hot path).
+    if (out.stats.built && out.approx.is_exact) {
+      ScheduleSnapshotWrite(entry, request.top_l);
     }
-    return store;
+    const core::SolutionStore& grid = **store;
+    out.store_l = grid.l();
+    out.k_max = grid.k_max();
+    out.d_values = grid.d_values();
+    for (int d : out.d_values) {
+      QAG_ASSIGN_OR_RETURN(int min_k, grid.MinK(d));
+      out.min_ks.push_back(min_k);
+    }
+    out.num_intervals = grid.num_intervals();
+    out.naive_entries = grid.naive_entries();
+    return Status::OK();
   };
-  Result<std::shared_ptr<const core::SolutionStore>> store = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kGuidance, rs);
-  if (stats != nullptr) *stats = rs;
-  return store;
+  Status status = run();
+  return Finish(RequestKind::kGuidance, timer, status, std::move(out));
 }
 
-Result<core::Solution> QueryService::Retrieve(QueryHandle handle, int top_l,
-                                              int d, int k,
-                                              RequestStats* stats) {
+Result<RetrieveResponse> QueryService::Retrieve(
+    const RetrieveRequest& request) {
   WallTimer timer;
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<core::Solution> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
+  RetrieveResponse out;
+  auto run = [&]() -> Status {
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
-    Result<core::Solution> solution =
-        entry->session->Retrieve(top_l, d, k, &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    return solution;
+    Result<core::Solution> solution = entry->session->Retrieve(
+        request.top_l, request.d, request.k, &trace);
+    MergeTrace(trace, &out.stats);
+    out.approx = ApproxOf(entry->session->approximation());
+    QAG_RETURN_IF_ERROR(solution.status());
+    out.solution = std::move(solution).value();
+    return Status::OK();
   };
-  Result<core::Solution> solution = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kRetrieve, rs);
-  if (stats != nullptr) *stats = rs;
-  return solution;
+  Status status = run();
+  return Finish(RequestKind::kRetrieve, timer, status, std::move(out));
 }
 
-Result<ExploreResult> QueryService::Explore(QueryHandle handle,
-                                            const core::Params& params,
-                                            int max_members) {
+Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
   WallTimer timer;
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<ExploreResult> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
+  ExploreResponse out;
+  auto run = [&]() -> Status {
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
-    ExploreResult result;
     // Render against the exact universe that produced the solution — a
     // second UniverseFor(params.L) lookup could return a narrower
     // universe published concurrently, in which the solution's cluster
@@ -637,113 +611,21 @@ Result<ExploreResult> QueryService::Explore(QueryHandle handle,
     // generation while the layers render, even if a refresh lands.
     std::shared_ptr<const core::ClusterUniverse> universe;
     QAG_ASSIGN_OR_RETURN(
-        result.solution,
-        entry->session->SummarizeWith(params, &universe,
+        out.solution,
+        entry->session->SummarizeWith(request.params, &universe,
                                       core::HybridOptions(), &trace));
-    result.view = core::BuildTwoLayerView(*universe, result.solution);
-    result.summary = core::RenderSummary(*universe, result.solution);
-    result.expanded =
-        core::RenderExpanded(*universe, result.solution, max_members);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    CountPrefetchHit(entry, params.L, /*want_store=*/false, rs);
-    SchedulePrefetch(entry, study::MoveKind::kExplore, params.L);
-    return result;
+    out.view = core::BuildTwoLayerView(*universe, out.solution);
+    out.summary = core::RenderSummary(*universe, out.solution);
+    out.expanded =
+        core::RenderExpanded(*universe, out.solution, request.max_members);
+    MergeTrace(trace, &out.stats);
+    out.approx = ApproxOf(entry->session->approximation());
+    CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);
+    SchedulePrefetch(entry, study::MoveKind::kExplore, request.params.L);
+    return Status::OK();
   };
-  Result<ExploreResult> result = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kExplore, rs);
-  if (result.ok()) result->stats = rs;
-  return result;
-}
-
-// --- Struct forms: thin wrappers over the signatures above, packaging the
-// identical behaviour (including stats recording) into serializable
-// responses with uniform provenance. ----------------------------------------
-
-Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
-  QAG_ASSIGN_OR_RETURN(
-      QueryInfo info,
-      Query(request.sql, request.value_column, request.options));
-  QueryResponse out;
-  out.handle = info.handle;
-  out.num_answers = info.num_answers;
-  out.num_attrs = info.num_attrs;
-  out.confidence = info.confidence;
-  out.approx.is_exact = info.is_exact;
-  out.approx.sample_fraction = info.sample_fraction;
-  out.approx.max_bound = info.max_bound;
-  out.stats = info.stats;
-  return out;
-}
-
-Result<RefineResponse> QueryService::Refine(const RefineRequest& request) {
-  RequestStats rs;
-  QAG_RETURN_IF_ERROR(Refine(request.handle, &rs));
-  RefineResponse out;
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
-}
-
-Result<SummarizeResponse> QueryService::Summarize(
-    const SummarizeRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(core::Solution solution,
-                       Summarize(request.handle, request.params, &rs));
-  SummarizeResponse out;
-  out.solution = std::move(solution);
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
-}
-
-Result<GuidanceResponse> QueryService::Guidance(
-    const GuidanceRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::SolutionStore> store,
-      Guidance(request.handle, request.top_l, request.options, &rs));
-  GuidanceResponse out;
-  out.store_l = store->l();
-  out.k_max = store->k_max();
-  out.d_values = store->d_values();
-  for (int d : out.d_values) {
-    QAG_ASSIGN_OR_RETURN(int min_k, store->MinK(d));
-    out.min_ks.push_back(min_k);
-  }
-  out.num_intervals = store->num_intervals();
-  out.naive_entries = store->naive_entries();
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
-}
-
-Result<RetrieveResponse> QueryService::Retrieve(
-    const RetrieveRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(
-      core::Solution solution,
-      Retrieve(request.handle, request.top_l, request.d, request.k, &rs));
-  RetrieveResponse out;
-  out.solution = std::move(solution);
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
-}
-
-Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
-  QAG_ASSIGN_OR_RETURN(
-      ExploreResult result,
-      Explore(request.handle, request.params, request.max_members));
-  ExploreResponse out;
-  out.solution = std::move(result.solution);
-  out.view = std::move(result.view);
-  out.summary = std::move(result.summary);
-  out.expanded = std::move(result.expanded);
-  out.approx = ApproxFromStats(result.stats);
-  out.stats = result.stats;
-  return out;
+  Status status = run();
+  return Finish(RequestKind::kExplore, timer, status, std::move(out));
 }
 
 // --- Typed per-handle accessors (the narrow replacements for the removed
@@ -912,19 +794,20 @@ BackgroundScheduler::Counters QueryService::scheduler_counters() const {
   return scheduler_.counters();
 }
 
-void QueryService::Record(RequestKind kind, const RequestStats& stats) {
+void QueryService::Record(RequestKind kind, const RequestStats& stats,
+                          bool approximate) {
   // The calling thread's shard: the lock is effectively uncontended (only
   // this thread and the rare aggregating reader take it), so recording is
   // a core-local write, not a global serialization point.
   StatShard& shard = stat_shards_.Local();
   std::lock_guard<std::mutex> lock(shard.mu);
-  Stats& s = shard.stats;
+  ServiceStats& s = shard.stats;
   switch (kind) {
     case RequestKind::kQuery:
       ++s.queries;
       if (stats.cache_hit) ++s.query_cache_hits;
       if (stats.coalesced) ++s.query_coalesced;
-      if (stats.approximate) ++s.approx_queries;
+      if (approximate) ++s.approx_queries;
       break;
     case RequestKind::kRefine:
       ++s.refine_requests;
@@ -946,19 +829,19 @@ void QueryService::Record(RequestKind kind, const RequestStats& stats) {
     if (stats.cache_hit) ++s.cache_hits;
     if (stats.coalesced) ++s.coalesced_waits;
     if (stats.built) ++s.builds;
-    if (stats.approximate) ++s.approx_served;
+    if (approximate) ++s.approx_served;
   }
   s.total_latency_ms += stats.latency_ms;
   s.max_latency_ms = std::max(s.max_latency_ms, stats.latency_ms);
 }
 
-QueryService::Stats QueryService::stats() const {
+ServiceStats QueryService::stats() const {
   // Aggregate-on-read over the per-thread shards (exact once the recorded
   // requests happen-before this read, e.g. after thread join).
-  Stats out;
+  ServiceStats out;
   stat_shards_.ForEach([&out](const StatShard& shard) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const Stats& s = shard.stats;
+    const ServiceStats& s = shard.stats;
     out.queries += s.queries;
     out.query_cache_hits += s.query_cache_hits;
     out.query_coalesced += s.query_coalesced;

@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/sharded_stats.h"
 #include "common/single_flight.h"
+#include "common/timer.h"
 #include "core/explore.h"
 #include "core/session.h"
 #include "service/api.h"
@@ -55,10 +56,10 @@ struct ServiceOptions {
   std::string snapshot_dir;
 };
 
-// QueryMode, QueryOptions, RequestStats, QueryHandle, QueryInfo,
-// ExploreResult, ServiceStats, and the request/response struct pairs all
-// live in service/api.h (the transport-agnostic API surface); this header
-// re-exports them through its include for existing callers.
+// QueryMode, QueryOptions, RequestStats, QueryHandle, ServiceStats, and the
+// request/response struct pairs all live in service/api.h (the
+// transport-agnostic API surface); this header re-exports them through its
+// include.
 
 /// \brief Thread-safe front door to the whole pipeline: datasets → SQL →
 /// cached answer sets → shared interactive sessions.
@@ -110,12 +111,19 @@ struct ServiceOptions {
 ///
 /// **Lifetime (drain-then-evict).** Query handles and their sessions stay
 /// valid for the service's lifetime. Structures served through them do
-/// not: Guidance returns a `shared_ptr` handle pinning the answer-set
+/// not: Answers returns a `shared_ptr` handle pinning the answer-set
 /// generation it belongs to, and a generation retired by a refresh is
 /// destroyed as soon as its last external handle drops — in-flight readers
 /// drain safely, and memory stays bounded under sustained updates
-/// (`Stats::graveyard_size` / `generations_evicted` observe this). Hold
-/// the shared_ptr for as long as you read; never store the raw pointer.
+/// (`ServiceStats::graveyard_size` / `generations_evicted` observe this).
+/// Hold the shared_ptr for as long as you read; never store the raw
+/// pointer.
+///
+/// **One request/response API.** Each operation is one method taking its
+/// service/api.h request struct and returning its response struct, with
+/// the request's cost (`stats`) and provenance (`approx`) embedded — the
+/// exact shape src/server serializes, so an in-process call and an HTTP
+/// call compare bit-for-bit.
 class QueryService {
  public:
   explicit QueryService(ServiceOptions options = ServiceOptions());
@@ -128,16 +136,10 @@ class QueryService {
   /// Loads a CSV file and registers it as dataset `name`.
   Status RegisterCsvFile(const std::string& name, const std::string& path);
 
-  /// Appends rows to dataset `name`, publishing a new immutable snapshot
+  /// Appends rows to a dataset, publishing a new immutable snapshot
   /// (existing readers keep theirs). Handles over queries that read the
-  /// dataset become stale and refresh transparently on next use. Returns
-  /// the new catalog version.
-  Result<uint64_t> AppendRows(
-      const std::string& name,
-      const std::vector<std::vector<storage::Value>>& rows);
-
-  /// Struct form of AppendRows: same semantics, with the request's cost
-  /// embedded in the response like every other operation.
+  /// dataset become stale and refresh transparently on next use. The
+  /// response carries the new catalog version.
   Result<AppendRowsResponse> AppendRows(const AppendRowsRequest& request);
 
   /// Replaces dataset `name` wholesale (schema may change), creating it if
@@ -157,23 +159,13 @@ class QueryService {
   /// its ranked answers. `value_column` names the aggregate output column
   /// (the ranking value). Two calls with byte-identical SQL (modulo
   /// surrounding whitespace), value column, and query options share one
-  /// session; identical concurrent calls run the SQL once.
-  Result<QueryInfo> Query(const std::string& sql,
-                          const std::string& value_column);
-
-  /// Query with a mode knob: kExactOnly behaves exactly like the overload
-  /// above; the approximate modes answer cold queries from the dataset's
-  /// uniform sample (estimates with per-answer bounds at
+  /// session; identical concurrent calls run the SQL once. kExactOnly
+  /// always builds exact; the approximate modes answer cold queries from
+  /// the dataset's uniform sample (estimates with per-answer bounds at
   /// `options.confidence`) and, for kApproxFirst, schedule a background
   /// exact build that republishes without ever blocking a foreground
   /// request. When no useful sample exists (sampling disabled, tiny table,
   /// or no bounded aggregate), the response is exact and marked so.
-  Result<QueryInfo> Query(const std::string& sql,
-                          const std::string& value_column,
-                          const QueryOptions& options);
-
-  /// Struct form of Query(): identical semantics, with provenance and
-  /// request stats embedded uniformly (the shape src/server serializes).
   Result<QueryResponse> Query(const QueryRequest& request);
 
   /// The refine trigger: synchronously upgrades the handle's answer set to
@@ -181,50 +173,24 @@ class QueryService {
   /// refinement of the same handle. No-op on an already-exact handle. The
   /// published exact generation is bit-identical to a cold exact rebuild
   /// from the same snapshot.
-  Status Refine(QueryHandle handle, RequestStats* stats = nullptr);
-
-  /// Struct form of Refine().
   Result<RefineResponse> Refine(const RefineRequest& request);
 
   // --- Interactive ops on a handle -------------------------------------
 
   /// One-off summarization under (k, L, D) — Session::Summarize.
-  Result<core::Solution> Summarize(QueryHandle handle,
-                                   const core::Params& params,
-                                   RequestStats* stats = nullptr);
-
-  /// Struct form of Summarize().
   Result<SummarizeResponse> Summarize(const SummarizeRequest& request);
 
-  /// Ensures the (k, D) grid serving `top_l` exists — Session::Guidance.
-  /// The returned handle pins the store (and its whole answer-set
-  /// generation) across dataset refreshes; drop it when done reading so a
-  /// superseded generation can be evicted.
-  Result<std::shared_ptr<const core::SolutionStore>> Guidance(
-      QueryHandle handle, int top_l,
-      const core::PrecomputeOptions& options = core::PrecomputeOptions(),
-      RequestStats* stats = nullptr);
-
-  /// Struct form of Guidance(): builds (or reuses) the grid and reports
-  /// its serializable shape — over a transport only the metadata travels,
-  /// and Retrieve() serves the individual solutions.
+  /// Ensures the (k, D) grid serving `top_l` exists — Session::Guidance —
+  /// and reports its serializable shape: over a transport only the
+  /// metadata travels, and Retrieve() serves the individual solutions.
   Result<GuidanceResponse> Guidance(const GuidanceRequest& request);
 
   /// Instant retrieval from a precomputed grid — Session::Retrieve.
-  Result<core::Solution> Retrieve(QueryHandle handle, int top_l, int d,
-                                  int k, RequestStats* stats = nullptr);
-
-  /// Struct form of Retrieve().
   Result<RetrieveResponse> Retrieve(const RetrieveRequest& request);
 
   /// Summarize plus both rendered display layers (Figures 1b/1c): the
   /// two-layer view, the collapsed summary, and the expanded member lists
   /// (at most `max_members` tuples per cluster; 0 = all).
-  Result<ExploreResult> Explore(QueryHandle handle,
-                                const core::Params& params,
-                                int max_members = 8);
-
-  /// Struct form of Explore().
   Result<ExploreResponse> Explore(const ExploreRequest& request);
 
   // --- Per-handle accessors (the typed replacements for session()) ------
@@ -259,14 +225,11 @@ class QueryService {
 
   // --- Aggregate statistics --------------------------------------------
 
-  /// The service-wide counter struct lives in service/api.h so transports
-  /// can serialize it; the nested name remains for existing callers.
-  using Stats = ServiceStats;
   /// Aggregates the per-thread statistic shards. Exact once the recorded
   /// requests happen-before the read (e.g. after joining the client
   /// threads); a read racing in-flight requests sees a consistent partial
   /// snapshot.
-  Stats stats() const;
+  ServiceStats stats() const;
 
  private:
   struct SessionEntry {
@@ -325,7 +288,7 @@ class QueryService {
   /// aggregating reader) takes it.
   struct StatShard {
     mutable std::mutex mu;
-    Stats stats;
+    ServiceStats stats;
   };
 
   std::shared_ptr<const Registry> CurrentRegistry() const {
@@ -409,10 +372,6 @@ class QueryService {
   /// Adds one to a ServiceStats counter in the calling thread's shard.
   void Bump(int64_t ServiceStats::*field);
 
-  /// Copies the published answer set's approximation onto the request
-  /// stats (one wait-free answers() load).
-  static void StampApproximation(SessionEntry* entry, RequestStats* rs);
-
   /// Folds one finished request into the calling thread's stat shard.
   enum class RequestKind {
     kQuery,
@@ -422,7 +381,15 @@ class QueryService {
     kExplore,
     kRefine
   };
-  void Record(RequestKind kind, const RequestStats& stats);
+  /// `approximate`: the request served from an approximate answer set.
+  void Record(RequestKind kind, const RequestStats& stats, bool approximate);
+
+  /// Stamps `out.stats.latency_ms`, records the request, and returns `out`
+  /// on success or `status` on failure — the tail every op but AppendRows
+  /// shares.
+  template <typename Response>
+  Result<Response> Finish(RequestKind kind, const WallTimer& timer,
+                          const Status& status, Response out);
 
   const ServiceOptions options_;
   DatasetCatalog datasets_;

@@ -79,7 +79,7 @@ std::shared_ptr<const core::AnswerSet> ColdExactAnswers(
   storage::Table table = testutil::MakeRandomTable(spec, seed, base_rows);
   QAG_CHECK_OK(table.AppendRows(extra));
   QAG_CHECK_OK(cold.RegisterTable("ratings", std::move(table)));
-  auto info = cold.Query(kRefineSql, "val");
+  auto info = cold.Query({kRefineSql, "val", {}});
   QAG_CHECK(info.ok()) << info.status().ToString();
   return Answers(cold, info->handle);
 }
@@ -102,18 +102,17 @@ TEST(ApproxRefinement, ExactGenerationMatchesColdRebuild) {
     QueryOptions mode;
     mode.mode = QueryMode::kApproxFirst;
     mode.confidence = kConfidence;
-    auto info = service.Query(kRefineSql, "val", mode);
+    auto info = service.Query({kRefineSql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     // The cold response really is phase one: approximate, with bounds.
-    EXPECT_FALSE(info->is_exact);
-    EXPECT_TRUE(info->stats.approximate);
-    EXPECT_GT(info->max_bound, 0.0);
+    EXPECT_FALSE(info->approx.is_exact);
+    EXPECT_GT(info->approx.max_bound, 0.0);
     EXPECT_EQ(info->confidence, kConfidence);
-    EXPECT_LT(info->sample_fraction, 1.0);
+    EXPECT_LT(info->approx.sample_fraction, 1.0);
 
-    RequestStats refine_stats;
-    ASSERT_TRUE(service.Refine(info->handle, &refine_stats).ok());
-    EXPECT_FALSE(refine_stats.approximate);
+    auto refined = service.Refine({info->handle});
+    ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+    EXPECT_TRUE(refined->approx.is_exact);
     std::shared_ptr<const core::AnswerSet> live =
         Answers(service, info->handle);
     EXPECT_TRUE(live->approximation().is_exact);
@@ -130,17 +129,17 @@ TEST(ApproxRefinement, ExactGenerationMatchesColdRebuild) {
       auto rows = testutil::MakeRandomRows(
           spec, seed ^ (0xD00Du + static_cast<uint64_t>(a) * 131),
           50 + static_cast<int>(rng.Index(150)));
-      ASSERT_TRUE(service.AppendRows("ratings", rows).ok());
+      ASSERT_TRUE(service.AppendRows({"ratings", rows}).ok());
       extra.insert(extra.end(), rows.begin(), rows.end());
     }
-    ASSERT_TRUE(service.Refine(info->handle).ok());
+    ASSERT_TRUE(service.Refine({info->handle}).ok());
     live = Answers(service, info->handle);
     EXPECT_TRUE(live->approximation().is_exact);
     oracle = ColdExactAnswers(spec, seed, base_rows, extra);
     EXPECT_EQ(live->content_fingerprint(), oracle->content_fingerprint());
     EXPECT_TRUE(live->SameContent(*oracle));
 
-    QueryService::Stats stats = service.stats();
+    ServiceStats stats = service.stats();
     EXPECT_GE(stats.refine_requests, 2);
     EXPECT_GE(stats.refinements, 1);
     EXPECT_GE(stats.approx_queries, 1);
@@ -191,9 +190,9 @@ TEST_P(ApproxBounds, TrueValueInsideReportedBound) {
     QueryOptions mode;
     mode.mode = QueryMode::kApproxOnly;
     mode.confidence = kConfidence;
-    auto info = service.Query(shape.sql, "val", mode);
+    auto info = service.Query({shape.sql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    ASSERT_FALSE(info->is_exact);
+    ASSERT_FALSE(info->approx.is_exact);
     std::shared_ptr<const core::AnswerSet> approx =
         Answers(service, info->handle);
 
@@ -202,7 +201,7 @@ TEST_P(ApproxBounds, TrueValueInsideReportedBound) {
                     .RegisterTable("ratings", testutil::MakeRandomTable(
                                                   spec, seed, rows))
                     .ok());
-    auto exact_info = exact_service.Query(shape.sql, "val");
+    auto exact_info = exact_service.Query({shape.sql, "val", {}});
     ASSERT_TRUE(exact_info.ok()) << exact_info.status().ToString();
     std::shared_ptr<const core::AnswerSet> exact =
         Answers(exact_service, exact_info->handle);
@@ -272,9 +271,9 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
       QueryOptions mode;
       mode.mode = QueryMode::kApproxOnly;
       mode.confidence = kConfidence;
-      auto info = twin.Query(kRefineSql, "val", mode);
+      auto info = twin.Query({kRefineSql, "val", mode});
       ASSERT_TRUE(info.ok()) << info.status().ToString();
-      ASSERT_FALSE(info->is_exact);
+      ASSERT_FALSE(info->approx.is_exact);
       approx_fp = Answers(twin, info->handle)->content_fingerprint();
     }
     exact_fp = ColdExactAnswers(spec, seed, rows, {})->content_fingerprint();
@@ -296,7 +295,7 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     for (int t = 0; t < kReaders; ++t) {
       readers.emplace_back([&] {
         latch.ArriveAndWait();
-        auto info = service.Query(kRefineSql, "val", mode);
+        auto info = service.Query({kRefineSql, "val", mode});
         ASSERT_TRUE(info.ok()) << info.status().ToString();
         for (int i = 0; i < kReads; ++i) {
           std::shared_ptr<const core::AnswerSet> view =
@@ -319,16 +318,16 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     // Main thread leads the cold approximate build while the readers race
     // the background refinement it schedules.
     latch.ArriveAndWait();
-    auto info = service.Query(kRefineSql, "val", mode);
+    auto info = service.Query({kRefineSql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    ASSERT_TRUE(service.Refine(info->handle).ok());
+    ASSERT_TRUE(service.Refine({info->handle}).ok());
     for (auto& reader : readers) reader.join();
 
     // Quiesced: exact is published, and the refinement was accounted once
     // (led by Refine or the background task; the other saw it superseded).
     EXPECT_EQ(Answers(service, info->handle)->content_fingerprint(),
               exact_fp);
-    QueryService::Stats stats = service.stats();
+    ServiceStats stats = service.stats();
     EXPECT_GE(stats.refine_requests, 1);
     EXPECT_GE(stats.refinements, 1);
 
@@ -336,17 +335,16 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     // caches are warm, a read burst moves the acquisition counter by zero.
     const int top_l = std::min(6, info->num_answers);
     const core::Params params{std::min(3, top_l), top_l, 2};
-    ASSERT_TRUE(service.Summarize(info->handle, params).ok());
+    ASSERT_TRUE(service.Summarize({info->handle, params}).ok());
     const int64_t locks_before =
         service.SessionCacheStats(info->handle)->writer_lock_acquisitions;
     std::vector<std::thread> warm;
     for (int t = 0; t < kReaders; ++t) {
       warm.emplace_back([&] {
         for (int i = 0; i < 50; ++i) {
-          RequestStats rs;
-          auto solution = service.Summarize(info->handle, params, &rs);
+          auto solution = service.Summarize({info->handle, params});
           ASSERT_TRUE(solution.ok()) << solution.status().ToString();
-          EXPECT_FALSE(rs.approximate);
+          EXPECT_TRUE(solution->approx.is_exact);
         }
       });
     }

@@ -44,6 +44,36 @@ namespace {
   (*session)->SaveGuidance(8, "guidance.store");
 }
 
+// The README "Serving many clients" snippet, verbatim. Compiling it pins
+// the one request/response API the README promises: each operation takes
+// its service/api.h request struct and returns its response struct, with
+// the request's stats embedded. If this function stops building, fix
+// README.md to match.
+[[maybe_unused]] void ServingManyClientsSnippetFromReadme() {
+  service::QueryService svc;
+  svc.RegisterCsvFile("ratings", "ratings.csv");          // or RegisterTable
+  auto q = svc.Query(
+      {"SELECT hdec, agegrp, gender, occupation, avg(rating) AS val "
+       "FROM ratings GROUP BY hdec, agegrp, gender, occupation "
+       "HAVING count(*) > 50 ORDER BY val DESC", "val", /*options=*/{}});
+
+  // From any number of threads:
+  auto s = svc.Summarize({q->handle, {/*k=*/4, /*L=*/8, /*D=*/2}});
+  svc.Guidance({q->handle, /*top_l=*/8, /*options=*/{}});    // precompute once
+  auto alt = svc.Retrieve({q->handle, 8, /*d=*/1, /*k=*/6});  // instant
+  auto view = svc.Explore({q->handle, {4, 8, 2}, /*max_members=*/8});
+  // s->solution; s->stats.latency_ms / cache_hit / coalesced; svc.stats()
+  // for totals; view->summary / view->expanded are the rendered layers.
+  (void)s->solution;
+  (void)s->stats.latency_ms;
+  (void)s->stats.cache_hit;
+  (void)s->stats.coalesced;
+  (void)svc.stats();
+  (void)view->summary;
+  (void)view->expanded;
+  (void)alt;
+}
+
 // The README "live data: append and refresh automatically" snippet,
 // verbatim modulo the elided SQL text. Compiling it pins the versioned
 // catalog API the README promises (AppendRows batch shape, stats fields).
@@ -51,14 +81,14 @@ namespace {
 [[maybe_unused]] void AppendRefreshSnippetFromReadme() {
   service::QueryService svc;
   svc.RegisterCsvFile("ratings", "ratings.csv");
-  svc.AppendRows("ratings",
-                 {{storage::Value::Str("1995"), storage::Value::Str("20s"),
-                   storage::Value::Str("F"), storage::Value::Str("Writer"),
-                   storage::Value::Real(4.5)}});
+  svc.AppendRows({"ratings",
+                  {{storage::Value::Str("1995"), storage::Value::Str("20s"),
+                    storage::Value::Str("F"), storage::Value::Str("Writer"),
+                    storage::Value::Real(4.5)}}});
   // Next use of the handle re-executes the SQL against the new snapshot
   // and reuses every cache the append provably did not touch:
-  auto refreshed = svc.Query("SELECT gender, avg(rating) AS val "
-                             "FROM ratings GROUP BY gender", "val");
+  auto refreshed = svc.Query({"SELECT gender, avg(rating) AS val "
+                              "FROM ratings GROUP BY gender", "val", {}});
   if (refreshed.ok()) {
     (void)refreshed->stats.refreshed;
     (void)svc.stats().refreshes;
@@ -66,24 +96,25 @@ namespace {
 }
 
 // The README "approximate first, exact soon" snippet, verbatim modulo the
-// elided SQL text. Compiling it pins the mode-knob Query overload and the
-// provenance fields the README promises (is_exact, max_bound, confidence,
-// sample_fraction) plus Refine and the refinements counter. If this
-// function stops building, fix README.md to match.
+// elided SQL text. Compiling it pins the Query mode knob and the
+// provenance fields the README promises (approx.is_exact,
+// approx.max_bound, confidence, approx.sample_fraction) plus Refine and
+// the refinements counter. If this function stops building, fix README.md
+// to match.
 [[maybe_unused]] void ApproxFirstSnippetFromReadme() {
   service::QueryService svc;
   service::QueryOptions approx;
   approx.mode = service::QueryMode::kApproxFirst;  // answer now, refine soon
-  auto fast = svc.Query("SELECT gender, avg(rating) AS val "
-                        "FROM ratings GROUP BY gender", "val", approx);
+  auto fast = svc.Query({"SELECT gender, avg(rating) AS val "
+                         "FROM ratings GROUP BY gender", "val", approx});
   if (fast.ok()) {
-    // fast->is_exact == false; bounds: fast->max_bound at fast->confidence,
-    // computed from a fast->sample_fraction uniform sample.
-    (void)fast->is_exact;
-    (void)fast->max_bound;
+    // fast->approx.is_exact == false; bounds: fast->approx.max_bound at
+    // fast->confidence, from a fast->approx.sample_fraction uniform sample.
+    (void)fast->approx.is_exact;
+    (void)fast->approx.max_bound;
     (void)fast->confidence;
-    (void)fast->sample_fraction;
-    svc.Refine(fast->handle);  // block until the exact generation is published
+    (void)fast->approx.sample_fraction;
+    svc.Refine({fast->handle});  // blocks until the exact set is published
     // The handle now serves the exact set; svc.stats().refinements counts it.
     (void)svc.stats().refinements;
   }
@@ -100,17 +131,17 @@ namespace {
   options.prefetch = true;             // speculate on predicted next moves
   service::QueryService svc(options);
   svc.RegisterCsvFile("ratings", "ratings.csv");
-  auto q = svc.Query("SELECT gender, avg(rating) AS val "
-                     "FROM ratings GROUP BY gender", "val");
+  auto q = svc.Query({"SELECT gender, avg(rating) AS val "
+                      "FROM ratings GROUP BY gender", "val", {}});
   // A previous lifetime's guidance grid for this query reloads in the
   // background, validated by content fingerprint — a stale or corrupt
   // snapshot means a cold build, never a wrong answer. And after every
   // foreground move, the predicted next coverage levels are built
   // speculatively: a correct prediction turns the client's next request
   // into a warm lock-free read, bit-identical to building on demand.
-  auto s = svc.Summarize(q->handle, {/*k=*/4, /*L=*/8, /*D=*/2});
-  svc.Guidance(q->handle, /*L=*/8);  // snapshotted to disk in the background
-  svc.DrainBackgroundWork();         // quiesce before asserting (tests/benches)
+  auto s = svc.Summarize({q->handle, {/*k=*/4, /*L=*/8, /*D=*/2}});
+  svc.Guidance({q->handle, /*top_l=*/8, {}});  // snapshotted in the background
+  svc.DrainBackgroundWork();  // quiesce before asserting (tests/benches)
   (void)svc.stats().prefetch_issued;
   (void)svc.stats().prefetch_hits;
   (void)svc.stats().warm_start_loads;

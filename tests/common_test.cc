@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,26 @@ TEST(RandomTest, Deterministic) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.Uniform(0, 1000000), b.Uniform(0, 1000000));
   }
+}
+
+TEST(RandomTest, GaussianIsTheNormalDistributionStream) {
+  // Bit-identical to std::normal_distribution(mean, stddev) over the same
+  // engine at positive deviations, so seeded generators keep their data.
+  for (double stddev : {1.0, 0.3, 7.25}) {
+    Rng rng(17);
+    std::mt19937_64 engine(17);
+    for (int i = 0; i < 2000; ++i) {
+      std::normal_distribution<double> dist(2.5, stddev);
+      ASSERT_EQ(rng.Gaussian(2.5, stddev), dist(engine)) << i;
+    }
+  }
+}
+
+TEST(RandomTest, GaussianWithZeroDeviationReturnsTheMean) {
+  // std::normal_distribution requires stddev > 0; a noise-free simulated
+  // subject draws with stddev 0 and must get the mean back.
+  Rng rng(3);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Gaussian(4.5, 0.0), 4.5);
 }
 
 TEST(RandomTest, ZipfSkewsLow) {

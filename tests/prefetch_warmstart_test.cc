@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/solution_store_io.h"
 #include "service/prefetch.h"
 #include "service/query_service.h"
 #include "service/warm_start.h"
@@ -79,9 +78,22 @@ int64_t WriterLocks(QueryService* service, QueryHandle handle) {
   return stats->writer_lock_acquisitions;
 }
 
+/// The serialized grid `service` serves for `top_l`. SaveGuidance writes
+/// the narrowest cached store with L' >= top_l, which is the store Guidance
+/// served: every test here builds one grid shape per L.
+std::string SavedGuidance(QueryService* service, QueryHandle handle,
+                          int top_l) {
+  const std::string path =
+      testing::TempDir() + "/qagview_prefetch_warmstart_grid.store";
+  QAG_CHECK_OK(service->SaveGuidance(handle, top_l, path));
+  std::string bytes = ReadFile(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
 TEST(PrefetchTest, OffByDefaultIssuesNothing) {
   auto service = MakeService(ServiceOptions());
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().prefetch_issued, 0);
@@ -96,9 +108,9 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
   auto warm = MakeService(with);
   auto cold = MakeService(ServiceOptions());
 
-  auto info = warm->Query(kSql, "val");
+  auto info = warm->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val", {}});
   ASSERT_TRUE(cold_info.ok());
   ASSERT_EQ(info->num_answers, cold_info->num_answers);
 
@@ -114,11 +126,11 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
   core::Params params;
   params.L = targets[0];
 
-  RequestStats rs;
-  auto warm_solution = warm->Summarize(info->handle, params, &rs);
+  auto warm_solution = warm->Summarize({info->handle, params});
   ASSERT_TRUE(warm_solution.ok()) << warm_solution.status().ToString();
-  EXPECT_TRUE(rs.cache_hit) << "predicted level must serve warm";
-  EXPECT_FALSE(rs.built);
+  EXPECT_TRUE(warm_solution->stats.cache_hit)
+      << "predicted level must serve warm";
+  EXPECT_FALSE(warm_solution->stats.built);
   EXPECT_EQ(warm->stats().prefetch_hits, 1);
 
   // Writer-lock delta of a warm serve is zero. The request above spawned
@@ -128,24 +140,25 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
   // the foreground read itself.
   warm->DrainBackgroundWork();
   const int64_t locks_before = WriterLocks(warm.get(), info->handle);
-  RequestStats again;
-  ASSERT_TRUE(warm->Summarize(info->handle, params, &again).ok());
-  EXPECT_TRUE(again.cache_hit);
+  auto again = warm->Summarize({info->handle, params});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.cache_hit);
   warm->DrainBackgroundWork();
   EXPECT_EQ(WriterLocks(warm.get(), info->handle), locks_before)
       << "a prefetch hit must not take the writer lock";
 
   // Bit-identical to the cold twin: speculation may only move work
   // earlier in time, never change its result.
-  RequestStats cold_rs;
-  auto cold_solution = cold->Summarize(cold_info->handle, params, &cold_rs);
+  auto cold_solution = cold->Summarize({cold_info->handle, params});
   ASSERT_TRUE(cold_solution.ok());
-  EXPECT_FALSE(cold_rs.cache_hit);
-  EXPECT_EQ(warm_solution->cluster_ids, cold_solution->cluster_ids);
-  EXPECT_EQ(warm_solution->covered_sum, cold_solution->covered_sum);
-  EXPECT_EQ(warm_solution->covered_count, cold_solution->covered_count);
-  EXPECT_EQ(warm_solution->average, cold_solution->average);
-  EXPECT_EQ(warm_solution->covered_min, cold_solution->covered_min);
+  EXPECT_FALSE(cold_solution->stats.cache_hit);
+  const core::Solution& warm_s = warm_solution->solution;
+  const core::Solution& cold_s = cold_solution->solution;
+  EXPECT_EQ(warm_s.cluster_ids, cold_s.cluster_ids);
+  EXPECT_EQ(warm_s.covered_sum, cold_s.covered_sum);
+  EXPECT_EQ(warm_s.covered_count, cold_s.covered_count);
+  EXPECT_EQ(warm_s.average, cold_s.average);
+  EXPECT_EQ(warm_s.covered_min, cold_s.covered_min);
 }
 
 TEST(PrefetchTest, GuidancePrefetchBuildsTheNextDrillDownStore) {
@@ -154,18 +167,16 @@ TEST(PrefetchTest, GuidancePrefetchBuildsTheNextDrillDownStore) {
   auto warm = MakeService(with);
   auto cold = MakeService(ServiceOptions());
 
-  auto info = warm->Query(kSql, "val");
+  auto info = warm->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val", {}});
   ASSERT_TRUE(cold_info.ok());
   warm->DrainBackgroundWork();
 
   const int l0 = 4;
-  RequestStats first;
-  auto store0 = warm->Guidance(info->handle, l0,
-                               core::PrecomputeOptions(), &first);
+  auto store0 = warm->Guidance({info->handle, l0, {}});
   ASSERT_TRUE(store0.ok()) << store0.status().ToString();
-  EXPECT_TRUE(first.built);
+  EXPECT_TRUE(store0->stats.built);
   warm->DrainBackgroundWork();
 
   ExplorationPredictor predictor(2);
@@ -175,33 +186,28 @@ TEST(PrefetchTest, GuidancePrefetchBuildsTheNextDrillDownStore) {
   const int next_l = targets[0];
   ASSERT_NE(next_l, l0);
 
-  RequestStats rs;
-  auto warm_store = warm->Guidance(info->handle, next_l,
-                                   core::PrecomputeOptions(), &rs);
+  auto warm_store = warm->Guidance({info->handle, next_l, {}});
   ASSERT_TRUE(warm_store.ok()) << warm_store.status().ToString();
-  EXPECT_TRUE(rs.cache_hit) << "the drill-down grid must already be warm";
-  EXPECT_FALSE(rs.built);
+  EXPECT_TRUE(warm_store->stats.cache_hit)
+      << "the drill-down grid must already be warm";
+  EXPECT_FALSE(warm_store->stats.built);
   EXPECT_GE(warm->stats().prefetch_hits, 1);
 
   // Lock-freedom of the warm serve, measured once this level's follow-up
   // speculation (which builds, and so takes the lock) has drained.
   warm->DrainBackgroundWork();
   const int64_t locks_before = WriterLocks(warm.get(), info->handle);
-  RequestStats again;
-  ASSERT_TRUE(warm->Guidance(info->handle, next_l, core::PrecomputeOptions(),
-                             &again)
-                  .ok());
-  EXPECT_TRUE(again.cache_hit);
+  auto again = warm->Guidance({info->handle, next_l, {}});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.cache_hit);
   warm->DrainBackgroundWork();
   EXPECT_EQ(WriterLocks(warm.get(), info->handle), locks_before)
       << "a warm guidance serve must not take the writer lock";
 
-  RequestStats cold_rs;
-  auto cold_store = cold->Guidance(cold_info->handle, next_l,
-                                   core::PrecomputeOptions(), &cold_rs);
+  auto cold_store = cold->Guidance({cold_info->handle, next_l, {}});
   ASSERT_TRUE(cold_store.ok());
-  EXPECT_EQ(core::SerializeSolutionStore(**warm_store),
-            core::SerializeSolutionStore(**cold_store))
+  EXPECT_EQ(SavedGuidance(warm.get(), info->handle, next_l),
+            SavedGuidance(cold.get(), cold_info->handle, next_l))
       << "prefetched grid must be bit-identical to a cold build";
 }
 
@@ -213,11 +219,13 @@ TEST(PrefetchTest, ApproximateSessionsNeverSpeculate) {
   QueryOptions approx;
   approx.mode = QueryMode::kApproxOnly;
   approx.confidence = 0.95;
-  auto info = service->Query(kSql, "val", approx);
+  auto info = service->Query({kSql, "val", approx});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  if (info->is_exact) GTEST_SKIP() << "sample did not engage; nothing to pin";
+  if (info->approx.is_exact) {
+    GTEST_SKIP() << "sample did not engage; nothing to pin";
+  }
   core::Params params;
-  auto solution = service->Summarize(info->handle, params, nullptr);
+  auto solution = service->Summarize({info->handle, params});
   ASSERT_TRUE(solution.ok());
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().prefetch_issued, 0)
@@ -228,14 +236,15 @@ TEST(PrefetchTest, CatalogMutationCancelsQueuedSpeculation) {
   ServiceOptions with;
   with.prefetch = true;
   auto service = MakeService(with);
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok());
   // Mutate the catalog immediately: any still-queued prefetch task was
   // predicted against retired data and must be dropped, not run.
-  auto version = service->AppendRows(
-      "ratings", {{storage::Value::Str("g0v0"), storage::Value::Str("g1v1"),
-                   storage::Value::Str("g2v2"), storage::Value::Str("g3v3"),
-                   storage::Value::Real(4.5)}});
+  const std::vector<std::vector<storage::Value>> rows = {
+      {storage::Value::Str("g0v0"), storage::Value::Str("g1v1"),
+       storage::Value::Str("g2v2"), storage::Value::Str("g3v3"),
+       storage::Value::Real(4.5)}};
+  auto version = service->AppendRows({"ratings", rows});
   ASSERT_TRUE(version.ok()) << version.status().ToString();
   service->DrainBackgroundWork();
   const auto counters = service->scheduler_counters();
@@ -245,8 +254,7 @@ TEST(PrefetchTest, CatalogMutationCancelsQueuedSpeculation) {
   // Whatever raced, the refreshed session must serve the new data
   // correctly (the refresh machinery is pinned by its own battery; this
   // checks speculation didn't poison it).
-  RequestStats rs;
-  auto solution = service->Summarize(info->handle, core::Params(), &rs);
+  auto solution = service->Summarize({info->handle, core::Params()});
   EXPECT_TRUE(solution.ok()) << solution.status().ToString();
 }
 
@@ -262,13 +270,11 @@ TEST(WarmStartTest, SnapshotSurvivesRestartAndServesWarm) {
   // First process lifetime: build a grid, let the snapshot write drain.
   {
     auto service = MakeService(opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val", {}});
     ASSERT_TRUE(info.ok());
-    RequestStats rs;
-    auto store = service->Guidance(info->handle, top_l,
-                                   core::PrecomputeOptions(), &rs);
+    auto store = service->Guidance({info->handle, top_l, {}});
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(rs.built);
+    ASSERT_TRUE(store->stats.built);
     service->DrainBackgroundWork();
   }
 
@@ -276,29 +282,25 @@ TEST(WarmStartTest, SnapshotSurvivesRestartAndServesWarm) {
   // Guidance is a warm RCU read of the restored grid.
   auto reborn = MakeService(opts);
   auto cold = MakeService(ServiceOptions());
-  auto info = reborn->Query(kSql, "val");
+  auto info = reborn->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val", {}});
   ASSERT_TRUE(cold_info.ok());
   reborn->DrainBackgroundWork();
   EXPECT_EQ(reborn->stats().warm_start_loads, 1);
 
   const int64_t locks_before = WriterLocks(reborn.get(), info->handle);
-  RequestStats rs;
-  auto warm_store = reborn->Guidance(info->handle, top_l,
-                                     core::PrecomputeOptions(), &rs);
+  auto warm_store = reborn->Guidance({info->handle, top_l, {}});
   ASSERT_TRUE(warm_store.ok()) << warm_store.status().ToString();
-  EXPECT_TRUE(rs.cache_hit);
-  EXPECT_FALSE(rs.built);
+  EXPECT_TRUE(warm_store->stats.cache_hit);
+  EXPECT_FALSE(warm_store->stats.built);
   EXPECT_EQ(WriterLocks(reborn.get(), info->handle), locks_before)
       << "warm-started guidance must serve without the writer lock";
 
-  RequestStats cold_rs;
-  auto cold_store = cold->Guidance(cold_info->handle, top_l,
-                                   core::PrecomputeOptions(), &cold_rs);
+  auto cold_store = cold->Guidance({cold_info->handle, top_l, {}});
   ASSERT_TRUE(cold_store.ok());
-  EXPECT_EQ(core::SerializeSolutionStore(**warm_store),
-            core::SerializeSolutionStore(**cold_store))
+  EXPECT_EQ(SavedGuidance(reborn.get(), info->handle, top_l),
+            SavedGuidance(cold.get(), cold_info->handle, top_l))
       << "a restored grid must be bit-identical to a cold build";
 }
 
@@ -308,11 +310,9 @@ TEST(WarmStartTest, ChangedDataRejectsSnapshotAndRebuildsCold) {
   opts.snapshot_dir = dir;
   {
     auto service = MakeService(opts, /*seed=*/71);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val", {}});
     ASSERT_TRUE(info.ok());
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(service->Guidance({info->handle, 5, {}}).ok());
     service->DrainBackgroundWork();
   }
   // Same query text, same snapshot dir, *different data*: the snapshot's
@@ -320,23 +320,20 @@ TEST(WarmStartTest, ChangedDataRejectsSnapshotAndRebuildsCold) {
   // must degrade to a cold build — stale caches must never resurface.
   auto service = MakeService(opts, /*seed=*/99);
   auto cold = MakeService(ServiceOptions(), /*seed=*/99);
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val", {}});
   ASSERT_TRUE(info.ok());
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().warm_start_loads, 0);
 
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val", {}});
   ASSERT_TRUE(cold_info.ok());
-  RequestStats rs;
-  auto store = service->Guidance(info->handle, 5,
-                                 core::PrecomputeOptions(), &rs);
+  auto store = service->Guidance({info->handle, 5, {}});
   ASSERT_TRUE(store.ok());
-  EXPECT_TRUE(rs.built) << "rejected snapshot must fall back to cold build";
-  auto cold_store = cold->Guidance(cold_info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-  ASSERT_TRUE(cold_store.ok());
-  EXPECT_EQ(core::SerializeSolutionStore(**store),
-            core::SerializeSolutionStore(**cold_store));
+  EXPECT_TRUE(store->stats.built)
+      << "rejected snapshot must fall back to cold build";
+  ASSERT_TRUE(cold->Guidance({cold_info->handle, 5, {}}).ok());
+  EXPECT_EQ(SavedGuidance(service.get(), info->handle, 5),
+            SavedGuidance(cold.get(), cold_info->handle, 5));
 }
 
 TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
@@ -347,11 +344,9 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
   opts.snapshot_dir = dir;
   {
     auto service = MakeService(opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val", {}});
     ASSERT_TRUE(info.ok());
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(service->Guidance({info->handle, 5, {}}).ok());
     service->DrainBackgroundWork();
   }
   const std::string name =
@@ -376,12 +371,11 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
   }
 
   auto cold = MakeService(ServiceOptions());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val", {}});
   ASSERT_TRUE(cold_info.ok());
-  auto cold_store = cold->Guidance(cold_info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-  ASSERT_TRUE(cold_store.ok());
-  const std::string cold_bytes = core::SerializeSolutionStore(**cold_store);
+  ASSERT_TRUE(cold->Guidance({cold_info->handle, 5, {}}).ok());
+  const std::string cold_bytes =
+      SavedGuidance(cold.get(), cold_info->handle, 5);
 
   int case_index = 0;
   for (const auto& [label, bytes] : corpus) {
@@ -391,16 +385,14 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
     ServiceOptions case_opts;
     case_opts.snapshot_dir = case_dir;
     auto service = MakeService(case_opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val", {}});
     ASSERT_TRUE(info.ok()) << label;
     service->DrainBackgroundWork();
     // A flip can land in provenance bytes the loader legitimately ignores
     // (catalog version), so "loads == 0 or served identically" is the
     // contract: never a crash, never a divergent answer.
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-    ASSERT_TRUE(store.ok()) << label;
-    EXPECT_EQ(core::SerializeSolutionStore(**store), cold_bytes)
+    ASSERT_TRUE(service->Guidance({info->handle, 5, {}}).ok()) << label;
+    EXPECT_EQ(SavedGuidance(service.get(), info->handle, 5), cold_bytes)
         << label << ": a damaged snapshot must never change an answer";
   }
 }

@@ -328,6 +328,26 @@ TEST_F(ServerTest, IllTypedWhereIs400AndServerStaysUp) {
   EXPECT_EQ(health->status, 200);
 }
 
+TEST_F(ServerTest, IntegerWiderThan32BitsIs400AndServerStaysUp) {
+  // k = 2^32 + 4 used to be truncated to k = 4 and served (as a cache hit)
+  // as a different request.
+  const std::string body = StrCat(R"({"handle":)", OpenHandle(),
+                                  R"(,"params":{"k":4294967300,"L":8,"D":1}})");
+  Result<HttpClientResponse> http = Post("/summarize", MustParse(body));
+  ASSERT_TRUE(http.ok()) << http.status().ToString();
+  EXPECT_EQ(http->status, 400) << http->body;
+  Json error = MustParse(http->body);
+  ASSERT_NE(error.Find("error"), nullptr);
+  EXPECT_EQ(error.Find("error")->Find("code")->AsString(), "InvalidArgument");
+  EXPECT_NE(error.Find("error")->Find("message")->AsString().find("\"k\""),
+            std::string::npos)
+      << http->body;
+
+  Result<HttpClientResponse> health = Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(ServerTest, MalformedRequestCorpusNeverCrashesTheServer) {
   struct RawCase {
     std::string raw;
