@@ -1,12 +1,6 @@
-// Prefetch & warm-start driver: what the background scheduler buys at the
-// service boundary.
+// Prefetch driver: what speculation on the background scheduler buys at
+// the service boundary.
 //
-//   * cold_first_response: a fresh service pays Query + Guidance from
-//     scratch — the baseline every speculative mechanism is judged against;
-//   * warm_first_response: same request sequence against a service whose
-//     snapshot directory holds a fingerprint-validated guidance snapshot
-//     from a previous lifetime — the warm-start load replaces the grid
-//     precompute with a disk read + pattern re-resolution;
 //   * session_foreground_wait: a simulated exploration session (the
 //     src/study/ trajectory shapes the prefetch predictor is trained on)
 //     replayed against the service with prefetch off vs on. The measured
@@ -16,15 +10,11 @@
 //     reads. The prefetch hit rate rides along as extras.
 //
 // Every timed response is produced by the same public API calls in both
-// variants, so the bit-identity invariants the test battery pins (warm ==
-// cold, prefetched == built-on-demand) hold here by construction.
+// variants, so the bit-identity invariant the test battery pins
+// (prefetched == built-on-demand) holds here by construction.
 //
 // Emits BENCH_prefetch.json (schema in bench/README.md); the CI smoke run
 // gates it against bench/baselines/.
-
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -74,27 +64,10 @@ std::unique_ptr<service::QueryService> MakeService(
   return svc;
 }
 
-/// An empty scratch directory for warm-start snapshots, emptied on every
-/// call so a stale snapshot from a previous bench run never warms a
-/// supposedly cold service.
-std::string ScratchSnapshotDir() {
-  const std::string dir = "bench_prefetch_snapshots";
-  ::mkdir(dir.c_str(), 0755);
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (dirent* e = ::readdir(d)) {
-      const std::string name = e->d_name;
-      if (name == "." || name == "..") continue;
-      ::unlink((dir + "/" + name).c_str());
-    }
-    ::closedir(d);
-  }
-  return dir;
-}
-
 /// One simulated exploration session: the Query that opens it, then the
 /// trajectory's moves. `foreground_wait_ms` accumulates only the public
-/// API calls; when `drain` is set, background work (speculation, snapshot
-/// writes) is quiesced outside the clock before each move.
+/// API calls; when `drain` is set, background speculation is quiesced
+/// outside the clock before each move.
 double ReplaySession(service::QueryService& svc, const Workload& w,
                      const std::string& sql,
                      const std::vector<study::Move>& moves, bool drain) {
@@ -151,85 +124,10 @@ int main() {
   const std::string sql = w.Sql();
 
   benchutil::PrintHeader(
-      "Prefetch & warm start: speculation on the background scheduler",
-      "warm-started sessions skip the grid precompute; predicted moves in "
-      "an exploration session are served as warm RCU reads");
+      "Prefetch: speculation on the background scheduler",
+      "predicted moves in an exploration session are served as warm RCU "
+      "reads");
   benchutil::JsonReporter json("prefetch");
-
-  // --- Cold vs warm-started first response ------------------------------
-  // First response = Query + Guidance(top_l): the point at which the
-  // client can scrub the (k, D) grid interactively.
-  double cold_first = 0.0;
-  double cold_first_min = 0.0;
-  {
-    std::vector<std::unique_ptr<service::QueryService>> services;
-    for (int r = 0; r < reps; ++r) {
-      services.push_back(
-          MakeService(spec, seed, w, service::ServiceOptions()));
-    }
-    size_t next = 0;
-    benchutil::TimingStats cold = benchutil::TimeStats(
-        [&] {
-          service::QueryService& svc = *services[next++];
-          auto info = svc.Query({sql, "val", {}});
-          QAG_CHECK(info.ok()) << info.status().ToString();
-          auto store = svc.Guidance({info->handle, w.top_l, Grid(w)});
-          QAG_CHECK(store.ok()) << store.status().ToString();
-        },
-        reps);
-    cold_first = cold.median_ms;
-    cold_first_min = cold.min_ms;
-    std::printf("\ncold first response (Query + Guidance): %.2f ms median\n",
-                cold.median_ms);
-    json.Add("cold_first_response",
-             {{"N", w.base_rows}, {"L", w.top_l}, {"k_max", w.k_max}}, cold);
-  }
-
-  double warm_first_min = 0.0;
-  {
-    service::ServiceOptions with_snapshots;
-    with_snapshots.snapshot_dir = ScratchSnapshotDir();
-    // Previous lifetime: build the grid once and let the background
-    // snapshot write land before "shutdown".
-    {
-      auto builder = MakeService(spec, seed, w, with_snapshots);
-      auto info = builder->Query({sql, "val", {}});
-      QAG_CHECK(info.ok()) << info.status().ToString();
-      auto store = builder->Guidance({info->handle, w.top_l, Grid(w)});
-      QAG_CHECK(store.ok()) << store.status().ToString();
-      builder->DrainBackgroundWork();
-    }
-    std::vector<std::unique_ptr<service::QueryService>> services;
-    for (int r = 0; r < reps; ++r) {
-      services.push_back(MakeService(spec, seed, w, with_snapshots));
-    }
-    size_t next = 0;
-    int64_t warm_loads = 0;
-    benchutil::TimingStats warm = benchutil::TimeStats(
-        [&] {
-          service::QueryService& svc = *services[next++];
-          auto info = svc.Query({sql, "val", {}});
-          QAG_CHECK(info.ok()) << info.status().ToString();
-          // The snapshot reload rides the foreground-build lane; waiting
-          // it out is part of reaching the first grid response.
-          svc.DrainBackgroundWork();
-          auto store = svc.Guidance({info->handle, w.top_l, Grid(w)});
-          QAG_CHECK(store.ok()) << store.status().ToString();
-          QAG_CHECK(!store->stats.built)
-              << "warm-started Guidance rebuilt the grid from scratch";
-          warm_loads += svc.stats().warm_start_loads;
-        },
-        reps);
-    warm_first_min = warm.min_ms;
-    QAG_CHECK(warm_loads == reps)
-        << "expected one warm-start load per lifetime, got " << warm_loads;
-    std::printf("warm first response (snapshot reload):  %.2f ms median "
-                "(%.2fx vs cold)\n",
-                warm.median_ms, cold_first / warm.median_ms);
-    json.Add("warm_first_response",
-             {{"N", w.base_rows}, {"L", w.top_l}, {"k_max", w.k_max}}, warm,
-             {{"warm_start_loads", static_cast<double>(warm_loads)}});
-  }
 
   // --- Exploration-session foreground wait, prefetch off vs on ----------
   study::TrajectoryOptions traj_options;
@@ -295,22 +193,16 @@ int main() {
               {"hit_rate", hit_rate}});
   }
 
-  // Acceptance bars (smoke): warm start (checked above to build no grid)
-  // must be no slower than the cold first response, and speculation must
-  // land — some predicted moves served warm. The speed bar compares min
-  // times: shared-runner preemption only ever inflates a rep, so the min
-  // is the clean measurement of the deterministic work each side does.
+  // Acceptance bars (smoke): speculation must land — some predicted moves
+  // served warm — and must not make the foreground wait far worse.
   if (smoke) {
-    QAG_CHECK(cold_first_min >= warm_first_min)
-        << "warm-started first response (min " << warm_first_min
-        << " ms) is slower than cold (min " << cold_first_min << " ms)";
     QAG_CHECK(hit_rate > 0.0) << "no prefetch ever paid off";
-    std::printf("\nwarm start %.2fx vs cold on min times (>= 1x bar: "
-                "PASS); prefetch hit rate %.0f%% (> 0 bar: PASS)\n",
-                cold_first_min / warm_first_min, 100.0 * hit_rate);
     QAG_CHECK(on_wait <= 2.0 * off_wait)
         << "prefetch-on foreground wait (" << on_wait
         << " ms) regressed far past prefetch-off (" << off_wait << " ms)";
+    std::printf("\nprefetch hit rate %.0f%% (> 0 bar: PASS); prefetch-on "
+                "wait %.2fx off (<= 2x bar: PASS)\n",
+                100.0 * hit_rate, on_wait / off_wait);
   }
 
   json.WriteFile();

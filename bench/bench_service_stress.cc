@@ -142,18 +142,14 @@ int main() {
   std::printf("\n-- per-op latency (ms), N=%d ratings, n=%d answers --\n",
               w.num_ratings, info->num_answers);
 
-  // Cold rows time the service paths only: table generation happens
-  // outside the clock, then one rep = fresh service + the cold request.
+  // Cold rows time the cold request only: table generation, registration
+  // (with its reservoir sample) and teardown of each fresh service happen
+  // outside the clock.
   auto time_cold = [&](const std::function<void(service::QueryService&)>& fn) {
-    std::vector<storage::Table> tables;
-    for (int r = 0; r < reps; ++r) tables.push_back(MakeRatings(w));
+    std::vector<std::unique_ptr<service::QueryService>> fresh;
+    for (int r = 0; r < reps; ++r) fresh.push_back(MakeService(MakeRatings(w)));
     size_t next = 0;
-    return benchutil::TimeStats(
-        [&] {
-          auto fresh = MakeService(std::move(tables[next++]));
-          fn(*fresh);
-        },
-        reps);
+    return benchutil::TimeStats([&] { fn(*fresh[next++]); }, reps);
   };
 
   benchutil::TimingStats query_cold = time_cold([&](service::QueryService& s) {

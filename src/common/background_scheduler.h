@@ -13,7 +13,7 @@
 namespace qagview {
 
 /// \brief The one home for all deferred work: a prioritized, cancelable
-/// task scheduler with three lanes.
+/// task scheduler with two lanes.
 ///
 /// Background execution used to be scattered (a private one-thread FIFO
 /// executor for refinement, nothing for speculative work); none of that
@@ -21,11 +21,9 @@ namespace qagview {
 /// foreground work." The scheduler expresses exactly that:
 ///
 ///  * **Lanes, strictly prioritized.** A freed worker always takes the
-///    oldest task from the highest non-empty lane: kForegroundBuild (work
-///    a just-served client is about to need, e.g. warm-start snapshot
-///    loads) beats kRefinement (exact builds behind approximate answers)
-///    beats kPrefetch (speculative builds and snapshot writes). Within a
-///    lane, FIFO.
+///    oldest task from the highest non-empty lane: kRefinement (exact
+///    builds behind approximate answers) beats kPrefetch (speculative
+///    builds). Within a lane, FIFO.
 ///  * **Validity tokens, superseded work dropped.** Every task carries a
 ///    uint64 token — by convention the catalog version it was scheduled
 ///    under; 0 means "never superseded." InvalidateBelow(floor) drops every
@@ -38,8 +36,8 @@ namespace qagview {
 ///  * **Foreground yield.** While any BeginForeground/EndForeground window
 ///    (or ForegroundGuard) is open, workers do not *start* kPrefetch tasks
 ///    — a running one is never interrupted, but the speculative queue
-///    pauses until the foreground burst ends. The two higher lanes are
-///    not gated: their work is owed, not speculative.
+///    pauses until the foreground burst ends. kRefinement is not gated:
+///    its work is owed, not speculative.
 ///
 /// Submit never blocks and never runs the task inline. Shutdown drops, it
 /// does not drain: the destructor lets running tasks finish, discards
@@ -51,11 +49,10 @@ namespace qagview {
 class BackgroundScheduler {
  public:
   enum class Lane {
-    kForegroundBuild = 0,  // a client is (about to be) waiting on this
-    kRefinement = 1,       // owed work: exact builds behind approx answers
-    kPrefetch = 2,         // speculative: droppable, yields to foreground
+    kRefinement = 0,  // owed work: exact builds behind approx answers
+    kPrefetch = 1,    // speculative: droppable, yields to foreground
   };
-  static constexpr int kNumLanes = 3;
+  static constexpr int kNumLanes = 2;
 
   /// Per-lane lifetime counters (monotonic; consistent under counters()).
   struct LaneCounters {

@@ -4,9 +4,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 namespace qagview {
+
+/// 64-bit FNV-1a over `data`. Every step is a bijection of the running
+/// state for a fixed input byte, so two equal-length inputs that differ in
+/// exactly one byte never collide — the property the grid-file checksum
+/// relies on to reject every single-byte change.
+inline uint64_t Fnv1a64(std::string_view data) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : data) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
 
 /// Mixes `value`'s hash into `seed` (boost::hash_combine recipe).
 template <typename T>

@@ -171,10 +171,10 @@ class ThreadPool {
 
 // Deferred (fire-and-forget) work does not live here: it goes through
 // common/background_scheduler.h, the one prioritized, cancelable home for
-// refinement, prefetch, and warm-start tasks. ThreadPool remains the
-// engine-internal primitive for *synchronous* data parallelism — the
-// caller participates and blocks until the job completes — which is a
-// different contract from deferral, not a competing executor.
+// refinement and prefetch tasks. ThreadPool remains the engine-internal
+// primitive for *synchronous* data parallelism — the caller participates
+// and blocks until the job completes — which is a different contract from
+// deferral, not a competing executor.
 
 }  // namespace qagview
 

@@ -369,25 +369,26 @@ Status Session::SaveGuidance(int top_l, const std::string& path) const {
 }
 
 Status Session::LoadGuidance(int top_l, const std::string& path) {
+  QAG_ASSIGN_OR_RETURN(std::string text, ReadSolutionStoreFile(path));
+  QAG_ASSIGN_OR_RETURN(SolutionStoreHeader header,
+                       ParseSolutionStoreHeader(text));
+  // Identity gate before any build: a file from other data — older rows,
+  // the approximate phase, another query — fails here. The deserializer
+  // repeats the check against the pinned universe's own answer set, which
+  // covers a refresh landing in between.
+  QAG_RETURN_IF_ERROR(header.CheckBuiltFrom(*answers()));
   // SaveGuidance(top_l) may have written a wider grid (it serves from the
   // narrowest store with L' >= top_l), so accept any file with L' >= top_l
-  // that this answer set can host, and cache it under its own L'.
-  QAG_ASSIGN_OR_RETURN(int stored_l, PeekSolutionStoreL(path));
-  if (stored_l < top_l) {
+  // and cache it under its own L'.
+  if (header.l < top_l) {
     return Status::InvalidArgument(
-        StrCat("file holds a grid for L=", stored_l,
+        StrCat("file holds a grid for L=", header.l,
                ", too narrow for requested L=", top_l));
   }
   QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned,
-                       PinnedUniverseFor(stored_l, /*trace=*/nullptr));
+                       PinnedUniverseFor(header.l, /*trace=*/nullptr));
   QAG_ASSIGN_OR_RETURN(SolutionStore store,
-                       LoadSolutionStore(pinned.universe, path));
-  AdmitLoadedStore(std::move(pinned), std::move(store));
-  return Status::OK();
-}
-
-void Session::AdmitLoadedStore(PinnedUniverse pinned, SolutionStore store) {
-  const int stored_l = store.l();
+                       DeserializeSolutionStore(pinned.universe, text));
   auto owned = std::make_unique<SolutionStore>(std::move(store));
   const SolutionStore* ptr = owned.get();
   std::unique_lock<std::shared_mutex> lock = WriterLock();
@@ -395,66 +396,12 @@ void Session::AdmitLoadedStore(PinnedUniverse pinned, SolutionStore store) {
   std::shared_ptr<const ReadView> cur = CurrentView();
   if (cur->generation == pinned.generation) {
     auto next = std::make_shared<ReadView>(*cur);
-    next->stores.emplace(stored_l, ptr);
+    next->stores.emplace(header.l, ptr);
     PublishView(std::move(next));
   }
   // else: a refresh raced the load; the loaded grid no longer matches the
   // live answer set, so it must not enter the serving view — it drains
   // with its retired generation.
-}
-
-Result<Session::GuidanceSnapshot> Session::SnapshotGuidance(int top_l) const {
-  // Same covering policy as SaveGuidance: the narrowest cached grid with
-  // L' >= top_l. One pinned view supplies both the store and the answer
-  // set it was built from, so the snapshot's payload and identity stamps
-  // are mutually consistent even if a refresh publishes concurrently.
-  std::shared_ptr<const ReadView> view = CurrentView();
-  auto it = view->stores.lower_bound(top_l);
-  if (it == view->stores.end()) {
-    Counters().store_misses.fetch_add(1, std::memory_order_relaxed);
-    return Status::FailedPrecondition(
-        "no guidance precomputed covering this L; call Guidance() first");
-  }
-  Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-  const AnswerSet& answers = *view->generation->answers;
-  GuidanceSnapshot snapshot;
-  snapshot.store_l = it->second->l();
-  snapshot.content_fingerprint = answers.content_fingerprint();
-  snapshot.domain_fingerprint = answers.domain_fingerprint();
-  snapshot.num_answers = answers.size();
-  snapshot.num_attrs = answers.num_attrs();
-  snapshot.payload = SerializeSolutionStore(*it->second);
-  return snapshot;
-}
-
-Status Session::LoadGuidanceSnapshot(const GuidanceSnapshot& snapshot) {
-  // Identity gate: the snapshot must have been built from exactly the
-  // answer set currently published (content and code space both). A
-  // mismatch — older data, approximate vs exact phase, different query —
-  // fails here, before any build runs.
-  {
-    std::shared_ptr<const AnswerSet> current = answers();
-    if (snapshot.content_fingerprint != current->content_fingerprint() ||
-        snapshot.domain_fingerprint != current->domain_fingerprint() ||
-        snapshot.num_answers != current->size() ||
-        snapshot.num_attrs != current->num_attrs()) {
-      return Status::InvalidArgument(
-          "snapshot was built from a different answer set");
-    }
-    if (snapshot.store_l < 1 || snapshot.store_l > current->size()) {
-      return Status::InvalidArgument(
-          StrCat("snapshot L=", snapshot.store_l,
-                 " out of range for this answer set"));
-    }
-  }
-  QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned,
-                       PinnedUniverseFor(snapshot.store_l, /*trace=*/nullptr));
-  // The deserializer re-resolves every cluster pattern via FindId: the
-  // exact integrity check behind the fingerprint gate above.
-  QAG_ASSIGN_OR_RETURN(
-      SolutionStore store,
-      DeserializeSolutionStore(pinned.universe, snapshot.payload));
-  AdmitLoadedStore(std::move(pinned), std::move(store));
   return Status::OK();
 }
 

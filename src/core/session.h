@@ -190,52 +190,21 @@ class Session {
 
   /// Persists the precomputed grid serving `top_l` (the narrowest cached
   /// store with L' >= top_l) to a file; requires a prior Guidance(L') with
-  /// L' >= top_l. The file records the store's own L'. The paper's
-  /// prototype keeps these grids in PostgreSQL; this is the file-backed
-  /// equivalent.
+  /// L' >= top_l. The file records the store's own L' and the identity of
+  /// the answer set it was built from (core/solution_store_io.h). The
+  /// paper's prototype keeps these grids in PostgreSQL; this is the
+  /// file-backed equivalent.
   Status SaveGuidance(int top_l, const std::string& path) const;
 
-  /// Loads a grid saved by SaveGuidance into this session's cache, skipping
-  /// the precompute cost. The file may hold a grid for any L' >= top_l
-  /// that this session's answer set can host (SaveGuidance may have
-  /// written a wider store); it is cached under its own L'. Fails if the
-  /// file was built from a different answer set, or is narrower than
-  /// `top_l`.
+  /// Loads a grid saved by SaveGuidance — possibly in an earlier process —
+  /// into this session's cache, skipping the precompute cost. The file may
+  /// hold a grid for any L' >= top_l (SaveGuidance may have written a
+  /// wider store); it is cached under its own L'. The file is read once,
+  /// and its checksum and answer-set identity are verified before any
+  /// universe is built: a damaged file, a file built from other data (even
+  /// data with the same ranking), or one narrower than `top_l` fails with
+  /// no change to the session.
   Status LoadGuidance(int top_l, const std::string& path);
-
-  /// A serialized guidance grid together with the identity of the answer
-  /// set it was built from — the unit persistent warm-start persists and
-  /// validates (service/warm_start.h wraps it in an on-disk envelope).
-  /// Produced and consumed under one pinned view, so the payload and the
-  /// fingerprints are mutually consistent even under concurrent refreshes.
-  struct GuidanceSnapshot {
-    /// The L the serialized grid was built for.
-    int store_l = 0;
-    /// Identity of the generating answer set: content fingerprint, code
-    /// space, and shape (answers x attributes).
-    uint64_t content_fingerprint = 0;
-    uint64_t domain_fingerprint = 0;
-    int num_answers = 0;
-    int num_attrs = 0;
-    /// The solution_store_io serialization of the grid.
-    std::string payload;
-  };
-
-  /// Serializes the narrowest cached grid with L' >= top_l, stamped with
-  /// its own generation's answer-set identity; requires a prior
-  /// Guidance(L') with L' >= top_l. Read-only and lock-free (one pinned
-  /// view), so it may run concurrently with serving traffic.
-  Result<GuidanceSnapshot> SnapshotGuidance(int top_l) const;
-
-  /// Installs a grid snapshotted by SnapshotGuidance — possibly in an
-  /// earlier process — skipping the precompute cost. Fails cleanly (no
-  /// session state changes) unless the snapshot's recorded identity
-  /// matches the currently published answer set exactly; the store
-  /// deserializer then re-resolves every cluster pattern against the
-  /// freshly built universe, so even a fingerprint collision cannot admit
-  /// a grid that does not fit this answer set. A stale or damaged
-  /// snapshot therefore degrades to a cold build, never a wrong answer.
-  Status LoadGuidanceSnapshot(const GuidanceSnapshot& snapshot);
 
   /// A handle to the universe serving requests at coverage level `top_l`
   /// (cached; concurrent misses for the same L coalesce onto one build).
@@ -381,12 +350,6 @@ class Session {
   /// options, or nullptr. Lock-free and allocation-free.
   static const SolutionStore* CoveringStore(const ReadView& view, int top_l,
                                             const PrecomputeOptions& resolved);
-
-  /// Shared admission tail of LoadGuidance / LoadGuidanceSnapshot: attach
-  /// the deserialized store to the generation its universe was pinned
-  /// from, and publish it into the serving view iff that generation is
-  /// still the live one.
-  void AdmitLoadedStore(PinnedUniverse pinned, SolutionStore store);
 
   /// Serializes writers: view publication, the flight maps, the graveyard
   /// ledger, and Generation ownership vectors. Readers take it shared only

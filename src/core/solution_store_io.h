@@ -1,6 +1,7 @@
 #ifndef QAGVIEW_CORE_SOLUTION_STORE_IO_H_
 #define QAGVIEW_CORE_SOLUTION_STORE_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -19,37 +20,63 @@ namespace qagview::core {
 /// Clusters are serialized as attribute-code *patterns*, not universe ids:
 /// ids depend on universe construction order, while patterns are stable
 /// under rebuilds from the same answer set. Loading resolves each pattern
-/// through ClusterUniverse::FindId and fails cleanly when the store does
-/// not match the universe (different query, different L, edited file).
+/// through ClusterUniverse::FindId.
 ///
-/// Format (version 1):
-///   qagview-store 1 <L> <k_max> <num_attrs> <num_d>
+/// A file is untrusted disk state, validated in three layers before any
+/// pattern resolves: the FNV-1a 64 checksum over every byte but the
+/// trailer (truncation, appended bytes and every single-byte change fail
+/// here), the structural bounds of each header field, and the identity of
+/// the answer set the grid was built from (n, m, and its content and
+/// domain fingerprints), so a grid saved from other data — even data with
+/// the same ranking — is refused instead of served.
+///
+/// Format (version 2):
+///   qagview-store 2 <L> <k_max> <num_attrs> <num_d> <num_answers>
+///       <content_fp> <domain_fp>         (one line; fps as 16 hex digits)
 ///   d <D> states <S> intervals <I>
 ///   s <size> <value>                   (x S)
 ///   i <lo> <hi> <c1> <c2> ... <cm>     (x I; wildcard rendered as '*')
+///   checksum <fnv1a64>                 (16 hex digits, over all bytes above)
+/// Version-1 files (no identity, no checksum) are rejected.
 std::string SerializeSolutionStore(const SolutionStore& store);
 
+/// What a grid file records about itself, readable without a universe.
+struct SolutionStoreHeader {
+  /// The L the grid was built for.
+  int l = 0;
+  int k_max = 0;
+  /// The number of per-D blocks that follow the header.
+  int num_d = 0;
+  /// Identity of the answer set the grid was built from.
+  int num_answers = 0;
+  int num_attrs = 0;
+  uint64_t content_fingerprint = 0;
+  uint64_t domain_fingerprint = 0;
+
+  /// OK iff the grid was built from exactly `answers`; InvalidArgument
+  /// otherwise.
+  Status CheckBuiltFrom(const AnswerSet& answers) const;
+};
+
+/// Verifies `text`'s version and checksum and parses its header, with
+/// every field range-checked. Any damage is a clean InvalidArgument.
+Result<SolutionStoreHeader> ParseSolutionStoreHeader(const std::string& text);
+
 /// Parses `text` and rebuilds the store against `universe` (which must
-/// outlive the result). The universe must have been built from the same
-/// answer set with top_l >= the store's L. The text is treated as
-/// untrusted disk state (warm-start snapshots survive process restarts):
-/// every count and coordinate is range-checked before any narrowing cast,
-/// and truncation, bit flips, lying headers, or a wrong version fail with
-/// a clean InvalidArgument — never a crash, never a partially built store
-/// (SolutionStore::FromParts is all-or-nothing).
+/// outlive the result). Fails with a clean InvalidArgument — never a
+/// crash, never a partially built store (SolutionStore::FromParts is
+/// all-or-nothing) — unless the checksum holds, the header names the
+/// universe's own answer set, the universe covers the store's L, and every
+/// count, coordinate and pattern is in range.
 Result<SolutionStore> DeserializeSolutionStore(const ClusterUniverse* universe,
                                                const std::string& text);
 
-/// File convenience wrappers.
+/// File wrappers. Saving writes a temp file and renames it over `path`, so
+/// a reader sees the old file or the new one, never a torn write.
 Status SaveSolutionStore(const SolutionStore& store, const std::string& path);
+Result<std::string> ReadSolutionStoreFile(const std::string& path);
 Result<SolutionStore> LoadSolutionStore(const ClusterUniverse* universe,
                                         const std::string& path);
-
-/// Reads just the header of a saved store and returns its recorded L,
-/// without needing a universe. Lets a caller build a wide-enough universe
-/// before deserializing (Session::LoadGuidance accepts files holding a
-/// wider grid than requested).
-Result<int> PeekSolutionStoreL(const std::string& path);
 
 }  // namespace qagview::core
 

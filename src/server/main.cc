@@ -2,6 +2,7 @@
 //
 //   qagview_server --port 8080 --workers 4 --queue 64
 //       --dataset sales=path/to/sales.csv [--dataset more=other.csv]
+//       [--prefetch]
 //
 // Serves the QueryService endpoints documented in server/server.h until
 // SIGTERM or SIGINT, then drains gracefully (in-flight requests finish)
@@ -24,17 +25,29 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port P] [--workers N] [--queue N]\n"
-               "          [--dataset name=path.csv]...\n"
-               "          [--snapshot-dir DIR] [--prefetch]\n"
-               "          [--background-threads N]\n"
+               "          [--dataset name=path.csv]... [--prefetch]\n"
                "\n"
-               "  --snapshot-dir DIR      persist guidance grids to DIR and\n"
-               "                          warm-start new sessions from them\n"
-               "  --prefetch              speculatively build likely next\n"
-               "                          exploration levels in the background\n"
-               "  --background-threads N  workers for refinement/prefetch\n"
-               "                          (default 1)\n",
+               "  --port P     0..65535 (0: the kernel picks; default 8080)\n"
+               "  --workers N  1..1024 request workers (default 4)\n"
+               "  --queue N    0..1048576 connections waiting for a worker\n"
+               "               before the server answers 503 (default 64)\n"
+               "  --prefetch   speculatively build likely next exploration\n"
+               "               levels in the background\n",
                argv0);
+}
+
+/// The integer value of a flag, or usage and exit 2 when it is not an
+/// integer in [lo, hi].
+int IntFlag(const char* argv0, const char* flag, const char* text, int lo,
+            int hi) {
+  qagview::Result<int64_t> value = qagview::ParseInt64(text);
+  if (!value.ok() || *value < lo || *value > hi) {
+    std::fprintf(stderr, "%s expects an integer in [%d, %d], got '%s'\n",
+                 flag, lo, hi, text);
+    Usage(argv0);
+    std::exit(2);
+  }
+  return static_cast<int>(*value);
 }
 
 }  // namespace
@@ -59,17 +72,13 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       options.bind_address = next();
     } else if (arg == "--port") {
-      options.port = std::atoi(next());
+      options.port = IntFlag(argv[0], "--port", next(), 0, 65535);
     } else if (arg == "--workers") {
-      options.num_workers = std::atoi(next());
+      options.num_workers = IntFlag(argv[0], "--workers", next(), 1, 1024);
     } else if (arg == "--queue") {
-      options.max_queue = std::atoi(next());
-    } else if (arg == "--snapshot-dir") {
-      service_options.snapshot_dir = next();
+      options.max_queue = IntFlag(argv[0], "--queue", next(), 0, 1 << 20);
     } else if (arg == "--prefetch") {
       service_options.prefetch = true;
-    } else if (arg == "--background-threads") {
-      service_options.background_threads = std::atoi(next());
     } else if (arg == "--dataset") {
       const std::string spec = next();
       const size_t eq = spec.find('=');

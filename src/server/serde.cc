@@ -149,7 +149,6 @@ void Fields(S& s, F&& f) {
     f("generations_evicted", s.generations_evicted);
     f("prefetch_issued", s.prefetch_issued);
     f("prefetch_hits", s.prefetch_hits);
-    f("warm_start_loads", s.warm_start_loads);
     f("total_latency_ms", s.total_latency_ms);
     f("max_latency_ms", s.max_latency_ms);
   } else {

@@ -85,6 +85,10 @@ HttpServer::~HttpServer() { Shutdown(); }
 
 Status HttpServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument(
+        StrCat("port ", options_.port, " outside [0, 65535]"));
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

@@ -20,6 +20,7 @@ namespace qagview::server {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral: the kernel picks a free port, read it back via port().
+  /// Start() rejects anything outside [0, 65535].
   int port = 0;
   /// Fixed worker pool draining the accepted-connection queue.
   int num_workers = 4;
@@ -82,8 +83,9 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and launches the acceptor + workers. Fails (IOError)
-  /// if the address/port cannot be bound.
+  /// Binds, listens, and launches the acceptor + workers. Fails
+  /// (InvalidArgument) on a port outside [0, 65535] or a malformed bind
+  /// address, and (IOError) if the address/port cannot be bound.
   Status Start();
 
   /// Graceful drain: stop accepting, finish every admitted connection,

@@ -251,13 +251,10 @@ struct ServiceStats {
   int64_t live_generations = 0;
   int64_t generations_evicted = 0;
   /// Exploration-aware speculation: prefetch tasks enqueued from the
-  /// next-move predictor, foreground requests that landed on a structure
-  /// a prefetch task built (served as a warm RCU read), and sessions
-  /// whose guidance grid was restored from a persisted warm-start
-  /// snapshot instead of a cold build.
+  /// next-move predictor, and foreground requests that landed on a
+  /// structure a prefetch task built (served as a warm RCU read).
   int64_t prefetch_issued = 0;
   int64_t prefetch_hits = 0;
-  int64_t warm_start_loads = 0;
   double total_latency_ms = 0.0;
   double max_latency_ms = 0.0;
   int64_t requests() const {

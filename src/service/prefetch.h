@@ -35,8 +35,6 @@ class ExplorationPredictor {
   /// warm read. Same clamping rules as NextLevels.
   std::vector<int> InitialLevels(int num_answers) const;
 
-  int max_predictions() const { return max_predictions_; }
-
  private:
   int max_predictions_;
 };

@@ -7,7 +7,6 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "service/warm_start.h"
 #include "sql/executor.h"
 
 namespace qagview::service {
@@ -53,9 +52,7 @@ const char* ModeTag(QueryMode mode) {
 QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
       datasets_(CatalogOptionsFor(options_)),
-      registry_(std::make_shared<const Registry>()),
-      predictor_(options_.prefetch_predictions),
-      scheduler_(options_.background_threads) {}
+      registry_(std::make_shared<const Registry>()) {}
 
 Status QueryService::RegisterTable(const std::string& name,
                                    storage::Table table) {
@@ -223,7 +220,6 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
       session->set_num_threads(options_.num_threads);
       auto entry = std::make_unique<SessionEntry>();
       entry->session = std::move(session);
-      entry->key = key;
       entry->sql = trimmed;
       entry->value_column = value_column;
       entry->mode = options.mode;
@@ -264,11 +260,9 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
       // (foreground) response returns the approximate set now.
       ScheduleRefinement(published);
     }
-    // A freshly built session is the coldest it will ever be: try to
-    // restore last session's guidance grid from disk, then speculate on
-    // the exploration levels sessions historically open with. Both are
-    // background tasks; neither delays this response.
-    ScheduleWarmStartLoad(published);
+    // A freshly built session is the coldest it will ever be: speculate on
+    // the exploration levels sessions historically open with, in the
+    // background, without delaying this response.
     SchedulePrefetch(published, study::MoveKind::kQuery, /*level=*/0);
     return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
   }
@@ -552,11 +546,6 @@ Result<GuidanceResponse> QueryService::Guidance(
     QAG_RETURN_IF_ERROR(store.status());
     CountPrefetchHit(entry, request.top_l, /*want_store=*/true, out.stats);
     SchedulePrefetch(entry, study::MoveKind::kGuidance, request.top_l);
-    // A foreground-built exact grid is exactly what the next process
-    // start wants warm: persist it (best-effort, off the hot path).
-    if (out.stats.built && out.approx.is_exact) {
-      ScheduleSnapshotWrite(entry, request.top_l);
-    }
     const core::SolutionStore& grid = **store;
     out.store_l = grid.l();
     out.k_max = grid.k_max();
@@ -652,7 +641,7 @@ Result<core::Session::CacheStats> QueryService::SessionCacheStats(
   return entry->session->cache_stats();
 }
 
-// --- Background work: speculation and persistence. --------------------------
+// --- Background work: speculation. -------------------------------------------
 
 void QueryService::SchedulePrefetch(SessionEntry* entry, study::MoveKind kind,
                                     int level) {
@@ -691,11 +680,8 @@ void QueryService::SchedulePrefetch(SessionEntry* entry, study::MoveKind kind,
       // cache hit means someone else (foreground or earlier prefetch)
       // already paid for the structure.
       if (!ok || !trace.built) return;
-      {
-        std::lock_guard<std::mutex> lock(entry->prefetch_mu);
-        entry->prefetched.emplace_back(target, want_store);
-      }
-      if (want_store) ScheduleSnapshotWrite(entry, target);
+      std::lock_guard<std::mutex> lock(entry->prefetch_mu);
+      entry->prefetched.emplace_back(target, want_store);
     };
     scheduler_.Submit(BackgroundScheduler::Lane::kPrefetch, token,
                       std::move(task));
@@ -722,64 +708,6 @@ void QueryService::CountPrefetchHit(SessionEntry* entry, int level,
     entry->prefetched.erase(it);
   }
   Bump(&ServiceStats::prefetch_hits);
-}
-
-void QueryService::ScheduleWarmStartLoad(SessionEntry* entry) {
-  if (options_.snapshot_dir.empty()) return;
-  const std::string path =
-      options_.snapshot_dir + "/" + WarmStartFileName(entry->key);
-  // Foreground-build lane: a warm start substitutes for the grid build the
-  // first Guidance would otherwise pay, so it must not queue behind
-  // speculation. Tokened with the current version: a catalog mutation
-  // in between makes the snapshot's fingerprints unverifiable against the
-  // (about to be refreshed) answer set, so the load is dropped.
-  auto task = [this, entry, path] {
-    Result<WarmStartSnapshot> snap = ReadWarmStartSnapshot(path);
-    if (!snap.ok()) return;  // absent, truncated, or damaged: stay cold
-    core::Session::GuidanceSnapshot gs;
-    gs.store_l = snap->store_l;
-    gs.content_fingerprint = snap->content_fingerprint;
-    gs.domain_fingerprint = snap->domain_fingerprint;
-    gs.num_answers = snap->num_answers;
-    gs.num_attrs = snap->num_attrs;
-    gs.payload = std::move(snap->payload);
-    // A snapshot from a different query, catalog state, or a damaged
-    // payload fails validation inside the session and leaves it cold —
-    // a wrong answer is never possible, only a missed warm start.
-    if (entry->session->LoadGuidanceSnapshot(gs).ok()) {
-      Bump(&ServiceStats::warm_start_loads);
-    }
-  };
-  scheduler_.Submit(BackgroundScheduler::Lane::kForegroundBuild,
-                    datasets_.version(), std::move(task));
-}
-
-void QueryService::ScheduleSnapshotWrite(SessionEntry* entry, int top_l) {
-  if (options_.snapshot_dir.empty()) return;
-  const std::string path =
-      options_.snapshot_dir + "/" + WarmStartFileName(entry->key);
-  auto task = [this, entry, top_l, path] {
-    // Never persist estimates: an approximate grid would warm-start a
-    // future exact session with sampled values.
-    if (!entry->session->approximation().is_exact) return;
-    Result<core::Session::GuidanceSnapshot> gs =
-        entry->session->SnapshotGuidance(top_l);
-    if (!gs.ok()) return;
-    WarmStartSnapshot snap;
-    snap.catalog_version = entry->fresh_at.load(std::memory_order_acquire);
-    snap.content_fingerprint = gs->content_fingerprint;
-    snap.domain_fingerprint = gs->domain_fingerprint;
-    snap.num_answers = gs->num_answers;
-    snap.num_attrs = gs->num_attrs;
-    snap.store_l = gs->store_l;
-    snap.payload = std::move(gs->payload);
-    // Best-effort: a failed write (full disk, unwritable dir) costs the
-    // next process a cold build, nothing else.
-    Status written = WriteWarmStartSnapshot(path, snap);
-    (void)written;
-  };
-  scheduler_.Submit(BackgroundScheduler::Lane::kPrefetch, datasets_.version(),
-                    std::move(task));
 }
 
 void QueryService::Bump(int64_t ServiceStats::*field) {
@@ -861,7 +789,6 @@ ServiceStats QueryService::stats() const {
     out.refinements_superseded += s.refinements_superseded;
     out.prefetch_issued += s.prefetch_issued;
     out.prefetch_hits += s.prefetch_hits;
-    out.warm_start_loads += s.warm_start_loads;
     out.total_latency_ms += s.total_latency_ms;
     out.max_latency_ms = std::max(out.max_latency_ms, s.max_latency_ms);
   });

@@ -33,27 +33,15 @@ struct ServiceOptions {
   /// approximate-first serving (DatasetCatalogOptions::sample_capacity).
   /// <= 0 disables sampling: every mode serves exact answers.
   int sample_capacity = 4096;
-  /// Worker count of the unified background scheduler (warm-start loads,
-  /// refinements, prefetch; <= 0: one worker). One worker preserves the
-  /// strict FIFO refinement order the pre-scheduler service had.
-  int background_threads = 1;
   /// Exploration-aware prefetch: after each foreground Summarize /
-  /// Guidance / Explore (and each cold Query), speculatively build the
+  /// Guidance / Explore (and each cold Query), speculatively build the two
   /// predicted-next coverage levels' universes and grids on the
-  /// scheduler's lowest-priority lane. A correct prediction turns the
-  /// client's next request into a warm RCU read; a wrong one costs only
-  /// idle background cycles. Off by default: speculative builds perturb
-  /// the exact per-request build/hit accounting some callers assert on.
+  /// background scheduler's lower-priority lane. A correct prediction
+  /// turns the client's next request into a warm RCU read; a wrong one
+  /// costs only idle background cycles. Off by default: speculative builds
+  /// perturb the exact per-request build/hit accounting some callers
+  /// assert on.
   bool prefetch = false;
-  /// Speculative builds issued per observed foreground move (>= 1).
-  int prefetch_predictions = 2;
-  /// Directory for persistent warm-start snapshots (created by the
-  /// caller; empty = disabled). When set, foreground-built guidance grids
-  /// are snapshotted to disk in the background, and a cold Query()
-  /// schedules a foreground-lane reload of its session's snapshot —
-  /// validated by fingerprint, so stale or corrupt files degrade to a
-  /// cold build, never a wrong answer.
-  std::string snapshot_dir;
 };
 
 // QueryMode, QueryOptions, RequestStats, QueryHandle, ServiceStats, and the
@@ -201,8 +189,9 @@ class QueryService {
   Result<std::shared_ptr<const core::AnswerSet>> Answers(QueryHandle handle);
 
   /// Persists the handle's (k, D) grid for `top_l` to `path`
-  /// (core::Session::SaveGuidance), building it first if needed; the file
-  /// warm-starts a future session via LoadGuidance.
+  /// (core::Session::SaveGuidance); requires a prior Guidance covering
+  /// `top_l`. A session over the same answer set reloads the file with
+  /// core::Session::LoadGuidance.
   Status SaveGuidance(QueryHandle handle, int top_l, const std::string& path);
 
   /// Cache/generation observability for the session behind a handle.
@@ -214,9 +203,9 @@ class QueryService {
   // --- Background work --------------------------------------------------
 
   /// Blocks until the background scheduler is idle — no queued or running
-  /// warm-start load, refinement, snapshot write, or prefetch task. For
-  /// tests and benches that need a quiescent state before asserting; only
-  /// meaningful when no concurrent requests are racing.
+  /// refinement or prefetch task. For tests and benches that need a
+  /// quiescent state before asserting; only meaningful when no concurrent
+  /// requests are racing.
   void DrainBackgroundWork();
 
   /// The scheduler's per-lane lifetime counters (submitted / ran /
@@ -237,9 +226,6 @@ class QueryService {
     // Immutable after construction (safe to read without mu_).
     std::string sql;
     std::string value_column;
-    /// The registry cache key (also names this entry's warm-start
-    /// snapshot file). Immutable after construction.
-    std::string key;
     QueryMode mode = QueryMode::kExactOnly;
     double confidence = 0.0;
     /// True while a background refinement task for this entry is queued
@@ -361,14 +347,6 @@ class QueryService {
   void CountPrefetchHit(SessionEntry* entry, int level, bool want_store,
                         const RequestStats& rs);
 
-  /// Enqueues the foreground-lane warm-start reload of a cold session's
-  /// snapshot. No-op when snapshot_dir is unset.
-  void ScheduleWarmStartLoad(SessionEntry* entry);
-
-  /// Enqueues a background snapshot write of the grid serving `top_l`
-  /// (atomic write; best-effort). No-op when snapshot_dir is unset.
-  void ScheduleSnapshotWrite(SessionEntry* entry, int top_l);
-
   /// Adds one to a ServiceStats counter in the calling thread's shard.
   void Bump(int64_t ServiceStats::*field);
 
@@ -413,9 +391,9 @@ class QueryService {
   /// The prediction policy behind SchedulePrefetch (stateless, shared).
   ExplorationPredictor predictor_;
 
-  /// The one home for all deferred work: warm-start loads (foreground
-  /// lane) > exact refinements (refinement lane) > speculative builds and
-  /// snapshot writes (prefetch lane, gated while foreground requests are
+  /// The one home for all deferred work, on one worker so refinements run
+  /// in strict FIFO order: exact refinements (refinement lane) before
+  /// speculative builds (prefetch lane, gated while foreground requests are
   /// in flight, dropped when a catalog mutation supersedes their token).
   /// Declared LAST so it is destroyed FIRST: shutdown quiesces in-flight
   /// tasks (and drops queued ones) while every member they touch is still

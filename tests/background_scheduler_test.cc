@@ -77,18 +77,16 @@ TEST(BackgroundSchedulerTest, HigherLaneAlwaysDequeuesFirst) {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(lane);
   };
-  scheduler.Submit(Lane::kPrefetch, 0, [&] { record(2); });
-  scheduler.Submit(Lane::kRefinement, 0, [&] { record(1); });
-  scheduler.Submit(Lane::kForegroundBuild, 0, [&] { record(0); });
+  scheduler.Submit(Lane::kPrefetch, 0, [&] { record(1); });
+  scheduler.Submit(Lane::kRefinement, 0, [&] { record(0); });
   // Second wave, same shape: FIFO within a lane must be preserved too.
-  scheduler.Submit(Lane::kPrefetch, 0, [&] { record(12); });
-  scheduler.Submit(Lane::kRefinement, 0, [&] { record(11); });
-  scheduler.Submit(Lane::kForegroundBuild, 0, [&] { record(10); });
+  scheduler.Submit(Lane::kPrefetch, 0, [&] { record(11); });
+  scheduler.Submit(Lane::kRefinement, 0, [&] { record(10); });
 
   gate.Open();
   scheduler.Drain();
-  ASSERT_EQ(order.size(), 6u);
-  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2, 12}));
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11}));
 }
 
 TEST(BackgroundSchedulerTest, InvalidateBelowDropsQueuedSuperseded) {
@@ -168,9 +166,9 @@ TEST(BackgroundSchedulerTest, ForegroundGateParksPrefetchOnly) {
   std::atomic<int> prefetch_ran{0}, owed_ran{0};
   scheduler.Submit(Lane::kPrefetch, 0, [&] { ++prefetch_ran; });
   scheduler.Submit(Lane::kRefinement, 0, [&] { ++owed_ran; });
-  scheduler.Submit(Lane::kForegroundBuild, 0, [&] { ++owed_ran; });
+  scheduler.Submit(Lane::kRefinement, 0, [&] { ++owed_ran; });
 
-  // Owed lanes are not gated: wait (bounded) for both to run while the
+  // The owed lane is not gated: wait (bounded) for both to run while the
   // window is still open.
   for (int spin = 0; owed_ran.load() < 2 && spin < 2000; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -190,7 +188,7 @@ TEST(BackgroundSchedulerTest, NullForegroundGuardIsNoOp) {
   {
     BackgroundScheduler::ForegroundGuard inner(&scheduler);
     std::atomic<int> ran{0};
-    scheduler.Submit(Lane::kForegroundBuild, 0, [&] { ++ran; });
+    scheduler.Submit(Lane::kRefinement, 0, [&] { ++ran; });
     scheduler.Drain();
     EXPECT_EQ(ran.load(), 1);
   }
@@ -218,7 +216,7 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
   // the whole time. Every prefetch task is submitted strictly *after* the
   // window opened, so the gate invariant is checkable without racing it:
   // not a single prefetch task may run until the window closes, while the
-  // owed lanes (the foreground latency classes) keep flowing unimpeded.
+  // owed lane keeps flowing unimpeded.
   // Under TSan this is also the data-race battery for Submit/dequeue/
   // counters from many threads.
   BackgroundScheduler scheduler(4);
@@ -237,9 +235,7 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
       while (!go.load()) std::this_thread::yield();
       for (int round = 0; round < kRoundsPerThread; ++round) {
         if (t % 2 == 0) {
-          const Lane lane =
-              round % 2 == 0 ? Lane::kForegroundBuild : Lane::kRefinement;
-          scheduler.Submit(lane, 0, [&] { ++owed_ran; });
+          scheduler.Submit(Lane::kRefinement, 0, [&] { ++owed_ran; });
         } else {
           scheduler.Submit(Lane::kPrefetch, 1, [&] { ++prefetch_ran; });
         }
@@ -250,7 +246,7 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
   for (auto& t : threads) t.join();
 
   // All owed work must complete *while the window is still open*: the
-  // foreground gate parks speculation only, never the serving lanes.
+  // foreground gate parks speculation only, never the owed lane.
   const int64_t owed_expected = int64_t{kThreads / 2} * kRoundsPerThread;
   for (int spin = 0; owed_ran.load() < owed_expected && spin < 10000; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -272,8 +268,8 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
 }
 
 TEST(BackgroundSchedulerTest, TasksSubmittedFromTasksComplete) {
-  // A task may enqueue follow-up work (prefetch builds schedule snapshot
-  // writes); Drain must cover the transitively submitted tasks too.
+  // A task may enqueue follow-up work; Drain must cover the transitively
+  // submitted tasks too.
   BackgroundScheduler scheduler(2);
   std::atomic<int> ran{0};
   scheduler.Submit(Lane::kPrefetch, 0, [&] {

@@ -120,31 +120,25 @@ namespace {
   }
 }
 
-// The README "Warm starts and prefetch" snippet, verbatim modulo the
-// elided SQL text. Compiling it pins the background-work surface the
-// README promises (ServiceOptions::snapshot_dir / prefetch,
-// DrainBackgroundWork, and the prefetch/warm-start counters). If this
-// function stops building, fix README.md to match.
-[[maybe_unused]] void WarmStartPrefetchSnippetFromReadme() {
+// The README "Prefetch" snippet, verbatim modulo the elided SQL text.
+// Compiling it pins the background-work surface the README promises
+// (ServiceOptions::prefetch, DrainBackgroundWork, and the prefetch
+// counters). If this function stops building, fix README.md to match.
+[[maybe_unused]] void PrefetchSnippetFromReadme() {
   service::ServiceOptions options;
-  options.snapshot_dir = "snapshots";  // persistent warm starts ("" = off)
-  options.prefetch = true;             // speculate on predicted next moves
+  options.prefetch = true;  // speculate on predicted next moves
   service::QueryService svc(options);
   svc.RegisterCsvFile("ratings", "ratings.csv");
   auto q = svc.Query({"SELECT gender, avg(rating) AS val "
                       "FROM ratings GROUP BY gender", "val", {}});
-  // A previous lifetime's guidance grid for this query reloads in the
-  // background, validated by content fingerprint — a stale or corrupt
-  // snapshot means a cold build, never a wrong answer. And after every
-  // foreground move, the predicted next coverage levels are built
-  // speculatively: a correct prediction turns the client's next request
-  // into a warm lock-free read, bit-identical to building on demand.
+  // After every foreground move, the predicted next coverage levels are
+  // built speculatively: a correct prediction turns the client's next
+  // request into a warm lock-free read, bit-identical to building on demand.
   auto s = svc.Summarize({q->handle, {/*k=*/4, /*L=*/8, /*D=*/2}});
-  svc.Guidance({q->handle, /*top_l=*/8, {}});  // snapshotted in the background
+  svc.Guidance({q->handle, /*top_l=*/8, {}});
   svc.DrainBackgroundWork();  // quiesce before asserting (tests/benches)
   (void)svc.stats().prefetch_issued;
   (void)svc.stats().prefetch_hits;
-  (void)svc.stats().warm_start_loads;
   (void)s;
 }
 

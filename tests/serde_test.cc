@@ -219,8 +219,7 @@ service::ServiceStats SampleServiceStats() {
         &stats.approx_served, &stats.refine_requests, &stats.refinements,
         &stats.refinements_superseded, &stats.graveyard_size,
         &stats.live_generations, &stats.generations_evicted,
-        &stats.prefetch_issued, &stats.prefetch_hits,
-        &stats.warm_start_loads}) {
+        &stats.prefetch_issued, &stats.prefetch_hits}) {
     *field = next++;
   }
   stats.total_latency_ms = 0.1 + 0.2;
@@ -276,7 +275,7 @@ TEST(SerdeGoldenTest, Responses) {
 
 TEST(SerdeGoldenTest, ServiceStats) {
   EXPECT_EQ(ToJson(SampleServiceStats()).Dump(),
-            R"json({"datasets":1,"sessions":2,"queries":3,"query_cache_hits":4,"query_coalesced":5,"summarize_requests":6,"guidance_requests":7,"retrieve_requests":8,"explore_requests":9,"cache_hits":10,"coalesced_waits":11,"builds":12,"refreshes":13,"refresh_full_reuses":14,"approx_queries":15,"approx_served":16,"refine_requests":17,"refinements":18,"refinements_superseded":19,"graveyard_size":20,"live_generations":21,"generations_evicted":22,"prefetch_issued":23,"prefetch_hits":24,"warm_start_loads":25,"total_latency_ms":0.30000000000000004,"max_latency_ms":1e-300,"requests":50})json");
+            R"json({"datasets":1,"sessions":2,"queries":3,"query_cache_hits":4,"query_coalesced":5,"summarize_requests":6,"guidance_requests":7,"retrieve_requests":8,"explore_requests":9,"cache_hits":10,"coalesced_waits":11,"builds":12,"refreshes":13,"refresh_full_reuses":14,"approx_queries":15,"approx_served":16,"refine_requests":17,"refinements":18,"refinements_superseded":19,"graveyard_size":20,"live_generations":21,"generations_evicted":22,"prefetch_issued":23,"prefetch_hits":24,"total_latency_ms":0.30000000000000004,"max_latency_ms":1e-300,"requests":50})json");
 }
 
 // --- Round trip --------------------------------------------------------------

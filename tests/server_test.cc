@@ -425,6 +425,27 @@ int ConnectAndStall(int port) {
   return fd;
 }
 
+TEST(ServerOptionsTest, PortOutsideSixteenBitsIsRejectedNotTruncated) {
+  // Start must refuse, not truncate: a uint16_t cast would bind 70000 as
+  // 4464 and -1 as 65535.
+  service::QueryService service;
+  for (int port : {-1, 65536, 70000}) {
+    ServerOptions options;
+    options.port = port;
+    HttpServer server(&service, options);
+    Status status = server.Start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "port " << port << ": " << status.ToString();
+    EXPECT_EQ(server.port(), 0) << "port " << port << " must not bind";
+  }
+  ServerOptions ephemeral;
+  ephemeral.port = 0;
+  HttpServer server(&service, ephemeral);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_GT(server.port(), 0);
+  server.Shutdown();
+}
+
 TEST(ServerOverloadTest, FullQueueSheds503WithRetryAfterAndRecovers) {
   service::QueryService service;
   QAG_CHECK_OK(service.RegisterTable("ratings",

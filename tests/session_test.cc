@@ -1,11 +1,15 @@
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bottom_up.h"
 #include "core/greedy_state.h"
 #include "core/session.h"
+#include "datagen/answers.h"
 #include "test_util.h"
 
 namespace qagview::core {
@@ -78,6 +82,58 @@ TEST(SessionTest, SaveAndLoadGuidanceAcrossSessions) {
   EXPECT_FALSE(c->LoadGuidance(12, path).ok());
   // Save without a prior Guidance() fails.
   EXPECT_FALSE(c->SaveGuidance(12, path + ".none").ok());
+  std::remove(path.c_str());
+}
+
+TEST(SessionTest, LoadGuidanceRejectsGridSavedFromOtherValues) {
+  // X' ranks the same elements as X in the same order, with every value
+  // passed through a strictly increasing nonlinear map. Every cluster
+  // pattern of X's grid resolves in X''s universe, yet the grid's
+  // solutions and averages belong to X: the file's recorded answer-set
+  // identity must refuse it, and the session must stay without a grid.
+  const int top_l = 40;
+  const std::string path = testing::TempDir() + "/qagview_stale_grid.store";
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    datagen::SyntheticAnswerOptions options;
+    options.n = 600;
+    options.m = 5;
+    options.domain = 6;
+    options.seed = seed;
+    AnswerSet x = datagen::MakeSyntheticAnswers(options);
+    std::vector<std::vector<std::string>> value_names(
+        static_cast<size_t>(x.num_attrs()));
+    for (int a = 0; a < x.num_attrs(); ++a) {
+      for (int32_t code = 0; code < x.domain_size(a); ++code) {
+        value_names[static_cast<size_t>(a)].push_back(x.ValueName(a, code));
+      }
+    }
+    std::vector<Element> mapped = x.elements();
+    for (Element& e : mapped) e.value = std::exp(3.0 * e.value);
+    auto x_prime = AnswerSet::FromRaw(x.attr_names(), std::move(value_names),
+                                      std::move(mapped));
+    ASSERT_TRUE(x_prime.ok()) << x_prime.status().ToString();
+    ASSERT_EQ(x_prime->size(), x.size());
+    for (int i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x_prime->element(i).attrs, x.element(i).attrs)
+          << "seed " << seed << ": the map must keep the ranking";
+    }
+
+    auto a = Session::Create(std::move(x));
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE((*a)->Guidance(top_l).ok());
+    ASSERT_TRUE((*a)->SaveGuidance(top_l, path).ok());
+
+    auto b = Session::Create(std::move(x_prime).value());
+    ASSERT_TRUE(b.ok());
+    Status loaded = (*b)->LoadGuidance(top_l, path);
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument)
+        << "seed " << seed << ": " << loaded.ToString();
+    EXPECT_EQ((*b)->Retrieve(top_l, 2, 5).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "seed " << seed << ": a refused file must leave no grid behind";
+    EXPECT_EQ((*b)->cache_stats().universes, 0)
+        << "seed " << seed << ": the identity check precedes any build";
+  }
   std::remove(path.c_str());
 }
 

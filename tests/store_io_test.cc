@@ -1,11 +1,13 @@
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "core/precompute.h"
 #include "core/solution_store_io.h"
 #include "test_util.h"
@@ -34,6 +36,31 @@ SolutionStore MakeStore(const Instance& inst, int top_l) {
   auto store = Precompute::Run(inst.u, top_l, options);
   QAG_CHECK(store.ok()) << store.status().ToString();
   return std::move(store).value();
+}
+
+std::string Hex64(uint64_t v) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buffer;
+}
+
+/// `body` (a header line and its blocks, version-2 syntax) sealed with the
+/// checksum line SerializeSolutionStore appends.
+std::string Sealed(const std::string& body) {
+  return body + "checksum " + Hex64(Fnv1a64(body)) + "\n";
+}
+
+/// A version-2 header line whose identity fields name `answers`, with the
+/// given L, k_max, num_attrs and num_d fields (as text, so a test can put
+/// anything there).
+std::string Header(const AnswerSet& answers, const std::string& l,
+                   const std::string& k_max, const std::string& num_attrs,
+                   const std::string& num_d) {
+  return "qagview-store 2 " + l + " " + k_max + " " + num_attrs + " " +
+         num_d + " " + std::to_string(answers.size()) + " " +
+         Hex64(answers.content_fingerprint()) + " " +
+         Hex64(answers.domain_fingerprint()) + "\n";
 }
 
 TEST(StoreIoTest, RoundTripPreservesEveryRetrievableSolution) {
@@ -92,11 +119,16 @@ TEST(StoreIoTest, RoundTripSurvivesUniverseRebuild) {
   }
 }
 
-TEST(StoreIoTest, SerializedFormHasExpectedHeader) {
+TEST(StoreIoTest, SerializedFormHasExpectedHeaderAndTrailer) {
   Instance inst = MakeInstance(9, 60, 4, 3, 10);
   SolutionStore store = MakeStore(inst, 10);
   std::string text = SerializeSolutionStore(store);
-  EXPECT_EQ(text.rfind("qagview-store 1 10 8 4 3", 0), 0u) << text.substr(0, 40);
+  EXPECT_EQ(text.rfind(Header(*inst.set, "10", "8", "4", "3"), 0), 0u)
+      << text.substr(0, 80);
+  // The last line is the checksum of every byte before it.
+  const size_t trailer = text.rfind("checksum ");
+  ASSERT_NE(trailer, std::string::npos);
+  EXPECT_EQ(text, Sealed(text.substr(0, trailer)));
 }
 
 TEST(StoreIoTest, RejectsGarbageAndTruncation) {
@@ -108,8 +140,16 @@ TEST(StoreIoTest, RejectsGarbageAndTruncation) {
   EXPECT_FALSE(DeserializeSolutionStore(&inst.u, "hello world").ok());
   // Wrong version.
   std::string wrong_version = text;
-  wrong_version.replace(wrong_version.find(" 1 "), 3, " 9 ");
+  wrong_version.replace(0, 16, "qagview-store 9 ");
   EXPECT_FALSE(DeserializeSolutionStore(&inst.u, wrong_version).ok());
+  // A version-1 file (no identity, no checksum) is refused by its version.
+  auto v1 = DeserializeSolutionStore(
+      &inst.u,
+      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 1\ns 1 0.5\n"
+      "i 1 8 * * * *\n");
+  EXPECT_EQ(v1.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v1.status().ToString().find("version '1'"), std::string::npos)
+      << v1.status().ToString();
   // Truncated mid-stream.
   EXPECT_FALSE(
       DeserializeSolutionStore(&inst.u, text.substr(0, text.size() / 2))
@@ -120,107 +160,199 @@ TEST(StoreIoTest, RejectsGarbageAndTruncation) {
 TEST(StoreIoTest, RejectsHostileHeadersBeforeDoingWork) {
   // Untrusted-disk hardening: counts and coordinates are range-checked
   // before any narrowing cast or allocation, so a lying header is a clean
-  // InvalidArgument, never unbounded work or a crash.
+  // InvalidArgument, never unbounded work or a crash. Every text carries a
+  // valid checksum and (unless the case is about identity) the instance's
+  // own identity, so each one reaches the check it targets: the expected
+  // message names it.
   Instance inst = MakeInstance(17, 60, 4, 3, 10);
-  auto expect_rejected = [&](const std::string& text, const char* label) {
-    auto result = DeserializeSolutionStore(&inst.u, text);
-    EXPECT_FALSE(result.ok()) << label;
+  const AnswerSet& set = *inst.set;
+  auto expect_rejected = [&](const std::string& body, const char* label,
+                             const std::string& expected_message) {
+    auto result = DeserializeSolutionStore(&inst.u, Sealed(body));
+    ASSERT_FALSE(result.ok()) << label;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(result.status().ToString().find(expected_message),
+              std::string::npos)
+        << label << ": " << result.status().ToString();
   };
+  const std::string one_block = Header(set, "10", "8", "4", "1");
   // Counts far beyond the structural ceilings.
-  expect_rejected("qagview-store 1 99999999999 8 4 3\n", "huge L");
-  expect_rejected("qagview-store 1 10 99999999999 4 3\n", "huge k_max");
-  expect_rejected("qagview-store 1 10 8 99999999 3\n", "huge num_attrs");
-  expect_rejected("qagview-store 1 10 8 4 99999999\n", "huge num_d");
+  expect_rejected(Header(set, "99999999999", "8", "4", "3"), "huge L",
+                  "L = 99999999999 outside");
+  expect_rejected(Header(set, "10", "99999999999", "4", "3"), "huge k_max",
+                  "k_max = 99999999999 outside");
+  expect_rejected(Header(set, "10", "8", "99999999", "3"), "huge num_attrs",
+                  "num_attrs = 99999999 outside");
+  expect_rejected(Header(set, "10", "8", "4", "99999999"), "huge num_d",
+                  "num_d = 99999999 outside");
   // Negative and zero where impossible.
-  expect_rejected("qagview-store 1 -1 8 4 3\n", "negative L");
-  expect_rejected("qagview-store 1 0 8 4 3\n", "zero L");
-  expect_rejected("qagview-store 1 10 8 4 -1\n", "negative num_d");
+  expect_rejected(Header(set, "-1", "8", "4", "3"), "negative L",
+                  "L = -1 outside");
+  expect_rejected(Header(set, "0", "8", "4", "3"), "zero L", "L = 0 outside");
+  expect_rejected(Header(set, "10", "8", "4", "-1"), "negative num_d",
+                  "num_d = -1 outside");
   // Per-D block lying about its shape.
+  expect_rejected(one_block + "d 2 states 99999999999 intervals 0\n",
+                  "huge state count", "state count = 99999999999 outside");
+  expect_rejected(one_block + "d 99 states 1 intervals 0\ns 1 0.5\n",
+                  "D beyond num_attrs", "D = 99 outside");
   expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 99999999999 intervals 0\n",
-      "huge state count");
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 99 states 1 intervals 0\ns 1 0.5\n",
-      "D beyond num_attrs");
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 999999999999\n"
-      "s 1 0.5\n",
-      "huge interval count");
+      one_block + "d 2 states 1 intervals 999999999999\ns 1 0.5\n",
+      "huge interval count", "interval count = 999999999999 outside");
   // Non-finite state values are damage, not data.
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 0\ns 1 nan\n",
-      "NaN state value");
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 0\ns 1 inf\n",
-      "infinite state value");
+  expect_rejected(one_block + "d 2 states 1 intervals 0\ns 1 nan\n",
+                  "NaN state value", "bad state value 'nan'");
+  expect_rejected(one_block + "d 2 states 1 intervals 0\ns 1 inf\n",
+                  "infinite state value", "bad state value 'inf'");
   // Interval coordinates outside [1, k_max ceiling].
   expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 1\ns 1 0.5\n"
-      "i 0 5 * * * *\n",
-      "zero interval lo");
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 1\ns 1 0.5\n"
-      "i 1 99999999999 * * * *\n",
-      "huge interval hi");
+      one_block + "d 2 states 1 intervals 1\ns 1 0.5\ni 0 5 * * * *\n",
+      "zero interval lo", "lo = 0 outside");
+  expect_rejected(one_block +
+                      "d 2 states 1 intervals 1\ns 1 0.5\n"
+                      "i 1 99999999999 * * * *\n",
+                  "huge interval hi", "hi = 99999999999 outside");
   // Attribute codes must be non-negative int32.
   expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 1\ns 1 0.5\n"
-      "i 1 5 -7 * * *\n",
-      "negative attribute code");
-  expect_rejected(
-      "qagview-store 1 10 8 4 1\nd 2 states 1 intervals 1\ns 1 0.5\n"
-      "i 1 5 99999999999 * * *\n",
-      "overflowing attribute code");
+      one_block + "d 2 states 1 intervals 1\ns 1 0.5\ni 1 5 -7 * * *\n",
+      "negative attribute code", "attribute code = -7 outside");
+  expect_rejected(one_block +
+                      "d 2 states 1 intervals 1\ns 1 0.5\n"
+                      "i 1 5 99999999999 * * *\n",
+                  "overflowing attribute code",
+                  "attribute code = 99999999999 outside");
+
+  // The identity fields: each is bounded or well-formed before it is
+  // compared, and a well-formed identity of another answer set is refused.
+  const std::string n = std::to_string(set.size());
+  const std::string content = Hex64(set.content_fingerprint());
+  const std::string domain = Hex64(set.domain_fingerprint());
+  auto header = [&](const std::string& num_answers, const std::string& cfp,
+                    const std::string& dfp) {
+    return "qagview-store 2 10 8 4 0 " + num_answers + " " + cfp + " " + dfp +
+           "\n";
+  };
+  expect_rejected(header("99999999999", content, domain), "huge num_answers",
+                  "num_answers = 99999999999 outside");
+  expect_rejected(header("0", content, domain), "zero num_answers",
+                  "num_answers = 0 outside");
+  expect_rejected(header(n, "zz" + content.substr(2), domain),
+                  "non-hex content fingerprint", "bad content fingerprint");
+  expect_rejected(header(n, content.substr(1), domain),
+                  "short content fingerprint", "bad content fingerprint");
+  expect_rejected(header(n, "0" + content, domain),
+                  "long content fingerprint", "bad content fingerprint");
+  std::string upper = content;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  if (upper != content) {
+    expect_rejected(header(n, upper, domain), "upper-case fingerprint",
+                    "bad content fingerprint");
+  }
+  expect_rejected(header(n, content, "-" + domain.substr(1)),
+                  "bad domain fingerprint", "bad domain fingerprint");
+  expect_rejected(header(std::to_string(set.size() + 1), content, domain),
+                  "other n", "different answer set");
+  expect_rejected(header(n, Hex64(set.content_fingerprint() ^ 1), domain),
+                  "other content", "different answer set");
+  expect_rejected(header(n, content, Hex64(set.domain_fingerprint() ^ 1)),
+                  "other domain", "different answer set");
+  expect_rejected(Header(set, "10", "8", "5", "0"), "other m",
+                  "different answer set");
+  expect_rejected("qagview-store 2 10 8 4 0 " + n + " " + content + "\n",
+                  "missing field", "expected 9 fields");
+
+  // The checksum line itself.
+  const std::string valid = Sealed(Header(set, "10", "8", "4", "0"));
+  ASSERT_TRUE(DeserializeSolutionStore(&inst.u, valid).ok());
+  auto rejected_with = [&](const std::string& text,
+                           const std::string& expected_message) {
+    auto result = DeserializeSolutionStore(&inst.u, text);
+    return !result.ok() &&
+           result.status().ToString().find(expected_message) !=
+               std::string::npos;
+  };
+  EXPECT_TRUE(rejected_with(Header(set, "10", "8", "4", "0"),
+                            "does not end in a checksum line"));
+  std::string wrong_sum = valid;
+  wrong_sum[wrong_sum.size() - 2] =
+      wrong_sum[wrong_sum.size() - 2] == '0' ? '1' : '0';
+  EXPECT_TRUE(rejected_with(wrong_sum, "checksum mismatch"));
 }
 
 TEST(StoreIoTest, BitFlipCorpusNeverCrashesOrCorrupts) {
-  // Flip one byte at a spread of positions across a real serialized store.
-  // Every variant must either fail cleanly or parse into a store whose
-  // retrievable solutions are well-formed — no crash, no partial store.
-  Instance inst = MakeInstance(19, 60, 4, 3, 10);
-  SolutionStore store = MakeStore(inst, 10);
-  const std::string text = SerializeSolutionStore(store);
-  const size_t step = text.size() / 97 + 1;
-  int parsed = 0, rejected = 0;
-  for (size_t pos = 0; pos < text.size(); pos += step) {
-    for (char flip : {char(0x01), char(0x10)}) {
-      std::string damaged = text;
-      damaged[pos] = static_cast<char>(damaged[pos] ^ flip);
+  // Every single-bit change in the low nibble of every byte, every proper
+  // prefix, and the file with bytes appended, over a few seeded stores:
+  // every variant must be rejected with a clean InvalidArgument. Nothing
+  // damaged may load, because a damaged grid that still parses can serve
+  // solutions and averages that no precompute produced.
+  for (uint64_t seed : {19u, 29u, 37u}) {
+    Instance inst = MakeInstance(seed, 60, 4, 3, 10);
+    SolutionStore store = MakeStore(inst, 10);
+    const std::string text = SerializeSolutionStore(store);
+    ASSERT_TRUE(DeserializeSolutionStore(&inst.u, text).ok());
+    int accepted = 0;
+    auto expect_rejected = [&](const std::string& damaged,
+                               const std::string& label) {
       auto loaded = DeserializeSolutionStore(&inst.u, damaged);
-      if (!loaded.ok()) {
-        ++rejected;
-        continue;
+      if (loaded.ok()) {
+        if (++accepted <= 5) ADD_FAILURE() << "seed " << seed << ": " << label;
+        return;
       }
-      ++parsed;
-      // A flip can land in a value digit and still parse; the store must
-      // nonetheless be structurally sound end to end.
-      for (int d : loaded->d_values()) {
-        auto min_k = loaded->MinK(d);
-        ASSERT_TRUE(min_k.ok());
-        auto solution = loaded->Retrieve(d, *min_k);
-        ASSERT_TRUE(solution.ok()) << "pos " << pos;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << label << ": " << loaded.status().ToString();
+    };
+    for (size_t pos = 0; pos < text.size(); ++pos) {
+      for (char flip : {char(0x01), char(0x02), char(0x04), char(0x08)}) {
+        std::string damaged = text;
+        damaged[pos] = static_cast<char>(damaged[pos] ^ flip);
+        expect_rejected(damaged, "flip " + std::to_string(int(flip)) +
+                                     " at " + std::to_string(pos));
       }
     }
+    for (size_t size = 0; size < text.size(); ++size) {
+      expect_rejected(text.substr(0, size),
+                      "prefix of " + std::to_string(size) + " bytes");
+    }
+    const std::string last_line =
+        text.substr(text.rfind('\n', text.size() - 2) + 1);
+    const std::vector<std::string> extras = {
+        "\n", "x", std::string(1, '\0'), last_line,
+        "checksum 0000000000000000\n", text};
+    for (const std::string& extra : extras) {
+      expect_rejected(text + extra,
+                      "appended " + std::to_string(extra.size()) + " bytes");
+    }
+    EXPECT_EQ(accepted, 0) << "seed " << seed << ": damaged files loaded";
   }
-  EXPECT_GT(rejected, 0) << "corpus too small to hit a structural byte";
-  (void)parsed;  // benign flips (value digits) are allowed to parse
 }
 
-TEST(StoreIoTest, PeekValidatesVersionAndRange) {
+TEST(StoreIoTest, HeaderParsesWithoutUniverse) {
   Instance inst = MakeInstance(23, 60, 4, 3, 10);
   SolutionStore store = MakeStore(inst, 10);
-  std::string path = testing::TempDir() + "/qagview_store_peek.txt";
+  std::string path = testing::TempDir() + "/qagview_store_header.txt";
   ASSERT_TRUE(SaveSolutionStore(store, path).ok());
-  auto l = PeekSolutionStoreL(path);
-  ASSERT_TRUE(l.ok());
-  EXPECT_EQ(*l, 10);
+  auto text = ReadSolutionStoreFile(path);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  auto header = ParseSolutionStoreHeader(*text);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->l, 10);
+  EXPECT_EQ(header->k_max, 8);
+  EXPECT_EQ(header->num_answers, inst.set->size());
+  EXPECT_EQ(header->num_attrs, 4);
+  EXPECT_TRUE(header->CheckBuiltFrom(*inst.set).ok());
+  Instance other = MakeInstance(24, 60, 4, 3, 10);
+  EXPECT_EQ(header->CheckBuiltFrom(*other.set).code(),
+            StatusCode::kInvalidArgument);
 
-  std::ofstream(path, std::ios::trunc) << "qagview-store 9 10 8 4 3\n";
-  EXPECT_FALSE(PeekSolutionStoreL(path).ok()) << "wrong version must fail";
-  std::ofstream(path, std::ios::trunc)
-      << "qagview-store 1 99999999999 8 4 3\n";
-  EXPECT_FALSE(PeekSolutionStoreL(path).ok()) << "implausible L must fail";
-  EXPECT_FALSE(PeekSolutionStoreL(path + ".absent").ok());
+  EXPECT_FALSE(ParseSolutionStoreHeader("qagview-store 9 10 8 4 3\n").ok())
+      << "wrong version must fail";
+  EXPECT_FALSE(
+      ParseSolutionStoreHeader(
+          Sealed(Header(*inst.set, "99999999999", "8", "4", "3")))
+          .ok())
+      << "implausible L must fail";
+  EXPECT_FALSE(ReadSolutionStoreFile(path + ".absent").ok());
+  std::remove(path.c_str());
 }
 
 TEST(StoreIoTest, RejectsForeignUniverse) {
