@@ -199,7 +199,8 @@ int main() {
 
   // Sample maintenance: per-append cost with the reservoir incremental
   // versus sampling disabled. Identical services and batches otherwise;
-  // the delta is the sampler's Add loop plus the snapshot rebuild.
+  // the delta is feeding the row reservoir plus gathering the new
+  // version's sample by row id.
   {
     const int64_t base_rows = smoke ? 20000 : 100000;
     const int batch_rows = 100;

@@ -1,8 +1,6 @@
 #ifndef QAGVIEW_BENCH_BENCH_UTIL_H_
 #define QAGVIEW_BENCH_BENCH_UTIL_H_
 
-#include <sched.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/json.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -93,11 +92,7 @@ struct HostInfo {
 
 inline HostInfo CurrentHost() {
   HostInfo out;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    out.nproc = CPU_COUNT(&mask);
-  }
+  out.nproc = AvailableCpus();
   std::ifstream cpuinfo("/proc/cpuinfo");
   std::string line;
   while (std::getline(cpuinfo, line)) {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/logging.h"
 
 namespace qagview {
@@ -42,12 +43,10 @@ namespace qagview {
 /// time (the pool is an engine internal, not a general-purpose scheduler).
 class ThreadPool {
  public:
-  /// Worker count used for `num_threads <= 0`: the hardware concurrency,
-  /// clamped to at least 1 (hardware_concurrency() may return 0).
-  static int DefaultNumThreads() {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }
+  /// Worker count used for `num_threads <= 0`: the CPUs this process may
+  /// run on (AvailableCpus), so a server pinned to one CPU builds serially
+  /// instead of time-slicing a pool of the machine's size.
+  static int DefaultNumThreads() { return AvailableCpus(); }
 
   explicit ThreadPool(int num_threads = 0)
       : num_threads_(num_threads > 0 ? num_threads : DefaultNumThreads()) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -22,6 +24,89 @@ uint64_t DoubleBits(double v) {
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
+
+/// Display name of a double attribute value: its usual rendering when that
+/// parses back to the value, else all 17 significant digits, so two values
+/// that group apart never share a name.
+std::string DoubleName(double v) {
+  std::string name = storage::Value::Real(v).ToString();
+  if (storage::GroupingBits(std::strtod(name.c_str(), nullptr)) ==
+      storage::GroupingBits(v)) {
+    return name;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// Interns one attribute column's cells to dense codes in first-seen order,
+/// by typed value, as the SQL kernel groups them: a string by its
+/// dictionary code, an int64 by value, a double by GroupingBits (-0.0 with
+/// 0.0, every NaN together), and NULL as a value of its own. Appends each
+/// new value's display name to `names`.
+class AttributeInterner {
+ public:
+  AttributeInterner(const storage::Column& column,
+                    std::vector<std::string>* names)
+      : column_(column), names_(names) {
+    if (column.type() == storage::ValueType::kString) {
+      by_code_.assign(static_cast<size_t>(column.dictionary().size()), -1);
+    }
+  }
+
+  int32_t Intern(int64_t row) {
+    if (column_.IsNull(row)) return Code(&null_, [] { return "<null>"; });
+    const size_t r = static_cast<size_t>(row);
+    switch (column_.type()) {
+      case storage::ValueType::kString: {
+        const int32_t dict_code = column_.codes()[r];
+        return Code(&by_code_[static_cast<size_t>(dict_code)], [&] {
+          return column_.dictionary().GetString(dict_code);
+        });
+      }
+      case storage::ValueType::kInt64: {
+        const int64_t v = column_.ints()[r];
+        auto name = [v] { return std::to_string(v); };
+        // -1's all-ones pattern is FlatMap64's reserved key.
+        if (v == -1) return Code(&minus_one_, name);
+        return CodeOf(static_cast<uint64_t>(v), name);
+      }
+      case storage::ValueType::kDouble: {
+        const double v = column_.doubles()[r];
+        return CodeOf(storage::GroupingBits(v), [v] { return DoubleName(v); });
+      }
+      case storage::ValueType::kNull:
+        break;
+    }
+    return 0;
+  }
+
+ private:
+  // The code in `*slot`, first assigning the next one (named `name()`).
+  template <typename Name>
+  int32_t Code(int32_t* slot, Name name) {
+    if (*slot < 0) {
+      *slot = static_cast<int32_t>(names_->size());
+      names_->push_back(name());
+    }
+    return *slot;
+  }
+
+  template <typename Name>
+  int32_t CodeOf(uint64_t key, Name name) {
+    const auto [code, inserted] =
+        by_bits_.FindOrInsert(key, static_cast<int32_t>(names_->size()));
+    if (inserted) names_->push_back(name());
+    return code;
+  }
+
+  const storage::Column& column_;
+  std::vector<std::string>* names_;
+  std::vector<int32_t> by_code_;  // dictionary code -> code, -1 = unseen
+  FlatMap64 by_bits_;             // int64 value / double bits -> code
+  int32_t minus_one_ = -1;
+  int32_t null_ = -1;
+};
 
 }  // namespace
 
@@ -101,14 +186,18 @@ Result<AnswerSet> AnswerSet::FromTableImpl(const storage::Table& table,
   }
 
   out.value_names_.resize(attr_cols.size());
-  std::vector<std::unordered_map<std::string, int32_t>> interning(
-      attr_cols.size());
+  std::vector<AttributeInterner> interning;
+  interning.reserve(attr_cols.size());
+  for (size_t a = 0; a < attr_cols.size(); ++a) {
+    interning.emplace_back(table.column(attr_cols[a]), &out.value_names_[a]);
+  }
 
+  const storage::Column& values = table.column(value_col);
   out.elements_.reserve(static_cast<size_t>(table.num_rows()));
   for (int64_t r = 0; r < table.num_rows(); ++r) {
-    if (table.column(value_col).IsNull(r)) continue;  // no score: skip
+    if (values.IsNull(r)) continue;  // no score: skip
     Element e;
-    e.value = table.column(value_col).GetDouble(r);
+    e.value = values.GetDouble(r);
     if (row_se != nullptr) {
       // Every element of an approximate set must carry a usable bound;
       // rows without one (non-finite SE) are dropped before their
@@ -117,13 +206,8 @@ Result<AnswerSet> AnswerSet::FromTableImpl(const storage::Table& table,
       if (!std::isfinite(e.bound)) continue;
     }
     e.attrs.reserve(attr_cols.size());
-    for (size_t a = 0; a < attr_cols.size(); ++a) {
-      storage::Value v = table.Get(r, attr_cols[a]);
-      std::string name = v.is_null() ? "<null>" : v.ToString();
-      auto [it, inserted] = interning[a].emplace(
-          std::move(name), static_cast<int32_t>(out.value_names_[a].size()));
-      if (inserted) out.value_names_[a].push_back(it->first);
-      e.attrs.push_back(it->second);
+    for (AttributeInterner& interner : interning) {
+      e.attrs.push_back(interner.Intern(r));
     }
     out.elements_.push_back(std::move(e));
   }

@@ -56,8 +56,11 @@ class AnswerSet {
  public:
   /// Builds from a query-result table. All columns except `value_column`
   /// become grouping attributes (in schema order); `value_column` must be
-  /// numeric. Attribute values are interned by display form, so INT64 and
-  /// STRING attribute columns both work.
+  /// numeric. Attribute values are interned by typed value, in first-seen
+  /// row order, exactly as the SQL kernel groups them: distinct groups stay
+  /// distinct answers. A string's name is the string, an int64's its
+  /// decimal form, a double's usual rendering (all 17 significant digits
+  /// where that would not parse back to it), and NULL's "<null>".
   static Result<AnswerSet> FromTable(const storage::Table& table,
                                      const std::string& value_column);
 

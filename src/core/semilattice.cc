@@ -46,6 +46,13 @@ void MergeShardCoverage(
       });
 }
 
+/// Trims each covered list grown by push_back to its size, so a cached
+/// universe holds the same memory whichever scan built it (the sharded
+/// merge reserves exact sizes).
+void ShrinkCoverage(std::vector<std::vector<int32_t>>* covered) {
+  for (std::vector<int32_t>& list : *covered) list.shrink_to_fit();
+}
+
 }  // namespace
 
 bool ClusterUniverse::CanPack(const AnswerSet& s) {
@@ -174,6 +181,7 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
           if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
         }
       }
+      ShrinkCoverage(&u.covered_);
     } else {
       // Sharded inverse scan: workers probe disjoint contiguous element
       // ranges into private buffers, merged in element order above.
@@ -252,6 +260,7 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
         if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
       }
     }
+    ShrinkCoverage(&u.covered_);
   } else {
     // Sharded inverse scan (see the packed branch); probes need a
     // per-worker scratch pattern.

@@ -1,5 +1,6 @@
 #include "service/catalog.h"
 
+#include <tuple>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,13 +18,15 @@ uint64_t DatasetCatalog::SampleSeed(const std::string& key) {
   return h;
 }
 
-std::shared_ptr<storage::ReservoirSampler> DatasetCatalog::MakeSampler(
-    const std::string& key, const storage::Table& table) const {
-  if (options_.sample_capacity <= 0) return nullptr;
-  auto sampler = std::make_shared<storage::ReservoirSampler>(
-      table.schema(), options_.sample_capacity, SampleSeed(key));
-  sampler->AddTable(table);
-  return sampler;
+std::pair<std::shared_ptr<storage::RowReservoir>,
+          std::shared_ptr<const storage::TableSample>>
+DatasetCatalog::StartSample(const std::string& key,
+                            const storage::Table& table) const {
+  if (options_.sample_capacity <= 0) return {};
+  auto reservoir = std::make_shared<storage::RowReservoir>(
+      options_.sample_capacity, SampleSeed(key));
+  reservoir->Feed(table.num_rows());
+  return {reservoir, storage::TakeSample(table, reservoir->ids())};
 }
 
 Status DatasetCatalog::Register(const std::string& name,
@@ -34,11 +37,10 @@ Status DatasetCatalog::Register(const std::string& name,
   }
   Entry entry;
   entry.snapshot.table = std::make_shared<storage::Table>(std::move(table));
-  // Sample construction runs before the exclusive lock: a bulk load only
-  // touches O(capacity * log(n/capacity)) rows, but there is no reason to
-  // hold every reader out while it scans.
-  entry.sampler = MakeSampler(key, *entry.snapshot.table);
-  if (entry.sampler != nullptr) entry.snapshot.sample = entry.sampler->Snapshot();
+  // The sample is taken before the exclusive lock: there is no reason to
+  // hold every reader out while it gathers.
+  std::tie(entry.reservoir, entry.snapshot.sample) =
+      StartSample(key, *entry.snapshot.table);
   entry.writer = std::make_shared<std::mutex>();
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (tables_.count(key) != 0) {
@@ -46,6 +48,7 @@ Status DatasetCatalog::Register(const std::string& name,
         StrCat("dataset '", name, "' is already registered"));
   }
   entry.snapshot.version = ++version_;
+  entry.snapshot.lineage = entry.snapshot.version;
   tables_.emplace(std::move(key), std::move(entry));
   return Status::OK();
 }
@@ -75,25 +78,27 @@ Result<uint64_t> DatasetCatalog::AppendRows(
   }
   std::lock_guard<std::mutex> write_lock(*writer);
   TableSnapshot current;
-  std::shared_ptr<storage::ReservoirSampler> sampler;
+  std::shared_ptr<storage::RowReservoir> reservoir;
   {
     // Re-read under the writer lock: another writer may have published a
     // newer snapshot between the lookup and the lock acquisition. The
-    // sampler is fetched here too — it is only ever swapped under this
+    // reservoir is fetched here too — it is only ever swapped under this
     // writer mutex (ReplaceTable), which we now hold.
     std::shared_lock<std::shared_mutex> lock(mu_);
     const Entry& e = tables_.at(key);
     current = e.snapshot;
-    sampler = e.sampler;
+    reservoir = e.reservoir;
   }
+  // The clone shares the current snapshot's column buffers; the batch is
+  // written past the rows the current snapshot reads.
   storage::Table next = current.table->Clone();
   QAG_RETURN_IF_ERROR(next.AppendRows(rows));
-  // Feed the sampler only after AppendRows validated the whole batch, so a
-  // rejected append leaves the sample (like the table) untouched.
+  // Feed the reservoir only after AppendRows validated the whole batch, so
+  // a rejected append leaves the sample (like the table) untouched.
   std::shared_ptr<const storage::TableSample> sample;
-  if (sampler != nullptr) {
-    for (const auto& row : rows) sampler->Add(row);
-    sample = sampler->Snapshot();
+  if (reservoir != nullptr) {
+    reservoir->Feed(static_cast<int64_t>(rows.size()));
+    sample = storage::TakeSample(next, reservoir->ids());
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& entry = tables_.at(key);
@@ -110,12 +115,9 @@ Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
     return Status::InvalidArgument("dataset name must be non-empty");
   }
   auto snapshot = std::make_shared<storage::Table>(std::move(table));
-  // The replacement's sample starts from scratch (the schema may change),
-  // built before any lock for the same reason as in Register.
-  std::shared_ptr<storage::ReservoirSampler> sampler =
-      MakeSampler(key, *snapshot);
-  std::shared_ptr<const storage::TableSample> sample;
-  if (sampler != nullptr) sample = sampler->Snapshot();
+  // The replacement's sample starts from scratch (a new lineage, and the
+  // schema may change), taken before any lock as in Register.
+  auto [reservoir, sample] = StartSample(key, *snapshot);
   while (true) {
     std::shared_ptr<std::mutex> writer;
     {
@@ -132,8 +134,9 @@ Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
       entry.snapshot.table = snapshot;
       entry.snapshot.sample = sample;
       entry.snapshot.version = ++version_;
+      entry.snapshot.lineage = entry.snapshot.version;
       entry.writer = std::make_shared<std::mutex>();
-      entry.sampler = sampler;
+      entry.reservoir = reservoir;
       uint64_t version = entry.snapshot.version;
       tables_.emplace(std::move(key), std::move(entry));
       return version;
@@ -146,7 +149,8 @@ Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
     entry.snapshot.table = snapshot;
     entry.snapshot.sample = sample;
     entry.snapshot.version = ++version_;
-    entry.sampler = sampler;
+    entry.snapshot.lineage = entry.snapshot.version;
+    entry.reservoir = reservoir;
     return entry.snapshot.version;
   }
 }
@@ -192,6 +196,7 @@ CatalogSnapshot DatasetCatalog::Snapshot() const {
   for (const auto& [name, entry] : tables_) {
     out.sql.Register(name, entry.snapshot.table.get());
     out.versions.emplace(name, entry.snapshot.version);
+    out.lineages.emplace(name, entry.snapshot.lineage);
     out.pins.push_back(entry.snapshot.table);
     if (entry.snapshot.sample != nullptr) {
       out.sql.RegisterSample(name, &entry.snapshot.sample->rows,

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -21,10 +22,14 @@ namespace qagview::service {
 /// at. `table == nullptr` means the dataset is absent. `sample` is the
 /// table's uniform reservoir sample, published in the same snapshot as the
 /// table version it was drawn from (nullptr when sampling is disabled).
+/// `lineage` names the run of appends the table belongs to: Register and
+/// ReplaceTable start a new lineage, AppendRows keeps it, so two snapshots
+/// of one lineage agree on every row the older one has.
 struct TableSnapshot {
   std::shared_ptr<const storage::Table> table;
   std::shared_ptr<const storage::TableSample> sample;
   uint64_t version = 0;
+  uint64_t lineage = 0;
 };
 
 /// Point-in-time view of the whole catalog for one SQL execution: a
@@ -36,6 +41,8 @@ struct CatalogSnapshot {
   uint64_t catalog_version = 0;
   /// Lower-cased name -> version, for every table in the snapshot.
   std::map<std::string, uint64_t> versions;
+  /// Lower-cased name -> lineage (TableSnapshot::lineage), likewise.
+  std::map<std::string, uint64_t> lineages;
   /// Keeps every table in `sql` alive for the snapshot's lifetime.
   std::vector<std::shared_ptr<const storage::Table>> pins;
   /// Keeps every sample registered in `sql` alive alongside its table.
@@ -59,6 +66,12 @@ struct DatasetCatalogOptions {
 /// previous snapshot (in-flight queries, pinned CatalogSnapshots) keep it
 /// alive for as long as they need it. Names are case-insensitive, matching
 /// `sql::Catalog`.
+///
+/// An append costs O(batch), not O(table): the next snapshot is a
+/// storage::Table::Clone of the current one, whose columns share the
+/// current one's append-only buffers, and the batch is written past the
+/// rows the current snapshot reads. The sample of the new version is
+/// Column::Take over the row ids one RowReservoir per lineage holds.
 class DatasetCatalog {
  public:
   explicit DatasetCatalog(DatasetCatalogOptions options = {})
@@ -74,16 +87,16 @@ class DatasetCatalog {
   Status RegisterCsvFile(const std::string& name, const std::string& path);
 
   /// Publishes a new snapshot of `name` with `rows` appended (atomic:
-  /// either every row is appended or the dataset is unchanged). Existing
-  /// readers keep their old snapshot. Returns the new version. NotFound
-  /// if the dataset does not exist.
+  /// either every row is appended or the dataset is unchanged), in the
+  /// current snapshot's lineage. Existing readers keep their old snapshot.
+  /// Returns the new version. NotFound if the dataset does not exist.
   Result<uint64_t> AppendRows(
       const std::string& name,
       const std::vector<std::vector<storage::Value>>& rows);
 
   /// Publishes `table` as the new snapshot of `name` (the schema may
-  /// change), creating the dataset if absent. Existing readers keep their
-  /// old snapshot. Returns the new version.
+  /// change) in a new lineage, creating the dataset if absent. Existing
+  /// readers keep their old snapshot. Returns the new version.
   Result<uint64_t> ReplaceTable(const std::string& name,
                                 storage::Table table);
 
@@ -118,21 +131,24 @@ class DatasetCatalog {
     /// blocking writers to other datasets; readers only ever take mu_.
     /// Shared so a writer can hold it while mu_ is released.
     std::shared_ptr<std::mutex> writer;
-    /// The dataset's incremental reservoir sampler. Mutated only while the
-    /// dataset's writer mutex is held (AppendRows feeds batches in;
-    /// ReplaceTable installs a fresh one); readers see only the immutable
-    /// TableSample snapshots it emits. Nullptr when sampling is disabled.
-    std::shared_ptr<storage::ReservoirSampler> sampler;
+    /// The dataset's reservoir over the row ids of its lineage. Mutated
+    /// only while the dataset's writer mutex is held (AppendRows feeds each
+    /// batch's row count in; ReplaceTable installs a fresh one); readers
+    /// see only the immutable TableSample each version takes from it.
+    /// Nullptr when sampling is disabled.
+    std::shared_ptr<storage::RowReservoir> reservoir;
   };
 
-  /// Deterministic per-dataset sampler seed (FNV-1a of the lower-cased
-  /// name): the sample stream depends only on (name, row stream), so
-  /// rebuilding a catalog from the same inputs reproduces every sample.
+  /// Deterministic per-dataset reservoir seed (FNV-1a of the lower-cased
+  /// name): the sample depends only on (name, row stream), so rebuilding a
+  /// catalog from the same inputs reproduces every sample.
   static uint64_t SampleSeed(const std::string& key);
 
-  /// A fresh sampler over `table` (nullptr when sampling is disabled).
-  std::shared_ptr<storage::ReservoirSampler> MakeSampler(
-      const std::string& key, const storage::Table& table) const;
+  /// A fresh reservoir fed with `table`'s rows and the sample it holds
+  /// (both nullptr when sampling is disabled).
+  std::pair<std::shared_ptr<storage::RowReservoir>,
+            std::shared_ptr<const storage::TableSample>>
+  StartSample(const std::string& key, const storage::Table& table) const;
 
   const DatasetCatalogOptions options_;
   mutable std::shared_mutex mu_;

@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "sql/executor.h"
+#include "sql/parser.h"
 
 namespace qagview::service {
 
@@ -281,9 +282,32 @@ Result<QueryService::SessionEntry*> QueryService::Lookup(
   return registry->entries[static_cast<size_t>(handle)];
 }
 
+Result<storage::Table> QueryService::ExecuteExact(
+    const std::string& sql, const CatalogSnapshot& snapshot,
+    FoldState* fold) {
+  if (fold == nullptr) return sql::ExecuteSql(sql, snapshot.sql);
+  QAG_ASSIGN_OR_RETURN(sql::SelectStatement stmt,
+                       sql::Parser::ParseSelect(sql));
+  const std::string table = ToLower(stmt.table_name);
+  auto lineage = snapshot.lineages.find(table);
+  if (fold->state != nullptr && fold->table == table &&
+      lineage != snapshot.lineages.end() && lineage->second == fold->lineage) {
+    // Same lineage: the table only grew by appends since the fold's state
+    // was taken.
+    Result<std::optional<storage::Table>> folded =
+        sql::FoldAppendedRows(stmt, snapshot.sql, fold->state.get());
+    if (folded.ok() && folded->has_value()) return std::move(**folded);
+  }
+  fold->state.reset();
+  fold->table = table;
+  fold->lineage = lineage == snapshot.lineages.end() ? 0 : lineage->second;
+  return sql::ExecuteSelectRetained(stmt, snapshot.sql, &fold->state);
+}
+
 Result<QueryService::BuiltAnswers> QueryService::BuildAnswers(
     const std::string& sql, const std::string& value_column, QueryMode mode,
-    double confidence, bool require_exact, const CatalogSnapshot& snapshot) {
+    double confidence, bool require_exact, const CatalogSnapshot& snapshot,
+    FoldState* fold) {
   const bool want_approx = !require_exact && mode != QueryMode::kExactOnly;
   if (want_approx) {
     QAG_ASSIGN_OR_RETURN(sql::ApproxExecution exec,
@@ -316,7 +340,7 @@ Result<QueryService::BuiltAnswers> QueryService::BuildAnswers(
     }
   }
   QAG_ASSIGN_OR_RETURN(storage::Table result,
-                       sql::ExecuteSql(sql, snapshot.sql));
+                       ExecuteExact(sql, snapshot, fold));
   QAG_ASSIGN_OR_RETURN(core::AnswerSet answers,
                        core::AnswerSet::FromTable(result, value_column));
   return BuiltAnswers{std::move(answers), false};
@@ -417,10 +441,13 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
     core::Session::RefreshStats refresh_stats;
     auto rebuild = [&]() -> Status {
       CatalogSnapshot snapshot = datasets_.Snapshot();
+      // An exact refresh of changed data keeps the grouped state, so the
+      // next append folds in only its rows.
       QAG_ASSIGN_OR_RETURN(
           BuiltAnswers built,
           BuildAnswers(entry->sql, entry->value_column, entry->mode,
-                       entry->confidence, exact_build, snapshot));
+                       entry->confidence, exact_build, snapshot,
+                       stale && exact_build ? &entry->fold : nullptr));
       QAG_RETURN_IF_ERROR(
           entry->session->Refresh(std::move(built.answers), &refresh_stats));
       std::unique_lock<std::shared_mutex> lock(mu_);

@@ -221,6 +221,15 @@ class QueryService {
   ServiceStats stats() const;
 
  private:
+  /// What an exact refresh folds appended rows into: the grouped state of
+  /// the last exact execution (sql::GroupedState) and the table lineage it
+  /// was taken in.
+  struct FoldState {
+    std::string table;  // lower-cased
+    uint64_t lineage = 0;
+    std::shared_ptr<sql::GroupedState> state;
+  };
+
   struct SessionEntry {
     std::unique_ptr<core::Session> session;
     // Immutable after construction (safe to read without mu_).
@@ -255,6 +264,12 @@ class QueryService {
     /// prefetch off is untouched).
     std::mutex prefetch_mu;
     std::vector<std::pair<int, bool>> prefetched;
+    /// The exact grouped execution's per-group state, kept from the entry's
+    /// first exact refresh on, so a later one whose only change is an
+    /// append folds in just the appended rows. Empty until then: an entry
+    /// whose tables never change holds none. Touched only by the refresh
+    /// leader (one at a time per entry, see refresh_flight).
+    FoldState fold;
   };
 
   /// The atomically published session-registry snapshot (RCU, like
@@ -299,12 +314,23 @@ class QueryService {
   /// With `require_exact` false and an approximate mode, runs against the
   /// table's sample and attaches bounds; silently falls back to an exact
   /// build whenever the bounds contract cannot be met (no sample, no
-  /// bounded aggregate for `value_column`, empty estimate).
+  /// bounded aggregate for `value_column`, empty estimate). An exact build
+  /// with `fold` set goes through ExecuteExact.
   static Result<BuiltAnswers> BuildAnswers(const std::string& sql,
                                            const std::string& value_column,
                                            QueryMode mode, double confidence,
                                            bool require_exact,
-                                           const CatalogSnapshot& snapshot);
+                                           const CatalogSnapshot& snapshot,
+                                           FoldState* fold = nullptr);
+
+  /// Exact execution of `sql` against `snapshot` that keeps `fold` current:
+  /// when the snapshot's table is still in the fold's lineage, only the
+  /// rows appended since are folded in (sql::FoldAppendedRows); otherwise,
+  /// or when they cannot be folded or folding fails, the statement runs in
+  /// full and its state replaces the fold's.
+  static Result<storage::Table> ExecuteExact(const std::string& sql,
+                                             const CatalogSnapshot& snapshot,
+                                             FoldState* fold);
 
   /// Brings a handle up to date before serving from it — the one path
   /// every freshness *and* exactness transition goes through, so they

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -70,6 +69,7 @@ Result<Column> ColumnFromValues(const std::string& name,
     if (v.type() == ValueType::kDouble) type = ValueType::kDouble;
   }
   Column column(type);
+  column.Reserve(static_cast<int64_t>(cells.size()));
   for (const Value& v : cells) {
     if (!v.is_null() && v.type() != type &&
         !(type == ValueType::kDouble && v.type() == ValueType::kInt64)) {
@@ -85,12 +85,13 @@ Result<Column> ColumnFromValues(const std::string& name,
 // Applies the result typing rule to a typed column: one without a non-NULL
 // cell becomes INT64.
 Column RetypeAllNull(Column column) {
-  const std::vector<uint8_t>& valid = column.validity();
+  const Span<uint8_t> valid = column.validity();
   if (column.type() == ValueType::kInt64 ||
       std::find(valid.begin(), valid.end(), 1) != valid.end()) {
     return column;
   }
   Column out(ValueType::kInt64);
+  out.Reserve(column.size());
   for (int64_t r = 0; r < column.size(); ++r) out.AppendNull();
   return out;
 }
@@ -198,13 +199,15 @@ Result<Table> MaterializeResult(std::vector<OutputColumn> columns,
   return Table::FromColumns(Schema(std::move(fields)), std::move(result));
 }
 
-// Evaluates the WHERE clause and returns the surviving row indices.
+// Evaluates the WHERE clause over rows [first, num_rows) and returns the
+// surviving row indices.
 Result<std::vector<int64_t>> FilterRows(const SelectStatement& stmt,
-                                        const Table& table) {
+                                        const Table& table,
+                                        int64_t first = 0) {
   std::vector<int64_t> rows;
   if (stmt.where == nullptr) {
-    rows.reserve(static_cast<size_t>(table.num_rows()));
-    for (int64_t r = 0; r < table.num_rows(); ++r) rows.push_back(r);
+    rows.reserve(static_cast<size_t>(table.num_rows() - first));
+    for (int64_t r = first; r < table.num_rows(); ++r) rows.push_back(r);
     return rows;
   }
   if (stmt.where->ContainsCall()) {
@@ -212,7 +215,7 @@ Result<std::vector<int64_t>> FilterRows(const SelectStatement& stmt,
   }
   QAG_ASSIGN_OR_RETURN(CompiledExpr where,
                        CompiledExpr::Compile(*stmt.where, table.schema()));
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
+  for (int64_t r = first; r < table.num_rows(); ++r) {
     Value v = where.Eval(table, r);
     if (!v.is_null() && v.IsTruthy()) rows.push_back(r);
   }
@@ -258,41 +261,47 @@ constexpr uint64_t kMaxRadix = uint64_t{1} << 62;
 // a dictionary's size + 1) below 2^62.
 constexpr size_t kMaxAggregateRows = std::numeric_limits<int32_t>::max();
 
-// The one bit pattern every NaN groups under.
-constexpr uint64_t kCanonicalNaN = 0x7ff8000000000000ULL;
-
-// Replaces every key with a dense id in first-seen order; returns the number
-// of distinct keys. Keys are below kMaxRadix.
-uint64_t Densify(std::vector<uint64_t>* keys) {
-  FlatMap64 ids;
+// Replaces every key with a dense id in first-seen order, recording the
+// mapping in `ids`; returns the number of distinct keys. Keys are below
+// kMaxRadix.
+uint64_t Densify(std::vector<uint64_t>* keys, FlatMap64* ids) {
   for (uint64_t& key : *keys) {
     key = static_cast<uint64_t>(
-        ids.FindOrInsert(key, static_cast<int32_t>(ids.size())).first);
+        ids->FindOrInsert(key, static_cast<int32_t>(ids->size())).first);
   }
-  return ids.size();
+  return ids->size();
 }
 
-// Writes one grouping column's dense code for every row at `rows` (0 = NULL)
-// and returns the column's radix, an exclusive bound on its codes. String
-// columns use their dictionary codes; int64 and double columns are made
-// dense in first-seen order.
-uint64_t DenseCodes(const Column& column, const std::vector<int64_t>& rows,
-                    std::vector<uint64_t>* codes) {
-  const std::vector<uint8_t>& valid = column.validity();
+// One grouping column's code space: an exclusive bound on its dense codes
+// (0 = NULL) and, for an int64 or double column, the value -> code map
+// (string columns use their dictionary codes). A fold codes new rows in the
+// frozen space: a value outside it has no code.
+struct KeyCodes {
+  int column = 0;
+  uint64_t radix = 1;
+  FlatMap64 codes;
+};
+
+// Writes one grouping column's dense code for every row at `rows` and
+// fills in its code space. Int64 and double columns are made dense in
+// first-seen order.
+void DenseCodes(const Column& column, const std::vector<int64_t>& rows,
+                std::vector<uint64_t>* codes, KeyCodes* space) {
+  const Span<uint8_t> valid = column.validity();
   codes->resize(rows.size());
   switch (column.type()) {
     case ValueType::kString: {
-      const std::vector<int32_t>& dict_codes = column.codes();
+      const Span<int32_t> dict_codes = column.codes();
       for (size_t i = 0; i < rows.size(); ++i) {
         const size_t r = static_cast<size_t>(rows[i]);
         (*codes)[i] =
             valid[r] ? static_cast<uint64_t>(dict_codes[r]) + 1 : 0;
       }
-      return static_cast<uint64_t>(column.dictionary().size()) + 1;
+      space->radix = static_cast<uint64_t>(column.dictionary().size()) + 1;
+      return;
     }
     case ValueType::kInt64: {
       // Code 1 is -1: its all-ones bit pattern is FlatMap64's reserved key.
-      FlatMap64 seen;
       uint64_t next = 2;
       for (size_t i = 0; i < rows.size(); ++i) {
         const size_t r = static_cast<size_t>(rows[i]);
@@ -303,17 +312,16 @@ uint64_t DenseCodes(const Column& column, const std::vector<int64_t>& rows,
           (*codes)[i] = 1;
         } else {
           auto [code, inserted] =
-              seen.FindOrInsert(bits, static_cast<int32_t>(next));
+              space->codes.FindOrInsert(bits, static_cast<int32_t>(next));
           (*codes)[i] = static_cast<uint64_t>(code);
           next += inserted;
         }
       }
-      return next;
+      space->radix = next;
+      return;
     }
     case ValueType::kDouble: {
-      // -0.0 groups with 0.0 and every NaN with every other, so no key is
-      // all-ones (a NaN pattern).
-      FlatMap64 seen;
+      // GroupingBits never yields all ones (a NaN pattern).
       uint64_t next = 1;
       for (size_t i = 0; i < rows.size(); ++i) {
         const size_t r = static_cast<size_t>(rows[i]);
@@ -321,44 +329,47 @@ uint64_t DenseCodes(const Column& column, const std::vector<int64_t>& rows,
           (*codes)[i] = 0;
           continue;
         }
-        double x = column.doubles()[r];
-        if (x == 0.0) x = 0.0;
-        uint64_t bits = kCanonicalNaN;
-        if (!std::isnan(x)) std::memcpy(&bits, &x, sizeof(bits));
-        auto [code, inserted] =
-            seen.FindOrInsert(bits, static_cast<int32_t>(next));
+        auto [code, inserted] = space->codes.FindOrInsert(
+            storage::GroupingBits(column.doubles()[r]),
+            static_cast<int32_t>(next));
         (*codes)[i] = static_cast<uint64_t>(code);
         next += inserted;
       }
-      return next;
+      space->radix = next;
+      return;
     }
     case ValueType::kNull:
       break;
   }
-  return 1;
 }
 
-// Assigns each row at `rows` a dense group id, numbering groups in
-// first-seen row order, and records each group's first table row. The key
-// of a row is a mixed-radix number over its grouping columns' dense codes.
-std::vector<uint64_t> AssignGroups(const Table& table,
-                                   const std::vector<int>& group_cols,
-                                   const std::vector<int64_t>& rows,
-                                   std::vector<int64_t>* first_row) {
-  std::vector<uint64_t> key(rows.size(), 0);
-  std::vector<uint64_t> codes;
-  uint64_t bound = 1;  // exclusive bound on the keys built so far
-  for (int c : group_cols) {
-    const uint64_t radix = DenseCodes(table.column(c), rows, &codes);
-    if (radix > kMaxRadix / bound) bound = std::max<uint64_t>(Densify(&key), 1);
-    for (size_t i = 0; i < key.size(); ++i) key[i] = key[i] * radix + codes[i];
-    bound *= radix;
+// The code DenseCodes gave the value at `row`, if the frozen `space` holds
+// one.
+std::optional<uint64_t> FrozenCode(const Column& column,
+                                   const KeyCodes& space, int64_t row) {
+  const size_t r = static_cast<size_t>(row);
+  if (!column.validity()[r]) return 0;
+  int32_t code = -1;
+  switch (column.type()) {
+    case ValueType::kString:
+      code = column.codes()[r] + 1;
+      break;
+    case ValueType::kInt64: {
+      const uint64_t bits = static_cast<uint64_t>(column.ints()[r]);
+      code = bits == ~uint64_t{0} ? 1 : space.codes.FindOr(bits, -1);
+      break;
+    }
+    case ValueType::kDouble:
+      code = space.codes.FindOr(storage::GroupingBits(column.doubles()[r]),
+                                -1);
+      break;
+    case ValueType::kNull:
+      break;
   }
-  first_row->reserve(static_cast<size_t>(Densify(&key)));
-  for (size_t i = 0; i < key.size(); ++i) {
-    if (key[i] == first_row->size()) first_row->push_back(rows[i]);
+  if (code < 0 || static_cast<uint64_t>(code) >= space.radix) {
+    return std::nullopt;
   }
-  return key;
+  return static_cast<uint64_t>(code);
 }
 
 // Flat per-group state of one unique aggregate call.
@@ -366,20 +377,74 @@ struct AggArrays {
   AggKind kind = AggKind::kCountStar;
   std::string key;                    // canonical call text
   const Column* arg = nullptr;        // nullptr for count(*)
+  std::optional<CompiledExpr> expr;   // an argument that is no bare column
   std::unique_ptr<Column> evaluated;  // owns `arg` for expression arguments
   std::vector<int64_t> count;         // non-NULL inputs (rows for count(*))
   std::vector<double> sum;            // sum and avg only
   std::vector<double> sum_squares;    // sum and avg only
-  std::vector<int64_t> extreme;       // min/max: row of the extreme, or -1
+  std::vector<int64_t> extreme;       // min/max: cell of `arg`, or -1
 };
 
+}  // namespace
+
+// Everything a grouped aggregate's result is derived from: the groups in
+// first-seen row order with their first rows, and each aggregate call's
+// per-group accumulators. Retained by ExecuteSelectRetained, with the code
+// spaces and the key -> group map a fold extends; min/max extremes are
+// table rows then, and no argument column is held.
+struct GroupedState {
+  std::vector<int> group_cols;
+  std::vector<KeyCodes> key_codes;  // one per grouping column
+  FlatMap64 group_ids;              // mixed-radix key -> group id
+  bool foldable = true;             // false once a key was re-densified
+  std::vector<int64_t> first_row;
+  std::vector<AggArrays> aggs;
+  int64_t table_rows = 0;  // rows of the table accumulated, filtered or not
+  int64_t input_rows = 0;  // of which WHERE kept
+};
+
+namespace {
+
+// Assigns each row at `rows` a dense group id, numbering groups in
+// first-seen row order, and records each group's first table row. The key
+// of a row is a mixed-radix number over its grouping columns' dense codes;
+// a partial key about to exceed kMaxRadix is re-densified, after which the
+// state cannot be folded.
+std::vector<uint64_t> AssignGroups(const Table& table,
+                                   const std::vector<int64_t>& rows,
+                                   GroupedState* state) {
+  std::vector<uint64_t> key(rows.size(), 0);
+  std::vector<uint64_t> codes;
+  uint64_t bound = 1;  // exclusive bound on the keys built so far
+  for (int c : state->group_cols) {
+    KeyCodes& space = state->key_codes.emplace_back();
+    space.column = c;
+    DenseCodes(table.column(c), rows, &codes, &space);
+    const uint64_t radix = space.radix;
+    if (radix > kMaxRadix / bound) {
+      FlatMap64 ids;
+      bound = std::max<uint64_t>(Densify(&key, &ids), 1);
+      state->foldable = false;
+    }
+    for (size_t i = 0; i < key.size(); ++i) key[i] = key[i] * radix + codes[i];
+    bound *= radix;
+  }
+  state->first_row.reserve(
+      static_cast<size_t>(Densify(&key, &state->group_ids)));
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (key[i] == state->first_row.size()) {
+      state->first_row.push_back(rows[i]);
+    }
+  }
+  return key;
+}
+
 template <typename T>
-void AccumulateSum(const std::vector<T>& values,
-                   const std::vector<uint64_t>& group,
-                   const std::vector<int64_t>& rows, AggArrays* agg) {
-  const std::vector<uint8_t>& valid = agg->arg->validity();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const size_t r = static_cast<size_t>(rows[i]);
+void AccumulateSum(Span<T> values, const std::vector<uint64_t>& group,
+                   const std::vector<int64_t>& cells, AggArrays* agg) {
+  const Span<uint8_t> valid = agg->arg->validity();
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const size_t r = static_cast<size_t>(cells[i]);
     if (!valid[r]) continue;
     const size_t g = group[i];
     const double x = static_cast<double>(values[r]);
@@ -389,75 +454,77 @@ void AccumulateSum(const std::vector<T>& values,
   }
 }
 
-// Keeps the first row whose value no later row beats: `less(a, b)` orders
-// rows a and b by value.
+// Keeps the first cell whose value no later cell beats: `less(a, b)` orders
+// cells a and b by value.
 template <typename Less>
 void AccumulateExtreme(Less less, const std::vector<uint64_t>& group,
-                       const std::vector<int64_t>& rows, AggArrays* agg) {
-  const std::vector<uint8_t>& valid = agg->arg->validity();
+                       const std::vector<int64_t>& cells, AggArrays* agg) {
+  const Span<uint8_t> valid = agg->arg->validity();
   const bool max = agg->kind == AggKind::kMax;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const int64_t r = rows[i];
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const int64_t r = cells[i];
     if (!valid[static_cast<size_t>(r)]) continue;
     int64_t& e = agg->extreme[group[i]];
     if (e < 0 || (max ? less(e, r) : less(r, e))) e = r;
   }
 }
 
-// Folds every row into its group's accumulators in ascending row order --
-// per group the same sequence of double additions a streaming Aggregator
-// makes, so sums and averages match it bit for bit.
+// Folds input i -- cell `cells[i]` of the argument column, in group
+// `group[i]` -- into the accumulators, grown to `num_groups`, in ascending
+// input order: per group the same sequence of double additions a
+// streaming Aggregator makes, so sums and averages match it bit for bit,
+// however the inputs are split across calls.
 void Accumulate(const std::vector<uint64_t>& group,
-                const std::vector<int64_t>& rows, size_t num_groups,
+                const std::vector<int64_t>& cells, size_t num_groups,
                 AggArrays* agg) {
-  agg->count.assign(num_groups, 0);
+  agg->count.resize(num_groups, 0);
   switch (agg->kind) {
     case AggKind::kCountStar:
       for (uint64_t g : group) ++agg->count[g];
       return;
     case AggKind::kCount: {
-      const std::vector<uint8_t>& valid = agg->arg->validity();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        agg->count[group[i]] += valid[static_cast<size_t>(rows[i])];
+      const Span<uint8_t> valid = agg->arg->validity();
+      for (size_t i = 0; i < cells.size(); ++i) {
+        agg->count[group[i]] += valid[static_cast<size_t>(cells[i])];
       }
       return;
     }
     case AggKind::kSum:
     case AggKind::kAvg:
-      agg->sum.assign(num_groups, 0.0);
-      agg->sum_squares.assign(num_groups, 0.0);
+      agg->sum.resize(num_groups, 0.0);
+      agg->sum_squares.resize(num_groups, 0.0);
       if (agg->arg->type() == ValueType::kInt64) {
-        AccumulateSum(agg->arg->ints(), group, rows, agg);
+        AccumulateSum(agg->arg->ints(), group, cells, agg);
       } else {
-        AccumulateSum(agg->arg->doubles(), group, rows, agg);
+        AccumulateSum(agg->arg->doubles(), group, cells, agg);
       }
       return;
     case AggKind::kMin:
     case AggKind::kMax: {
-      agg->extreme.assign(num_groups, -1);
+      agg->extreme.resize(num_groups, -1);
       const Column& arg = *agg->arg;
       switch (arg.type()) {
         case ValueType::kInt64: {
-          const std::vector<int64_t>& v = arg.ints();
+          const Span<int64_t> v = arg.ints();
           AccumulateExtreme(
               [&v](int64_t a, int64_t b) {
                 return static_cast<double>(v[static_cast<size_t>(a)]) <
                        static_cast<double>(v[static_cast<size_t>(b)]);
               },
-              group, rows, agg);
+              group, cells, agg);
           return;
         }
         case ValueType::kDouble: {
-          const std::vector<double>& v = arg.doubles();
+          const Span<double> v = arg.doubles();
           AccumulateExtreme(
               [&v](int64_t a, int64_t b) {
                 return v[static_cast<size_t>(a)] < v[static_cast<size_t>(b)];
               },
-              group, rows, agg);
+              group, cells, agg);
           return;
         }
         case ValueType::kString: {
-          const std::vector<int32_t>& v = arg.codes();
+          const Span<int32_t> v = arg.codes();
           const storage::Dictionary& dict = arg.dictionary();
           AccumulateExtreme(
               [&v, &dict](int64_t a, int64_t b) {
@@ -465,7 +532,7 @@ void Accumulate(const std::vector<uint64_t>& group,
                 const int32_t cb = v[static_cast<size_t>(b)];
                 return ca != cb && dict.GetString(ca) < dict.GetString(cb);
               },
-              group, rows, agg);
+              group, cells, agg);
           return;
         }
         case ValueType::kNull:
@@ -499,6 +566,7 @@ Column AggregateColumn(const AggArrays& agg, size_t num_groups,
     case AggKind::kCount:
     case AggKind::kCountStar: {
       Column out(approx == nullptr ? ValueType::kInt64 : ValueType::kDouble);
+      out.Reserve(static_cast<int64_t>(num_groups));
       for (size_t g = 0; g < num_groups; ++g) {
         if (approx == nullptr) {
           out.AppendInt(agg.count[g]);
@@ -511,6 +579,7 @@ Column AggregateColumn(const AggArrays& agg, size_t num_groups,
     case AggKind::kSum:
     case AggKind::kAvg: {
       Column out(ValueType::kDouble);
+      out.Reserve(static_cast<int64_t>(num_groups));
       for (size_t g = 0; g < num_groups; ++g) {
         if (agg.count[g] == 0) {
           out.AppendNull();
@@ -583,11 +652,9 @@ Status CheckArgumentType(const AggArrays& agg) {
 
 // Resolves every unique aggregate call of the select list and HAVING: its
 // kind and its argument, typed before the scan. A bare column argument is
-// read in place; any other argument is evaluated once per row into a column
-// of its own.
+// read in place; any other argument is compiled for EvaluateArgument.
 Result<std::vector<AggArrays>> ResolveCalls(const SelectStatement& stmt,
-                                            const Table& table,
-                                            const std::vector<int64_t>& rows) {
+                                            const Table& table) {
   std::vector<const Expr*> calls;
   for (const SelectItem& item : stmt.items) CollectCalls(*item.expr, &calls);
   if (stmt.having) CollectCalls(*stmt.having, &calls);
@@ -610,7 +677,6 @@ Result<std::vector<AggArrays>> ResolveCalls(const SelectStatement& stmt,
   }
 
   // Kinds and argument expressions, all checked before any is evaluated.
-  std::vector<std::optional<CompiledExpr>> arg_exprs(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
     const Expr& call = *unique_calls[a];
     QAG_ASSIGN_OR_RETURN(aggs[a].kind,
@@ -627,53 +693,35 @@ Result<std::vector<AggArrays>> ResolveCalls(const SelectStatement& stmt,
       aggs[a].arg = &table.column(table.schema().FindField(arg.column));
       QAG_RETURN_IF_ERROR(CheckArgumentType(aggs[a]));
     } else {
-      arg_exprs[a] = std::move(e);
+      aggs[a].expr = std::move(e);
     }
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (!arg_exprs[a]) continue;
-    AggArrays& agg = aggs[a];
-    std::vector<Value> cells(static_cast<size_t>(table.num_rows()));
-    for (int64_t r : rows) {
-      cells[static_cast<size_t>(r)] = arg_exprs[a]->Eval(table, r);
-    }
-    QAG_ASSIGN_OR_RETURN(Column column, ColumnFromValues(agg.key, cells));
-    agg.evaluated = std::make_unique<Column>(std::move(column));
-    agg.arg = agg.evaluated.get();
-    QAG_RETURN_IF_ERROR(CheckArgumentType(agg));
   }
   return aggs;
 }
 
-// Grouped-aggregate path shared by exact and approximate execution. With
-// `approx` set, `table`/`rows` are the sample, estimates are scaled, and
-// per-row standard errors for bare count/sum/avg select items are written
-// to approx->column_se keyed by output column name, aligned with the
-// result's rows.
-Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
-                               const std::vector<int64_t>& rows,
-                               const ApproxContext* approx) {
-  if (rows.size() > kMaxAggregateRows) {
-    return Status::InvalidArgument(
-        StrCat("aggregate input of ", rows.size(), " rows exceeds ",
-               kMaxAggregateRows));
-  }
-  // Resolve grouping columns.
-  std::vector<int> group_cols;
-  for (const std::string& name : stmt.group_by) {
-    QAG_ASSIGN_OR_RETURN(int idx, table.schema().GetFieldIndex(name));
-    group_cols.push_back(idx);
-  }
-  QAG_ASSIGN_OR_RETURN(std::vector<AggArrays> aggs,
-                       ResolveCalls(stmt, table, rows));
+// Evaluates an expression argument at each row of `cell_rows` into a column
+// of its own, one cell per entry, and points agg->arg at it.
+Status EvaluateArgument(const Table& table,
+                        const std::vector<int64_t>& cell_rows,
+                        AggArrays* agg) {
+  std::vector<Value> cells;
+  cells.reserve(cell_rows.size());
+  for (int64_t r : cell_rows) cells.push_back(agg->expr->Eval(table, r));
+  QAG_ASSIGN_OR_RETURN(Column column, ColumnFromValues(agg->key, cells));
+  agg->evaluated = std::make_unique<Column>(std::move(column));
+  agg->arg = agg->evaluated.get();
+  return CheckArgumentType(*agg);
+}
 
-  // Group and accumulate.
-  std::vector<int64_t> first_row;
-  const std::vector<uint64_t> group =
-      AssignGroups(table, group_cols, rows, &first_row);
-  const size_t num_groups = first_row.size();
-  for (AggArrays& agg : aggs) Accumulate(group, rows, num_groups, &agg);
-
+// Derives the result from a grouped state: the env table, HAVING, the
+// select items, ORDER BY and LIMIT. With `approx` set, `table` is the
+// sample, estimates are scaled, and per-row standard errors for bare
+// count/sum/avg select items are written to approx->column_se keyed by
+// output column name, aligned with the result's rows.
+Result<Table> FinishAggregate(const SelectStatement& stmt, const Table& table,
+                              const GroupedState& state,
+                              const ApproxContext* approx) {
+  const size_t num_groups = state.first_row.size();
   // Build the intermediate "group env" table: group-by columns (original
   // names, cells of each group's first row) + one column per unique
   // aggregate call, named by its canonical text. Select items and HAVING
@@ -684,12 +732,12 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
   // MaterializeResult applies the result typing rule.
   std::vector<Field> env_fields;
   std::vector<Column> env_columns;
-  for (int c : group_cols) {
-    env_columns.push_back(table.column(c).Take(first_row));
+  for (int c : state.group_cols) {
+    env_columns.push_back(table.column(c).Take(state.first_row));
     env_fields.push_back(
         {table.schema().field(c).name, env_columns.back().type()});
   }
-  for (const AggArrays& agg : aggs) {
+  for (const AggArrays& agg : state.aggs) {
     env_columns.push_back(AggregateColumn(agg, num_groups, approx));
     env_fields.push_back({agg.key, env_columns.back().type()});
   }
@@ -756,7 +804,7 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
       if (item.expr->kind != ExprKind::kCall) continue;
       const std::string key = item.expr->ToString();
       const AggArrays& agg = *std::find_if(
-          aggs.begin(), aggs.end(),
+          state.aggs.begin(), state.aggs.end(),
           [&key](const AggArrays& a) { return a.key == key; });
       if (agg.kind == AggKind::kMin || agg.kind == AggKind::kMax) continue;
       std::vector<double>& ses = (*approx->column_se)[item.OutputName()];
@@ -772,10 +820,154 @@ Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
   return MaterializeResult(std::move(columns), kept, order);
 }
 
-}  // namespace
+// Turns a finished state into a retained one: min/max extremes of an
+// expression argument go from cells of its column to the table rows the
+// cells were evaluated at (`cell_rows(a)` for call a), and no argument
+// column is held.
+template <typename CellRows>
+void Release(CellRows cell_rows, GroupedState* state) {
+  for (size_t a = 0; a < state->aggs.size(); ++a) {
+    AggArrays& agg = state->aggs[a];
+    if (agg.evaluated != nullptr) {
+      const std::vector<int64_t>& rows = cell_rows(a);
+      for (int64_t& e : agg.extreme) {
+        if (e >= 0) e = rows[static_cast<size_t>(e)];
+      }
+    }
+    agg.arg = nullptr;
+    agg.expr.reset();
+    agg.evaluated.reset();
+  }
+}
 
-Result<Table> ExecuteSelect(const SelectStatement& stmt,
-                            const Catalog& catalog) {
+// Grouped-aggregate path shared by exact and approximate execution (see
+// FinishAggregate for `approx`). With `retain` set, an exact execution
+// whose keys can be folded hands back its state there.
+Result<Table> ExecuteAggregate(const SelectStatement& stmt, const Table& table,
+                               const std::vector<int64_t>& rows,
+                               const ApproxContext* approx,
+                               std::shared_ptr<GroupedState>* retain) {
+  if (rows.size() > kMaxAggregateRows) {
+    return Status::InvalidArgument(
+        StrCat("aggregate input of ", rows.size(), " rows exceeds ",
+               kMaxAggregateRows));
+  }
+  GroupedState state;
+  // Resolve grouping columns.
+  for (const std::string& name : stmt.group_by) {
+    QAG_ASSIGN_OR_RETURN(int idx, table.schema().GetFieldIndex(name));
+    state.group_cols.push_back(idx);
+  }
+  QAG_ASSIGN_OR_RETURN(state.aggs, ResolveCalls(stmt, table));
+  // An expression argument is evaluated at the filtered rows only, so its
+  // cell i belongs to input row i.
+  std::vector<int64_t> positions;
+  for (AggArrays& agg : state.aggs) {
+    if (!agg.expr) continue;
+    QAG_RETURN_IF_ERROR(EvaluateArgument(table, rows, &agg));
+    if (positions.empty()) {
+      positions.resize(rows.size());
+      std::iota(positions.begin(), positions.end(), int64_t{0});
+    }
+  }
+
+  // Group and accumulate.
+  const std::vector<uint64_t> group = AssignGroups(table, rows, &state);
+  const size_t num_groups = state.first_row.size();
+  for (AggArrays& agg : state.aggs) {
+    Accumulate(group, agg.expr ? positions : rows, num_groups, &agg);
+  }
+  QAG_ASSIGN_OR_RETURN(Table result,
+                       FinishAggregate(stmt, table, state, approx));
+  if (retain != nullptr && state.foldable) {
+    Release([&rows](size_t) -> const std::vector<int64_t>& { return rows; },
+            &state);
+    state.table_rows = table.num_rows();
+    state.input_rows = static_cast<int64_t>(rows.size());
+    *retain = std::make_shared<GroupedState>(std::move(state));
+  }
+  return result;
+}
+
+// Folds rows [state.table_rows, n) of `table` into `state`; see
+// FoldAppendedRows.
+Result<std::optional<Table>> Fold(const SelectStatement& stmt,
+                                  const Table& table, GroupedState* state) {
+  if (table.num_rows() < state->table_rows) return std::optional<Table>();
+  QAG_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
+                       FilterRows(stmt, table, state->table_rows));
+  if (static_cast<size_t>(state->input_rows) + rows.size() >
+      kMaxAggregateRows) {
+    return std::optional<Table>();  // the full run reports the limit
+  }
+  // Key the new rows in the frozen code spaces, before anything changes.
+  std::vector<uint64_t> key(rows.size(), 0);
+  for (const KeyCodes& space : state->key_codes) {
+    const Column& column = table.column(space.column);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const std::optional<uint64_t> code = FrozenCode(column, space, rows[i]);
+      if (!code) return std::optional<Table>();
+      key[i] = key[i] * space.radix + *code;
+    }
+  }
+  // Arguments. An expression's column holds its cells at the old extreme
+  // rows of a min/max (so new rows compare against them), then at the new
+  // rows; `cells[a]` is the argument cell of each new row.
+  QAG_ASSIGN_OR_RETURN(std::vector<AggArrays> calls,
+                       ResolveCalls(stmt, table));
+  std::vector<std::vector<int64_t>> cell_rows(calls.size());
+  std::vector<std::vector<int64_t>> cells(calls.size());
+  std::vector<std::vector<int64_t>> extremes(calls.size());
+  for (size_t a = 0; a < calls.size(); ++a) {
+    AggArrays& call = calls[a];
+    if (!call.expr) {
+      cells[a] = rows;
+      continue;
+    }
+    extremes[a] = state->aggs[a].extreme;
+    for (int64_t& e : extremes[a]) {
+      if (e < 0) continue;
+      cell_rows[a].push_back(e);
+      e = static_cast<int64_t>(cell_rows[a].size()) - 1;
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      cells[a].push_back(static_cast<int64_t>(cell_rows[a].size()));
+      cell_rows[a].push_back(rows[i]);
+    }
+    QAG_RETURN_IF_ERROR(EvaluateArgument(table, cell_rows[a], &call));
+  }
+
+  // Group and accumulate the new rows, in ascending row order after the
+  // old ones: the state a full run over all rows would build.
+  std::vector<uint64_t> group(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto [id, inserted] = state->group_ids.FindOrInsert(
+        key[i], static_cast<int32_t>(state->first_row.size()));
+    if (inserted) state->first_row.push_back(rows[i]);
+    group[i] = static_cast<uint64_t>(id);
+  }
+  const size_t num_groups = state->first_row.size();
+  for (size_t a = 0; a < calls.size(); ++a) {
+    AggArrays& agg = state->aggs[a];
+    agg.arg = calls[a].arg;
+    agg.expr = std::move(calls[a].expr);
+    agg.evaluated = std::move(calls[a].evaluated);
+    if (agg.expr) agg.extreme = std::move(extremes[a]);
+    Accumulate(group, cells[a], num_groups, &agg);
+  }
+  Result<Table> result = FinishAggregate(stmt, table, *state, nullptr);
+  Release([&cell_rows](size_t a) -> const std::vector<int64_t>& {
+    return cell_rows[a];
+  }, state);
+  state->table_rows = table.num_rows();
+  state->input_rows += static_cast<int64_t>(rows.size());
+  if (!result.ok()) return result.status();
+  return std::optional<Table>(std::move(result).value());
+}
+
+// The exact execution behind ExecuteSelect and ExecuteSelectRetained.
+Result<Table> ExecuteExact(const SelectStatement& stmt, const Catalog& catalog,
+                           std::shared_ptr<GroupedState>* retain) {
   const Table* table = catalog.Find(stmt.table_name);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + stmt.table_name);
@@ -798,7 +990,31 @@ Result<Table> ExecuteSelect(const SelectStatement& stmt,
     return ExecuteProjection(stmt, *table, rows);
   }
 
-  return ExecuteAggregate(stmt, *table, rows, /*approx=*/nullptr);
+  return ExecuteAggregate(stmt, *table, rows, /*approx=*/nullptr, retain);
+}
+
+}  // namespace
+
+Result<Table> ExecuteSelect(const SelectStatement& stmt,
+                            const Catalog& catalog) {
+  return ExecuteExact(stmt, catalog, /*retain=*/nullptr);
+}
+
+Result<Table> ExecuteSelectRetained(const SelectStatement& stmt,
+                                    const Catalog& catalog,
+                                    std::shared_ptr<GroupedState>* state) {
+  state->reset();
+  return ExecuteExact(stmt, catalog, state);
+}
+
+Result<std::optional<Table>> FoldAppendedRows(const SelectStatement& stmt,
+                                              const Catalog& catalog,
+                                              GroupedState* state) {
+  const Table* table = catalog.Find(stmt.table_name);
+  if (table == nullptr) {
+    return Status::NotFound("no such table: " + stmt.table_name);
+  }
+  return Fold(stmt, *table, state);
 }
 
 Result<Table> ExecuteSql(const std::string& sql, const Catalog& catalog) {
@@ -846,8 +1062,9 @@ Result<ApproxExecution> ExecuteSelectApproximate(const SelectStatement& stmt,
   ctx.sample_rows = sample->rows->num_rows();
   ctx.population_rows = sample->population_rows;
   ctx.column_se = &column_se;
-  QAG_ASSIGN_OR_RETURN(Table estimate,
-                       ExecuteAggregate(stmt, *sample->rows, rows, &ctx));
+  QAG_ASSIGN_OR_RETURN(
+      Table estimate,
+      ExecuteAggregate(stmt, *sample->rows, rows, &ctx, /*retain=*/nullptr));
   ApproxExecution out{std::move(estimate)};
   out.approximate = true;
   out.sample_rows = ctx.sample_rows;

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +72,33 @@ Result<storage::Table> ExecuteSelect(const SelectStatement& stmt,
 /// Parses and executes `sql` in one step.
 Result<storage::Table> ExecuteSql(const std::string& sql,
                                   const Catalog& catalog);
+
+/// \brief The per-group state of one exact grouped execution: the groups
+/// with their first rows and each aggregate call's accumulators (count,
+/// sum, sum of squares, extreme row), the grouping columns' code spaces
+/// frozen, and the key -> group map. Opaque; see FoldAppendedRows.
+struct GroupedState;
+
+/// Executes like ExecuteSelect and, when the statement is a grouped
+/// aggregate whose group keys can be folded (no key had to be
+/// re-densified), hands back its per-group state in `*state` (nullptr
+/// otherwise).
+Result<storage::Table> ExecuteSelectRetained(
+    const SelectStatement& stmt, const Catalog& catalog,
+    std::shared_ptr<GroupedState>* state);
+
+/// Folds the rows the statement's table gained since `state` was taken --
+/// rows [n_prior, n) -- into `state`, in ascending row order, and re-runs
+/// the select items, HAVING, ORDER BY and LIMIT over the groups: the
+/// result ExecuteSelect returns over all n rows, bit for bit. The caller
+/// guarantees the table is the one `stmt` ran over when `state` was taken,
+/// grown by appends only (rows below n_prior unchanged). Returns
+/// std::nullopt, with `state` unchanged, when the rows cannot be folded: a
+/// new row carries a grouping value outside a frozen code space (a string
+/// new to the dictionary, an int64 or double value the groups never had),
+/// or the table shrank. The caller then runs the statement in full.
+Result<std::optional<storage::Table>> FoldAppendedRows(
+    const SelectStatement& stmt, const Catalog& catalog, GroupedState* state);
 
 /// \brief Result of an approximate execution.
 ///

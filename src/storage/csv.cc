@@ -116,32 +116,35 @@ Result<Table> ReadCsvString(const std::string& text,
     }
   }
 
+  // Typed cells straight into columns sized for every record.
   std::vector<Field> fields;
-  for (size_t c = 0; c < num_cols; ++c) fields.push_back({names[c], types[c]});
-  Table table(Schema{std::move(fields)});
-
-  std::vector<Value> row(num_cols);
+  std::vector<Column> columns;
+  for (size_t c = 0; c < num_cols; ++c) {
+    fields.push_back({names[c], types[c]});
+    columns.emplace_back(types[c]);
+    columns.back().Reserve(static_cast<int64_t>(records.size() - first_data));
+  }
   for (size_t r = first_data; r < records.size(); ++r) {
     for (size_t c = 0; c < num_cols; ++c) {
       const std::string& cell = records[r][c];
+      Column& column = columns[c];
       if (cell.empty()) {
-        row[c] = Value::Null();
-      } else {
-        switch (types[c]) {
-          case ValueType::kInt64:
-            row[c] = Value::Int(ParseInt64(cell).value());
-            break;
-          case ValueType::kDouble:
-            row[c] = Value::Real(ParseDouble(cell).value());
-            break;
-          default:
-            row[c] = Value::Str(cell);
-        }
+        column.AppendNull();
+        continue;
+      }
+      switch (types[c]) {
+        case ValueType::kInt64:
+          column.AppendInt(ParseInt64(cell).value());
+          break;
+        case ValueType::kDouble:
+          column.AppendDouble(ParseDouble(cell).value());
+          break;
+        default:
+          column.AppendString(cell);
       }
     }
-    QAG_RETURN_IF_ERROR(table.AppendRow(row));
   }
-  return table;
+  return Table::FromColumns(Schema{std::move(fields)}, std::move(columns));
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {

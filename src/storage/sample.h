@@ -1,6 +1,7 @@
 #ifndef QAGVIEW_STORAGE_SAMPLE_H_
 #define QAGVIEW_STORAGE_SAMPLE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -38,59 +39,127 @@ struct TableSample {
   }
 };
 
-/// \brief Maintains a bounded uniform reservoir over a row stream and
-/// materializes immutable TableSample snapshots of it.
+/// \brief A bounded uniform reservoir over a stream of row ids.
 ///
 /// Classic reservoir sampling with Vitter's Algorithm L skip-ahead: once
-/// the reservoir is full, the sampler draws the gap to the next admitted
-/// row from a geometric distribution instead of flipping a coin per row,
-/// so feeding a stream of n rows costs O(capacity * (1 + log(n/capacity)))
-/// admissions — per-row work for the common rejected row is one integer
-/// compare. The sample is exactly uniform over every prefix of the stream,
-/// which is what lets the dataset catalog maintain it incrementally across
-/// append batches instead of rescanning the table.
+/// the reservoir is full, the gap to the next admitted row is drawn from a
+/// geometric distribution instead of flipping a coin per row, so feeding n
+/// rows costs O(capacity * (1 + log(n/capacity))) admissions. The sample is
+/// exactly uniform over every prefix of the stream. The reservoir holds
+/// stream indices, not rows: fed with the rows of an append-only table in
+/// order, its ids() are row ids of every later version of that table, which
+/// is what lets the dataset catalog keep one reservoir across append
+/// batches and materialize each version's sample with Column::Take.
 ///
 /// Determinism: all randomness flows through the explicitly seeded Rng, so
-/// the same (seed, row stream) always yields the same sample — the
-/// differential tests rely on this. Not thread-safe; the catalog mutates a
-/// sampler only under the owning dataset's writer mutex.
-class ReservoirSampler {
+/// the same (seed, stream length) always yields the same ids, however the
+/// stream is split into Feed calls. Not thread-safe.
+class RowReservoir {
  public:
-  /// `capacity` > 0 is the reservoir size in rows; `schema` must match
-  /// every row subsequently fed in (the catalog validates rows against the
-  /// table before feeding them here).
-  ReservoirSampler(Schema schema, int capacity, uint64_t seed);
+  /// `capacity` > 0 is the reservoir size in rows.
+  RowReservoir(int capacity, uint64_t seed);
 
-  /// Feeds one row of the stream. Copies the row only if it is admitted.
-  void Add(const std::vector<Value>& row);
+  /// Feeds the next `count` stream indices [seen(), seen() + count). For
+  /// each admitted index calls `admit(slot, index)` after storing it in
+  /// ids()[slot]; `slot == ids().size() - 1` while the reservoir fills.
+  template <typename Admit>
+  void Feed(int64_t count, Admit&& admit);
+  void Feed(int64_t count) {
+    Feed(count, [](int, int64_t) {});
+  }
 
-  /// Feeds every row of `table`, using skip-ahead to materialize only the
-  /// admitted rows (a bulk load touches O(capacity * log(n/capacity)) rows).
-  void AddTable(const Table& table);
+  /// The stream index each slot holds, in reservoir order.
+  const std::vector<int64_t>& ids() const { return ids_; }
 
-  /// Rows seen so far (N, the population of the current sample).
-  int64_t population_rows() const { return seen_; }
+  /// Stream indices fed so far (N, the population of the current sample).
+  int64_t seen() const { return seen_; }
 
   int capacity() const { return capacity_; }
-
-  /// Materializes the current reservoir as an immutable snapshot.
-  std::shared_ptr<const TableSample> Snapshot() const;
 
  private:
   /// Uniform in (0, 1): log() of the result stays finite.
   double UnitOpen();
 
-  /// Draws the stream index of the next admitted row (Algorithm L: the
-  /// skip length is geometric with parameter 1 - w_).
+  /// Draws the stream position of the next admitted index (Algorithm L:
+  /// the skip length is geometric with parameter 1 - w_).
   void ScheduleNextPick();
 
-  Schema schema_;
+  /// Algorithm L's weight update after an admission.
+  void ShrinkWeight() { w_ *= std::exp(std::log(UnitOpen()) / capacity_); }
+
   const int capacity_;
   Rng rng_;
-  std::vector<std::vector<Value>> reservoir_;
-  int64_t seen_ = 0;       // rows consumed from the stream
+  std::vector<int64_t> ids_;
+  int64_t seen_ = 0;       // indices consumed from the stream
   double w_ = 0.0;         // Algorithm L state, valid once the reservoir fills
-  int64_t next_pick_ = 0;  // 1-based stream index of the next admitted row
+  int64_t next_pick_ = 0;  // 1-based stream position of the next admission
+};
+
+template <typename Admit>
+void RowReservoir::Feed(int64_t count, Admit&& admit) {
+  const int64_t end = seen_ + count;
+  // Fill phase: every index is admitted until the reservoir is full.
+  while (static_cast<int>(ids_.size()) < capacity_ && seen_ < end) {
+    ids_.push_back(seen_);
+    admit(static_cast<int>(ids_.size()) - 1, seen_);
+    ++seen_;
+    if (static_cast<int>(ids_.size()) == capacity_) {
+      w_ = std::exp(std::log(UnitOpen()) / capacity_);
+      ScheduleNextPick();
+    }
+  }
+  // Skip-ahead phase: jump straight to each admitted index.
+  while (seen_ < end) {
+    if (next_pick_ > end) {
+      seen_ = end;
+      return;
+    }
+    seen_ = next_pick_;
+    const int slot = static_cast<int>(rng_.Index(capacity_));
+    ids_[static_cast<size_t>(slot)] = seen_ - 1;
+    admit(slot, seen_ - 1);
+    ShrinkWeight();
+    ScheduleNextPick();
+  }
+}
+
+/// The sample of `table` a reservoir fed with its rows holds: the rows at
+/// `ids`, in reservoir order, drawn from a population of table.num_rows().
+std::shared_ptr<const TableSample> TakeSample(const Table& table,
+                                              const std::vector<int64_t>& ids);
+
+/// \brief A RowReservoir over rows passed by value, for callers without an
+/// append-only table to index: the admitted rows are kept boxed and
+/// Snapshot() materializes them. Takes the same admissions as a
+/// RowReservoir with the same seed, so its snapshot equals TakeSample over
+/// the concatenated stream cell for cell.
+class ReservoirSampler {
+ public:
+  /// `capacity` > 0 is the reservoir size in rows; `schema` must match
+  /// every row subsequently fed in.
+  ReservoirSampler(Schema schema, int capacity, uint64_t seed);
+
+  /// Feeds one row of the stream. Copies the row only if it is admitted.
+  void Add(const std::vector<Value>& row);
+
+  /// Feeds every row of `table`, boxing only the admitted ones.
+  void AddTable(const Table& table);
+
+  /// Rows seen so far (N, the population of the current sample).
+  int64_t population_rows() const { return reservoir_.seen(); }
+
+  int capacity() const { return reservoir_.capacity(); }
+
+  /// Materializes the current reservoir as an immutable snapshot.
+  std::shared_ptr<const TableSample> Snapshot() const;
+
+ private:
+  /// Stores `row` in `slot`.
+  void Keep(int slot, std::vector<Value> row);
+
+  Schema schema_;
+  RowReservoir reservoir_;
+  std::vector<std::vector<Value>> rows_;  // slot -> admitted row
 };
 
 }  // namespace qagview::storage

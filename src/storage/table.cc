@@ -81,12 +81,14 @@ Status Table::AppendRows(const std::vector<std::vector<Value>>& rows) {
           StrCat("batch row ", r, ": ", status.message()));
     }
   }
-  for (const std::vector<Value>& row : rows) {
-    for (int i = 0; i < num_columns(); ++i) {
-      columns_[static_cast<size_t>(i)]->Append(row[static_cast<size_t>(i)]);
+  for (int i = 0; i < num_columns(); ++i) {
+    Column& column = *columns_[static_cast<size_t>(i)];
+    column.Reserve(static_cast<int64_t>(rows.size()));
+    for (const std::vector<Value>& row : rows) {
+      column.Append(row[static_cast<size_t>(i)]);
     }
-    ++num_rows_;
   }
+  num_rows_ += static_cast<int64_t>(rows.size());
   return Status::OK();
 }
 

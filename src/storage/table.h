@@ -31,15 +31,16 @@ class Table {
   int64_t num_rows() const { return num_rows_; }
 
   const Column& column(int i) const { return *columns_[static_cast<size_t>(i)]; }
-  Column* mutable_column(int i) { return columns_[static_cast<size_t>(i)].get(); }
 
   /// Assembles a table from whole columns, one per schema field, each of its
   /// field's type and all of one length (a programming error otherwise).
   static Table FromColumns(Schema schema, std::vector<Column> columns);
 
-  /// Deep copy of the schema and all column data. Explicit — Table stays
-  /// move-only so accidental copies never compile; the versioned dataset
-  /// catalog clones the current snapshot before applying an update.
+  /// A table with this one's schema and rows whose columns share its
+  /// column storage (Column::Clone): O(columns), and appending to either
+  /// table never changes what the other reads. Explicit — Table stays
+  /// move-only; the versioned dataset catalog clones the current snapshot
+  /// before applying an update.
   Table Clone() const;
 
   /// Appends one row; `values.size()` must equal the number of columns and
@@ -48,6 +49,8 @@ class Table {
 
   /// Appends a batch of rows atomically: every row is validated before any
   /// is appended, so on error the table is unchanged (no partial batch).
+  /// Each column claims room for the whole batch once, so appending to a
+  /// clone of a table that has not grown since writes in place: O(batch).
   Status AppendRows(const std::vector<std::vector<Value>>& rows);
 
   /// Boxed cell access.

@@ -1,7 +1,9 @@
 #ifndef QAGVIEW_STORAGE_VALUE_H_
 #define QAGVIEW_STORAGE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -13,6 +15,17 @@ namespace qagview::storage {
 enum class ValueType { kNull, kInt64, kDouble, kString };
 
 const char* ValueTypeToString(ValueType type);
+
+/// The bit pattern a double groups under: its own, except that -0.0 groups
+/// with 0.0 and every NaN with every other (one quiet-NaN pattern, never
+/// all ones).
+inline uint64_t GroupingBits(double x) {
+  if (std::isnan(x)) return 0x7ff8000000000000ULL;
+  if (x == 0.0) x = 0.0;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
 
 /// \brief A dynamically-typed scalar: NULL, 64-bit int, double, or string.
 ///

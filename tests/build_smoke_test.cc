@@ -85,8 +85,8 @@ namespace {
                   {{storage::Value::Str("1995"), storage::Value::Str("20s"),
                     storage::Value::Str("F"), storage::Value::Str("Writer"),
                     storage::Value::Real(4.5)}}});
-  // Next use of the handle re-executes the SQL against the new snapshot
-  // and reuses every cache the append provably did not touch:
+  // Next use of the handle brings its answers up to the new snapshot and
+  // reuses every cache the append provably did not touch:
   auto refreshed = svc.Query({"SELECT gender, avg(rating) AS val "
                               "FROM ratings GROUP BY gender", "val", {}});
   if (refreshed.ok()) {

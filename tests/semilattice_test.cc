@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/semilattice.h"
+#include "sql/executor.h"
 #include "test_util.h"
 
 namespace qagview::core {
@@ -393,6 +395,56 @@ TEST(AnswerSetTest, FromTableInternsAndSorts) {
   EXPECT_EQ(s->ValueName(1, s->element(0).attrs[1]), "1995");
   EXPECT_NEAR(s->TrivialAverage(), 2.0, 1e-9);
   EXPECT_NEAR(s->TopAverage(2), 2.5, 1e-9);
+}
+
+// Attribute values intern by typed value, as the SQL kernel groups them:
+// doubles that print alike, and a NULL next to the string "<null>", stay
+// distinct answers with codes and clusters of their own.
+TEST(AnswerSetTest, DistinctGroupsStayDistinctAnswers) {
+  storage::Schema schema({{"a", storage::ValueType::kDouble},
+                          {"b", storage::ValueType::kString},
+                          {"v", storage::ValueType::kDouble}});
+  storage::Table t(schema);
+  using storage::Value;
+  QAG_CHECK_OK(t.AppendRow({Value::Real(1.0000001), Value::Str("x"),
+                            Value::Real(5)}));
+  QAG_CHECK_OK(t.AppendRow({Value::Real(1.0000002), Value::Str("x"),
+                            Value::Real(4)}));
+  QAG_CHECK_OK(t.AppendRow({Value::Null(), Value::Str("<null>"),
+                            Value::Real(3)}));
+  QAG_CHECK_OK(t.AppendRow({Value::Real(2.0), Value::Null(), Value::Real(2)}));
+  sql::Catalog catalog;
+  catalog.Register("t", &t);
+  Result<storage::Table> groups = sql::ExecuteSql(
+      "SELECT a, b, sum(v) AS val FROM t GROUP BY a, b", catalog);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups->num_rows(), 4);
+
+  Result<AnswerSet> s = AnswerSet::FromTable(*groups, "val");
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ASSERT_EQ(s->size(), 4);
+  // Ranks 1 and 2 differ in `a`; rank 3's b is the string, rank 4's NULL.
+  EXPECT_NE(s->element(0).attrs, s->element(1).attrs);
+  EXPECT_NE(s->element(2).attrs[1], s->element(3).attrs[1]);
+  EXPECT_EQ(s->domain_size(0), 4);  // 1.0000001, 1.0000002, NULL, 2
+  EXPECT_EQ(s->domain_size(1), 3);  // "x", "<null>", NULL
+  // Doubles that print alike get names that parse back to each value.
+  const std::string& first = s->ValueName(0, s->element(0).attrs[0]);
+  const std::string& second = s->ValueName(0, s->element(1).attrs[0]);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(std::strtod(first.c_str(), nullptr), 1.0000001);
+  EXPECT_EQ(std::strtod(second.c_str(), nullptr), 1.0000002);
+  EXPECT_EQ(s->ValueName(0, s->element(3).attrs[0]), "2");
+  EXPECT_EQ(s->ValueName(1, s->element(3).attrs[1]), "<null>");
+
+  // Every answer is a singleton cluster of its own.
+  Result<ClusterUniverse> universe = ClusterUniverse::Build(&*s, 4);
+  ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+  std::set<int> singletons;
+  for (int i = 0; i < s->size(); ++i) {
+    singletons.insert(universe->singleton_id(i));
+  }
+  EXPECT_EQ(singletons.size(), 4u);
 }
 
 TEST(AnswerSetTest, FromTableErrors) {

@@ -1,3 +1,4 @@
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -5,9 +6,11 @@
 
 #include "storage/csv.h"
 #include "storage/dictionary.h"
+#include "storage/sample.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
+#include "test_util.h"
 
 namespace qagview::storage {
 namespace {
@@ -122,7 +125,68 @@ TEST(ColumnTest, TakeGathersAndCompactsTheDictionary) {
   Column took = ints.Take({1, 0});
   EXPECT_TRUE(took.IsNull(0));
   EXPECT_EQ(took.GetInt(1), 7);
-  EXPECT_EQ(took.validity(), (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(std::vector<uint8_t>(took.validity().begin(),
+                                 took.validity().end()),
+            (std::vector<uint8_t>{0, 1}));
+}
+
+TEST(ColumnTest, ClonesShareStorageAndKeepValueSemantics) {
+  Column base(ValueType::kInt64);
+  for (int i = 0; i < 10; ++i) base.AppendInt(i);
+  Column grown = base.Clone();
+  EXPECT_EQ(grown.ints().data(), base.ints().data());  // a share, no copy
+  ASSERT_GE(base.capacity(), 11);
+  // The clone ends at the frontier: it appends in place.
+  grown.AppendInt(10);
+  grown.AppendNull();
+  EXPECT_EQ(grown.ints().data(), base.ints().data());
+  EXPECT_EQ(grown.validity().data(), base.validity().data());
+  EXPECT_EQ(base.size(), 10);
+  // The source no longer does: its append moves it to storage of its own.
+  base.AppendInt(-1);
+  EXPECT_NE(base.ints().data(), grown.ints().data());
+  ASSERT_EQ(base.size(), 11);
+  ASSERT_EQ(grown.size(), 12);
+  EXPECT_EQ(base.GetInt(10), -1);
+  EXPECT_EQ(grown.GetInt(10), 10);
+  EXPECT_TRUE(grown.IsNull(11));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(base.GetInt(i), i);
+    EXPECT_EQ(grown.GetInt(i), i);
+  }
+  // A full buffer moves to one of at least twice the capacity.
+  Column full = grown.Clone();
+  const int64_t capacity = full.capacity();
+  while (full.size() < capacity) full.AppendInt(0);
+  EXPECT_EQ(full.ints().data(), grown.ints().data());
+  full.AppendInt(7);
+  EXPECT_NE(full.ints().data(), grown.ints().data());
+  EXPECT_GE(full.capacity(), 2 * capacity);
+  EXPECT_EQ(full.GetInt(capacity), 7);
+  EXPECT_EQ(grown.size(), 12);
+}
+
+TEST(ColumnTest, StringClonesCopyTheDictionaryOnlyToInternNewStrings) {
+  Column base(ValueType::kString);
+  base.AppendString("a");
+  base.AppendString("b");
+  Column same = base.Clone();
+  same.AppendString("a");  // a known string: the dictionary stays shared
+  EXPECT_EQ(&same.dictionary(), &base.dictionary());
+  Column more = same.Clone();
+  more.AppendString("c");  // a new string: copied before interning
+  EXPECT_NE(&more.dictionary(), &same.dictionary());
+  EXPECT_EQ(more.codes().data(), same.codes().data());  // cells still shared
+  EXPECT_EQ(same.dictionary().size(), 2);
+  EXPECT_FALSE(same.dictionary().Find("c").has_value());
+  ASSERT_EQ(more.dictionary().size(), 3);
+  EXPECT_EQ(more.GetStringCode(0), base.GetStringCode(0));
+  EXPECT_EQ(more.GetStringCode(1), base.GetStringCode(1));
+  EXPECT_EQ(more.GetString(3), "c");
+  // A dictionary no other column uses is interned into in place.
+  const Dictionary* own = &more.dictionary();
+  more.AppendString("d");
+  EXPECT_EQ(&more.dictionary(), own);
 }
 
 Table MakeSmallTable() {
@@ -146,6 +210,27 @@ TEST(TableTest, AppendAndGet) {
   std::vector<Value> row = t.GetRow(1);
   EXPECT_EQ(row.size(), 3u);
   EXPECT_EQ(row[0].as_string(), "bob");
+}
+
+TEST(TableTest, CloneThenAppendLeavesTheSourceUnchanged) {
+  Table t = MakeSmallTable();
+  const Table before = testutil::RowByRowCopy(t);
+  Table next = t.Clone();
+  QAG_CHECK_OK(next.AppendRows(
+      {{Value::Str("dan"), Value::Int(41), Value::Real(1.0)},
+       {Value::Str("ann"), Value::Null(), Value::Int(2)}}));
+  ASSERT_EQ(next.num_rows(), 5);
+  for (int c = 0; c < t.num_columns(); ++c) {
+    EXPECT_EQ(next.column(c).validity().data(), t.column(c).validity().data())
+        << "column " << c << " was copied";
+  }
+  EXPECT_EQ(testutil::TableDiff(before, t), "");
+  EXPECT_EQ(next.Get(3, 0).as_string(), "dan");
+  EXPECT_DOUBLE_EQ(next.Get(4, 2).as_double(), 2.0);
+  // A rejected batch leaves the clone unchanged too.
+  EXPECT_FALSE(next.AppendRows({{Value::Int(1), Value::Int(1), Value::Real(1)}})
+                   .ok());
+  EXPECT_EQ(next.num_rows(), 5);
 }
 
 TEST(TableTest, AppendRowValidation) {
@@ -235,6 +320,37 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_rows(), 3);
   EXPECT_FALSE(ReadCsvFile("/nonexistent/nope.csv").ok());
+}
+
+// The catalog's sample of each version -- Column::Take over a RowReservoir's
+// ids -- equals the boxed ReservoirSampler fed the same stream, cell for
+// cell, whether the stream arrives as a table or in batches.
+TEST(SampleTest, TakeOverReservoirIdsEqualsSamplerSnapshot) {
+  testutil::RandomTableSpec spec;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (int base_rows : {0, 100, 3000}) {
+      Table table = testutil::MakeRandomTable(spec, seed, base_rows);
+      ReservoirSampler sampler(table.schema(), 256, seed);
+      sampler.AddTable(table);
+      RowReservoir reservoir(256, seed);
+      reservoir.Feed(table.num_rows());
+      for (int b = 0; b < 6; ++b) {
+        std::shared_ptr<const TableSample> want = sampler.Snapshot();
+        std::shared_ptr<const TableSample> got =
+            TakeSample(table, reservoir.ids());
+        ASSERT_EQ(testutil::TableDiff(want->rows, got->rows), "")
+            << "seed " << seed << " base " << base_rows << " batch " << b;
+        ASSERT_EQ(want->population_rows, got->population_rows);
+        const auto batch = testutil::MakeRandomRows(
+            spec, seed * 100 + static_cast<uint64_t>(b), b * 60);
+        for (const auto& row : batch) sampler.Add(row);
+        Table next = table.Clone();
+        QAG_CHECK_OK(next.AppendRows(batch));
+        table = std::move(next);
+        reservoir.Feed(static_cast<int64_t>(batch.size()));
+      }
+    }
+  }
 }
 
 }  // namespace

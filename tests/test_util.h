@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/answer_set.h"
+#include "storage/table.h"
 
 namespace qagview::testutil {
 
@@ -188,6 +190,64 @@ inline RandomTableSpec SkewedTableSpec() {
   RandomTableSpec spec;
   spec.value_skew = 1.5;
   return spec;
+}
+
+/// A copy of `table` built row by row through boxed values: storage that
+/// shares nothing with the original, the reference a test compares
+/// shared-storage reads against.
+inline storage::Table RowByRowCopy(const storage::Table& table) {
+  storage::Table copy(table.schema());
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    QAG_CHECK_OK(copy.AppendRow(table.GetRow(r)));
+  }
+  return copy;
+}
+
+/// "" when `got` equals `want` cell for cell -- schema, NULLs, int64s,
+/// double bit patterns, strings and their dictionary codes -- else the
+/// first difference.
+inline std::string TableDiff(const storage::Table& want,
+                             const storage::Table& got) {
+  if (want.schema().ToString() != got.schema().ToString()) {
+    return StrCat("schema ", want.schema().ToString(), " vs ",
+                  got.schema().ToString());
+  }
+  if (want.num_rows() != got.num_rows()) {
+    return StrCat(want.num_rows(), " rows vs ", got.num_rows());
+  }
+  for (int c = 0; c < want.num_columns(); ++c) {
+    const storage::Column& w = want.column(c);
+    const storage::Column& g = got.column(c);
+    for (int64_t r = 0; r < want.num_rows(); ++r) {
+      const std::string where = StrCat("row ", r, " col ", c, ": ");
+      if (w.IsNull(r) != g.IsNull(r)) return where + "NULL differs";
+      if (w.IsNull(r)) continue;
+      switch (w.type()) {
+        case storage::ValueType::kInt64:
+          if (w.GetInt(r) != g.GetInt(r)) {
+            return StrCat(where, w.GetInt(r), " vs ", g.GetInt(r));
+          }
+          break;
+        case storage::ValueType::kDouble: {
+          const double a = w.GetDouble(r);
+          const double b = g.GetDouble(r);
+          if (std::memcmp(&a, &b, sizeof(a)) != 0) {
+            return StrCat(where, a, " vs ", b);
+          }
+          break;
+        }
+        case storage::ValueType::kString:
+          if (w.GetString(r) != g.GetString(r) ||
+              w.GetStringCode(r) != g.GetStringCode(r)) {
+            return StrCat(where, w.GetString(r), " vs ", g.GetString(r));
+          }
+          break;
+        case storage::ValueType::kNull:
+          break;
+      }
+    }
+  }
+  return "";
 }
 
 /// One-shot start barrier for concurrency tests (std::barrier is C++20):

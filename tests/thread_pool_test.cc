@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -16,6 +18,27 @@ TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
   EXPECT_GE(pool.num_threads(), 1);
   ThreadPool fixed(3);
   EXPECT_EQ(fixed.num_threads(), 3);
+}
+
+// The default pool is as wide as the affinity mask, not the machine: a
+// thread pinned to one CPU builds serially.
+TEST(ThreadPoolTest, DefaultThreadCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(ThreadPool::DefaultNumThreads(), CPU_COUNT(&saved));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = ThreadPool::DefaultNumThreads();
+  ThreadPool pool;
+  const int pool_threads = pool.num_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(pool_threads, 1);
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
