@@ -102,24 +102,38 @@ Result<Solution> BottomUp::RunFrom(const ClusterUniverse& universe,
                                    const std::vector<int>& initial,
                                    const BottomUpOptions& options) {
   QAG_RETURN_IF_ERROR(ValidateParams(universe.answer_set(), params));
+  Solution solution = MakeSolution(
+      universe,
+      internal::MergeDown(universe, initial, params.D, params.k, options));
+  QAG_CHECK_OK(CheckFeasible(universe, solution.cluster_ids, params));
+  return solution;
+}
+
+namespace internal {
+
+std::vector<int> MergeDown(
+    const ClusterUniverse& universe, const std::vector<int>& initial, int d,
+    int k, const BottomUpOptions& options,
+    const std::function<void(const GreedyState&)>& on_state) {
   GreedyState state(&universe, options.use_delta_judgment);
   for (int id : initial) state.AddCluster(id);
 
   // Phase 1: enforce the distance constraint.
   while (true) {
-    std::vector<std::pair<int, int>> pairs = PairsCloserThan(state, params.D);
+    std::vector<std::pair<int, int>> pairs = PairsCloserThan(state, d);
     if (pairs.empty()) break;
     MergeBestPair(&state, pairs, options.merge_rule);
   }
+  if (on_state) on_state(state);
 
   // Phase 2: enforce the size constraint.
-  while (state.size() > params.k) {
+  while (state.size() > k) {
     MergeBestPair(&state, AllPairs(state.size()), options.merge_rule);
+    if (on_state) on_state(state);
   }
-
-  Solution solution = MakeSolution(universe, state.clusters());
-  QAG_CHECK_OK(CheckFeasible(universe, solution.cluster_ids, params));
-  return solution;
+  return state.clusters();
 }
+
+}  // namespace internal
 
 }  // namespace qagview::core

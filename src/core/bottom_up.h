@@ -1,12 +1,15 @@
 #ifndef QAGVIEW_CORE_BOTTOM_UP_H_
 #define QAGVIEW_CORE_BOTTOM_UP_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
 #include "core/solution.h"
 
 namespace qagview::core {
+
+class GreedyState;
 
 struct BottomUpOptions {
   /// §6.3 delta-judgment optimization (disable for the Fig-8b ablation).
@@ -64,6 +67,21 @@ class BottomUp {
                                   const std::vector<int>& initial,
                                   const BottomUpOptions& options = {});
 };
+
+namespace internal {
+
+/// Algorithm 1's merge process, shared by BottomUp::RunFrom and the (k, D)
+/// precompute: seeds a GreedyState with `initial`, merges pairs at distance
+/// < `d` until none is left, then any pairs until at most `k` clusters
+/// remain, and returns the final cluster ids. `on_state`, when set, sees the
+/// state after the distance phase and after every size-phase merge; the
+/// precompute records each one as a grid state (§6.2).
+std::vector<int> MergeDown(
+    const ClusterUniverse& universe, const std::vector<int>& initial, int d,
+    int k, const BottomUpOptions& options,
+    const std::function<void(const GreedyState&)>& on_state = nullptr);
+
+}  // namespace internal
 
 }  // namespace qagview::core
 

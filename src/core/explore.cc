@@ -8,7 +8,8 @@
 namespace qagview::core {
 
 TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
-                               const Solution& solution) {
+                               const Solution& solution, int top_l) {
+  if (top_l <= 0) top_l = universe.top_l();
   TwoLayerView view;
   view.solution_average = solution.average;
   view.solution_count = solution.covered_count;
@@ -19,8 +20,12 @@ TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
     cv.pattern = universe.cluster(id).ToString(s);
     cv.average = universe.Average(id);
     cv.count = universe.covered_count(id);
-    cv.top_count = universe.top_covered_count(id);
-    for (int32_t e : universe.covered(id)) cv.member_ranks.push_back(e + 1);
+    // Covered lists ascend, so the ranks inside the top L are a prefix.
+    const std::vector<int32_t>& covered = universe.covered(id);
+    cv.top_count = static_cast<int>(
+        std::lower_bound(covered.begin(), covered.end(), top_l) -
+        covered.begin());
+    for (int32_t e : covered) cv.member_ranks.push_back(e + 1);
     view.clusters.push_back(std::move(cv));
   }
   std::sort(view.clusters.begin(), view.clusters.end(),
@@ -54,15 +59,17 @@ std::string RenderSummary(const ClusterUniverse& universe,
 }
 
 std::string RenderExpanded(const ClusterUniverse& universe,
-                           const Solution& solution, int max_members) {
-  TwoLayerView view = BuildTwoLayerView(universe, solution);
+                           const Solution& solution, int max_members,
+                           int top_l) {
+  if (top_l <= 0) top_l = universe.top_l();
+  TwoLayerView view = BuildTwoLayerView(universe, solution, top_l);
   const AnswerSet& s = universe.answer_set();
   std::ostringstream out;
   out << Join(s.attr_names(), "\t") << "\tval\trank\n";
   for (const ClusterView& cv : view.clusters) {
     out << "▼ " << cv.pattern << "\tavg " << FormatDouble(cv.average, 2)
         << "\t(" << cv.count << " tuples, " << cv.top_count << " in top-"
-        << universe.top_l() << ")\n";
+        << top_l << ")\n";
     int shown = 0;
     for (int rank : cv.member_ranks) {
       if (max_members > 0 && shown >= max_members) {

@@ -27,9 +27,12 @@ struct TwoLayerView {
   int solution_count = 0;
 };
 
-/// Builds the display structures for a solution.
+/// Builds the display structures for a solution. `top_count` counts
+/// covered ranks within the top `top_l`; 0 means the universe's L. A
+/// session serves a request at L from a universe built for any L' >= L, so
+/// pass the request's L.
 TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
-                               const Solution& solution);
+                               const Solution& solution, int top_l = 0);
 
 /// Renders the collapsed first layer (Figure 1b): one row per cluster with
 /// its pattern and average value.
@@ -38,9 +41,11 @@ std::string RenderSummary(const ClusterUniverse& universe,
 
 /// Renders the expanded view (Figure 1c): each cluster followed by the
 /// original result tuples it covers, with their global ranks. Clusters list
-/// at most `max_members` members each (0 = all).
+/// at most `max_members` members each (0 = all). `top_l` is as in
+/// BuildTwoLayerView.
 std::string RenderExpanded(const ClusterUniverse& universe,
-                           const Solution& solution, int max_members = 0);
+                           const Solution& solution, int max_members = 0,
+                           int top_l = 0);
 
 }  // namespace qagview::core
 

@@ -1,5 +1,8 @@
 #include "core/hybrid.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace qagview::core {
 
 Result<Solution> Hybrid::Run(const ClusterUniverse& universe,
@@ -11,10 +14,13 @@ Result<Solution> Hybrid::Run(const ClusterUniverse& universe,
   }
   FixedOrderOptions fo;
   fo.use_delta_judgment = options.use_delta_judgment;
+  // Fixed-Order never holds more clusters than its L candidates, so a
+  // budget past L acts as L; the 64-bit cap keeps c·k from overflowing.
+  const int budget = static_cast<int>(
+      std::min<int64_t>(int64_t{options.c} * params.k, params.L));
   QAG_ASSIGN_OR_RETURN(
       std::vector<int> initial,
-      FixedOrder::RunPhase(universe, options.c * params.k, params.L, params.D,
-                           fo));
+      FixedOrder::RunPhase(universe, budget, params.L, params.D, fo));
   BottomUpOptions bu;
   bu.use_delta_judgment = options.use_delta_judgment;
   bu.merge_rule = options.merge_rule;

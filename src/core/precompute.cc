@@ -1,79 +1,15 @@
 #include "core/precompute.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/bottom_up.h"
 #include "core/fixed_order.h"
 #include "core/greedy_state.h"
 
 namespace qagview::core {
-
-namespace {
-
-// One Bottom-Up replay for a fixed D, recording the solution state after
-// the distance phase and after every size-phase merge.
-SolutionStore::Trace ReplayForD(const ClusterUniverse& universe,
-                                const std::vector<int>& initial, int d,
-                                int k_min, bool use_delta) {
-  GreedyState state(&universe, use_delta);
-  for (int id : initial) state.AddCluster(id);
-
-  auto best_merge = [&](const std::vector<std::pair<int, int>>& pairs) {
-    double best_score = -std::numeric_limits<double>::infinity();
-    int best_lca = -1;
-    for (const auto& [i, j] : pairs) {
-      int lca =
-          universe.LcaId(state.clusters()[static_cast<size_t>(i)],
-                         state.clusters()[static_cast<size_t>(j)]);
-      double score = state.TentativeAverage(lca);
-      if (score > best_score) {
-        best_score = score;
-        best_lca = lca;
-      }
-    }
-    return best_lca;
-  };
-
-  // Phase 1: enforce the distance constraint (mandatory for every k).
-  while (true) {
-    std::vector<std::pair<int, int>> pairs;
-    int n = state.size();
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (Distance(
-                universe.cluster(state.clusters()[static_cast<size_t>(i)]),
-                universe.cluster(state.clusters()[static_cast<size_t>(j)])) <
-            d) {
-          pairs.emplace_back(i, j);
-        }
-      }
-    }
-    if (pairs.empty()) break;
-    state.AddCluster(best_merge(pairs));
-  }
-
-  SolutionStore::Trace trace;
-  trace.d = d;
-  trace.states.push_back(state.clusters());
-  trace.values.push_back(state.Average());
-
-  // Phase 2: merge down, recording each state on the way to k_min.
-  while (state.size() > std::max(k_min, 1)) {
-    std::vector<std::pair<int, int>> pairs;
-    int n = state.size();
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-    }
-    state.AddCluster(best_merge(pairs));
-    trace.states.push_back(state.clusters());
-    trace.values.push_back(state.Average());
-  }
-  return trace;
-}
-
-}  // namespace
 
 PrecomputeOptions PrecomputeOptions::ResolvedFor(int num_attrs) const {
   PrecomputeOptions resolved = *this;
@@ -138,37 +74,46 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
     return Status::InvalidArgument("k_max must be >= k_min");
   }
 
-  // Fixed-Order phase: once, distance-free, with the largest budget.
+  // Fixed-Order phase: once, distance-free, with the largest budget. It
+  // never holds more clusters than its top_l candidates, so a budget past
+  // top_l acts as top_l; the 64-bit cap keeps c·k_max from overflowing.
   WallTimer timer;
   FixedOrderOptions fo;
   fo.use_delta_judgment = options.use_delta_judgment;
-  QAG_ASSIGN_OR_RETURN(
-      std::vector<int> initial,
-      FixedOrder::RunPhase(universe, std::max(2, options.c) * k_max, top_l,
-                           /*distance_d=*/0, fo));
+  const int budget = static_cast<int>(std::min<int64_t>(
+      int64_t{std::max(2, options.c)} * k_max, top_l));
+  QAG_ASSIGN_OR_RETURN(std::vector<int> initial,
+                       FixedOrder::RunPhase(universe, budget, top_l,
+                                            /*distance_d=*/0, fo));
   double fixed_order_ms = timer.ElapsedMillis();
 
-  // Bottom-Up replays, one per D. Each replay is an independent read-only
-  // pass over the universe, so they run as one pool task per D; every task
-  // writes only its own pre-sized slot, making the store bit-identical to
-  // the serial order for any thread count.
+  // Bottom-Up replays, one per D, each recording the state after the
+  // distance phase and after every merge on the way down to k_min. Each
+  // replay is an independent read-only pass over the universe, so they run
+  // as one pool task per D; every task writes only its own pre-sized slot,
+  // making the store bit-identical to the serial order for any thread count.
   timer.Restart();
   int num_threads = options.num_threads > 0 ? options.num_threads
                                             : ThreadPool::DefaultNumThreads();
   if (d_values.size() == 1) num_threads = 1;  // nothing to distribute
   std::vector<SolutionStore::Trace> traces(d_values.size());
+  BottomUpOptions bu;
+  bu.use_delta_judgment = options.use_delta_judgment;
+  auto replay = [&](size_t i) {
+    SolutionStore::Trace& trace = traces[i];
+    trace.d = d_values[i];
+    internal::MergeDown(universe, initial, trace.d, options.k_min, bu,
+                        [&trace](const GreedyState& state) {
+                          trace.states.push_back(state.clusters());
+                          trace.values.push_back(state.Average());
+                        });
+  };
   if (num_threads == 1) {
-    for (size_t i = 0; i < d_values.size(); ++i) {
-      traces[i] = ReplayForD(universe, initial, d_values[i], options.k_min,
-                             options.use_delta_judgment);
-    }
+    for (size_t i = 0; i < d_values.size(); ++i) replay(i);
   } else {
     ThreadPool pool(num_threads);
-    pool.ParallelFor(0, static_cast<int64_t>(d_values.size()), [&](int64_t i) {
-      traces[static_cast<size_t>(i)] =
-          ReplayForD(universe, initial, d_values[static_cast<size_t>(i)],
-                     options.k_min, options.use_delta_judgment);
-    });
+    pool.ParallelFor(0, static_cast<int64_t>(d_values.size()),
+                     [&](int64_t i) { replay(static_cast<size_t>(i)); });
   }
   double bottom_up_ms = timer.ElapsedMillis();
 

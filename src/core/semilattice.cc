@@ -53,6 +53,15 @@ void ShrinkCoverage(std::vector<std::vector<int32_t>>* covered) {
   for (std::vector<int32_t>& list : *covered) list.shrink_to_fit();
 }
 
+/// Writes generalization `mask` of `attrs` (wildcards where mask bits are
+/// set) into `pattern`, which holds m entries.
+void GeneralizeInto(const std::vector<int32_t>& attrs, uint32_t mask,
+                    std::vector<int32_t>* pattern) {
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    (*pattern)[a] = (mask & (1u << a)) ? kWildcard : attrs[a];
+  }
+}
+
 }  // namespace
 
 bool ClusterUniverse::CanPack(const AnswerSet& s) {
@@ -81,15 +90,100 @@ uint64_t ClusterUniverse::PackPattern(const std::vector<int32_t>& pattern) {
   return key;
 }
 
+/// Packed keys: every element is packed once, and its generalization under
+/// `mask` is its key with the mask's byte lanes cleared — one AND-NOT and
+/// one packed_ids_ lookup, with the pattern built only for a new cluster.
+class ClusterUniverse::PackedIndex {
+ public:
+  explicit PackedIndex(ClusterUniverse* u) : u_(u) {
+    const AnswerSet& s = *u->answer_set_;
+    const int m = s.num_attrs();
+    const uint32_t num_masks = 1u << m;
+    // 0xFF in every wildcarded byte lane of each mask.
+    for (uint32_t mask = 0; mask < num_masks; ++mask) {
+      lane_mask_[mask] = 0;
+      for (int a = 0; a < m; ++a) {
+        if (mask & (1u << a)) lane_mask_[mask] |= 0xFFULL << (8 * a);
+      }
+    }
+    u->element_keys_.resize(static_cast<size_t>(s.size()));
+    for (int e = 0; e < s.size(); ++e) {
+      u->element_keys_[static_cast<size_t>(e)] =
+          PackPattern(s.element(e).attrs);
+    }
+    u->packed_ids_.Reset(static_cast<size_t>(u->top_l_) * num_masks);
+  }
+
+  int Insert(int i, uint32_t mask, std::vector<int32_t>* /*pattern*/) {
+    const uint64_t key = Key(i) & ~lane_mask_[mask];
+    auto [id, inserted] = u_->packed_ids_.FindOrInsert(
+        key, static_cast<int32_t>(u_->clusters_.size()));
+    if (inserted) {
+      u_->clusters_.push_back(
+          Cluster::Generalize(u_->answer_set_->element(i).attrs, mask));
+      u_->cluster_keys_.push_back(key);
+      u_->concrete_lanes_.push_back(~lane_mask_[mask]);
+    }
+    return id;
+  }
+
+  /// What every probe of element e starts from: its packed key.
+  uint64_t Key(int e) const {
+    return u_->element_keys_[static_cast<size_t>(e)];
+  }
+
+  int Probe(uint64_t key, uint32_t mask,
+            std::vector<int32_t>* /*pattern*/) const {
+    return u_->packed_ids_.FindOr(key & ~lane_mask_[mask], -1);
+  }
+
+ private:
+  ClusterUniverse* u_;
+  uint64_t lane_mask_[256];  // m <= 8 on a packed universe
+};
+
+/// Vector patterns (m > 8 or domains wider than a byte): the generalization
+/// is written into the caller's scratch pattern and looked up in ids_.
+class ClusterUniverse::VectorIndex {
+ public:
+  explicit VectorIndex(ClusterUniverse* u) : u_(u) {
+    u->ids_.reserve(static_cast<size_t>(u->top_l_) *
+                    (1u << u->answer_set_->num_attrs()));
+  }
+
+  int Insert(int i, uint32_t mask, std::vector<int32_t>* pattern) {
+    GeneralizeInto(Key(i), mask, pattern);
+    auto [it, inserted] =
+        u_->ids_.try_emplace(*pattern, static_cast<int>(u_->clusters_.size()));
+    if (inserted) u_->clusters_.emplace_back(*pattern);
+    return it->second;
+  }
+
+  /// What every probe of element e starts from: its attribute codes.
+  const std::vector<int32_t>& Key(int e) const {
+    return u_->answer_set_->element(e).attrs;
+  }
+
+  int Probe(const std::vector<int32_t>& attrs, uint32_t mask,
+            std::vector<int32_t>* pattern) const {
+    GeneralizeInto(attrs, mask, pattern);
+    auto it = u_->ids_.find(*pattern);
+    return it == u_->ids_.end() ? -1 : it->second;
+  }
+
+ private:
+  ClusterUniverse* u_;
+};
+
 Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
                                                const Options& options) {
   QAG_CHECK(s != nullptr);
   int m = s->num_attrs();
-  if (m > options.max_attrs || m > 30) {
+  if (m > kMaxAttrs) {
     return Status::InvalidArgument(
         StrCat("refusing to enumerate 2^", m,
                " generalizations per element; reduce the number of "
-               "group-by attributes (max ", options.max_attrs, ")"));
+               "group-by attributes (max ", kMaxAttrs, ")"));
   }
   if (top_l < 1 || top_l > s->size()) {
     return Status::InvalidArgument(
@@ -101,197 +195,96 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
   u.top_l_ = top_l;
   u.packed_ = !options.force_unpacked && CanPack(*s);
   u.input_fingerprint_ = s->content_fingerprint();
-  // Cluster generation stays serial (ids must be assigned in discovery
-  // order); a pool is spun up only by the sharded coverage-scan branches.
+  if (u.packed_) {
+    PackedIndex index(&u);
+    u.Populate(index, options);
+  } else {
+    VectorIndex index(&u);
+    u.Populate(index, options);
+  }
+  return u;
+}
+
+template <typename Index>
+void ClusterUniverse::Populate(Index& index, const Options& options) {
+  const AnswerSet& s = *answer_set_;
+  const int n = s.size();
+  const int m = s.num_attrs();
+  const uint32_t num_masks = 1u << m;
+  std::vector<int32_t> pattern(static_cast<size_t>(m));
+
+  // Cluster generation: the 2^m generalizations of each top-L element,
+  // serial so that ids follow discovery order.
+  singleton_ids_.resize(static_cast<size_t>(top_l_));
+  for (int i = 0; i < top_l_; ++i) {
+    for (uint32_t mask = 0; mask < num_masks; ++mask) {
+      int id = index.Insert(i, mask, &pattern);
+      if (mask == 0) singleton_ids_[static_cast<size_t>(i)] = id;
+    }
+  }
+
+  const size_t num_clusters = clusters_.size();
+  covered_.resize(num_clusters);
+  covered_sum_.assign(num_clusters, 0.0);
+  top_covered_count_.assign(num_clusters, 0);
+
+  if (options.naive_mapping) {
+    // Ablation (Figure 8a): each cluster scans every element.
+    for (size_t id = 0; id < num_clusters; ++id) {
+      for (int e = 0; e < n; ++e) {
+        if (clusters_[id].CoversElement(s.element(e).attrs)) {
+          covered_[id].push_back(e);
+          covered_sum_[id] += s.value(e);
+          if (e < top_l_) ++top_covered_count_[id];
+        }
+      }
+    }
+    return;
+  }
+
+  // Optimized mapping: each element probes the index with its own masks. A
+  // cluster covers element e iff it equals one generalization of e, so
+  // every (cluster, element) pair is found exactly once, in element order.
   const int num_threads = options.num_threads > 0
                               ? options.num_threads
                               : ThreadPool::DefaultNumThreads();
-
-  const uint32_t num_masks = 1u << m;
-  std::vector<int32_t> scratch(static_cast<size_t>(m));
-  u.singleton_ids_.resize(static_cast<size_t>(top_l));
-
-  if (u.packed_) {
-    // Per-mask lane masks: 0xFF in every wildcarded byte lane, so
-    // "generalize element under mask" is one AND-NOT.
-    std::vector<uint64_t> lane_mask(num_masks, 0);
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      uint64_t lanes = 0;
-      for (int a = 0; a < m; ++a) {
-        if (mask & (1u << a)) lanes |= 0xFFULL << (8 * a);
-      }
-      lane_mask[mask] = lanes;
-    }
-
-    // Every element is packed once; cluster generation, both coverage
-    // scans and CoversElement read these keys.
-    u.element_keys_.resize(static_cast<size_t>(s->size()));
-    for (int e = 0; e < s->size(); ++e) {
-      u.element_keys_[static_cast<size_t>(e)] =
-          PackPattern(s->element(e).attrs);
-    }
-
-    u.packed_ids_.Reset(static_cast<size_t>(top_l) * num_masks);
-    for (int i = 0; i < top_l; ++i) {
-      const std::vector<int32_t>& attrs = s->element(i).attrs;
-      uint64_t base = u.element_keys_[static_cast<size_t>(i)];
+  if (num_threads == 1) {
+    for (int e = 0; e < n; ++e) {
+      const auto& key = index.Key(e);
+      const double value = s.value(e);
       for (uint32_t mask = 0; mask < num_masks; ++mask) {
-        uint64_t key = base & ~lane_mask[mask];
-        auto [id, inserted] = u.packed_ids_.FindOrInsert(
-            key, static_cast<int32_t>(u.clusters_.size()));
-        if (inserted) {
-          for (int a = 0; a < m; ++a) {
-            scratch[static_cast<size_t>(a)] =
-                (mask & (1u << a)) ? kWildcard
-                                   : attrs[static_cast<size_t>(a)];
-          }
-          u.clusters_.emplace_back(scratch);
-          u.cluster_keys_.push_back(key);
-          u.concrete_lanes_.push_back(~lane_mask[mask]);
-        }
-        if (mask == 0) u.singleton_ids_[static_cast<size_t>(i)] = id;
+        const int id = index.Probe(key, mask, &pattern);
+        if (id < 0) continue;
+        covered_[static_cast<size_t>(id)].push_back(e);
+        covered_sum_[static_cast<size_t>(id)] += value;
+        if (e < top_l_) ++top_covered_count_[static_cast<size_t>(id)];
       }
     }
-
-    const int num_clusters = static_cast<int>(u.clusters_.size());
-    u.covered_.resize(static_cast<size_t>(num_clusters));
-    u.covered_sum_.assign(static_cast<size_t>(num_clusters), 0.0);
-    u.top_covered_count_.assign(static_cast<size_t>(num_clusters), 0);
-
-    if (options.naive_mapping) {
-      for (int id = 0; id < num_clusters; ++id) {
-        const Cluster& c = u.clusters_[static_cast<size_t>(id)];
-        for (int e = 0; e < s->size(); ++e) {
-          if (c.CoversElement(s->element(e).attrs)) {
-            u.covered_[static_cast<size_t>(id)].push_back(e);
-            u.covered_sum_[static_cast<size_t>(id)] += s->value(e);
-            if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
-          }
-        }
-      }
-    } else if (num_threads == 1) {
-      for (int e = 0; e < s->size(); ++e) {
-        uint64_t base = u.element_keys_[static_cast<size_t>(e)];
-        double value = s->value(e);
-        for (uint32_t mask = 0; mask < num_masks; ++mask) {
-          int id = u.packed_ids_.FindOr(base & ~lane_mask[mask], -1);
-          if (id < 0) continue;
-          u.covered_[static_cast<size_t>(id)].push_back(e);
-          u.covered_sum_[static_cast<size_t>(id)] += value;
-          if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
-        }
-      }
-      ShrinkCoverage(&u.covered_);
-    } else {
-      // Sharded inverse scan: workers probe disjoint contiguous element
-      // ranges into private buffers, merged in element order above.
-      ThreadPool pool(num_threads);
-      std::vector<std::vector<std::vector<int32_t>>> shard_covered(
-          static_cast<size_t>(pool.num_threads()));
-      pool.ParallelForShards(
-          0, s->size(), [&](int shard, int64_t e_begin, int64_t e_end) {
-            auto& local = shard_covered[static_cast<size_t>(shard)];
-            local.resize(static_cast<size_t>(num_clusters));
-            for (int64_t e = e_begin; e < e_end; ++e) {
-              uint64_t base = u.element_keys_[static_cast<size_t>(e)];
-              for (uint32_t mask = 0; mask < num_masks; ++mask) {
-                int id = u.packed_ids_.FindOr(base & ~lane_mask[mask], -1);
-                if (id < 0) continue;
-                local[static_cast<size_t>(id)].push_back(
-                    static_cast<int32_t>(e));
-              }
-            }
-          });
-      MergeShardCoverage(*s, top_l, shard_covered, pool, &u.covered_,
-                         &u.covered_sum_, &u.top_covered_count_);
-    }
-    return u;
+    ShrinkCoverage(&covered_);
+    return;
   }
 
-  // --- Fallback: vector-keyed index (m > 8 or large domains). ---
-  u.ids_.reserve(static_cast<size_t>(top_l) * num_masks);
-  for (int i = 0; i < top_l; ++i) {
-    const std::vector<int32_t>& attrs = s->element(i).attrs;
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      for (int a = 0; a < m; ++a) {
-        scratch[static_cast<size_t>(a)] =
-            (mask & (1u << a)) ? kWildcard : attrs[static_cast<size_t>(a)];
-      }
-      auto [it, inserted] =
-          u.ids_.emplace(scratch, static_cast<int>(u.clusters_.size()));
-      if (inserted) u.clusters_.emplace_back(scratch);
-      if (mask == 0) u.singleton_ids_[static_cast<size_t>(i)] = it->second;
-    }
-  }
-
-  const int num_clusters = static_cast<int>(u.clusters_.size());
-  u.covered_.resize(static_cast<size_t>(num_clusters));
-  u.covered_sum_.assign(static_cast<size_t>(num_clusters), 0.0);
-  u.top_covered_count_.assign(static_cast<size_t>(num_clusters), 0);
-
-  if (options.naive_mapping) {
-    // Ablation: each cluster scans every element.
-    for (int id = 0; id < num_clusters; ++id) {
-      const Cluster& c = u.clusters_[static_cast<size_t>(id)];
-      for (int e = 0; e < s->size(); ++e) {
-        if (c.CoversElement(s->element(e).attrs)) {
-          u.covered_[static_cast<size_t>(id)].push_back(e);
-          u.covered_sum_[static_cast<size_t>(id)] += s->value(e);
-          if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
-        }
-      }
-    }
-  } else if (num_threads == 1) {
-    // Optimized: each element probes the hash index with its own masks.
-    // A cluster covers element e iff it equals one generalization of e,
-    // so every (cluster, element) pair is found exactly once.
-    for (int e = 0; e < s->size(); ++e) {
-      const std::vector<int32_t>& attrs = s->element(e).attrs;
-      for (uint32_t mask = 0; mask < num_masks; ++mask) {
-        for (int a = 0; a < m; ++a) {
-          scratch[static_cast<size_t>(a)] =
-              (mask & (1u << a)) ? kWildcard : attrs[static_cast<size_t>(a)];
-        }
-        auto it = u.ids_.find(scratch);
-        if (it == u.ids_.end()) continue;
-        int id = it->second;
-        u.covered_[static_cast<size_t>(id)].push_back(e);
-        u.covered_sum_[static_cast<size_t>(id)] += s->value(e);
-        if (e < top_l) ++u.top_covered_count_[static_cast<size_t>(id)];
-      }
-    }
-    ShrinkCoverage(&u.covered_);
-  } else {
-    // Sharded inverse scan (see the packed branch); probes need a
-    // per-worker scratch pattern.
-    ThreadPool pool(num_threads);
-    std::vector<std::vector<std::vector<int32_t>>> shard_covered(
-        static_cast<size_t>(pool.num_threads()));
-    pool.ParallelForShards(
-        0, s->size(), [&](int shard, int64_t e_begin, int64_t e_end) {
-          auto& local = shard_covered[static_cast<size_t>(shard)];
-          local.resize(static_cast<size_t>(num_clusters));
-          std::vector<int32_t> probe(static_cast<size_t>(m));
-          for (int64_t e = e_begin; e < e_end; ++e) {
-            const std::vector<int32_t>& attrs =
-                s->element(static_cast<int>(e)).attrs;
-            for (uint32_t mask = 0; mask < num_masks; ++mask) {
-              for (int a = 0; a < m; ++a) {
-                probe[static_cast<size_t>(a)] =
-                    (mask & (1u << a)) ? kWildcard
-                                       : attrs[static_cast<size_t>(a)];
-              }
-              auto it = u.ids_.find(probe);
-              if (it == u.ids_.end()) continue;
-              local[static_cast<size_t>(it->second)].push_back(
-                  static_cast<int32_t>(e));
-            }
+  // Sharded inverse scan: workers probe disjoint contiguous element ranges
+  // into private buffers, merged in element order by MergeShardCoverage.
+  ThreadPool pool(num_threads);
+  std::vector<std::vector<std::vector<int32_t>>> shard_covered(
+      static_cast<size_t>(pool.num_threads()));
+  pool.ParallelForShards(
+      0, n, [&](int shard, int64_t e_begin, int64_t e_end) {
+        auto& local = shard_covered[static_cast<size_t>(shard)];
+        local.resize(num_clusters);
+        std::vector<int32_t> probe(static_cast<size_t>(m));
+        for (int64_t e = e_begin; e < e_end; ++e) {
+          const auto& key = index.Key(static_cast<int>(e));
+          for (uint32_t mask = 0; mask < num_masks; ++mask) {
+            const int id = index.Probe(key, mask, &probe);
+            if (id < 0) continue;
+            local[static_cast<size_t>(id)].push_back(static_cast<int32_t>(e));
           }
-        });
-    MergeShardCoverage(*s, top_l, shard_covered, pool, &u.covered_,
-                       &u.covered_sum_, &u.top_covered_count_);
-  }
-  return u;
+        }
+      });
+  MergeShardCoverage(s, top_l_, shard_covered, pool, &covered_,
+                     &covered_sum_, &top_covered_count_);
 }
 
 int ClusterUniverse::FindId(const Cluster& c) const {

@@ -37,8 +37,6 @@ namespace qagview::core {
 struct UniverseOptions {
   /// Ablation switch: per-cluster scans over all n elements.
   bool naive_mapping = false;
-  /// Hard guard against 2^m explosion.
-  int max_attrs = 24;
   /// Worker count for the inverse coverage scan (elements sharded across
   /// workers, per-worker buffers merged in element order, so the covered_
   /// lists and sums are bit-identical for every thread count). <= 0 uses
@@ -52,6 +50,10 @@ struct UniverseOptions {
 class ClusterUniverse {
  public:
   using Options = UniverseOptions;
+
+  /// Build refuses schemas with more grouping attributes than this: cluster
+  /// generation enumerates 2^m generalizations per top-L element.
+  static constexpr int kMaxAttrs = 24;
 
   /// Builds the universe for the top `top_l` elements of `s`. The answer
   /// set must outlive the universe.
@@ -139,6 +141,15 @@ class ClusterUniverse {
   /// where both keys hold the same code (a wildcard on one side only
   /// differs, so it becomes a wildcard, as in Cluster::Lca).
   static uint64_t LcaKey(uint64_t a, uint64_t b);
+
+  /// The two index layouts (semilattice.cc). Each supplies the insert of
+  /// cluster generation and the per-element key and probe of the coverage
+  /// scans; Populate runs the loops, written once and instantiated per
+  /// layout.
+  class PackedIndex;
+  class VectorIndex;
+  template <typename Index>
+  void Populate(Index& index, const Options& options);
 
   const AnswerSet* answer_set_ = nullptr;
   int top_l_ = 0;

@@ -129,17 +129,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "signal %d: draining...\n", sig);
   http.Shutdown();
 
-  const server::ServerStats transport = http.stats();
-  std::fprintf(stderr,
-               "drained. accepted=%lld admitted=%lld rejected_503=%lld "
-               "served_2xx=%lld 4xx=%lld 5xx=%lld io_errors=%lld\n",
-               static_cast<long long>(transport.accepted),
-               static_cast<long long>(transport.admitted),
-               static_cast<long long>(transport.rejected_503),
-               static_cast<long long>(transport.served_2xx),
-               static_cast<long long>(transport.client_errors_4xx),
-               static_cast<long long>(transport.server_errors_5xx),
-               static_cast<long long>(transport.io_errors));
+  std::fprintf(stderr, "drained. server stats: %s\n",
+               server::ToJson(http.stats()).Dump().c_str());
   std::fprintf(stderr, "service stats: %s\n",
                server::ToJson(service.stats()).Dump().c_str());
   return 0;

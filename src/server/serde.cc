@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "server/server.h"
 
 namespace qagview::server {
 
@@ -151,6 +152,14 @@ void Fields(S& s, F&& f) {
     f("prefetch_hits", s.prefetch_hits);
     f("total_latency_ms", s.total_latency_ms);
     f("max_latency_ms", s.max_latency_ms);
+  } else if constexpr (std::is_same_v<T, ServerStats>) {
+    f("accepted", s.accepted);
+    f("admitted", s.admitted);
+    f("rejected_503", s.rejected_503);
+    f("served_2xx", s.served_2xx);
+    f("client_errors_4xx", s.client_errors_4xx);
+    f("server_errors_5xx", s.server_errors_5xx);
+    f("io_errors", s.io_errors);
   } else {
     static_assert(sizeof(T) == 0, "a wire struct without a field list");
   }
@@ -341,6 +350,7 @@ Json ToJson(const service::ExploreResponse& v) { return Put(v); }
 Json ToJson(const service::RefineResponse& v) { return Put(v); }
 Json ToJson(const service::AppendRowsResponse& v) { return Put(v); }
 Json ToJson(const service::RequestStats& v) { return Put(v); }
+Json ToJson(const ServerStats& v) { return Put(v); }
 
 Json ToJson(const service::ServiceStats& v) {
   Json out = Put(v);

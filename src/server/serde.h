@@ -76,6 +76,11 @@ Result<service::ServiceStats> ServiceStatsFromJson(const json::Json& doc);
 /// the build smoke test).
 json::Json ToJson(const service::RequestStats& stats);
 
+/// The transport counters: the "server" object of GET /stats and the
+/// qagview_server drain line.
+struct ServerStats;
+json::Json ToJson(const ServerStats& stats);
+
 }  // namespace qagview::server
 
 #endif  // QAGVIEW_SERVER_SERDE_H_

@@ -304,16 +304,7 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
     if (!is_get) return ErrorResponse(405, "MethodNotAllowed", "use GET");
     Json body = Json::Object();
     body.Set("service", ToJson(service_->stats()));
-    ServerStats transport = stats();
-    Json server = Json::Object();
-    server.Set("accepted", Json::Int(transport.accepted));
-    server.Set("admitted", Json::Int(transport.admitted));
-    server.Set("rejected_503", Json::Int(transport.rejected_503));
-    server.Set("served_2xx", Json::Int(transport.served_2xx));
-    server.Set("client_errors_4xx", Json::Int(transport.client_errors_4xx));
-    server.Set("server_errors_5xx", Json::Int(transport.server_errors_5xx));
-    server.Set("io_errors", Json::Int(transport.io_errors));
-    body.Set("server", std::move(server));
+    body.Set("server", ToJson(stats()));
     return JsonResponse(200, std::move(body));
   }
 

@@ -630,10 +630,13 @@ Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
         out.solution,
         entry->session->SummarizeWith(request.params, &universe,
                                       core::HybridOptions(), &trace));
-    out.view = core::BuildTwoLayerView(*universe, out.solution);
+    // The universe may be a wider one (L' > L); the top counts and the
+    // expanded layer's header count against the request's L.
+    out.view =
+        core::BuildTwoLayerView(*universe, out.solution, request.params.L);
     out.summary = core::RenderSummary(*universe, out.solution);
-    out.expanded =
-        core::RenderExpanded(*universe, out.solution, request.max_members);
+    out.expanded = core::RenderExpanded(*universe, out.solution,
+                                        request.max_members, request.params.L);
     MergeTrace(trace, &out.stats);
     out.approx = ApproxOf(entry->session->approximation());
     CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);

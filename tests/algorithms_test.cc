@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -331,6 +332,24 @@ TEST(HybridTest, RejectsBadC) {
   HybridOptions options;
   options.c = 1;
   EXPECT_FALSE(Hybrid::Run(inst.u, params, options).ok());
+}
+
+// c·k past INT_MAX: Fixed-Order holds at most L clusters, so any budget
+// >= L gives the k = L answer.
+TEST(HybridTest, HugeKEqualsKAtL) {
+  Instance inst = MakeInstance(73, 90, 5, 3, 20);
+  for (int d = 0; d <= 3; ++d) {
+    auto at_l = Hybrid::Run(inst.u, Params{20, 20, d});
+    ASSERT_TRUE(at_l.ok()) << at_l.status().ToString();
+    HybridOptions huge_c;
+    huge_c.c = std::numeric_limits<int>::max();
+    for (auto huge : {Hybrid::Run(inst.u, Params{1500000000, 20, d}),
+                      Hybrid::Run(inst.u, Params{20, 20, d}, huge_c)}) {
+      ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+      EXPECT_EQ(huge->cluster_ids, at_l->cluster_ids) << "d=" << d;
+      EXPECT_EQ(huge->average, at_l->average) << "d=" << d;
+    }
+  }
 }
 
 TEST(ParamsTest, Validation) {

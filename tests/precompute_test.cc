@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -11,6 +12,7 @@
 #include "core/interval_tree.h"
 #include "core/fixed_order.h"
 #include "core/precompute.h"
+#include "core/solution_store_io.h"
 #include "test_util.h"
 
 namespace qagview::core {
@@ -257,30 +259,81 @@ TEST(PrecomputeTest, DZeroIsTheNoDistanceConstraintRow) {
 }
 
 TEST(PrecomputeTest, MatchesDirectReplayAtSampledPoints) {
-  // The stored solution at (k, D) must equal running the same Bottom-Up
-  // replay directly from the same Fixed-Order initial set. We verify
-  // self-consistency: retrieving twice and via value agree, and the state
-  // for large k equals the post-distance-phase state of a fresh replay
-  // seeded identically (D-independent Fixed-Order phase, c and budget
-  // matching).
-  Instance inst = MakeInstance(29, 80, 5, 3, 16);
-  PrecomputeOptions options = GridOptions(2, 10, {2});
-  auto store = Precompute::Run(inst.u, 16, options);
-  ASSERT_TRUE(store.ok());
+  // The stored solution at every (k, D) equals Bottom-Up run directly, down
+  // to k, from the same Fixed-Order initial set (the D-independent phase at
+  // budget c·k_max), with delta judgment on and off. Cluster sets match
+  // exactly; averages within rounding (the store keeps the replay's running
+  // average, Retrieve re-sums its clusters).
+  struct Shape {
+    uint64_t seed;
+    int n, m, domain, top_l, k_max;
+  };
+  for (const Shape& shape : {Shape{29, 80, 5, 3, 16, 10},
+                             Shape{31, 120, 4, 4, 24, 8},
+                             Shape{37, 60, 6, 2, 12, 12},
+                             Shape{41, 150, 5, 3, 30, 6}}) {
+    Instance inst = MakeInstance(shape.seed, shape.n, shape.m, shape.domain,
+                                 shape.top_l);
+    for (bool delta : {true, false}) {
+      SCOPED_TRACE(StrCat("seed=", shape.seed, " delta=", delta));
+      PrecomputeOptions options = GridOptions(1, shape.k_max, {});
+      options.use_delta_judgment = delta;
+      auto store = Precompute::Run(inst.u, shape.top_l, options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  FixedOrderOptions fo;
-  auto initial = FixedOrder::RunPhase(inst.u, options.c * 10, 16, 0, fo);
-  ASSERT_TRUE(initial.ok());
-  for (int k : {10, 6, 3}) {
-    Params params{k, 16, 2};
-    auto direct = BottomUp::RunFrom(inst.u, params, *initial);
-    ASSERT_TRUE(direct.ok());
-    auto stored = store->Retrieve(2, k);
-    ASSERT_TRUE(stored.ok());
-    std::set<int> a(direct->cluster_ids.begin(), direct->cluster_ids.end());
-    std::set<int> b(stored->cluster_ids.begin(), stored->cluster_ids.end());
-    EXPECT_EQ(a, b) << "k=" << k;
-    EXPECT_NEAR(direct->average, stored->average, 1e-9);
+      FixedOrderOptions fo;
+      fo.use_delta_judgment = delta;
+      auto initial = FixedOrder::RunPhase(inst.u, options.c * shape.k_max,
+                                          shape.top_l, 0, fo);
+      ASSERT_TRUE(initial.ok());
+      BottomUpOptions bu;
+      bu.use_delta_judgment = delta;
+      ASSERT_EQ(store->d_values().size(), static_cast<size_t>(shape.m));
+      for (int d : store->d_values()) {
+        for (int k = store->MinK(d).value(); k <= shape.k_max; ++k) {
+          Params params{k, shape.top_l, d};
+          auto direct = BottomUp::RunFrom(inst.u, params, *initial, bu);
+          ASSERT_TRUE(direct.ok());
+          auto stored = store->Retrieve(d, k);
+          ASSERT_TRUE(stored.ok());
+          std::set<int> a(direct->cluster_ids.begin(),
+                          direct->cluster_ids.end());
+          std::set<int> b(stored->cluster_ids.begin(),
+                          stored->cluster_ids.end());
+          EXPECT_EQ(a, b) << "d=" << d << " k=" << k;
+          EXPECT_NEAR(direct->average, stored->average, 1e-9);
+          EXPECT_NEAR(direct->average, store->Value(d, k).value(), 1e-9);
+        }
+      }
+    }
+  }
+}
+
+// c·k_max past INT_MAX: Fixed-Order never holds more clusters than its L
+// candidates, so any budget >= L gives the same grid, byte for byte.
+TEST(PrecomputeTest, HugeBudgetsActAsL) {
+  Instance inst = MakeInstance(43, 90, 5, 3, 18);
+  PrecomputeOptions reaches_l = GridOptions(2, 10, {});
+  reaches_l.c = 2;  // 2 · 10 >= 18
+  auto reference = Precompute::Run(inst.u, 18, reaches_l);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  PrecomputeOptions huge_c = reaches_l;
+  huge_c.c = std::numeric_limits<int>::max();
+  auto wide = Precompute::Run(inst.u, 18, huge_c);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(SerializeSolutionStore(*wide), SerializeSolutionStore(*reference));
+
+  PrecomputeOptions huge_k = reaches_l;
+  huge_k.k_max = std::numeric_limits<int>::max();
+  auto tall = Precompute::Run(inst.u, 18, huge_k);
+  ASSERT_TRUE(tall.ok()) << tall.status().ToString();
+  EXPECT_EQ(tall->k_max(), std::numeric_limits<int>::max());
+  for (int d : reference->d_values()) {
+    for (int k = reference->MinK(d).value(); k <= 10; ++k) {
+      EXPECT_EQ(tall->Value(d, k).value(), reference->Value(d, k).value())
+          << "d=" << d << " k=" << k;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -97,19 +98,43 @@ TEST(ClusterUniverseTest, CoverageMappingIsExact) {
   }
 }
 
+uint64_t SumBits(double sum) {
+  uint64_t bits;
+  std::memcpy(&bits, &sum, sizeof(bits));
+  return bits;
+}
+
+// Figure 8a's per-cluster scan and the per-element probes agree exactly —
+// covered lists, sum bits and top-L counts — in both index layouts, on the
+// serial and on the sharded scan.
 TEST(ClusterUniverseTest, NaiveMappingMatchesOptimized) {
   AnswerSet s = testutil::MakeRandomAnswerSet(11, 80, 5, 3);
-  auto fast = ClusterUniverse::Build(&s, 12);
-  UniverseOptions naive_options;
-  naive_options.naive_mapping = true;
-  auto naive = ClusterUniverse::Build(&s, 12, naive_options);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(naive.ok());
-  ASSERT_EQ(fast->num_clusters(), naive->num_clusters());
-  for (int id = 0; id < fast->num_clusters(); ++id) {
-    int other = naive->FindId(fast->cluster(id));
-    ASSERT_GE(other, 0);
-    EXPECT_EQ(fast->covered(id), naive->covered(other));
+  for (bool force_unpacked : {false, true}) {
+    UniverseOptions naive_options;
+    naive_options.naive_mapping = true;
+    naive_options.force_unpacked = force_unpacked;
+    auto naive = ClusterUniverse::Build(&s, 12, naive_options);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(naive->packed_index(), !force_unpacked);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(StrCat("force_unpacked=", force_unpacked,
+                          " threads=", threads));
+      UniverseOptions options;
+      options.force_unpacked = force_unpacked;
+      options.num_threads = threads;
+      auto fast = ClusterUniverse::Build(&s, 12, options);
+      ASSERT_TRUE(fast.ok());
+      ASSERT_EQ(fast->num_clusters(), naive->num_clusters());
+      for (int id = 0; id < fast->num_clusters(); ++id) {
+        int other = naive->FindId(fast->cluster(id));
+        ASSERT_GE(other, 0);
+        EXPECT_EQ(fast->covered(id), naive->covered(other));
+        EXPECT_EQ(SumBits(fast->covered_sum(id)),
+                  SumBits(naive->covered_sum(other)));
+        EXPECT_EQ(fast->top_covered_count(id),
+                  naive->top_covered_count(other));
+      }
+    }
   }
 }
 
@@ -370,9 +395,16 @@ TEST(ClusterUniverseTest, RejectsBadArguments) {
   AnswerSet s = testutil::MakeMovieExample();
   EXPECT_FALSE(ClusterUniverse::Build(&s, 0).ok());
   EXPECT_FALSE(ClusterUniverse::Build(&s, s.size() + 1).ok());
-  UniverseOptions tight;
-  tight.max_attrs = 2;
-  EXPECT_FALSE(ClusterUniverse::Build(&s, 4, tight).ok());
+  // One attribute past the limit: 2^25 generalizations per element.
+  const int m = ClusterUniverse::kMaxAttrs + 1;
+  std::vector<std::string> names;
+  for (int a = 0; a < m; ++a) names.push_back(StrCat("a", a));
+  auto wide = AnswerSet::FromRaw(
+      names, std::vector<std::vector<std::string>>(m, {"x", "y"}),
+      {{std::vector<int32_t>(m, 0), 2.0}, {std::vector<int32_t>(m, 1), 1.0}});
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->num_attrs(), 25);
+  EXPECT_FALSE(ClusterUniverse::Build(&*wide, 1).ok());
 }
 
 TEST(AnswerSetTest, FromTableInternsAndSorts) {

@@ -1,5 +1,6 @@
 // The server's JSON codec (server/serde.h) in isolation, over populated
-// instances of every request and response struct and of ServiceStats:
+// instances of every request and response struct, ServiceStats and
+// ServerStats:
 //
 //  * golden bytes: each encoding is pinned to the exact wire string, with
 //    escaped and UTF-8 strings, an INT64_MAX cell, the doubles 0.1 + 0.2
@@ -25,6 +26,7 @@
 
 #include "common/json.h"
 #include "common/string_util.h"
+#include "server/server.h"
 
 namespace qagview::server {
 namespace {
@@ -276,6 +278,21 @@ TEST(SerdeGoldenTest, Responses) {
 TEST(SerdeGoldenTest, ServiceStats) {
   EXPECT_EQ(ToJson(SampleServiceStats()).Dump(),
             R"json({"datasets":1,"sessions":2,"queries":3,"query_cache_hits":4,"query_coalesced":5,"summarize_requests":6,"guidance_requests":7,"retrieve_requests":8,"explore_requests":9,"cache_hits":10,"coalesced_waits":11,"builds":12,"refreshes":13,"refresh_full_reuses":14,"approx_queries":15,"approx_served":16,"refine_requests":17,"refinements":18,"refinements_superseded":19,"graveyard_size":20,"live_generations":21,"generations_evicted":22,"prefetch_issued":23,"prefetch_hits":24,"total_latency_ms":0.30000000000000004,"max_latency_ms":1e-300,"requests":50})json");
+}
+
+// Recorded from the hand-listed "server" object of GET /stats that the
+// field list replaced.
+TEST(SerdeGoldenTest, ServerStats) {
+  ServerStats stats;
+  stats.accepted = 1;
+  stats.admitted = 2;
+  stats.rejected_503 = 3;
+  stats.served_2xx = 4;
+  stats.client_errors_4xx = 5;
+  stats.server_errors_5xx = 6;
+  stats.io_errors = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(ToJson(stats).Dump(),
+            R"json({"accepted":1,"admitted":2,"rejected_503":3,"served_2xx":4,"client_errors_4xx":5,"server_errors_5xx":6,"io_errors":9223372036854775807})json");
 }
 
 // --- Round trip --------------------------------------------------------------

@@ -24,9 +24,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -342,6 +344,51 @@ TEST_F(ServerTest, IntegerWiderThan32BitsIs400AndServerStaysUp) {
   EXPECT_NE(error.Find("error")->Find("message")->AsString().find("\"k\""),
             std::string::npos)
       << http->body;
+
+  Result<HttpClientResponse> health = Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
+TEST_F(ServerTest, BudgetsPastIntMaxAre200AndServerStaysUp) {
+  // The Fixed-Order budget c·k (and c·k_max for a grid) used to overflow
+  // int: a huge k was served with a wrapped budget, a huge c was refused.
+  const service::QueryHandle handle = OpenHandle();
+  service::SummarizeRequest at_l;
+  at_l.handle = handle;
+  at_l.params = {8, 8, 1};
+  Result<service::SummarizeResponse> expected = service_->Summarize(at_l);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  service::SummarizeRequest summarize = at_l;
+  summarize.params.k = 1500000000;
+  service::ExploreRequest explore;
+  explore.handle = handle;
+  explore.params = summarize.params;
+  service::GuidanceRequest huge_c;
+  huge_c.handle = handle;
+  huge_c.top_l = 8;
+  huge_c.options.c = std::numeric_limits<int>::max();
+  service::GuidanceRequest huge_k_max = huge_c;
+  huge_k_max.options.c = 3;
+  huge_k_max.options.k_max = std::numeric_limits<int>::max();
+
+  Result<HttpClientResponse> http = Post("/summarize", ToJson(summarize));
+  ASSERT_TRUE(http.ok()) << http.status().ToString();
+  ASSERT_EQ(http->status, 200) << http->body;
+  Result<service::SummarizeResponse> parsed =
+      SummarizeResponseFromJson(MustParse(http->body));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->solution.cluster_ids, expected->solution.cluster_ids);
+
+  for (const auto& [target, body] :
+       {std::pair<std::string, Json>{"/explore", ToJson(explore)},
+        {"/guidance", ToJson(huge_c)},
+        {"/guidance", ToJson(huge_k_max)}}) {
+    http = Post(target, body);
+    ASSERT_TRUE(http.ok()) << http.status().ToString();
+    EXPECT_EQ(http->status, 200) << target << ": " << http->body;
+  }
 
   Result<HttpClientResponse> health = Get("/healthz");
   ASSERT_TRUE(health.ok()) << health.status().ToString();

@@ -246,6 +246,47 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   EXPECT_GE(stats.max_latency_ms, 0.0);
 }
 
+// A session serves Explore at L from its narrowest cached universe with
+// L' >= L. The answer must not depend on that: after an Explore at L = 60,
+// an Explore at L = 10 equals a fresh service's, top counts and the
+// expanded layer's "in top-L" header included.
+TEST(QueryServiceTest, ExploreCountsTopMembersAgainstTheRequestsL) {
+  for (uint64_t seed : {71, 72, 73}) {
+    SCOPED_TRACE(seed);
+    core::Params wide{4, 60, 1};
+    core::Params narrow{4, 10, 1};
+    auto warmed = MakeService(seed);
+    auto query = warmed->Query({kSqlFine, "val", {}});
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    ASSERT_TRUE(warmed->Explore({query->handle, wide, 0}).ok());
+    auto after_wide = warmed->Explore({query->handle, narrow, 0});
+    ASSERT_TRUE(after_wide.ok()) << after_wide.status().ToString();
+    EXPECT_FALSE(after_wide->stats.built);  // served by the L = 60 universe
+
+    auto fresh = MakeService(seed);
+    auto fresh_query = fresh->Query({kSqlFine, "val", {}});
+    ASSERT_TRUE(fresh_query.ok());
+    auto cold = fresh->Explore({fresh_query->handle, narrow, 0});
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+    EXPECT_EQ(after_wide->solution.cluster_ids, cold->solution.cluster_ids);
+    EXPECT_EQ(after_wide->solution.average, cold->solution.average);
+    ASSERT_EQ(after_wide->view.clusters.size(), cold->view.clusters.size());
+    for (size_t i = 0; i < cold->view.clusters.size(); ++i) {
+      const core::ClusterView& a = after_wide->view.clusters[i];
+      const core::ClusterView& b = cold->view.clusters[i];
+      EXPECT_EQ(a.cluster_id, b.cluster_id);
+      EXPECT_EQ(a.pattern, b.pattern);
+      EXPECT_EQ(a.average, b.average);
+      EXPECT_EQ(a.count, b.count);
+      EXPECT_EQ(a.top_count, b.top_count) << a.pattern;
+      EXPECT_EQ(a.member_ranks, b.member_ranks);
+    }
+    EXPECT_EQ(after_wide->summary, cold->summary);
+    EXPECT_EQ(after_wide->expanded, cold->expanded);
+  }
+}
+
 TEST(QueryServiceTest, TypedAccessorsAllowGuidancePersistence) {
   auto service = MakeService();
   auto query = service->Query({kSqlCoarse, "val", {}});
