@@ -2,8 +2,8 @@
 // single-run, and precomputation times while varying k, L, and N, plus the
 // single-vs-precompute cumulative comparison over six runs, plus the
 // thread-scaling curve of the parallel (k, D) precompute (one Bottom-Up
-// replay per D distributed over a ThreadPool) and the sharded universe
-// build.
+// replay per D distributed over a ThreadPool) and the serial universe build
+// on the same instance.
 //
 // Emits BENCH_fig7_precompute.json next to the text output; see
 // bench/README.md for the schema. QAGVIEW_BENCH_SMOKE=1 shrinks the
@@ -235,7 +235,7 @@ int main() {
           ", D=1..8, k_max=" + std::to_string(grid_k_max) + ")",
       "the per-D Bottom-Up replays are independent, so wall clock drops "
       "with threads while the resulting store stays bit-identical; the "
-      "sharded universe build scales with N the same way");
+      "universe build it starts from is serial");
   {
     auto universe = core::ClusterUniverse::Build(&s7000, big_l);
     QAG_CHECK(universe.ok());
@@ -278,25 +278,18 @@ int main() {
                    t);
     }
 
-    std::printf("\nuniverse build (inverse coverage scan), same instance:\n");
-    std::printf("%-10s %14s %14s %10s\n", "threads", "median(ms)", "min(ms)",
-                "speedup");
-    double serial_build_ms = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
-      core::UniverseOptions u_options;
-      u_options.num_threads = threads;
-      benchutil::TimingStats t = benchutil::TimeStats(
-          [&] {
-            auto u = core::ClusterUniverse::Build(&s7000, big_l, u_options);
-            QAG_CHECK(u.ok());
-          },
-          reps);
-      if (threads == 1) serial_build_ms = t.median_ms;
-      std::printf("%-10d %14.2f %14.2f %9.2fx\n", threads, t.median_ms,
-                  t.min_ms, serial_build_ms / t.median_ms);
-      reporter.Add("scaling_universe_build",
-                   {{"threads", threads}, {"N", n_large}, {"L", big_l}}, t);
-    }
+    std::printf("\nuniverse build (serial inverse coverage scan), same "
+                "instance:\n");
+    std::printf("%-10s %14s %14s\n", "threads", "median(ms)", "min(ms)");
+    benchutil::TimingStats t = benchutil::TimeStats(
+        [&] {
+          auto u = core::ClusterUniverse::Build(&s7000, big_l);
+          QAG_CHECK(u.ok());
+        },
+        reps);
+    std::printf("%-10d %14.2f %14.2f\n", 1, t.median_ms, t.min_ms);
+    reporter.Add("scaling_universe_build",
+                 {{"threads", 1}, {"N", n_large}, {"L", big_l}}, t);
   }
 
   reporter.WriteFile();

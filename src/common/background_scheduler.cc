@@ -4,13 +4,7 @@
 
 namespace qagview {
 
-BackgroundScheduler::BackgroundScheduler(int num_threads) {
-  const int n = num_threads > 0 ? num_threads : 1;
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { Loop(); });
-  }
-}
+BackgroundScheduler::BackgroundScheduler() : worker_([this] { Loop(); }) {}
 
 BackgroundScheduler::~BackgroundScheduler() {
   {
@@ -19,7 +13,7 @@ BackgroundScheduler::~BackgroundScheduler() {
     for (auto& lane : lanes_) lane.clear();  // drop, don't drain
   }
   cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  worker_.join();
 }
 
 void BackgroundScheduler::Submit(Lane lane, uint64_t token,
@@ -83,7 +77,7 @@ void BackgroundScheduler::BeginForeground() {
 void BackgroundScheduler::EndForeground() {
   if (foreground_active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last window closed: gated prefetch tasks may be runnable again. The
-    // (empty) critical section orders the wake against a worker that is
+    // (empty) critical section orders the wake against the worker if it is
     // between evaluating its predicate and parking.
     { std::lock_guard<std::mutex> lock(mu_); }
     cv_.notify_all();

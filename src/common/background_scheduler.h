@@ -8,22 +8,22 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace qagview {
 
 /// \brief The one home for all deferred work: a prioritized, cancelable
-/// task scheduler with two lanes.
+/// task scheduler with two lanes and one worker thread.
 ///
 /// Background execution used to be scattered (a private one-thread FIFO
 /// executor for refinement, nothing for speculative work); none of that
 /// could express "spend idle cycles speculatively, yield instantly to
 /// foreground work." The scheduler expresses exactly that:
 ///
-///  * **Lanes, strictly prioritized.** A freed worker always takes the
-///    oldest task from the highest non-empty lane: kRefinement (exact
+///  * **Lanes, strictly prioritized.** The worker, once free, always takes
+///    the oldest task from the highest non-empty lane: kRefinement (exact
 ///    builds behind approximate answers) beats kPrefetch (speculative
-///    builds). Within a lane, FIFO.
+///    builds). Within a lane, FIFO; with one worker, tasks also finish in
+///    the order they start, which refinements rely on.
 ///  * **Validity tokens, superseded work dropped.** Every task carries a
 ///    uint64 token — by convention the catalog version it was scheduled
 ///    under; 0 means "never superseded." InvalidateBelow(floor) drops every
@@ -34,10 +34,10 @@ namespace qagview {
 ///    A task's token proves more than liveness: token still valid at
 ///    dequeue means no invalidation happened between submit and run.
 ///  * **Foreground yield.** While any BeginForeground/EndForeground window
-///    (or ForegroundGuard) is open, workers do not *start* kPrefetch tasks
-///    — a running one is never interrupted, but the speculative queue
-///    pauses until the foreground burst ends. kRefinement is not gated:
-///    its work is owed, not speculative.
+///    (or ForegroundGuard) is open, the worker does not *start* kPrefetch
+///    tasks — a running one is never interrupted, but the speculative
+///    queue pauses until the foreground burst ends. kRefinement is not
+///    gated: its work is owed, not speculative.
 ///
 /// Submit never blocks and never runs the task inline. Shutdown drops, it
 /// does not drain: the destructor lets running tasks finish, discards
@@ -69,7 +69,9 @@ class BackgroundScheduler {
     }
   };
 
-  explicit BackgroundScheduler(int num_threads = 1);
+  /// Starts the one worker: tasks run one at a time, so within a lane
+  /// they run in submission order.
+  BackgroundScheduler();
   ~BackgroundScheduler();
 
   BackgroundScheduler(const BackgroundScheduler&) = delete;
@@ -88,9 +90,9 @@ class BackgroundScheduler {
   void InvalidateBelow(uint64_t floor);
 
   /// Foreground-activity gate. While the count of open windows is > 0,
-  /// workers do not start kPrefetch tasks. Begin is wait-free (one atomic
-  /// increment); End takes the scheduler mutex only when closing the last
-  /// window (to wake workers parked on gated prefetch work).
+  /// the worker does not start kPrefetch tasks. Begin is wait-free (one
+  /// atomic increment); End takes the scheduler mutex only when closing the
+  /// last window (to wake the worker parked on gated prefetch work).
   void BeginForeground();
   void EndForeground();
 
@@ -129,7 +131,7 @@ class BackgroundScheduler {
   void Loop();
   /// Caller holds mu_. Drops queued tasks with nonzero token < floor_.
   void DropSupersededLocked();
-  /// Caller holds mu_. Index of the highest-priority lane with a task a
+  /// Caller holds mu_. Index of the highest-priority lane with a task the
   /// worker may start now, or -1.
   int RunnableLaneLocked() const;
 
@@ -142,7 +144,7 @@ class BackgroundScheduler {
   int active_ = 0;
   bool stop_ = false;
   std::atomic<int64_t> foreground_active_{0};
-  std::vector<std::thread> workers_;
+  std::thread worker_;  // last: started after everything it reads
 };
 
 }  // namespace qagview

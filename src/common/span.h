@@ -29,6 +29,7 @@ class Span {
     QAG_DCHECK(i < size_);
     return data_[i];
   }
+  const T& back() const { return (*this)[size_ - 1]; }
 
  private:
   const T* data_ = nullptr;

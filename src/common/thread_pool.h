@@ -17,18 +17,17 @@
 
 namespace qagview {
 
-/// \brief Deterministic fixed-size thread pool for the precomputation and
-/// initialization hot paths (parallel per-D replays, sharded coverage
-/// scans).
+/// \brief Deterministic fixed-size thread pool for the (k, D) precompute's
+/// parallel per-D replays.
 ///
 /// Design constraints, in order:
 ///
 ///  * **Determinism of results.** There is no work stealing and no nested
 ///    submission; a `ParallelFor` body must write only to slots owned by its
-///    index (or its shard), so the output is bit-identical regardless of
-///    which worker executes which index. Index *assignment* is dynamic (an
-///    atomic cursor, for load balance across uneven per-D replays), which is
-///    safe precisely because bodies are index-pure.
+///    index, so the output is bit-identical regardless of which worker
+///    executes which index. Index *assignment* is dynamic (an atomic
+///    cursor, for load balance across uneven per-D replays), which is safe
+///    precisely because bodies are index-pure.
 ///
 ///  * **Serial fallback.** `num_threads == 1` spawns no workers and runs
 ///    every body inline on the caller, so the single-threaded path is
@@ -100,24 +99,6 @@ class ThreadPool {
       lock.unlock();
       std::rethrow_exception(e);
     }
-  }
-
-  /// Splits [begin, end) into exactly num_threads() contiguous shards in
-  /// ascending order (trailing shards may be empty) and invokes
-  /// fn(shard, shard_begin, shard_end) for each. Merging per-shard results
-  /// in shard order therefore preserves the original index order — the
-  /// contract the coverage-scan merge relies on.
-  void ParallelForShards(
-      int64_t begin, int64_t end,
-      const std::function<void(int, int64_t, int64_t)>& fn) {
-    if (end <= begin) return;
-    const int64_t total = end - begin;
-    const int64_t shards = num_threads_;
-    ParallelFor(0, shards, [&](int64_t shard) {
-      int64_t lo = begin + total * shard / shards;
-      int64_t hi = begin + total * (shard + 1) / shards;
-      if (lo < hi) fn(static_cast<int>(shard), lo, hi);
-    });
   }
 
  private:

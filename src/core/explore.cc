@@ -21,7 +21,7 @@ TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
     cv.average = universe.Average(id);
     cv.count = universe.covered_count(id);
     // Covered lists ascend, so the ranks inside the top L are a prefix.
-    const std::vector<int32_t>& covered = universe.covered(id);
+    const Span<int32_t> covered = universe.covered(id);
     cv.top_count = static_cast<int>(
         std::lower_bound(covered.begin(), covered.end(), top_l) -
         covered.begin());
@@ -36,10 +36,7 @@ TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
   return view;
 }
 
-std::string RenderSummary(const ClusterUniverse& universe,
-                          const Solution& solution) {
-  TwoLayerView view = BuildTwoLayerView(universe, solution);
-  const AnswerSet& s = universe.answer_set();
+std::string RenderSummary(const AnswerSet& s, const TwoLayerView& view) {
   std::ostringstream out;
   out << Join(s.attr_names(), "\t") << "\tavg val\t#tuples\n";
   for (const ClusterView& cv : view.clusters) {
@@ -58,12 +55,8 @@ std::string RenderSummary(const ClusterUniverse& universe,
   return out.str();
 }
 
-std::string RenderExpanded(const ClusterUniverse& universe,
-                           const Solution& solution, int max_members,
-                           int top_l) {
-  if (top_l <= 0) top_l = universe.top_l();
-  TwoLayerView view = BuildTwoLayerView(universe, solution, top_l);
-  const AnswerSet& s = universe.answer_set();
+std::string RenderExpanded(const AnswerSet& s, const TwoLayerView& view,
+                           int max_members, int top_l) {
   std::ostringstream out;
   out << Join(s.attr_names(), "\t") << "\tval\trank\n";
   for (const ClusterView& cv : view.clusters) {
@@ -88,6 +81,21 @@ std::string RenderExpanded(const ClusterUniverse& universe,
     }
   }
   return out.str();
+}
+
+std::string RenderSummary(const ClusterUniverse& universe,
+                          const Solution& solution) {
+  return RenderSummary(universe.answer_set(),
+                       BuildTwoLayerView(universe, solution));
+}
+
+std::string RenderExpanded(const ClusterUniverse& universe,
+                           const Solution& solution, int max_members,
+                           int top_l) {
+  if (top_l <= 0) top_l = universe.top_l();
+  return RenderExpanded(universe.answer_set(),
+                        BuildTwoLayerView(universe, solution, top_l),
+                        max_members, top_l);
 }
 
 }  // namespace qagview::core

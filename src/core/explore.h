@@ -34,15 +34,23 @@ struct TwoLayerView {
 TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
                                const Solution& solution, int top_l = 0);
 
-/// Renders the collapsed first layer (Figure 1b): one row per cluster with
-/// its pattern and average value.
+/// Renders the collapsed first layer (Figure 1b) of a view over answer set
+/// `s`: one row per cluster with its pattern and average value.
+std::string RenderSummary(const AnswerSet& s, const TwoLayerView& view);
+
+/// Renders the expanded view (Figure 1c) of a view over answer set `s`, built
+/// at `top_l`: each cluster followed by the original result tuples it
+/// covers, with their global ranks. Clusters list at most `max_members`
+/// members each (0 = all).
+std::string RenderExpanded(const AnswerSet& s, const TwoLayerView& view,
+                           int max_members, int top_l);
+
+/// RenderSummary of BuildTwoLayerView(universe, solution).
 std::string RenderSummary(const ClusterUniverse& universe,
                           const Solution& solution);
 
-/// Renders the expanded view (Figure 1c): each cluster followed by the
-/// original result tuples it covers, with their global ranks. Clusters list
-/// at most `max_members` members each (0 = all). `top_l` is as in
-/// BuildTwoLayerView.
+/// RenderExpanded of BuildTwoLayerView(universe, solution, top_l); `top_l`
+/// is as in BuildTwoLayerView.
 std::string RenderExpanded(const ClusterUniverse& universe,
                            const Solution& solution, int max_members = 0,
                            int top_l = 0);

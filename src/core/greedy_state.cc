@@ -70,7 +70,7 @@ int GreedyState::TentativeRedundant(int id) {
 }
 
 double GreedyState::TentativeMin(int id) const {
-  const std::vector<int32_t>& tc = universe_->covered(id);
+  const Span<int32_t> tc = universe_->covered(id);
   QAG_DCHECK(!tc.empty());
   // min is idempotent, so taking the cluster's own min (its last covered
   // element) is exact even when some of its elements are already covered.

@@ -4,54 +4,10 @@
 
 #include "common/flat_map.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace qagview::core {
 
 namespace {
-
-/// Merges per-worker coverage buffers (each holding the hits of one
-/// contiguous, ascending element range, in shard order) into the universe
-/// arrays. Sums and top-L counts are recomputed by walking each merged list
-/// in ascending element order — exactly the serial accumulation order — so
-/// covered_, covered_sum_, and top_covered_count_ are bit-identical to the
-/// single-threaded scan for every thread count.
-void MergeShardCoverage(
-    const AnswerSet& s, int top_l,
-    const std::vector<std::vector<std::vector<int32_t>>>& shards,
-    ThreadPool& pool, std::vector<std::vector<int32_t>>* covered,
-    std::vector<double>* covered_sum, std::vector<int>* top_covered_count) {
-  pool.ParallelFor(
-      0, static_cast<int64_t>(covered->size()), [&](int64_t id) {
-        size_t i = static_cast<size_t>(id);
-        std::vector<int32_t>& out = (*covered)[i];
-        size_t total = 0;
-        for (const auto& shard : shards) {
-          if (!shard.empty()) total += shard[i].size();
-        }
-        out.reserve(total);
-        for (const auto& shard : shards) {
-          // A shard stays unallocated when its element range was empty.
-          if (shard.empty()) continue;
-          out.insert(out.end(), shard[i].begin(), shard[i].end());
-        }
-        double sum = 0.0;
-        int top = 0;
-        for (int32_t e : out) {
-          sum += s.value(e);
-          if (e < top_l) ++top;
-        }
-        (*covered_sum)[i] = sum;
-        (*top_covered_count)[i] = top;
-      });
-}
-
-/// Trims each covered list grown by push_back to its size, so a cached
-/// universe holds the same memory whichever scan built it (the sharded
-/// merge reserves exact sizes).
-void ShrinkCoverage(std::vector<std::vector<int32_t>>* covered) {
-  for (std::vector<int32_t>& list : *covered) list.shrink_to_fit();
-}
 
 /// Writes generalization `mask` of `attrs` (wildcards where mask bits are
 /// set) into `pattern`, which holds m entries.
@@ -224,20 +180,23 @@ void ClusterUniverse::Populate(Index& index, const Options& options) {
   }
 
   const size_t num_clusters = clusters_.size();
-  covered_.resize(num_clusters);
+  covered_offsets_.assign(num_clusters + 1, 0);
   covered_sum_.assign(num_clusters, 0.0);
   top_covered_count_.assign(num_clusters, 0);
 
   if (options.naive_mapping) {
-    // Ablation (Figure 8a): each cluster scans every element.
+    // Ablation (Figure 8a): each cluster scans every element and appends
+    // its slice after the previous cluster's.
     for (size_t id = 0; id < num_clusters; ++id) {
       for (int e = 0; e < n; ++e) {
         if (clusters_[id].CoversElement(s.element(e).attrs)) {
-          covered_[id].push_back(e);
+          covered_elements_.push_back(e);
           covered_sum_[id] += s.value(e);
           if (e < top_l_) ++top_covered_count_[id];
         }
       }
+      covered_offsets_[id + 1] =
+          static_cast<int64_t>(covered_elements_.size());
     }
     return;
   }
@@ -245,46 +204,41 @@ void ClusterUniverse::Populate(Index& index, const Options& options) {
   // Optimized mapping: each element probes the index with its own masks. A
   // cluster covers element e iff it equals one generalization of e, so
   // every (cluster, element) pair is found exactly once, in element order.
-  const int num_threads = options.num_threads > 0
-                              ? options.num_threads
-                              : ThreadPool::DefaultNumThreads();
-  if (num_threads == 1) {
-    for (int e = 0; e < n; ++e) {
-      const auto& key = index.Key(e);
-      const double value = s.value(e);
-      for (uint32_t mask = 0; mask < num_masks; ++mask) {
-        const int id = index.Probe(key, mask, &pattern);
-        if (id < 0) continue;
-        covered_[static_cast<size_t>(id)].push_back(e);
-        covered_sum_[static_cast<size_t>(id)] += value;
-        if (e < top_l_) ++top_covered_count_[static_cast<size_t>(id)];
-      }
+  // The probe pass records the hit ids element by element and counts them
+  // per cluster (in covered_offsets_[id + 1]).
+  std::vector<int32_t> hits;
+  std::vector<int32_t> hits_per_element(static_cast<size_t>(n));
+  for (int e = 0; e < n; ++e) {
+    const auto& key = index.Key(e);
+    const size_t first_hit = hits.size();
+    for (uint32_t mask = 0; mask < num_masks; ++mask) {
+      const int id = index.Probe(key, mask, &pattern);
+      if (id < 0) continue;
+      hits.push_back(id);
+      ++covered_offsets_[static_cast<size_t>(id) + 1];
     }
-    ShrinkCoverage(&covered_);
-    return;
+    hits_per_element[static_cast<size_t>(e)] =
+        static_cast<int32_t>(hits.size() - first_hit);
   }
-
-  // Sharded inverse scan: workers probe disjoint contiguous element ranges
-  // into private buffers, merged in element order by MergeShardCoverage.
-  ThreadPool pool(num_threads);
-  std::vector<std::vector<std::vector<int32_t>>> shard_covered(
-      static_cast<size_t>(pool.num_threads()));
-  pool.ParallelForShards(
-      0, n, [&](int shard, int64_t e_begin, int64_t e_end) {
-        auto& local = shard_covered[static_cast<size_t>(shard)];
-        local.resize(num_clusters);
-        std::vector<int32_t> probe(static_cast<size_t>(m));
-        for (int64_t e = e_begin; e < e_end; ++e) {
-          const auto& key = index.Key(static_cast<int>(e));
-          for (uint32_t mask = 0; mask < num_masks; ++mask) {
-            const int id = index.Probe(key, mask, &probe);
-            if (id < 0) continue;
-            local[static_cast<size_t>(id)].push_back(static_cast<int32_t>(e));
-          }
-        }
-      });
-  MergeShardCoverage(s, top_l_, shard_covered, pool, &covered_,
-                     &covered_sum_, &top_covered_count_);
+  // Prefix sums turn the counts into slice bounds. The scatter then writes
+  // each element into its clusters' slices in ascending element order, so
+  // every slice ascends and every sum accumulates in element order.
+  for (size_t id = 0; id < num_clusters; ++id) {
+    covered_offsets_[id + 1] += covered_offsets_[id];
+  }
+  std::vector<int64_t> cursor(covered_offsets_.begin(),
+                              covered_offsets_.end() - 1);
+  covered_elements_.resize(hits.size());
+  size_t h = 0;
+  for (int e = 0; e < n; ++e) {
+    const double value = s.value(e);
+    for (int32_t j = 0; j < hits_per_element[static_cast<size_t>(e)]; ++j) {
+      const size_t id = static_cast<size_t>(hits[h++]);
+      covered_elements_[static_cast<size_t>(cursor[id]++)] = e;
+      covered_sum_[id] += value;
+      if (e < top_l_) ++top_covered_count_[id];
+    }
+  }
 }
 
 int ClusterUniverse::FindId(const Cluster& c) const {

@@ -7,6 +7,7 @@
 
 #include "common/flat_map.h"
 #include "common/result.h"
+#include "common/span.h"
 #include "core/answer_set.h"
 #include "core/cluster.h"
 
@@ -31,16 +32,20 @@ namespace qagview::core {
 ///    cluster scanning all n elements. Options::naive_mapping selects the
 ///    per-cluster scan for the Figure-8a ablation.
 ///
+/// Coverage is stored in CSR form: per-cluster 64-bit offsets into one
+/// element-id array. One serial scan fills it: the probes record each
+/// element's hits and count them per cluster, prefix sums give every
+/// cluster its slice, and a scatter writes each element into its slices in
+/// ascending element order.
+///
 /// All cluster ids used by algorithms/solutions index into this universe.
 /// The universe is immutable after Build, so any number of threads may read
 /// it (including LcaId and CoversElement) without synchronization.
 struct UniverseOptions {
   /// Ablation switch: per-cluster scans over all n elements.
   bool naive_mapping = false;
-  /// Worker count for the inverse coverage scan (elements sharded across
-  /// workers, per-worker buffers merged in element order, so the covered_
-  /// lists and sums are bit-identical for every thread count). <= 0 uses
-  /// the hardware concurrency; 1 is the exact serial path.
+  /// Ignored: the coverage scan is serial. Kept only so callers that still
+  /// set it compile.
   int num_threads = 0;
   /// Test/ablation switch: skip the packed-uint64 index even when the
   /// schema fits it, forcing the vector-keyed fallback.
@@ -77,12 +82,17 @@ class ClusterUniverse {
   }
 
   /// Elements of S covered by the cluster, ascending by element id (i.e.,
-  /// descending by value; the top-L members form a prefix).
-  const std::vector<int32_t>& covered(int id) const {
-    return covered_[static_cast<size_t>(id)];
+  /// descending by value; the top-L members form a prefix). The span views
+  /// the universe's storage and lives as long as the universe.
+  Span<int32_t> covered(int id) const {
+    const size_t i = static_cast<size_t>(id);
+    return Span<int32_t>(
+        covered_elements_.data() + covered_offsets_[i],
+        static_cast<size_t>(covered_offsets_[i + 1] - covered_offsets_[i]));
   }
   int covered_count(int id) const {
-    return static_cast<int>(covered_[static_cast<size_t>(id)].size());
+    const size_t i = static_cast<size_t>(id);
+    return static_cast<int>(covered_offsets_[i + 1] - covered_offsets_[i]);
   }
   double covered_sum(int id) const {
     return covered_sum_[static_cast<size_t>(id)];
@@ -144,7 +154,7 @@ class ClusterUniverse {
 
   /// The two index layouts (semilattice.cc). Each supplies the insert of
   /// cluster generation and the per-element key and probe of the coverage
-  /// scans; Populate runs the loops, written once and instantiated per
+  /// scan; Populate runs the loops, written once and instantiated per
   /// layout.
   class PackedIndex;
   class VectorIndex;
@@ -163,7 +173,10 @@ class ClusterUniverse {
   std::vector<uint64_t> element_keys_;
   std::vector<uint64_t> cluster_keys_;
   std::vector<uint64_t> concrete_lanes_;
-  std::vector<std::vector<int32_t>> covered_;
+  // Coverage (CSR): cluster id covers covered_elements_[covered_offsets_[id]
+  // .. covered_offsets_[id + 1]), ascending; num_clusters + 1 offsets.
+  std::vector<int64_t> covered_offsets_;
+  std::vector<int32_t> covered_elements_;
   std::vector<double> covered_sum_;
   std::vector<int> top_covered_count_;
   std::vector<int> singleton_ids_;

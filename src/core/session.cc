@@ -161,10 +161,8 @@ Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
     // build's duration.
     Counters().universe_misses.fetch_add(1, std::memory_order_relaxed);
     if (trace != nullptr) trace->built = true;
-    ClusterUniverse::Options build_options;
-    build_options.num_threads = num_threads();
     Result<ClusterUniverse> built =
-        ClusterUniverse::Build(gen->answers.get(), top_l, build_options);
+        ClusterUniverse::Build(gen->answers.get(), top_l);
     const ClusterUniverse* ptr = nullptr;
     {
       std::unique_lock<std::shared_mutex> lock = WriterLock();

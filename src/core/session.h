@@ -27,8 +27,9 @@ namespace qagview::core {
 /// cached structures. Session implements that policy:
 ///
 ///  * the answer set is fixed per session (new query => new session);
-///  * cluster universes are cached per L, and a request for L' <= L reuses
-///    the widest cached universe (its cluster set is a superset);
+///  * cluster universes are cached per L, and a request at L is served by
+///    the narrowest cached universe with L' >= L (its cluster set is a
+///    superset);
 ///  * precomputed solution stores (the §6.2 grids) are cached per L;
 ///  * Summarize / Retrieve requests then run at interactive speed.
 ///
@@ -254,9 +255,10 @@ class Session {
   /// threads); a read racing in-flight requests sees a monotonic snapshot.
   CacheStats cache_stats() const;
 
-  /// Worker count for universe builds and precomputes issued by this
-  /// session. <= 0 (the default) uses the hardware concurrency; explicit
-  /// PrecomputeOptions::num_threads still wins for that call.
+  /// Worker count for the (k, D) precomputes issued by this session (the
+  /// universe build is serial). <= 0 (the default) uses the CPUs this
+  /// process may run on; explicit PrecomputeOptions::num_threads still
+  /// wins for that call.
   void set_num_threads(int num_threads) {
     num_threads_.store(num_threads, std::memory_order_relaxed);
   }

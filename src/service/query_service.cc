@@ -346,6 +346,13 @@ Result<QueryService::BuiltAnswers> QueryService::BuildAnswers(
   return BuiltAnswers{std::move(answers), false};
 }
 
+bool QueryService::DepsChangedLocked(const SessionEntry& entry) const {
+  for (const auto& [name, version] : entry.deps) {
+    if (datasets_.TableVersion(name) != version) return true;
+  }
+  return false;
+}
+
 Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
                                RequestStats* rs, bool* led_rebuild) {
   // An exactness upgrade is owed when the caller demands exact and the
@@ -373,12 +380,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
     bool stale = false;
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      for (const auto& [name, version] : entry->deps) {
-        if (datasets_.TableVersion(name) != version) {
-          stale = true;
-          break;
-        }
-      }
+      stale = DepsChangedLocked(*entry);
     }
     if (!stale && !needs_upgrade()) {
       // Verified fresh as of `observed_version`, which was read *before*
@@ -401,13 +403,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
       // Recheck under the exclusive lock: a rebuild that completed since
       // the fast check already updated the deps / published exact.
       const uint64_t recheck_version = datasets_.version();
-      stale = false;
-      for (const auto& [name, version] : entry->deps) {
-        if (datasets_.TableVersion(name) != version) {
-          stale = true;
-          break;
-        }
-      }
+      stale = DepsChangedLocked(*entry);
       upgrade = needs_upgrade();
       if (!stale && !upgrade) {
         entry->fresh_at.store(recheck_version, std::memory_order_release);
@@ -631,12 +627,14 @@ Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
         entry->session->SummarizeWith(request.params, &universe,
                                       core::HybridOptions(), &trace));
     // The universe may be a wider one (L' > L); the top counts and the
-    // expanded layer's header count against the request's L.
+    // expanded layer's header count against the request's L. Both layers
+    // render from this one view.
     out.view =
         core::BuildTwoLayerView(*universe, out.solution, request.params.L);
-    out.summary = core::RenderSummary(*universe, out.solution);
-    out.expanded = core::RenderExpanded(*universe, out.solution,
-                                        request.max_members, request.params.L);
+    const core::AnswerSet& answers = universe->answer_set();
+    out.summary = core::RenderSummary(answers, out.view);
+    out.expanded = core::RenderExpanded(answers, out.view, request.max_members,
+                                        request.params.L);
     MergeTrace(trace, &out.stats);
     out.approx = ApproxOf(entry->session->approximation());
     CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);

@@ -25,9 +25,10 @@ namespace qagview::service {
 
 /// Service-wide knobs, fixed at construction.
 struct ServiceOptions {
-  /// Worker count handed to every core::Session the service opens (<= 0:
-  /// hardware concurrency). Per-call PrecomputeOptions::num_threads still
-  /// wins for that call.
+  /// Worker count of the (k, D) precomputes of every core::Session the
+  /// service opens (<= 0: the CPUs this process may run on); universe
+  /// builds are serial. Per-call PrecomputeOptions::num_threads still wins
+  /// for that call.
   int num_threads = 0;
   /// Reservoir capacity of the per-dataset uniform samples backing
   /// approximate-first serving (DatasetCatalogOptions::sample_capacity).
@@ -347,6 +348,10 @@ class QueryService {
   /// this call performed a rebuild itself.
   Status Reconcile(SessionEntry* entry, bool require_exact, RequestStats* rs,
                    bool* led_rebuild = nullptr);
+
+  /// Whether a table the entry's query read has a version other than the
+  /// one it was executed against. Caller holds mu_ (shared or exclusive).
+  bool DepsChangedLocked(const SessionEntry& entry) const;
 
   /// Reconcile for ordinary serving: freshness only, no exactness upgrade.
   Status EnsureFresh(SessionEntry* entry, RequestStats* rs) {

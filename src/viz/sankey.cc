@@ -30,10 +30,10 @@ SankeyDiagram BuildSankey(const core::ClusterUniverse& universe,
   d.overlap.assign(static_cast<size_t>(d.num_left()),
                    std::vector<int>(static_cast<size_t>(d.num_right()), 0));
   for (int i = 0; i < d.num_left(); ++i) {
-    const std::vector<int32_t>& a =
+    const Span<int32_t> a =
         universe.covered(old_solution.cluster_ids[static_cast<size_t>(i)]);
     for (int j = 0; j < d.num_right(); ++j) {
-      const std::vector<int32_t>& b =
+      const Span<int32_t> b =
           universe.covered(new_solution.cluster_ids[static_cast<size_t>(j)]);
       // Sorted-list intersection count.
       size_t x = 0;

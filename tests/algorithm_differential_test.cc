@@ -2,8 +2,9 @@
 // bit-identity philosophy of the parallel-precompute work into a property
 // test: on seeded small instances,
 //
-//  * the cluster universe is bit-identical at 1/2/8 build threads, and so
-//    is every algorithm result computed over it;
+//  * the cluster universe is bit-identical across its builds (both index
+//    layouts, per-element and per-cluster coverage mapping), and so is
+//    every algorithm result computed over it;
 //  * in the singleton-optimal regime (k >= L, D <= 1) BottomUp, Hybrid,
 //    and BruteForce must agree exactly — same weight, same (unique)
 //    solution: the top-L singletons;
@@ -40,9 +41,7 @@ std::vector<std::vector<int32_t>> Patterns(const ClusterUniverse& universe,
 }
 
 ClusterUniverse BuildUniverse(const AnswerSet& answers, int top_l,
-                              int num_threads) {
-  UniverseOptions options;
-  options.num_threads = num_threads;
+                              const UniverseOptions& options = {}) {
   auto universe = ClusterUniverse::Build(&answers, top_l, options);
   QAG_CHECK(universe.ok()) << universe.status().ToString();
   return std::move(universe).value();
@@ -50,7 +49,7 @@ ClusterUniverse BuildUniverse(const AnswerSet& answers, int top_l,
 
 class AlgorithmDifferentialTest : public testing::TestWithParam<int> {};
 
-TEST_P(AlgorithmDifferentialTest, UniverseBitIdenticalAcrossThreadCounts) {
+TEST_P(AlgorithmDifferentialTest, UniverseBitIdenticalAcrossBuilds) {
   for (int i = 0; i < 5; ++i) {
     const uint64_t seed = static_cast<uint64_t>(GetParam()) * 5 + i;
     SCOPED_TRACE(StrCat("seed ", seed));
@@ -60,26 +59,30 @@ TEST_P(AlgorithmDifferentialTest, UniverseBitIdenticalAcrossThreadCounts) {
     AnswerSet answers = testutil::MakeRandomAnswerSet(seed, n, m, 4);
     const int top_l = 5 + static_cast<int>(rng.Index(4));
 
-    ClusterUniverse reference = BuildUniverse(answers, top_l, 1);
-    for (int threads : {2, 8}) {
-      ClusterUniverse parallel = BuildUniverse(answers, top_l, threads);
-      ASSERT_EQ(parallel.num_clusters(), reference.num_clusters())
-          << threads << " threads";
+    ClusterUniverse reference = BuildUniverse(answers, top_l);
+    UniverseOptions unpacked;
+    unpacked.force_unpacked = true;
+    UniverseOptions naive;
+    naive.naive_mapping = true;
+    for (const UniverseOptions& options : {unpacked, naive}) {
+      SCOPED_TRACE(StrCat("force_unpacked=", options.force_unpacked,
+                          " naive_mapping=", options.naive_mapping));
+      ClusterUniverse other = BuildUniverse(answers, top_l, options);
+      ASSERT_EQ(other.num_clusters(), reference.num_clusters());
       for (int c = 0; c < reference.num_clusters(); ++c) {
-        ASSERT_EQ(parallel.cluster(c).pattern(),
-                  reference.cluster(c).pattern());
-        ASSERT_EQ(parallel.covered(c), reference.covered(c));
-        ASSERT_EQ(parallel.covered_sum(c), reference.covered_sum(c));
+        ASSERT_EQ(other.cluster(c).pattern(), reference.cluster(c).pattern());
+        ASSERT_EQ(testutil::Covered(other, c), testutil::Covered(reference, c));
+        ASSERT_EQ(other.covered_sum(c), reference.covered_sum(c));
       }
       // Algorithms over bit-identical universes give bit-identical
       // results, ids included.
       Params params{3, top_l, 2};
-      auto serial = BottomUp::Run(reference, params);
-      auto threaded = BottomUp::Run(parallel, params);
-      ASSERT_TRUE(serial.ok());
-      ASSERT_TRUE(threaded.ok());
-      EXPECT_EQ(serial->cluster_ids, threaded->cluster_ids);
-      EXPECT_EQ(serial->average, threaded->average);
+      auto expected = BottomUp::Run(reference, params);
+      auto got = BottomUp::Run(other, params);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->cluster_ids, expected->cluster_ids);
+      EXPECT_EQ(got->average, expected->average);
     }
   }
 }
@@ -92,7 +95,7 @@ TEST_P(AlgorithmDifferentialTest, SingletonRegimeAllThreeAlgorithmsAgree) {
     const int n = 24 + static_cast<int>(rng.Index(24));
     AnswerSet answers = testutil::MakeRandomAnswerSet(seed, n, 3, 4);
     const int top_l = 5 + static_cast<int>(rng.Index(3));
-    ClusterUniverse universe = BuildUniverse(answers, top_l, 1);
+    ClusterUniverse universe = BuildUniverse(answers, top_l);
 
     // k >= L with no distance constraint to speak of (D = 1 is trivially
     // satisfied by distinct patterns): the optimum weight is TopAverage(L)
@@ -150,7 +153,7 @@ TEST_P(AlgorithmDifferentialTest, GeneralRegimeFeasibleAndDominated) {
     const int d = 1 + static_cast<int>(rng.Index(m));
     Params params{k, top_l, d};
     SCOPED_TRACE(params.ToString());
-    ClusterUniverse universe = BuildUniverse(answers, top_l, 1);
+    ClusterUniverse universe = BuildUniverse(answers, top_l);
 
     auto bottom_up = BottomUp::Run(universe, params);
     auto hybrid = Hybrid::Run(universe, params);

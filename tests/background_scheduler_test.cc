@@ -44,7 +44,7 @@ class Latch {
 };
 
 TEST(BackgroundSchedulerTest, RunsSubmittedTasks) {
-  BackgroundScheduler scheduler(2);
+  BackgroundScheduler scheduler;
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
     scheduler.Submit(Lane::kRefinement, 0, [&] { ++ran; });
@@ -61,7 +61,7 @@ TEST(BackgroundSchedulerTest, HigherLaneAlwaysDequeuesFirst) {
   // Hold the single worker hostage, queue one task per lane in *reverse*
   // priority order, then release: execution order must follow lane
   // priority, not submission order.
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   Latch started, gate;
   scheduler.Submit(Lane::kPrefetch, 0, [&] {
     started.Open();
@@ -90,7 +90,7 @@ TEST(BackgroundSchedulerTest, HigherLaneAlwaysDequeuesFirst) {
 }
 
 TEST(BackgroundSchedulerTest, InvalidateBelowDropsQueuedSuperseded) {
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   Latch gate;
   scheduler.Submit(Lane::kPrefetch, 0, [&] { gate.Wait(); });
 
@@ -112,7 +112,7 @@ TEST(BackgroundSchedulerTest, InvalidateBelowDropsQueuedSuperseded) {
 }
 
 TEST(BackgroundSchedulerTest, LateSubmitBelowFloorIsDropped) {
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   scheduler.InvalidateBelow(10);
   std::atomic<int> ran{0};
   scheduler.Submit(Lane::kPrefetch, 9, [&] { ++ran; });
@@ -123,7 +123,7 @@ TEST(BackgroundSchedulerTest, LateSubmitBelowFloorIsDropped) {
 }
 
 TEST(BackgroundSchedulerTest, FloorIsMonotonic) {
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   scheduler.InvalidateBelow(10);
   scheduler.InvalidateBelow(4);  // stale: must not lower the floor
   std::atomic<int> ran{0};
@@ -139,7 +139,7 @@ TEST(BackgroundSchedulerTest, DestructorDropsQueuedAndJoinsRunning) {
     // Declared before the scheduler so they outlive the destructor's join:
     // the running task may still be inside gate.Wait() when the block ends.
     Latch started, gate;
-    BackgroundScheduler scheduler(1);
+    BackgroundScheduler scheduler;
     scheduler.Submit(Lane::kRefinement, 0, [&] {
       started.Open();
       gate.Wait();
@@ -160,7 +160,7 @@ TEST(BackgroundSchedulerTest, DestructorDropsQueuedAndJoinsRunning) {
 }
 
 TEST(BackgroundSchedulerTest, ForegroundGateParksPrefetchOnly) {
-  BackgroundScheduler scheduler(2);
+  BackgroundScheduler scheduler;
   scheduler.BeginForeground();
 
   std::atomic<int> prefetch_ran{0}, owed_ran{0};
@@ -184,7 +184,7 @@ TEST(BackgroundSchedulerTest, ForegroundGateParksPrefetchOnly) {
 
 TEST(BackgroundSchedulerTest, NullForegroundGuardIsNoOp) {
   BackgroundScheduler::ForegroundGuard guard(nullptr);  // must not crash
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   {
     BackgroundScheduler::ForegroundGuard inner(&scheduler);
     std::atomic<int> ran{0};
@@ -198,7 +198,7 @@ TEST(BackgroundSchedulerTest, NullForegroundGuardIsNoOp) {
 TEST(BackgroundSchedulerTest, DrainWaitsOutGatedPrefetch) {
   // Drain must not return while gated prefetch work is still queued; it
   // waits for the window to close and the work to run.
-  BackgroundScheduler scheduler(1);
+  BackgroundScheduler scheduler;
   scheduler.BeginForeground();
   std::atomic<int> ran{0};
   scheduler.Submit(Lane::kPrefetch, 0, [&] { ++ran; });
@@ -219,7 +219,7 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
   // owed lane keeps flowing unimpeded.
   // Under TSan this is also the data-race battery for Submit/dequeue/
   // counters from many threads.
-  BackgroundScheduler scheduler(4);
+  BackgroundScheduler scheduler;
   scheduler.BeginForeground();
 
   std::atomic<int64_t> prefetch_ran{0};
@@ -270,7 +270,7 @@ TEST(BackgroundSchedulerTest, EightThreadForegroundVersusPrefetchRace) {
 TEST(BackgroundSchedulerTest, TasksSubmittedFromTasksComplete) {
   // A task may enqueue follow-up work; Drain must cover the transitively
   // submitted tasks too.
-  BackgroundScheduler scheduler(2);
+  BackgroundScheduler scheduler;
   std::atomic<int> ran{0};
   scheduler.Submit(Lane::kPrefetch, 0, [&] {
     ++ran;

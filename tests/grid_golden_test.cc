@@ -1,4 +1,5 @@
-// Golden fingerprints of the default (k, D) guidance grid.
+// Golden fingerprints of the default (k, D) guidance grid, and of the
+// cluster universe it is built over.
 //
 // The greedy merge loop behind every grid (Fixed-Order once, then one
 // Bottom-Up replay per D) may be made faster, but never different: every
@@ -7,6 +8,8 @@
 // fingerprints were recorded on the binary-search membership probe and the
 // locked LCA memo that the constant-time probe and lane-arithmetic LCA
 // replaced; a change to any of them is a behaviour change, not noise.
+// The same holds for the universe build: every cluster id, covered list,
+// covered-sum bit pattern and top-L count is part of what the grid reads.
 
 #include <algorithm>
 #include <cstdint>
@@ -38,6 +41,12 @@ class Fnv64 {
   uint64_t state_ = 0xcbf29ce484222325ULL;
 };
 
+uint64_t DoubleBits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 /// Hashes every (d, k) solution of the store through the public read path:
 /// the sorted cluster patterns and the bit pattern of the average.
 uint64_t GridFingerprint(const SolutionStore& store) {
@@ -59,10 +68,29 @@ uint64_t GridFingerprint(const SolutionStore& store) {
           hash.Add(static_cast<uint64_t>(static_cast<uint32_t>(code)));
         }
       }
-      uint64_t average_bits;
-      std::memcpy(&average_bits, &sol->average, sizeof(average_bits));
-      hash.Add(average_bits);
+      hash.Add(DoubleBits(sol->average));
     }
+  }
+  return hash.value();
+}
+
+/// Hashes a universe through its public read path: per cluster id, its
+/// pattern, covered list, covered-sum bits and top-L count; then the
+/// singleton id of every top-L element.
+uint64_t UniverseFingerprint(const ClusterUniverse& u) {
+  Fnv64 hash;
+  hash.Add(static_cast<uint64_t>(u.num_clusters()));
+  for (int id = 0; id < u.num_clusters(); ++id) {
+    for (int32_t code : u.cluster(id).pattern()) {
+      hash.Add(static_cast<uint64_t>(static_cast<uint32_t>(code)));
+    }
+    hash.Add(static_cast<uint64_t>(u.covered_count(id)));
+    for (int32_t e : u.covered(id)) hash.Add(static_cast<uint64_t>(e));
+    hash.Add(DoubleBits(u.covered_sum(id)));
+    hash.Add(static_cast<uint64_t>(u.top_covered_count(id)));
+  }
+  for (int i = 0; i < u.top_l(); ++i) {
+    hash.Add(static_cast<uint64_t>(u.singleton_id(i)));
   }
   return hash.value();
 }
@@ -71,6 +99,7 @@ struct GoldenCase {
   uint64_t seed;
   int n, m, domain, top_l;
   uint64_t expected;
+  uint64_t universe_expected;
 };
 
 class GridGoldenTest : public testing::TestWithParam<GoldenCase> {};
@@ -98,18 +127,42 @@ TEST_P(GridGoldenTest, DefaultGridMatchesRecordedFingerprint) {
   }
 }
 
-// Expected values recorded at the parent of the change that introduced the
+TEST_P(GridGoldenTest, UniverseMatchesRecordedFingerprint) {
+  const GoldenCase& c = GetParam();
+  AnswerSet s = testutil::MakeRandomAnswerSet(c.seed, c.n, c.m, c.domain);
+  UniverseOptions unpacked;
+  unpacked.force_unpacked = true;
+  UniverseOptions naive;
+  naive.naive_mapping = true;
+  for (const UniverseOptions& options : {UniverseOptions(), unpacked, naive}) {
+    auto u = ClusterUniverse::Build(&s, c.top_l, options);
+    ASSERT_TRUE(u.ok()) << u.status().ToString();
+    EXPECT_EQ(UniverseFingerprint(*u), c.universe_expected)
+        << "force_unpacked=" << options.force_unpacked
+        << " naive_mapping=" << options.naive_mapping;
+  }
+}
+
+// Grid values recorded at the parent of the change that introduced the
 // constant-time probe (commit 8d7615a), where every configuration of a case
-// already produced the same fingerprint. The m = 9 case never packs (more
-// than eight byte lanes), so it runs the vector-keyed path twice; the others
-// run both index paths. The domain-200 case puts codes >= 127 in a lane.
+// already produced the same fingerprint. Universe values recorded at the
+// parent of the change that stored coverage in one CSR array (commit
+// eb83a62), where the default, force_unpacked and naive_mapping builds of a
+// case already agreed. The m = 9 case never packs (more than eight byte
+// lanes), so it runs the vector-keyed path twice; the others run both index
+// paths. The domain-200 case puts codes >= 127 in a lane.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, GridGoldenTest,
-    testing::Values(GoldenCase{101, 300, 5, 4, 40, 0xc1f7aadcad0f97f2ULL},
-                    GoldenCase{102, 400, 4, 7, 60, 0xbc21923ab4123f07ULL},
-                    GoldenCase{103, 250, 6, 3, 30, 0x9af2abd689694a23ULL},
-                    GoldenCase{104, 200, 9, 2, 25, 0x12294243ebd32c9fULL},
-                    GoldenCase{105, 300, 3, 200, 50, 0x9d0378c8e157326dULL}));
+    testing::Values(GoldenCase{101, 300, 5, 4, 40, 0xc1f7aadcad0f97f2ULL,
+                               0xbf8c1d8db962e561ULL},
+                    GoldenCase{102, 400, 4, 7, 60, 0xbc21923ab4123f07ULL,
+                               0xe10fe0b205714c0fULL},
+                    GoldenCase{103, 250, 6, 3, 30, 0x9af2abd689694a23ULL,
+                               0xb7b940130641ed2bULL},
+                    GoldenCase{104, 200, 9, 2, 25, 0x12294243ebd32c9fULL,
+                               0x9be5f94466b016d4ULL},
+                    GoldenCase{105, 300, 3, 200, 50, 0x9d0378c8e157326dULL,
+                               0xe707302e9c922246ULL}));
 
 }  // namespace
 }  // namespace qagview::core

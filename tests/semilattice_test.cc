@@ -92,7 +92,7 @@ TEST(ClusterUniverseTest, CoverageMappingIsExact) {
         expected_sum += s.value(e);
       }
     }
-    EXPECT_EQ(u->covered(id), expected) << c.ToString();
+    EXPECT_EQ(testutil::Covered(*u, id), expected) << c.ToString();
     EXPECT_NEAR(u->covered_sum(id), expected_sum, 1e-9);
     EXPECT_TRUE(std::is_sorted(u->covered(id).begin(), u->covered(id).end()));
   }
@@ -105,35 +105,29 @@ uint64_t SumBits(double sum) {
 }
 
 // Figure 8a's per-cluster scan and the per-element probes agree exactly —
-// covered lists, sum bits and top-L counts — in both index layouts, on the
-// serial and on the sharded scan.
+// covered lists, sum bits and top-L counts — in both index layouts.
 TEST(ClusterUniverseTest, NaiveMappingMatchesOptimized) {
   AnswerSet s = testutil::MakeRandomAnswerSet(11, 80, 5, 3);
   for (bool force_unpacked : {false, true}) {
+    SCOPED_TRACE(StrCat("force_unpacked=", force_unpacked));
     UniverseOptions naive_options;
     naive_options.naive_mapping = true;
     naive_options.force_unpacked = force_unpacked;
     auto naive = ClusterUniverse::Build(&s, 12, naive_options);
     ASSERT_TRUE(naive.ok());
     EXPECT_EQ(naive->packed_index(), !force_unpacked);
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(StrCat("force_unpacked=", force_unpacked,
-                          " threads=", threads));
-      UniverseOptions options;
-      options.force_unpacked = force_unpacked;
-      options.num_threads = threads;
-      auto fast = ClusterUniverse::Build(&s, 12, options);
-      ASSERT_TRUE(fast.ok());
-      ASSERT_EQ(fast->num_clusters(), naive->num_clusters());
-      for (int id = 0; id < fast->num_clusters(); ++id) {
-        int other = naive->FindId(fast->cluster(id));
-        ASSERT_GE(other, 0);
-        EXPECT_EQ(fast->covered(id), naive->covered(other));
-        EXPECT_EQ(SumBits(fast->covered_sum(id)),
-                  SumBits(naive->covered_sum(other)));
-        EXPECT_EQ(fast->top_covered_count(id),
-                  naive->top_covered_count(other));
-      }
+    UniverseOptions options;
+    options.force_unpacked = force_unpacked;
+    auto fast = ClusterUniverse::Build(&s, 12, options);
+    ASSERT_TRUE(fast.ok());
+    ASSERT_EQ(fast->num_clusters(), naive->num_clusters());
+    for (int id = 0; id < fast->num_clusters(); ++id) {
+      int other = naive->FindId(fast->cluster(id));
+      ASSERT_GE(other, 0);
+      EXPECT_EQ(testutil::Covered(*fast, id), testutil::Covered(*naive, other));
+      EXPECT_EQ(SumBits(fast->covered_sum(id)),
+                SumBits(naive->covered_sum(other)));
+      EXPECT_EQ(fast->top_covered_count(id), naive->top_covered_count(other));
     }
   }
 }
@@ -152,7 +146,7 @@ TEST(ClusterUniverseTest, UnpackedFallbackAtNineAttributes) {
         expected.push_back(e);
       }
     }
-    ASSERT_EQ(u->covered(id), expected) << c.ToString();
+    ASSERT_EQ(testutil::Covered(*u, id), expected) << c.ToString();
   }
 }
 
@@ -175,7 +169,8 @@ TEST(ClusterUniverseTest, UnpackedFallbackAtWideDomain) {
   EXPECT_FALSE(u->packed_index());
   // Exact singleton mapping survives the fallback.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(u->covered(u->singleton_id(i)), std::vector<int32_t>{i});
+    EXPECT_EQ(testutil::Covered(*u, u->singleton_id(i)),
+              std::vector<int32_t>{i});
   }
   // The trivial cluster still covers all 40 elements.
   int trivial = u->FindId(Cluster::Trivial(2));
@@ -205,7 +200,8 @@ TEST(ClusterUniverseTest, PackedPathAtDomain255Boundary) {
   for (int id = 0; id < packed->num_clusters(); ++id) {
     int other = fallback->FindId(packed->cluster(id));
     ASSERT_GE(other, 0) << packed->cluster(id).ToString();
-    EXPECT_EQ(packed->covered(id), fallback->covered(other));
+    EXPECT_EQ(testutil::Covered(*packed, id),
+              testutil::Covered(*fallback, other));
     EXPECT_EQ(packed->covered_sum(id), fallback->covered_sum(other));
     EXPECT_EQ(packed->top_covered_count(id),
               fallback->top_covered_count(other));
@@ -228,45 +224,11 @@ TEST(ClusterUniverseTest, EightSaturatedLanesFallBackToUnpacked) {
   EXPECT_FALSE(u->packed_index());
   // The all-254 element ranks first; its singleton must be findable and
   // cover exactly itself.
-  EXPECT_EQ(u->covered(u->singleton_id(0)), std::vector<int32_t>{0});
+  EXPECT_EQ(testutil::Covered(*u, u->singleton_id(0)),
+            std::vector<int32_t>{0});
   int trivial = u->FindId(Cluster::Trivial(8));
   ASSERT_GE(trivial, 0);
   EXPECT_EQ(u->covered_count(trivial), s->size());
-}
-
-// The sharded inverse coverage scan merges per-worker buffers in element
-// order, so coverage lists, sums, and top-L counts must be bit-identical
-// to the serial scan for every thread count — on both index paths.
-TEST(ClusterUniverseTest, BuildIsBitIdenticalAcrossThreadCounts) {
-  AnswerSet s = testutil::MakeRandomAnswerSet(29, 300, 5, 4);
-  for (bool force_unpacked : {false, true}) {
-    UniverseOptions reference_options;
-    reference_options.force_unpacked = force_unpacked;
-    reference_options.num_threads = 1;
-    auto reference = ClusterUniverse::Build(&s, 40, reference_options);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_EQ(reference->packed_index(), !force_unpacked);
-
-    for (int threads : {2, 8}) {
-      UniverseOptions options = reference_options;
-      options.num_threads = threads;
-      auto u = ClusterUniverse::Build(&s, 40, options);
-      ASSERT_TRUE(u.ok());
-      ASSERT_EQ(u->num_clusters(), reference->num_clusters());
-      for (int id = 0; id < u->num_clusters(); ++id) {
-        ASSERT_EQ(u->covered(id), reference->covered(id))
-            << "threads=" << threads << " unpacked=" << force_unpacked;
-        // Exact double equality: the merge re-accumulates sums in the
-        // serial element order.
-        ASSERT_EQ(u->covered_sum(id), reference->covered_sum(id));
-        ASSERT_EQ(u->top_covered_count(id),
-                  reference->top_covered_count(id));
-      }
-      for (int i = 0; i < 40; ++i) {
-        ASSERT_EQ(u->singleton_id(i), reference->singleton_id(i));
-      }
-    }
-  }
 }
 
 TEST(ClusterUniverseTest, SingletonIdsMatchTopElements) {
@@ -278,7 +240,7 @@ TEST(ClusterUniverseTest, SingletonIdsMatchTopElements) {
     EXPECT_EQ(u->cluster(id), Cluster(s.element(i).attrs));
     // A singleton's covered list contains exactly the identical elements
     // (group-by outputs are unique, so just element i).
-    EXPECT_EQ(u->covered(id), std::vector<int32_t>{i});
+    EXPECT_EQ(testutil::Covered(*u, id), std::vector<int32_t>{i});
   }
 }
 
@@ -310,7 +272,7 @@ void ExpectProbesMatchDefinitions(const AnswerSet& s, int top_l) {
     auto u = ClusterUniverse::Build(&s, top_l, options);
     ASSERT_TRUE(u.ok()) << u.status().ToString();
     for (int id = 0; id < u->num_clusters(); ++id) {
-      const std::vector<int32_t>& covered = u->covered(id);
+      const Span<int32_t> covered = u->covered(id);
       for (int e = 0; e < s.size(); ++e) {
         ASSERT_EQ(u->CoversElement(id, e),
                   std::binary_search(covered.begin(), covered.end(), e))

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/answer_set.h"
+#include "core/semilattice.h"
 #include "storage/table.h"
 
 namespace qagview::testutil {
@@ -75,6 +76,13 @@ inline core::AnswerSet MakeRandomAnswerSet(uint64_t seed, int n, int m,
                                          std::move(elements));
   QAG_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// The elements cluster `id` of `u` covers, as a vector, so coverage lists
+/// compare (and print) with EXPECT_EQ.
+inline std::vector<int32_t> Covered(const core::ClusterUniverse& u, int id) {
+  const Span<int32_t> covered = u.covered(id);
+  return std::vector<int32_t>(covered.begin(), covered.end());
 }
 
 /// A tiny hand-built answer set mirroring the movie example of Figure 1a:

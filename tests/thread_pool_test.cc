@@ -117,41 +117,5 @@ TEST(ThreadPoolTest, ExceptionAbortsRemainingWork) {
   EXPECT_LT(ran.load(), 1000);
 }
 
-TEST(ThreadPoolTest, ShardsAreContiguousOrderedAndComplete) {
-  for (int threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
-    const int64_t n = 1001;
-    std::vector<std::pair<int64_t, int64_t>> ranges(
-        static_cast<size_t>(threads), {-1, -1});
-    pool.ParallelForShards(0, n, [&](int shard, int64_t b, int64_t e) {
-      ranges[static_cast<size_t>(shard)] = {b, e};
-    });
-    int64_t expected_begin = 0;
-    for (int sh = 0; sh < threads; ++sh) {
-      auto [b, e] = ranges[static_cast<size_t>(sh)];
-      if (b < 0) continue;  // empty shard never invoked
-      EXPECT_EQ(b, expected_begin) << "shard " << sh;
-      EXPECT_GT(e, b);
-      expected_begin = e;
-    }
-    EXPECT_EQ(expected_begin, n) << threads << " threads";
-  }
-}
-
-TEST(ThreadPoolTest, ShardsSkipEmptyRangesWhenFewerItemsThanThreads) {
-  ThreadPool pool(8);
-  std::atomic<int> invocations{0};
-  std::atomic<int64_t> covered{0};
-  pool.ParallelForShards(0, 3, [&](int, int64_t b, int64_t e) {
-    ++invocations;
-    covered += e - b;
-  });
-  EXPECT_EQ(covered.load(), 3);
-  EXPECT_LE(invocations.load(), 3);
-  int none = 0;
-  pool.ParallelForShards(7, 7, [&](int, int64_t, int64_t) { ++none; });
-  EXPECT_EQ(none, 0);
-}
-
 }  // namespace
 }  // namespace qagview
