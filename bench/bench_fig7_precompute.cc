@@ -2,8 +2,8 @@
 // single-run, and precomputation times while varying k, L, and N, plus the
 // single-vs-precompute cumulative comparison over six runs, plus the
 // thread-scaling curve of the parallel (k, D) precompute (one Bottom-Up
-// replay per D distributed over a ThreadPool) and the serial universe build
-// on the same instance.
+// replay per D distributed over a ThreadPool), the serial universe build on
+// the same instance, and that universe grown from narrower ones.
 //
 // Emits BENCH_fig7_precompute.json next to the text output; see
 // bench/README.md for the schema. QAGVIEW_BENCH_SMOKE=1 shrinks the
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -96,6 +97,32 @@ bool StoresIdentical(const core::SolutionStore& a,
     QAG_CHECK(sa.ok() && sb.ok());
     if (*sa != *sb) return false;
     if (sorted_intervals(a, d) != sorted_intervals(b, d)) return false;
+  }
+  return true;
+}
+
+// Exact (bit-level) equality of two universes: same ids, patterns, covered
+// lists, covered-sum bits, top-L counts and singleton ids. A grown universe
+// must pass this against the cold build at its L.
+bool UniversesIdentical(const core::ClusterUniverse& a,
+                        const core::ClusterUniverse& b) {
+  if (a.top_l() != b.top_l() || a.num_clusters() != b.num_clusters()) {
+    return false;
+  }
+  for (int id = 0; id < a.num_clusters(); ++id) {
+    const double sa = a.covered_sum(id);
+    const double sb = b.covered_sum(id);
+    const Span<int32_t> ca = a.covered(id);
+    const Span<int32_t> cb = b.covered(id);
+    if (!(a.cluster(id) == b.cluster(id)) ||
+        std::memcmp(&sa, &sb, sizeof(double)) != 0 ||
+        a.top_covered_count(id) != b.top_covered_count(id) ||
+        !std::equal(ca.begin(), ca.end(), cb.begin(), cb.end())) {
+      return false;
+    }
+  }
+  for (int i = 0; i < a.top_l(); ++i) {
+    if (a.singleton_id(i) != b.singleton_id(i)) return false;
   }
   return true;
 }
@@ -290,6 +317,34 @@ int main() {
     std::printf("%-10d %14.2f %14.2f\n", 1, t.median_ms, t.min_ms);
     reporter.Add("scaling_universe_build",
                  {{"threads", 1}, {"N", n_large}, {"L", big_l}}, t);
+
+    // The same universe grown from a narrower one, as a session does when
+    // a request widens L: one level (a few new clusters) and half of L
+    // (most of them new). Each grown universe must be the cold one.
+    std::printf("\nthe same universe grown from a narrower one:\n");
+    std::printf("%-10s %14s %14s %10s %12s\n", "from L", "median(ms)",
+                "min(ms)", "cold/grow", "identical?");
+    for (int from_l : {big_l - 1, big_l / 2}) {
+      auto base = core::ClusterUniverse::Build(&s7000, from_l);
+      QAG_CHECK(base.ok());
+      std::optional<core::ClusterUniverse> grown;
+      benchutil::TimingStats g = benchutil::TimeStats(
+          [&] {
+            auto u = core::ClusterUniverse::Grow(*base, big_l);
+            QAG_CHECK(u.ok());
+            grown.emplace(std::move(u).value());
+          },
+          smoke ? 5 : 9);
+      const bool identical = UniversesIdentical(*grown, *universe);
+      QAG_CHECK(identical) << "universe grown from L=" << from_l
+                           << " differs from the cold build";
+      const double ratio = t.median_ms / g.median_ms;
+      std::printf("%-10d %14.2f %14.2f %9.2fx %12s\n", from_l, g.median_ms,
+                  g.min_ms, ratio, identical ? "yes" : "NO");
+      reporter.Add("universe_grow",
+                   {{"from_L", from_l}, {"N", n_large}, {"L", big_l}}, g,
+                   {{"cold_over_grow", ratio}});
+    }
   }
 
   reporter.WriteFile();

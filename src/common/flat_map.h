@@ -45,11 +45,21 @@ class FlatMap64 {
     size_ = 0;
   }
 
+  /// Grows the table, keeping every entry, to at least the capacity
+  /// Reset(expected) would give it.
+  void Reserve(size_t expected) {
+    size_t capacity = mask_ + 1;
+    while (capacity < expected * 2) capacity <<= 1;
+    if (capacity != mask_ + 1) Rehash(capacity);
+  }
+
   /// Inserts key -> value if absent. Returns the current value and whether
   /// the insert happened.
   std::pair<int32_t, bool> FindOrInsert(uint64_t key, int32_t value) {
     QAG_DCHECK(key != kEmpty);
-    if ((size_ + 1) * 10 >= (mask_ + 1) * 7) Grow();  // load factor 0.7
+    if ((size_ + 1) * 10 >= (mask_ + 1) * 7) {
+      Rehash((mask_ + 1) * 2);  // load factor 0.7
+    }
     size_t slot = Mix(key) & mask_;
     while (true) {
       if (keys_[slot] == kEmpty) {
@@ -93,10 +103,9 @@ class FlatMap64 {
     return x ^ (x >> 31);
   }
 
-  void Grow() {
+  void Rehash(size_t capacity) {
     std::vector<uint64_t> old_keys = std::move(keys_);
     std::vector<int32_t> old_values = std::move(values_);
-    size_t capacity = (mask_ + 1) * 2;
     keys_.assign(capacity, kEmpty);
     values_.assign(capacity, 0);
     mask_ = capacity - 1;

@@ -87,7 +87,7 @@ Result<Solution> BottomUp::Run(const ClusterUniverse& universe,
   std::vector<int> initial;
   if (options.start == BottomUpOptions::Start::kLevelDMinus1 &&
       params.D >= 1) {
-    initial = universe.LevelStartIds(params.D - 1);
+    initial = universe.LevelStartIds(params.D - 1, params.L);
   } else {
     initial.reserve(static_cast<size_t>(params.L));
     for (int i = 0; i < params.L; ++i) {
@@ -102,9 +102,14 @@ Result<Solution> BottomUp::RunFrom(const ClusterUniverse& universe,
                                    const std::vector<int>& initial,
                                    const BottomUpOptions& options) {
   QAG_RETURN_IF_ERROR(ValidateParams(universe.answer_set(), params));
+  if (params.L > universe.top_l()) {
+    return Status::InvalidArgument(
+        "universe was built for a smaller L than requested");
+  }
   Solution solution = MakeSolution(
       universe,
-      internal::MergeDown(universe, initial, params.D, params.k, options));
+      internal::MergeDown(universe, params.L, initial, params.D, params.k,
+                          options));
   QAG_CHECK_OK(CheckFeasible(universe, solution.cluster_ids, params));
   return solution;
 }
@@ -112,10 +117,10 @@ Result<Solution> BottomUp::RunFrom(const ClusterUniverse& universe,
 namespace internal {
 
 std::vector<int> MergeDown(
-    const ClusterUniverse& universe, const std::vector<int>& initial, int d,
-    int k, const BottomUpOptions& options,
+    const ClusterUniverse& universe, int top_l, const std::vector<int>& initial,
+    int d, int k, const BottomUpOptions& options,
     const std::function<void(const GreedyState&)>& on_state) {
-  GreedyState state(&universe, options.use_delta_judgment);
+  GreedyState state(&universe, top_l, options.use_delta_judgment);
   for (int id : initial) state.AddCluster(id);
 
   // Phase 1: enforce the distance constraint.

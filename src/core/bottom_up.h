@@ -71,14 +71,15 @@ class BottomUp {
 namespace internal {
 
 /// Algorithm 1's merge process, shared by BottomUp::RunFrom and the (k, D)
-/// precompute: seeds a GreedyState with `initial`, merges pairs at distance
-/// < `d` until none is left, then any pairs until at most `k` clusters
-/// remain, and returns the final cluster ids. `on_state`, when set, sees the
-/// state after the distance phase and after every size-phase merge; the
-/// precompute records each one as a grid state (§6.2).
+/// precompute: seeds a GreedyState for the top `top_l` elements with
+/// `initial`, merges pairs at distance < `d` until none is left, then any
+/// pairs until at most `k` clusters remain, and returns the final cluster
+/// ids. `on_state`, when set, sees the state after the distance phase and
+/// after every size-phase merge; the precompute records each one as a grid
+/// state (§6.2).
 std::vector<int> MergeDown(
-    const ClusterUniverse& universe, const std::vector<int>& initial, int d,
-    int k, const BottomUpOptions& options,
+    const ClusterUniverse& universe, int top_l, const std::vector<int>& initial,
+    int d, int k, const BottomUpOptions& options,
     const std::function<void(const GreedyState&)>& on_state = nullptr);
 
 }  // namespace internal

@@ -76,7 +76,7 @@ Result<std::vector<int>> FixedOrder::RunPhase(const ClusterUniverse& universe,
     return Status::InvalidArgument(
         "top_l out of range for this cluster universe");
   }
-  GreedyState state(&universe, options.use_delta_judgment);
+  GreedyState state(&universe, top_l, options.use_delta_judgment);
 
   // Seed processing (§5.2 variants).
   if (options.seeding == FixedOrderOptions::Seeding::kRandom) {

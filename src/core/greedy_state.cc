@@ -4,17 +4,18 @@
 
 namespace qagview::core {
 
-GreedyState::GreedyState(const ClusterUniverse* universe,
+GreedyState::GreedyState(const ClusterUniverse* universe, int top_l,
                          bool use_delta_judgment)
-    : universe_(universe), use_delta_(use_delta_judgment) {
+    : universe_(universe), top_l_(top_l), use_delta_(use_delta_judgment) {
   QAG_CHECK(universe != nullptr);
+  QAG_CHECK(top_l >= 0 && top_l <= universe->top_l());
   covered_.assign(static_cast<size_t>(universe->answer_set().size()), 0);
   if (use_delta_) deltas_.resize(static_cast<size_t>(universe->num_clusters()));
 }
 
 void GreedyState::RefreshDelta(int id, Delta* delta) {
   const AnswerSet& s = universe_->answer_set();
-  const int top_l = universe_->top_l();
+  const int top_l = top_l_;
   if (delta->stamp == round_) return;  // up to date
   if (use_delta_ && delta->stamp == round_ - 1 && round_ >= 1) {
     // Incremental path (Algorithm 2): only the elements that became covered
@@ -88,7 +89,7 @@ void GreedyState::AddCluster(int id) {
       covered_sum_ += s.value(e);
       covered_min_ = std::min(covered_min_, s.value(e));
       ++covered_count_;
-      if (e < universe_->top_l()) ++covered_top_count_;
+      if (e < top_l_) ++covered_top_count_;
       last_diff_.push_back(e);
     }
   }

@@ -27,9 +27,15 @@ namespace qagview::core {
 /// Every mutation is an AddCluster (merges add the LCA, which subsumes the
 /// merged clusters): coverage only grows, so rounds form the monotone
 /// chain Proposition 6.1 relies on.
+///
+/// The state counts top-L membership against the request's `top_l`, not
+/// the universe's own L: a session serves a request from the narrowest
+/// cached universe with L' >= L, and the answer must not depend on L'.
 class GreedyState {
  public:
-  GreedyState(const ClusterUniverse* universe, bool use_delta_judgment);
+  /// `top_l` must lie in [0, universe->top_l()].
+  GreedyState(const ClusterUniverse* universe, int top_l,
+              bool use_delta_judgment);
 
   const ClusterUniverse& universe() const { return *universe_; }
   const std::vector<int>& clusters() const { return clusters_; }
@@ -58,8 +64,8 @@ class GreedyState {
   /// are sorted descending by value, so a cluster's min is its last entry.
   double TentativeMin(int id) const;
 
-  /// Number of *redundant* elements (outside the top L) the cluster would
-  /// newly cover — the Min-Size objective of footnote 5 counts these.
+  /// Number of *redundant* elements (outside the top `top_l`) the cluster
+  /// would newly cover — the Min-Size objective of footnote 5 counts these.
   int TentativeRedundant(int id);
 
   /// Redundant elements currently covered.
@@ -88,6 +94,7 @@ class GreedyState {
   Delta& DeltaFor(int id, Delta* scratch);
 
   const ClusterUniverse* universe_;
+  int top_l_;
   bool use_delta_;
   std::vector<int> clusters_;
   std::vector<char> covered_;       // element -> covered?

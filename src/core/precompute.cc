@@ -102,7 +102,7 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   auto replay = [&](size_t i) {
     SolutionStore::Trace& trace = traces[i];
     trace.d = d_values[i];
-    internal::MergeDown(universe, initial, trace.d, options.k_min, bu,
+    internal::MergeDown(universe, top_l, initial, trace.d, options.k_min, bu,
                         [&trace](const GreedyState& state) {
                           trace.states.push_back(state.clusters());
                           trace.values.push_back(state.Average());

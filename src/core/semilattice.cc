@@ -1,6 +1,7 @@
 #include "core/semilattice.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/flat_map.h"
 #include "common/string_util.h"
@@ -8,6 +9,64 @@
 namespace qagview::core {
 
 namespace {
+
+/// Growth maps its new clusters with one pass over all n elements per
+/// cluster when that does less work than probing every element's 2^m masks:
+/// when new clusters < kElementTestsPerProbe * 2^m, the constant being what
+/// one probe costs in element tests. Measured in Release on one CPU of a
+/// 4-vCPU Xeon VM, growing `drilldown`'s two store_sales answer sets (n
+/// 11,864 and 13,674, m = 6) to L = 175 from L0 = 140..170 with each scan
+/// forced, each grow timed between cold builds: the scans broke even at
+/// 600-700 new clusters packed (a ratio of 9.4-10.5) and 360-440 unpacked
+/// (5.6-6.9), a new cluster's pass costing about 19 us packed and 85-110 us
+/// unpacked. The constant takes the lower, so the per-cluster pass runs
+/// only where it costs about as much as probing or less, and growth never
+/// costs more than a cold build (whose probe pass maps every cluster, old
+/// ones included).
+constexpr size_t kElementTestsPerProbe = 6;
+
+/// Append-only int32 list kept in fixed-size chunks. Growing it never
+/// copies what it holds and leaves at most one chunk unused, so a scan's
+/// hit list costs its own size, where a doubling vector cost up to twice
+/// that; held beside the coverage array it fills, it sets a build's peak
+/// memory. (A std::deque, whose blocks hold 128 entries, made the fig7
+/// smoke build 15-20% slower.)
+class HitList {
+ public:
+  void push_back(int32_t value) {
+    if (end_ == limit_) {
+      chunks_.emplace_back(new int32_t[kChunk]);
+      end_ = chunks_.back().get();
+      limit_ = end_ + kChunk;
+    }
+    *end_++ = value;
+  }
+
+  /// Reads the list back in order.
+  class Reader {
+   public:
+    explicit Reader(const HitList& list) : chunks_(list.chunks_) {}
+    int32_t Next() {
+      if (next_ == limit_) {
+        next_ = chunks_[chunk_++].get();
+        limit_ = next_ + kChunk;
+      }
+      return *next_++;
+    }
+
+   private:
+    const std::vector<std::unique_ptr<int32_t[]>>& chunks_;
+    size_t chunk_ = 0;
+    const int32_t* next_ = nullptr;
+    const int32_t* limit_ = nullptr;
+  };
+
+ private:
+  static constexpr size_t kChunk = size_t{1} << 14;
+  std::vector<std::unique_ptr<int32_t[]>> chunks_;
+  int32_t* end_ = nullptr;
+  int32_t* limit_ = nullptr;
+};
 
 /// Writes generalization `mask` of `attrs` (wildcards where mask bits are
 /// set) into `pattern`, which holds m entries.
@@ -62,12 +121,14 @@ class ClusterUniverse::PackedIndex {
         if (mask & (1u << a)) lane_mask_[mask] |= 0xFFULL << (8 * a);
       }
     }
-    u->element_keys_.resize(static_cast<size_t>(s.size()));
-    for (int e = 0; e < s.size(); ++e) {
-      u->element_keys_[static_cast<size_t>(e)] =
-          PackPattern(s.element(e).attrs);
+    if (u->element_keys_.empty()) {  // a grown universe inherits them
+      u->element_keys_.resize(static_cast<size_t>(s.size()));
+      for (int e = 0; e < s.size(); ++e) {
+        u->element_keys_[static_cast<size_t>(e)] =
+            PackPattern(s.element(e).attrs);
+      }
     }
-    u->packed_ids_.Reset(static_cast<size_t>(u->top_l_) * num_masks);
+    u->packed_ids_.Reserve(static_cast<size_t>(u->top_l_) * num_masks);
   }
 
   int Insert(int i, uint32_t mask, std::vector<int32_t>* /*pattern*/) {
@@ -151,92 +212,180 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
   u.top_l_ = top_l;
   u.packed_ = !options.force_unpacked && CanPack(*s);
   u.input_fingerprint_ = s->content_fingerprint();
-  if (u.packed_) {
-    PackedIndex index(&u);
-    u.Populate(index, options);
-  } else {
-    VectorIndex index(&u);
-    u.Populate(index, options);
-  }
+  u.Extend(/*base=*/nullptr,
+           options.naive_mapping ? Scan::kPerCluster : Scan::kProbe);
   return u;
 }
 
+Result<ClusterUniverse> ClusterUniverse::Grow(const ClusterUniverse& base,
+                                              int top_l) {
+  const int n = base.answer_set_->size();
+  if (top_l < base.top_l_ || top_l > n) {
+    return Status::InvalidArgument(
+        StrCat("a universe for L=", base.top_l_, " grows to an L in [",
+               base.top_l_, ", n=", n, "], got ", top_l));
+  }
+  ClusterUniverse u;
+  u.answer_set_ = base.answer_set_;
+  u.top_l_ = top_l;
+  u.packed_ = base.packed_;
+  u.input_fingerprint_ = base.input_fingerprint_;
+  // What cluster generation extends. Populate copies base's coverage
+  // arrays itself, once it knows their final sizes.
+  u.clusters_ = base.clusters_;
+  u.ids_ = base.ids_;
+  u.packed_ids_ = base.packed_ids_;
+  u.element_keys_ = base.element_keys_;
+  u.cluster_keys_ = base.cluster_keys_;
+  u.concrete_lanes_ = base.concrete_lanes_;
+  u.top_covered_count_ = base.top_covered_count_;
+  u.singleton_ids_ = base.singleton_ids_;
+  u.Extend(&base, Scan::kCheaper);
+  return u;
+}
+
+void ClusterUniverse::Extend(const ClusterUniverse* base, Scan scan) {
+  if (packed_) {
+    PackedIndex index(this);
+    Populate(index, base, scan);
+  } else {
+    VectorIndex index(this);
+    Populate(index, base, scan);
+  }
+}
+
 template <typename Index>
-void ClusterUniverse::Populate(Index& index, const Options& options) {
+void ClusterUniverse::Populate(Index& index, const ClusterUniverse* base,
+                               Scan scan) {
   const AnswerSet& s = *answer_set_;
   const int n = s.size();
   const int m = s.num_attrs();
   const uint32_t num_masks = 1u << m;
   std::vector<int32_t> pattern(static_cast<size_t>(m));
 
-  // Cluster generation: the 2^m generalizations of each top-L element,
-  // serial so that ids follow discovery order.
+  // Cluster generation: the 2^m generalizations of each new top element,
+  // serial so that ids follow discovery order. A cluster covers a top
+  // element iff it is the element's generalization under exactly one mask
+  // (the one wildcarding the cluster's wildcard lanes), so this loop meets
+  // every (cluster, top element) pair once and counts top_covered_count_:
+  // all of a new cluster's, and an old cluster's over the new elements.
+  const size_t first_id = clusters_.size();
+  singleton_ids_.reserve(static_cast<size_t>(top_l_));
   singleton_ids_.resize(static_cast<size_t>(top_l_));
-  for (int i = 0; i < top_l_; ++i) {
+  for (int i = base == nullptr ? 0 : base->top_l_; i < top_l_; ++i) {
     for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      int id = index.Insert(i, mask, &pattern);
+      const int id = index.Insert(i, mask, &pattern);
+      if (static_cast<size_t>(id) == top_covered_count_.size()) {
+        top_covered_count_.push_back(0);
+      }
+      ++top_covered_count_[static_cast<size_t>(id)];
       if (mask == 0) singleton_ids_[static_cast<size_t>(i)] = id;
     }
   }
+  if (base != nullptr) {
+    // Growth appended to exact copies of base's arrays, which doubled them.
+    // A session keeps a universe per L it serves, so drop the slack: a
+    // grown universe is never larger than a cold one.
+    clusters_.shrink_to_fit();
+    cluster_keys_.shrink_to_fit();
+    concrete_lanes_.shrink_to_fit();
+    top_covered_count_.shrink_to_fit();
+  }
 
+  // Per-cluster coverage arrays: base's entries, then the new ids', whose
+  // counts the scans below gather in covered_offsets_[id + 1].
   const size_t num_clusters = clusters_.size();
-  covered_offsets_.assign(num_clusters + 1, 0);
-  covered_sum_.assign(num_clusters, 0.0);
-  top_covered_count_.assign(num_clusters, 0);
+  covered_offsets_.reserve(num_clusters + 1);
+  covered_sum_.reserve(num_clusters);
+  if (base != nullptr) {
+    covered_offsets_.assign(base->covered_offsets_.begin(),
+                            base->covered_offsets_.end());
+    covered_sum_.assign(base->covered_sum_.begin(), base->covered_sum_.end());
+  } else {
+    covered_offsets_.assign(1, 0);
+  }
+  covered_offsets_.resize(num_clusters + 1, 0);
+  covered_sum_.resize(num_clusters, 0.0);
 
-  if (options.naive_mapping) {
-    // Ablation (Figure 8a): each cluster scans every element and appends
-    // its slice after the previous cluster's.
-    for (size_t id = 0; id < num_clusters; ++id) {
+  if (scan == Scan::kCheaper) {
+    scan = num_clusters - first_id < kElementTestsPerProbe * num_masks
+               ? Scan::kPerCluster
+               : Scan::kProbe;
+  }
+  HitList hits;
+  std::vector<int32_t> hits_per_element;
+  if (scan == Scan::kPerCluster) {
+    // Each new cluster tests every element (the Figure-8a ablation when it
+    // maps a whole cold build): its hits are its slice, in element order,
+    // and its sum accumulates in element order. The test loop compacts
+    // without a branch, so its cost does not depend on how many hit.
+    std::vector<int32_t> found(static_cast<size_t>(n));
+    for (size_t id = first_id; id < num_clusters; ++id) {
+      size_t count = 0;
       for (int e = 0; e < n; ++e) {
-        if (clusters_[id].CoversElement(s.element(e).attrs)) {
-          covered_elements_.push_back(e);
-          covered_sum_[id] += s.value(e);
-          if (e < top_l_) ++top_covered_count_[id];
-        }
+        found[count] = e;
+        count += CoversElement(static_cast<int>(id), e) ? 1 : 0;
       }
-      covered_offsets_[id + 1] =
-          static_cast<int64_t>(covered_elements_.size());
+      for (size_t j = 0; j < count; ++j) {
+        hits.push_back(found[j]);
+        covered_sum_[id] += s.value(found[j]);
+      }
+      covered_offsets_[id + 1] = static_cast<int64_t>(count);
+    }
+  } else {
+    // Each element probes the index with its own masks. A cluster covers
+    // element e iff it equals one generalization of e, so every (cluster,
+    // element) pair is found exactly once, in element order. The probe
+    // pass records the new ids hit, element by element; it keeps them
+    // without a branch, because whether a hit is new or old (or absent)
+    // does not follow a pattern the branch predictor can learn.
+    hits_per_element.resize(static_cast<size_t>(n));
+    std::vector<int32_t> element_hits(num_masks);
+    for (int e = 0; e < n; ++e) {
+      const auto& key = index.Key(e);
+      size_t count = 0;
+      for (uint32_t mask = 0; mask < num_masks; ++mask) {
+        const int id = index.Probe(key, mask, &pattern);
+        element_hits[count] = id;
+        count += id >= static_cast<int>(first_id) ? 1 : 0;  // absent is -1
+      }
+      for (size_t j = 0; j < count; ++j) {
+        hits.push_back(element_hits[j]);
+        ++covered_offsets_[static_cast<size_t>(element_hits[j]) + 1];
+      }
+      hits_per_element[static_cast<size_t>(e)] = static_cast<int32_t>(count);
+    }
+  }
+  // Prefix sums turn the counts into slice bounds after base's slices.
+  for (size_t id = first_id; id < num_clusters; ++id) {
+    covered_offsets_[id + 1] += covered_offsets_[id];
+  }
+  const size_t total = static_cast<size_t>(covered_offsets_[num_clusters]);
+  covered_elements_.reserve(total);
+  if (base != nullptr) {
+    covered_elements_.assign(base->covered_elements_.begin(),
+                             base->covered_elements_.end());
+  }
+  covered_elements_.resize(total);
+  HitList::Reader next_hit(hits);
+  if (scan == Scan::kPerCluster) {
+    for (size_t i = static_cast<size_t>(covered_offsets_[first_id]);
+         i < total; ++i) {
+      covered_elements_[i] = next_hit.Next();
     }
     return;
   }
-
-  // Optimized mapping: each element probes the index with its own masks. A
-  // cluster covers element e iff it equals one generalization of e, so
-  // every (cluster, element) pair is found exactly once, in element order.
-  // The probe pass records the hit ids element by element and counts them
-  // per cluster (in covered_offsets_[id + 1]).
-  std::vector<int32_t> hits;
-  std::vector<int32_t> hits_per_element(static_cast<size_t>(n));
-  for (int e = 0; e < n; ++e) {
-    const auto& key = index.Key(e);
-    const size_t first_hit = hits.size();
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      const int id = index.Probe(key, mask, &pattern);
-      if (id < 0) continue;
-      hits.push_back(id);
-      ++covered_offsets_[static_cast<size_t>(id) + 1];
-    }
-    hits_per_element[static_cast<size_t>(e)] =
-        static_cast<int32_t>(hits.size() - first_hit);
-  }
-  // Prefix sums turn the counts into slice bounds. The scatter then writes
-  // each element into its clusters' slices in ascending element order, so
-  // every slice ascends and every sum accumulates in element order.
-  for (size_t id = 0; id < num_clusters; ++id) {
-    covered_offsets_[id + 1] += covered_offsets_[id];
-  }
-  std::vector<int64_t> cursor(covered_offsets_.begin(),
+  // The scatter writes each element into its clusters' slices in ascending
+  // element order, so every slice ascends and every sum accumulates in
+  // element order.
+  std::vector<int64_t> cursor(covered_offsets_.begin() + first_id,
                               covered_offsets_.end() - 1);
-  covered_elements_.resize(hits.size());
-  size_t h = 0;
   for (int e = 0; e < n; ++e) {
     const double value = s.value(e);
     for (int32_t j = 0; j < hits_per_element[static_cast<size_t>(e)]; ++j) {
-      const size_t id = static_cast<size_t>(hits[h++]);
-      covered_elements_[static_cast<size_t>(cursor[id]++)] = e;
+      const size_t id = static_cast<size_t>(next_hit.Next());
+      covered_elements_[static_cast<size_t>(cursor[id - first_id]++)] = e;
       covered_sum_[id] += value;
-      if (e < top_l_) ++top_covered_count_[id];
     }
   }
 }
@@ -275,14 +424,15 @@ int ClusterUniverse::LcaId(int a, int b) const {
   return id;
 }
 
-std::vector<int> ClusterUniverse::LevelStartIds(int level) const {
+std::vector<int> ClusterUniverse::LevelStartIds(int level, int top_l) const {
   QAG_CHECK(level >= 0 && level <= answer_set_->num_attrs());
+  QAG_CHECK(top_l >= 0 && top_l <= top_l_);
   int m = answer_set_->num_attrs();
   uint32_t mask = 0;
   for (int a = 0; a < level; ++a) mask |= 1u << (m - 1 - a);
   std::vector<int> out;
   std::vector<char> seen(static_cast<size_t>(num_clusters()), 0);
-  for (int i = 0; i < top_l_; ++i) {
+  for (int i = 0; i < top_l; ++i) {
     Cluster c = Cluster::Generalize(answer_set_->element(i).attrs, mask);
     int id = FindId(c);
     QAG_CHECK(id >= 0);

@@ -38,9 +38,19 @@ namespace qagview::core {
 /// cluster its slice, and a scatter writes each element into its slices in
 /// ascending element order.
 ///
+/// **Growing across L.** L enters only through which elements seed
+/// clusters: ids follow discovery order over the top-L elements and
+/// coverage spans all n, so universe(L0)'s clusters are a prefix of
+/// universe(L)'s for L0 <= L, with the same patterns, coverage and sums.
+/// Grow(base, L) therefore copies base, runs the same generation loop over
+/// elements [L0, L) so the new clusters take the next ids, maps only the
+/// new clusters, and adds each old cluster's covered count in [L0, L) to
+/// its top-L count. A grown universe is bit-identical to a cold Build at L
+/// (grid_golden_test pins both against the same fingerprints).
+///
 /// All cluster ids used by algorithms/solutions index into this universe.
-/// The universe is immutable after Build, so any number of threads may read
-/// it (including LcaId and CoversElement) without synchronization.
+/// The universe is immutable after Build or Grow, so any number of threads
+/// may read it (including LcaId and CoversElement) without synchronization.
 struct UniverseOptions {
   /// Ablation switch: per-cluster scans over all n elements.
   bool naive_mapping = false;
@@ -64,6 +74,12 @@ class ClusterUniverse {
   /// set must outlive the universe.
   static Result<ClusterUniverse> Build(const AnswerSet* s, int top_l,
                                        const Options& options = Options());
+
+  /// The universe for the top `top_l` elements, grown from `base`, a
+  /// universe over the same answer set for some L0 <= top_l: bit-identical
+  /// to Build(&base.answer_set(), top_l), in base's index layout. Fails
+  /// unless L0 <= top_l <= n.
+  static Result<ClusterUniverse> Grow(const ClusterUniverse& base, int top_l);
 
   const AnswerSet& answer_set() const { return *answer_set_; }
   int top_l() const { return top_l_; }
@@ -132,10 +148,11 @@ class ClusterUniverse {
   /// probe; otherwise a pattern LCA plus FindId. Symmetric in (a, b).
   int LcaId(int a, int b) const;
 
-  /// Ids of the level-(level) generalizations of each top-L element
-  /// obtained by wildcarding its trailing `level` attributes (deduplicated).
-  /// Used by the Bottom-Up "start at level D-1" variant.
-  std::vector<int> LevelStartIds(int level) const;
+  /// Ids of the level-(level) generalizations of each of the top `top_l`
+  /// elements (top_l <= this universe's L) obtained by wildcarding its
+  /// trailing `level` attributes (deduplicated). Used by the Bottom-Up
+  /// "start at level D-1" variant.
+  std::vector<int> LevelStartIds(int level, int top_l) const;
 
  private:
   ClusterUniverse() = default;
@@ -153,13 +170,20 @@ class ClusterUniverse {
   static uint64_t LcaKey(uint64_t a, uint64_t b);
 
   /// The two index layouts (semilattice.cc). Each supplies the insert of
-  /// cluster generation and the per-element key and probe of the coverage
+  /// cluster generation and the per-element key and probe of the probe
   /// scan; Populate runs the loops, written once and instantiated per
   /// layout.
   class PackedIndex;
   class VectorIndex;
+  /// How Populate maps its new clusters to the elements they cover: every
+  /// element probes its 2^m masks, or every new cluster tests all n
+  /// elements, or whichever of the two costs less (semilattice.cc).
+  enum class Scan { kProbe, kPerCluster, kCheaper };
+  /// Generates the clusters of top elements [base's L, top_l_) (all of
+  /// them when `base` is null) and maps them, after base's coverage.
+  void Extend(const ClusterUniverse* base, Scan scan);
   template <typename Index>
-  void Populate(Index& index, const Options& options);
+  void Populate(Index& index, const ClusterUniverse* base, Scan scan);
 
   const AnswerSet* answer_set_ = nullptr;
   int top_l_ = 0;

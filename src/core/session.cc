@@ -124,6 +124,7 @@ Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
     // Miss: become the leader for this L, or join an in-flight build for
     // any L' >= top_l (its result will serve this request too).
     std::shared_ptr<Generation> gen;
+    const ClusterUniverse* base = nullptr;
     std::shared_ptr<FlightLatch> flight;
     bool leader = false;
     {
@@ -145,6 +146,12 @@ Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
         flight = std::make_shared<FlightLatch>();
         universe_flights_.emplace(top_l, flight);
         leader = true;
+        // Every universe this view caches is narrower than top_l (the
+        // lookup above missed); the widest of them seeds the build. It
+        // belongs to gen, which the leader pins.
+        if (!fresh->universes.empty()) {
+          base = fresh->universes.rbegin()->second;
+        }
       }
     }
     if (!leader) {
@@ -157,12 +164,14 @@ Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
     }
     // Leader: build outside the lock (concurrent readers stay unblocked),
     // publish a successor view under the writer lock, then release the
-    // waiters. The captured generation pins the answer set for the
-    // build's duration.
+    // waiters. The captured generation pins the answer set and the base
+    // for the build's duration. Growing the widest narrower universe gives
+    // the same universe as a cold build, for a fraction of the work.
     Counters().universe_misses.fetch_add(1, std::memory_order_relaxed);
     if (trace != nullptr) trace->built = true;
     Result<ClusterUniverse> built =
-        ClusterUniverse::Build(gen->answers.get(), top_l);
+        base != nullptr ? ClusterUniverse::Grow(*base, top_l)
+                        : ClusterUniverse::Build(gen->answers.get(), top_l);
     const ClusterUniverse* ptr = nullptr;
     {
       std::unique_lock<std::shared_mutex> lock = WriterLock();

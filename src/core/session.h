@@ -29,7 +29,12 @@ namespace qagview::core {
 ///  * the answer set is fixed per session (new query => new session);
 ///  * cluster universes are cached per L, and a request at L is served by
 ///    the narrowest cached universe with L' >= L (its cluster set is a
-///    superset);
+///    superset, and every algorithm counts the top L against the
+///    request's L). A miss grows the widest cached universe below L
+///    (ClusterUniverse::Grow: only the new levels' clusters are generated
+///    and mapped) and builds cold only when there is none; a grown
+///    universe is bit-identical to a cold one, so the answer never depends
+///    on which levels were built first;
 ///  * precomputed solution stores (the §6.2 grids) are cached per L;
 ///  * Summarize / Retrieve requests then run at interactive speed.
 ///
@@ -208,9 +213,10 @@ class Session {
   Status LoadGuidance(int top_l, const std::string& path);
 
   /// A handle to the universe serving requests at coverage level `top_l`
-  /// (cached; concurrent misses for the same L coalesce onto one build).
-  /// The handle pins the universe's generation across refreshes. Warm hits
-  /// are lock-free.
+  /// (cached; concurrent misses for the same L coalesce onto one build,
+  /// which grows the widest cached universe below top_l when there is
+  /// one). The handle pins the universe's generation across refreshes.
+  /// Warm hits are lock-free.
   Result<std::shared_ptr<const ClusterUniverse>> UniverseFor(
       int top_l, RequestTrace* trace = nullptr);
 

@@ -10,7 +10,11 @@
 //    solution: the top-L singletons;
 //  * in the general regime every algorithm's output is feasible
 //    (Definition 4.1) and the exact BruteForce weight dominates both
-//    greedy weights.
+//    greedy weights;
+//  * every algorithm answers a request at L from a universe built for a
+//    wider L' exactly as from one built at L: a session serves L from the
+//    narrowest cached universe with L' >= L, so the answer must not depend
+//    on which universes other requests built.
 
 #include <algorithm>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "common/string_util.h"
 #include "core/bottom_up.h"
 #include "core/brute_force.h"
+#include "core/fixed_order.h"
 #include "core/hybrid.h"
 #include "test_util.h"
 
@@ -183,7 +188,57 @@ TEST_P(AlgorithmDifferentialTest, GeneralRegimeFeasibleAndDominated) {
   }
 }
 
-// 8 blocks x 5 seeds per property = 120 instances total.
+/// Asserts the two results equal, bit for bit. Universe(L)'s clusters are
+/// a prefix of universe(L')'s, so the ids compare directly.
+void ExpectSameResult(const Result<Solution>& wide,
+                      const Result<Solution>& exact) {
+  ASSERT_EQ(wide.ok(), exact.ok());
+  if (!exact.ok()) return;
+  EXPECT_EQ(wide->cluster_ids, exact->cluster_ids);
+  EXPECT_EQ(wide->average, exact->average);
+  EXPECT_EQ(wide->covered_count, exact->covered_count);
+}
+
+TEST_P(AlgorithmDifferentialTest, RequestLNotUniverseLDecidesTheAnswer) {
+  const BottomUpOptions::MergeRule kRules[] = {
+      BottomUpOptions::MergeRule::kSolutionAverage,
+      BottomUpOptions::MergeRule::kLcaAverage,
+      BottomUpOptions::MergeRule::kMinRedundant,
+      BottomUpOptions::MergeRule::kMaxMin};
+  for (int i = 0; i < 5; ++i) {
+    const uint64_t seed = 1300 + static_cast<uint64_t>(GetParam()) * 5 + i;
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed * 17 + 9);
+    AnswerSet answers = testutil::MakeRandomAnswerSet(seed, 150, 5, 4);
+    for (int top_l : {8, 15, 25}) {
+      ClusterUniverse exact = BuildUniverse(answers, top_l);
+      ClusterUniverse wide = BuildUniverse(answers, top_l + 40);
+      const Params params{2 + static_cast<int>(rng.Index(4)), top_l,
+                          1 + static_cast<int>(rng.Index(5))};
+      SCOPED_TRACE(params.ToString());
+      for (BottomUpOptions::MergeRule rule : kRules) {
+        SCOPED_TRACE(StrCat("merge rule ", static_cast<int>(rule)));
+        for (BottomUpOptions::Start start :
+             {BottomUpOptions::Start::kTopLSingletons,
+              BottomUpOptions::Start::kLevelDMinus1}) {
+          BottomUpOptions options;
+          options.merge_rule = rule;
+          options.start = start;
+          ExpectSameResult(BottomUp::Run(wide, params, options),
+                           BottomUp::Run(exact, params, options));
+        }
+        HybridOptions hybrid;
+        hybrid.merge_rule = rule;
+        ExpectSameResult(Hybrid::Run(wide, params, hybrid),
+                         Hybrid::Run(exact, params, hybrid));
+      }
+      ExpectSameResult(FixedOrder::Run(wide, params),
+                       FixedOrder::Run(exact, params));
+    }
+  }
+}
+
+// 8 blocks x 5 seeds per property = 160 instances total.
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmDifferentialTest,
                          testing::Range(0, 8));
 

@@ -35,7 +35,7 @@ TEST(GreedyStateTest, CoverageAndAverageTracking) {
   AnswerSet s = testutil::MakeMovieExample();
   auto u = ClusterUniverse::Build(&s, 4);
   ASSERT_TRUE(u.ok());
-  GreedyState state(&*u, /*use_delta_judgment=*/true);
+  GreedyState state(&*u, u->top_l(), /*use_delta_judgment=*/true);
   EXPECT_EQ(state.size(), 0);
   EXPECT_DOUBLE_EQ(state.Average(), 0.0);
 
@@ -60,7 +60,7 @@ TEST(GreedyStateTest, SubsumedClustersAreRemoved) {
   AnswerSet s = testutil::MakeMovieExample();
   auto u = ClusterUniverse::Build(&s, 4);
   ASSERT_TRUE(u.ok());
-  GreedyState state(&*u, true);
+  GreedyState state(&*u, u->top_l(), true);
   state.AddCluster(u->singleton_id(0));
   state.AddCluster(u->singleton_id(1));
   int lca = u->LcaId(u->singleton_id(0), u->singleton_id(1));
@@ -75,8 +75,8 @@ class DeltaEquivalenceTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(DeltaEquivalenceTest, TentativeAveragesMatchNaive) {
   Instance inst = MakeInstance(GetParam(), 80, 5, 3, 16);
-  GreedyState with_delta(&inst.u, true);
-  GreedyState without_delta(&inst.u, false);
+  GreedyState with_delta(&inst.u, inst.u.top_l(), true);
+  GreedyState without_delta(&inst.u, inst.u.top_l(), false);
 
   Rng rng(GetParam() ^ 0xDEADBEEF);
   // A fixed candidate pool evaluated every round — the access pattern the
@@ -187,7 +187,7 @@ TEST(GreedyStateTest, MinTracking) {
   AnswerSet s = testutil::MakeMovieExample();
   auto u = ClusterUniverse::Build(&s, 4);
   ASSERT_TRUE(u.ok());
-  GreedyState state(&*u, true);
+  GreedyState state(&*u, u->top_l(), true);
   EXPECT_TRUE(std::isinf(state.Min()));
 
   state.AddCluster(u->singleton_id(0));

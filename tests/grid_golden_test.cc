@@ -8,8 +8,9 @@
 // fingerprints were recorded on the binary-search membership probe and the
 // locked LCA memo that the constant-time probe and lane-arithmetic LCA
 // replaced; a change to any of them is a behaviour change, not noise.
-// The same holds for the universe build: every cluster id, covered list,
-// covered-sum bit pattern and top-L count is part of what the grid reads.
+// The same holds for the universe build, cold or grown from a narrower
+// universe: every cluster id, covered list, covered-sum bit pattern and
+// top-L count is part of what the grid reads.
 
 #include <algorithm>
 #include <cstdint>
@@ -141,6 +142,27 @@ TEST_P(GridGoldenTest, UniverseMatchesRecordedFingerprint) {
         << "force_unpacked=" << options.force_unpacked
         << " naive_mapping=" << options.naive_mapping;
   }
+  // A grown universe is the same universe: grown from L/2 in one step (many
+  // new clusters) and through a ladder of single levels from L - 3 (a few
+  // per step), in both index layouts.
+  for (const UniverseOptions& options : {UniverseOptions(), unpacked}) {
+    auto half = ClusterUniverse::Build(&s, c.top_l / 2, options);
+    ASSERT_TRUE(half.ok()) << half.status().ToString();
+    auto jump = ClusterUniverse::Grow(*half, c.top_l);
+    ASSERT_TRUE(jump.ok()) << jump.status().ToString();
+    EXPECT_EQ(UniverseFingerprint(*jump), c.universe_expected)
+        << "grown from L/2, force_unpacked=" << options.force_unpacked;
+
+    auto ladder = ClusterUniverse::Build(&s, c.top_l - 3, options);
+    ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
+    for (int l = c.top_l - 2; l <= c.top_l; ++l) {
+      ladder = ClusterUniverse::Grow(*ladder, l);
+      ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
+    }
+    EXPECT_EQ(UniverseFingerprint(*ladder), c.universe_expected)
+        << "grown from L - 3 a level at a time, force_unpacked="
+        << options.force_unpacked;
+  }
 }
 
 // Grid values recorded at the parent of the change that introduced the
@@ -148,9 +170,10 @@ TEST_P(GridGoldenTest, UniverseMatchesRecordedFingerprint) {
 // already produced the same fingerprint. Universe values recorded at the
 // parent of the change that stored coverage in one CSR array (commit
 // eb83a62), where the default, force_unpacked and naive_mapping builds of a
-// case already agreed. The m = 9 case never packs (more than eight byte
-// lanes), so it runs the vector-keyed path twice; the others run both index
-// paths. The domain-200 case puts codes >= 127 in a lane.
+// case already agreed; grown universes are held to the same values. The
+// m = 9 case never packs (more than eight byte lanes), so it runs the
+// vector-keyed path twice; the others run both index paths. The domain-200
+// case puts codes >= 127 in a lane.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, GridGoldenTest,
     testing::Values(GoldenCase{101, 300, 5, 4, 40, 0xc1f7aadcad0f97f2ULL,

@@ -335,7 +335,7 @@ TEST(ClusterUniverseTest, LevelStartIdsAreAtRequestedLevel) {
   auto u = ClusterUniverse::Build(&s, 10);
   ASSERT_TRUE(u.ok());
   for (int level : {0, 1, 2}) {
-    std::vector<int> ids = u->LevelStartIds(level);
+    std::vector<int> ids = u->LevelStartIds(level, u->top_l());
     EXPECT_FALSE(ids.empty());
     std::set<int> unique(ids.begin(), ids.end());
     EXPECT_EQ(unique.size(), ids.size()) << "duplicates at level " << level;
@@ -367,6 +367,140 @@ TEST(ClusterUniverseTest, RejectsBadArguments) {
   ASSERT_TRUE(wide.ok()) << wide.status().ToString();
   EXPECT_EQ(wide->num_attrs(), 25);
   EXPECT_FALSE(ClusterUniverse::Build(&*wide, 1).ok());
+}
+
+// --- Growing a universe across L. ---
+
+/// Asserts `grown` is `cold`, bit for bit, through the public read path:
+/// ids, patterns, covered lists, sum bits, top-L counts, singleton ids, and
+/// the index behind FindId and LcaId.
+void ExpectSameUniverse(const ClusterUniverse& grown,
+                        const ClusterUniverse& cold) {
+  ASSERT_EQ(grown.top_l(), cold.top_l());
+  ASSERT_EQ(grown.packed_index(), cold.packed_index());
+  ASSERT_EQ(grown.input_fingerprint(), cold.input_fingerprint());
+  ASSERT_EQ(grown.num_clusters(), cold.num_clusters());
+  for (int id = 0; id < cold.num_clusters(); ++id) {
+    ASSERT_EQ(grown.cluster(id), cold.cluster(id)) << "id " << id;
+    ASSERT_EQ(testutil::Covered(grown, id), testutil::Covered(cold, id))
+        << cold.cluster(id).ToString();
+    ASSERT_EQ(SumBits(grown.covered_sum(id)), SumBits(cold.covered_sum(id)));
+    ASSERT_EQ(grown.top_covered_count(id), cold.top_covered_count(id))
+        << cold.cluster(id).ToString();
+    ASSERT_EQ(grown.FindId(cold.cluster(id)), id);
+  }
+  for (int i = 0; i < cold.top_l(); ++i) {
+    ASSERT_EQ(grown.singleton_id(i), cold.singleton_id(i));
+  }
+  // About 40 x 40 pairs, whatever the universe's size.
+  const int stride = std::max(1, cold.num_clusters() / 40);
+  for (int a = 0; a < cold.num_clusters(); a += stride) {
+    for (int b = stride / 2; b < cold.num_clusters(); b += stride) {
+      ASSERT_EQ(grown.LcaId(a, b), cold.LcaId(a, b));
+    }
+  }
+}
+
+/// Grows a universe built at each of `from` to each L of `to` at or above
+/// it, in both index layouts, and compares with a cold build at that L.
+void ExpectGrowthMatchesColdBuilds(const AnswerSet& s,
+                                   const std::vector<int>& from,
+                                   const std::vector<int>& to) {
+  for (bool force_unpacked : {false, true}) {
+    UniverseOptions options;
+    options.force_unpacked = force_unpacked;
+    for (int l0 : from) {
+      auto base = ClusterUniverse::Build(&s, l0, options);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      for (int l : to) {
+        if (l < l0) continue;
+        SCOPED_TRACE(StrCat("force_unpacked=", force_unpacked, " L0=", l0,
+                            " L=", l));
+        auto grown = ClusterUniverse::Grow(*base, l);
+        ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+        auto cold = ClusterUniverse::Build(&s, l, options);
+        ASSERT_TRUE(cold.ok());
+        ExpectSameUniverse(*grown, *cold);
+      }
+    }
+  }
+}
+
+// Steps of every size: a level at a time (a few new clusters, each mapped
+// by its own pass over the elements), by zero levels, and from L = 1 to
+// L = n (most clusters new, mapped by the elements' probes).
+TEST(ClusterUniverseGrowTest, MatchesColdBuildsFromZeroLevelsToEveryElement) {
+  AnswerSet s = testutil::MakeRandomAnswerSet(41, 300, 5, 4);
+  ExpectGrowthMatchesColdBuilds(s, {1, 12, 40}, {1, 12, 13, 40, 41, 47, 300});
+}
+
+TEST(ClusterUniverseGrowTest, GrowingByZeroLevelsCopiesTheUniverse) {
+  AnswerSet s = testutil::MakeMovieExample();
+  auto base = ClusterUniverse::Build(&s, 5);
+  ASSERT_TRUE(base.ok());
+  auto same = ClusterUniverse::Grow(*base, 5);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  ExpectSameUniverse(*same, *base);
+  // The copy owns its arrays: growing it leaves base as it was.
+  auto wider = ClusterUniverse::Grow(*same, s.size());
+  ASSERT_TRUE(wider.ok());
+  EXPECT_EQ(base->top_l(), 5);
+  auto cold = ClusterUniverse::Build(&s, 5);
+  ASSERT_TRUE(cold.ok());
+  ExpectSameUniverse(*base, *cold);
+}
+
+TEST(ClusterUniverseGrowTest, MatchesColdBuildsAtNineAttributes) {
+  AnswerSet s = testutil::MakeRandomAnswerSet(23, 50, 9, 2);
+  auto u = ClusterUniverse::Build(&s, 2);
+  ASSERT_TRUE(u.ok());
+  ASSERT_FALSE(u->packed_index());
+  ExpectGrowthMatchesColdBuilds(s, {2, 6}, {3, 6, 7, 12});
+}
+
+TEST(ClusterUniverseGrowTest, MatchesColdBuildsAtWideDomain) {
+  std::vector<std::string> wide_names;
+  for (int i = 0; i < 300; ++i) wide_names.push_back(StrCat("w", i));
+  std::vector<Element> elements;
+  for (int i = 0; i < 40; ++i) {
+    elements.push_back(
+        {{static_cast<int32_t>((i * 7) % 300), static_cast<int32_t>(i % 3)},
+         40.0 - i});
+  }
+  auto s = AnswerSet::FromRaw({"wide", "narrow"},
+                              {wide_names, {"x", "y", "z"}},
+                              std::move(elements));
+  ASSERT_TRUE(s.ok());
+  auto u = ClusterUniverse::Build(&*s, 3);
+  ASSERT_TRUE(u.ok());
+  ASSERT_FALSE(u->packed_index());
+  ExpectGrowthMatchesColdBuilds(*s, {1, 8}, {2, 8, 9, 40});
+}
+
+TEST(ClusterUniverseGrowTest, MatchesColdBuildsAtDomain255Boundary) {
+  auto s = MakeDomain255Set();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ExpectGrowthMatchesColdBuilds(*s, {1, 5}, {2, 5, 6, 20, 60});
+}
+
+TEST(ClusterUniverseGrowTest, MatchesColdBuildsOnEightSaturatedLanes) {
+  auto s = MakeSaturatedSet();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto u = ClusterUniverse::Build(&*s, 1);
+  ASSERT_TRUE(u.ok());
+  ASSERT_FALSE(u->packed_index());
+  ExpectGrowthMatchesColdBuilds(*s, {1, 2}, {2, 3, 4, s->size()});
+}
+
+TEST(ClusterUniverseGrowTest, OutOfRangeLIsAnError) {
+  AnswerSet s = testutil::MakeMovieExample();
+  auto base = ClusterUniverse::Build(&s, 6);
+  ASSERT_TRUE(base.ok());
+  for (int l : {0, 1, 5, s.size() + 1}) {
+    auto grown = ClusterUniverse::Grow(*base, l);
+    EXPECT_FALSE(grown.ok()) << "L=" << l;
+    EXPECT_EQ(grown.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AnswerSetTest, FromTableInternsAndSorts) {

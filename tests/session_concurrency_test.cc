@@ -4,6 +4,7 @@
 // concurrent builds onto a single precompute (single-flight).
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -222,6 +223,64 @@ TEST(SessionConcurrencyTest, MixedWorkloadBitIdenticalToSerial) {
   EXPECT_EQ(loaded->average, expected[1].average);
   EXPECT_EQ(loaded->covered_count, expected[1].count);
   for (const std::string& path : save_paths) std::remove(path.c_str());
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Whether two universes are the same, bit for bit: ids, patterns,
+/// covered lists, sums, top-L counts and singleton ids.
+bool SameUniverse(const ClusterUniverse& a, const ClusterUniverse& b) {
+  if (a.top_l() != b.top_l() || a.num_clusters() != b.num_clusters()) {
+    return false;
+  }
+  for (int id = 0; id < a.num_clusters(); ++id) {
+    if (!(a.cluster(id) == b.cluster(id)) ||
+        testutil::Covered(a, id) != testutil::Covered(b, id) ||
+        Bits(a.covered_sum(id)) != Bits(b.covered_sum(id)) ||
+        a.top_covered_count(id) != b.top_covered_count(id)) {
+      return false;
+    }
+  }
+  for (int i = 0; i < a.top_l(); ++i) {
+    if (a.singleton_id(i) != b.singleton_id(i)) return false;
+  }
+  return true;
+}
+
+TEST(SessionConcurrencyTest, InterleavedAscendingLevelsMatchColdBuilds) {
+  // Thread t asks for L = 8 + t, 8 + t + 8, ...: every miss grows the
+  // widest universe cached at that moment, whichever thread built it, and
+  // every universe served must equal a cold build at its L.
+  constexpr int kFirstL = 8;
+  constexpr int kLastL = 47;
+  auto session = MakeSession(61, 160);
+  std::shared_ptr<const AnswerSet> answers = session->answers();
+  std::map<int, ClusterUniverse> cold;
+  for (int l = kFirstL; l <= kLastL; ++l) {
+    auto u = ClusterUniverse::Build(answers.get(), l);
+    ASSERT_TRUE(u.ok()) << u.status().ToString();
+    cold.emplace(l, std::move(u).value());
+  }
+  testutil::StartLatch latch(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      latch.ArriveAndWait();
+      for (int l = kFirstL + t; l <= kLastL; l += kThreads) {
+        auto universe = session->UniverseFor(l);
+        ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+        const ClusterUniverse& served = **universe;
+        ASSERT_GE(served.top_l(), l);
+        EXPECT_TRUE(SameUniverse(served, cold.at(served.top_l())))
+            << "L=" << l << " served by L'=" << served.top_l();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
 }
 
 TEST(SessionConcurrencyTest, ConcurrentSummarizeSharesOneUniverse) {

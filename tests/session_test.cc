@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bottom_up.h"
+#include "core/explore.h"
 #include "core/greedy_state.h"
 #include "core/session.h"
 #include "datagen/answers.h"
@@ -315,6 +316,62 @@ TEST(SessionTest, NumThreadsKnobPreservesResults) {
   }
 }
 
+/// Every (d, k) solution of a grid: cluster ids (universe(L)'s ids are a
+/// prefix of any wider universe's) and the average's bits, as text.
+std::string GridSolutions(const SolutionStore& store) {
+  std::string out = StrCat("L=", store.l(), " k_max=", store.k_max(), "\n");
+  for (int d : store.d_values()) {
+    for (int k = store.MinK(d).value(); k <= store.k_max(); ++k) {
+      Result<Solution> solution = store.Retrieve(d, k);
+      QAG_CHECK(solution.ok()) << solution.status().ToString();
+      out += StrCat("d=", d, " k=", k, " avg=", solution->average, " ids=");
+      for (int id : solution->cluster_ids) out += StrCat(id, ",");
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+/// What an Explore request returns: the solution and both rendered layers,
+/// drawn from the universe that produced the solution.
+std::string Explore(Session& session, const Params& params) {
+  std::shared_ptr<const ClusterUniverse> universe;
+  Result<Solution> solution = session.SummarizeWith(params, &universe);
+  QAG_CHECK(solution.ok()) << solution.status().ToString();
+  TwoLayerView view = BuildTwoLayerView(*universe, *solution, params.L);
+  const AnswerSet& answers = universe->answer_set();
+  std::string out = StrCat("avg=", solution->average, " ids=");
+  for (int id : solution->cluster_ids) out += StrCat(id, ",");
+  return out + "\n" + RenderSummary(answers, view) +
+         RenderExpanded(answers, view, /*max_members=*/4, params.L);
+}
+
+TEST(SessionTest, ClimbingOneLevelAtATimeMatchesFreshSessions) {
+  // Each new level grows the universe of the level below; every grid and
+  // every Explore response must be the one a session asked only at that
+  // level returns.
+  PrecomputeOptions options;
+  options.k_min = 2;
+  options.k_max = 8;
+  auto climbing = MakeSession(29, 120);
+  Rng rng(29);
+  for (int l = 10; l <= 24; ++l) {
+    SCOPED_TRACE(StrCat("L=", l));
+    const Params params{2 + static_cast<int>(rng.Index(5)), l,
+                        1 + static_cast<int>(rng.Index(4))};
+    auto fresh = MakeSession(29, 120);
+    auto grid = climbing->Guidance(l, options);
+    auto fresh_grid = fresh->Guidance(l, options);
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    ASSERT_TRUE(fresh_grid.ok()) << fresh_grid.status().ToString();
+    EXPECT_EQ(GridSolutions(**grid), GridSolutions(**fresh_grid));
+    EXPECT_EQ(Explore(*climbing, params), Explore(*fresh, params));
+    // One miss per level: nothing at or above it was cached, and the level
+    // below was.
+    EXPECT_EQ(climbing->cache_stats().universe_misses, l - 9);
+  }
+}
+
 TEST(SessionTest, SummarizeWithReportsTheServingUniverse) {
   // The returned Solution's cluster ids index into the universe handed
   // back by SummarizeWith — which, under the narrowest-covering policy,
@@ -386,7 +443,7 @@ TEST(MinSizeTest, TentativeRedundantMatchesCommit) {
       testutil::MakeRandomAnswerSet(19, 80, 4, 3));
   auto u = ClusterUniverse::Build(s.get(), 10);
   ASSERT_TRUE(u.ok());
-  GreedyState state(&*u, true);
+  GreedyState state(&*u, u->top_l(), true);
   state.AddCluster(u->singleton_id(0));
   int before = state.redundant_count();
   // A broad cluster: wildcard everything except attribute 0.
