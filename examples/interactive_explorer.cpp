@@ -267,7 +267,7 @@ class Explorer {
       return;
     }
     viz::SankeyDiagram diagram =
-        viz::BuildSankey(**universe, *old_solution, *new_solution);
+        viz::BuildSankey(**universe, *old_solution, *new_solution, widest);
     std::vector<int> left = viz::IdentityPositions(diagram.num_left());
     auto right = viz::OptimizeRightPositions(diagram, left);
     if (!right.ok()) {

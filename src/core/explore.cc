@@ -20,12 +20,8 @@ TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
     cv.pattern = universe.cluster(id).ToString(s);
     cv.average = universe.Average(id);
     cv.count = universe.covered_count(id);
-    // Covered lists ascend, so the ranks inside the top L are a prefix.
-    const Span<int32_t> covered = universe.covered(id);
-    cv.top_count = static_cast<int>(
-        std::lower_bound(covered.begin(), covered.end(), top_l) -
-        covered.begin());
-    for (int32_t e : covered) cv.member_ranks.push_back(e + 1);
+    cv.top_count = universe.TopCoveredCount(id, top_l);
+    for (int32_t e : universe.covered(id)) cv.member_ranks.push_back(e + 1);
     view.clusters.push_back(std::move(cv));
   }
   std::sort(view.clusters.begin(), view.clusters.end(),

@@ -29,8 +29,8 @@ namespace qagview::core {
 /// chain Proposition 6.1 relies on.
 ///
 /// The state counts top-L membership against the request's `top_l`, not
-/// the universe's own L: a session serves a request from the narrowest
-/// cached universe with L' >= L, and the answer must not depend on L'.
+/// the universe's own L: a session serves a request at L from its one
+/// universe, built for some L' >= L, and the answer must not depend on L'.
 class GreedyState {
  public:
   /// `top_l` must lie in [0, universe->top_l()].

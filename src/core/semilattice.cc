@@ -10,21 +10,6 @@ namespace qagview::core {
 
 namespace {
 
-/// Growth maps its new clusters with one pass over all n elements per
-/// cluster when that does less work than probing every element's 2^m masks:
-/// when new clusters < kElementTestsPerProbe * 2^m, the constant being what
-/// one probe costs in element tests. Measured in Release on one CPU of a
-/// 4-vCPU Xeon VM, growing `drilldown`'s two store_sales answer sets (n
-/// 11,864 and 13,674, m = 6) to L = 175 from L0 = 140..170 with each scan
-/// forced, each grow timed between cold builds: the scans broke even at
-/// 600-700 new clusters packed (a ratio of 9.4-10.5) and 360-440 unpacked
-/// (5.6-6.9), a new cluster's pass costing about 19 us packed and 85-110 us
-/// unpacked. The constant takes the lower, so the per-cluster pass runs
-/// only where it costs about as much as probing or less, and growth never
-/// costs more than a cold build (whose probe pass maps every cluster, old
-/// ones included).
-constexpr size_t kElementTestsPerProbe = 6;
-
 /// Append-only int32 list kept in fixed-size chunks. Growing it never
 /// copies what it holds and leaves at most one chunk unused, so a scan's
 /// hit list costs its own size, where a doubling vector cost up to twice
@@ -105,11 +90,27 @@ uint64_t ClusterUniverse::PackPattern(const std::vector<int32_t>& pattern) {
   return key;
 }
 
+// Each index layout sets kElementTestsPerProbe, what one probe costs in
+// element tests: growth maps its new clusters with one pass over all n
+// elements per cluster while new clusters < kElementTestsPerProbe * 2^m,
+// and probes every element's 2^m masks otherwise. Measured in Release on
+// one CPU of a 4-vCPU Xeon VM, growing `drilldown`'s two store_sales answer
+// sets (n 11,864 and 13,674, m = 6) to L = 175 from L0 = 140..170 with each
+// scan forced, each grow timed between cold builds: the scans broke even
+// at 600-700 new clusters packed (a ratio of 9.4-10.5) and 360-440 unpacked
+// (5.6-6.9), a new cluster's pass costing about 19 us packed and 85-110 us
+// unpacked. Each constant takes about the low end of its layout's range,
+// so the per-cluster pass runs only where it costs about as much as probing
+// or less, and growth never costs more than a cold build (whose probe pass
+// maps every cluster, old ones included).
+
 /// Packed keys: every element is packed once, and its generalization under
 /// `mask` is its key with the mask's byte lanes cleared — one AND-NOT and
 /// one packed_ids_ lookup, with the pattern built only for a new cluster.
 class ClusterUniverse::PackedIndex {
  public:
+  static constexpr size_t kElementTestsPerProbe = 9;
+
   explicit PackedIndex(ClusterUniverse* u) : u_(u) {
     const AnswerSet& s = *u->answer_set_;
     const int m = s.num_attrs();
@@ -163,6 +164,8 @@ class ClusterUniverse::PackedIndex {
 /// is written into the caller's scratch pattern and looked up in ids_.
 class ClusterUniverse::VectorIndex {
  public:
+  static constexpr size_t kElementTestsPerProbe = 6;
+
   explicit VectorIndex(ClusterUniverse* u) : u_(u) {
     u->ids_.reserve(static_cast<size_t>(u->top_l_) *
                     (1u << u->answer_set_->num_attrs()));
@@ -238,7 +241,6 @@ Result<ClusterUniverse> ClusterUniverse::Grow(const ClusterUniverse& base,
   u.element_keys_ = base.element_keys_;
   u.cluster_keys_ = base.cluster_keys_;
   u.concrete_lanes_ = base.concrete_lanes_;
-  u.top_covered_count_ = base.top_covered_count_;
   u.singleton_ids_ = base.singleton_ids_;
   u.Extend(&base, Scan::kCheaper);
   return u;
@@ -264,32 +266,23 @@ void ClusterUniverse::Populate(Index& index, const ClusterUniverse* base,
   std::vector<int32_t> pattern(static_cast<size_t>(m));
 
   // Cluster generation: the 2^m generalizations of each new top element,
-  // serial so that ids follow discovery order. A cluster covers a top
-  // element iff it is the element's generalization under exactly one mask
-  // (the one wildcarding the cluster's wildcard lanes), so this loop meets
-  // every (cluster, top element) pair once and counts top_covered_count_:
-  // all of a new cluster's, and an old cluster's over the new elements.
+  // serial so that ids follow discovery order; mask 0 is the element's
+  // singleton.
   const size_t first_id = clusters_.size();
   singleton_ids_.reserve(static_cast<size_t>(top_l_));
   singleton_ids_.resize(static_cast<size_t>(top_l_));
   for (int i = base == nullptr ? 0 : base->top_l_; i < top_l_; ++i) {
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      const int id = index.Insert(i, mask, &pattern);
-      if (static_cast<size_t>(id) == top_covered_count_.size()) {
-        top_covered_count_.push_back(0);
-      }
-      ++top_covered_count_[static_cast<size_t>(id)];
-      if (mask == 0) singleton_ids_[static_cast<size_t>(i)] = id;
+    singleton_ids_[static_cast<size_t>(i)] = index.Insert(i, 0, &pattern);
+    for (uint32_t mask = 1; mask < num_masks; ++mask) {
+      index.Insert(i, mask, &pattern);
     }
   }
   if (base != nullptr) {
     // Growth appended to exact copies of base's arrays, which doubled them.
-    // A session keeps a universe per L it serves, so drop the slack: a
-    // grown universe is never larger than a cold one.
+    // Drop the slack: a grown universe is never larger than a cold one.
     clusters_.shrink_to_fit();
     cluster_keys_.shrink_to_fit();
     concrete_lanes_.shrink_to_fit();
-    top_covered_count_.shrink_to_fit();
   }
 
   // Per-cluster coverage arrays: base's entries, then the new ids', whose
@@ -308,7 +301,7 @@ void ClusterUniverse::Populate(Index& index, const ClusterUniverse* base,
   covered_sum_.resize(num_clusters, 0.0);
 
   if (scan == Scan::kCheaper) {
-    scan = num_clusters - first_id < kElementTestsPerProbe * num_masks
+    scan = num_clusters - first_id < Index::kElementTestsPerProbe * num_masks
                ? Scan::kPerCluster
                : Scan::kProbe;
   }

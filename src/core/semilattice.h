@@ -1,6 +1,7 @@
 #ifndef QAGVIEW_CORE_SEMILATTICE_H_
 #define QAGVIEW_CORE_SEMILATTICE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -43,10 +44,14 @@ namespace qagview::core {
 /// coverage spans all n, so universe(L0)'s clusters are a prefix of
 /// universe(L)'s for L0 <= L, with the same patterns, coverage and sums.
 /// Grow(base, L) therefore copies base, runs the same generation loop over
-/// elements [L0, L) so the new clusters take the next ids, maps only the
-/// new clusters, and adds each old cluster's covered count in [L0, L) to
-/// its top-L count. A grown universe is bit-identical to a cold Build at L
+/// elements [L0, L) so the new clusters take the next ids, and maps only
+/// the new clusters. A grown universe is bit-identical to a cold Build at L
 /// (grid_golden_test pins both against the same fingerprints).
+///
+/// **Any L up to the universe's.** Nothing stored depends on L beyond which
+/// clusters exist: every algorithm takes the request's L, and a cluster's
+/// top count is taken at the caller's L (TopCoveredCount). So the universe
+/// for L' serves every L <= L', and a session keeps only its widest one.
 ///
 /// All cluster ids used by algorithms/solutions index into this universe.
 /// The universe is immutable after Build or Grow, so any number of threads
@@ -117,9 +122,15 @@ class ClusterUniverse {
   double Average(int id) const {
     return covered_sum(id) / covered_count(id);
   }
-  /// How many of the top-L elements the cluster covers.
-  int top_covered_count(int id) const {
-    return top_covered_count_[static_cast<size_t>(id)];
+  /// How many of the top `top_l` elements the cluster covers, for any
+  /// top_l: the caller's L, which may be below this universe's (a session
+  /// serves every L up to its widest universe's from that universe). One
+  /// binary search on the ascending covered list.
+  int TopCoveredCount(int id, int top_l) const {
+    const Span<int32_t> elements = covered(id);
+    return static_cast<int>(
+        std::lower_bound(elements.begin(), elements.end(), top_l) -
+        elements.begin());
   }
 
   /// Id lookup by pattern; -1 if the pattern is not in the universe.
@@ -202,7 +213,6 @@ class ClusterUniverse {
   std::vector<int64_t> covered_offsets_;
   std::vector<int32_t> covered_elements_;
   std::vector<double> covered_sum_;
-  std::vector<int> top_covered_count_;
   std::vector<int> singleton_ids_;
 };
 

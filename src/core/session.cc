@@ -9,6 +9,27 @@
 
 namespace qagview::core {
 
+Session::UniverseNode::UniverseNode(std::shared_ptr<Generation> generation,
+                                    ClusterUniverse universe)
+    : generation(std::move(generation)), universe(std::move(universe)) {
+  this->generation->live_universes.fetch_add(1, std::memory_order_relaxed);
+}
+
+Session::UniverseNode::~UniverseNode() {
+  generation->live_universes.fetch_sub(1, std::memory_order_relaxed);
+}
+
+Session::StoreNode::StoreNode(std::shared_ptr<const UniverseNode> universe,
+                              SolutionStore store)
+    : universe(std::move(universe)), store(std::move(store)) {
+  this->universe->generation->live_stores.fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+Session::StoreNode::~StoreNode() {
+  universe->generation->live_stores.fetch_sub(1, std::memory_order_relaxed);
+}
+
 Session::Session(std::unique_ptr<AnswerSet> answers) {
   auto generation = std::make_shared<Generation>();
   generation->answers = std::move(answers);
@@ -54,7 +75,7 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
     // Provably unchanged: every cached structure's input fingerprint still
     // matches, so the whole session keeps serving warm; the freshly built
     // copy is discarded.
-    local.universes_reused = static_cast<int>(view->universes.size());
+    local.universes_reused = view->universe != nullptr ? 1 : 0;
     local.stores_reused = static_cast<int>(view->stores.size());
     Counters().refresh_full_reuses.fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) *stats = local;
@@ -72,7 +93,7 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
   // not keep a stale grid serving, so the authoritative identity is the
   // generation object itself.
   local.refreshed = true;
-  local.universes_retired = static_cast<int>(view->universes.size());
+  local.universes_retired = view->universe != nullptr ? 1 : 0;
   local.stores_retired = static_cast<int>(view->stores.size());
   graveyard_.emplace_back(view->generation);
   ++generations_retired_;
@@ -98,64 +119,50 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
 
 Result<std::shared_ptr<const ClusterUniverse>> Session::UniverseFor(
     int top_l, RequestTrace* trace) {
-  QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned, PinnedUniverseFor(top_l, trace));
-  return std::shared_ptr<const ClusterUniverse>(std::move(pinned.generation),
-                                                pinned.universe);
+  QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> node,
+                       ServingUniverse(top_l, trace));
+  const ClusterUniverse* universe = &node->universe;
+  return std::shared_ptr<const ClusterUniverse>(std::move(node), universe);
 }
 
-Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
+Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
     int top_l, RequestTrace* trace) {
   if (top_l < 1 || top_l > CurrentView()->generation->answers->size()) {
     return Status::InvalidArgument("L out of range for this session");
   }
+  auto covers = [top_l](const ReadView& view) {
+    return view.universe != nullptr && view.universe->universe.top_l() >= top_l;
+  };
+  auto hit = [&](const ReadView& view) {
+    Counters().universe_hits.fetch_add(1, std::memory_order_relaxed);
+    if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
+    return view.universe;
+  };
   while (true) {
     // Warm path — the RCU read side: one atomic load pins the view, and
-    // the narrowest cached universe with top_l' >= top_l serves the
-    // request (its cluster set is a superset and all algorithms accept
-    // params.L <= top_l'). No locks, no shared-cacheline writes beyond
-    // the handle refcount and a per-thread counter shard.
+    // its universe serves any top_l up to its own L (all algorithms accept
+    // params.L <= the universe's L). No locks, no shared-cacheline writes
+    // beyond the handle refcount and a per-thread counter shard.
     std::shared_ptr<const ReadView> view = CurrentView();
-    auto hit = view->universes.lower_bound(top_l);
-    if (hit != view->universes.end()) {
-      Counters().universe_hits.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-      return PinnedUniverse{view->generation, hit->second};
-    }
-    // Miss: become the leader for this L, or join an in-flight build for
-    // any L' >= top_l (its result will serve this request too).
-    std::shared_ptr<Generation> gen;
-    const ClusterUniverse* base = nullptr;
+    if (covers(*view)) return hit(*view);
+    // Miss: lead the session's one growth, or wait for the one in flight
+    // (whatever its L) and look again.
+    std::shared_ptr<const ReadView> base;
     std::shared_ptr<FlightLatch> flight;
-    bool leader = false;
     {
       std::unique_lock<std::shared_mutex> lock = WriterLock();
       // Recheck the freshest view under the writer lock: publication is
       // serialized by it, so a hit here is definitive.
       std::shared_ptr<const ReadView> fresh = CurrentView();
-      auto it = fresh->universes.lower_bound(top_l);
-      if (it != fresh->universes.end()) {
-        Counters().universe_hits.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-        return PinnedUniverse{fresh->generation, it->second};
-      }
-      gen = fresh->generation;  // the freshest view before committing
-      auto fit = universe_flights_.lower_bound(top_l);
-      if (fit != universe_flights_.end()) {
-        flight = fit->second;
+      if (covers(*fresh)) return hit(*fresh);
+      if (universe_flight_ != nullptr) {
+        flight = universe_flight_;
       } else {
-        flight = std::make_shared<FlightLatch>();
-        universe_flights_.emplace(top_l, flight);
-        leader = true;
-        // Every universe this view caches is narrower than top_l (the
-        // lookup above missed); the widest of them seeds the build. It
-        // belongs to gen, which the leader pins.
-        if (!fresh->universes.empty()) {
-          base = fresh->universes.rbegin()->second;
-        }
+        flight = universe_flight_ = std::make_shared<FlightLatch>();
+        base = std::move(fresh);
       }
     }
-    if (!leader) {
-      // Another caller owns the flight — wait, then retry from the view.
+    if (base == nullptr) {
       Counters().universe_coalesced.fetch_add(1, std::memory_order_relaxed);
       if (trace != nullptr) trace->coalesced = true;
       Status status = flight->Wait();
@@ -164,40 +171,52 @@ Result<Session::PinnedUniverse> Session::PinnedUniverseFor(
     }
     // Leader: build outside the lock (concurrent readers stay unblocked),
     // publish a successor view under the writer lock, then release the
-    // waiters. The captured generation pins the answer set and the base
-    // for the build's duration. Growing the widest narrower universe gives
-    // the same universe as a cold build, for a fraction of the work.
+    // waiters. The base view pins the answer set and the universe grown
+    // from for the build's duration. Growing gives the same universe as a
+    // cold build, for a fraction of the work.
     Counters().universe_misses.fetch_add(1, std::memory_order_relaxed);
     if (trace != nullptr) trace->built = true;
     Result<ClusterUniverse> built =
-        base != nullptr ? ClusterUniverse::Grow(*base, top_l)
-                        : ClusterUniverse::Build(gen->answers.get(), top_l);
-    const ClusterUniverse* ptr = nullptr;
+        base->universe != nullptr
+            ? ClusterUniverse::Grow(base->universe->universe, top_l)
+            : ClusterUniverse::Build(base->generation->answers.get(), top_l);
+    std::shared_ptr<const UniverseNode> node;
     {
       std::unique_lock<std::shared_mutex> lock = WriterLock();
       if (built.ok()) {
-        auto owned =
-            std::make_unique<ClusterUniverse>(std::move(built).value());
-        ptr = owned.get();
-        // The universe joins the generation it was built from either way;
-        // only the *current* generation's structures enter the serving
-        // view (exact generation identity — no fingerprint collisions).
-        gen->universes.push_back(std::move(owned));
+        node = std::make_shared<const UniverseNode>(
+            base->generation, std::move(built).value());
         std::shared_ptr<const ReadView> cur = CurrentView();
-        if (cur->generation == gen) {
-          auto next = std::make_shared<ReadView>(*cur);
-          next->universes.emplace(top_l, ptr);
+        // Only the *current* generation's structures enter the serving
+        // view (exact generation identity — no fingerprint collisions).
+        if (cur->generation == base->generation) {
+          // Only this flight changes a generation's universe, so cur holds
+          // the one grown from; its stores, base's and any added since,
+          // move onto the grown universe, which keeps their ids.
+          QAG_DCHECK(cur->universe == base->universe);
+          auto next = std::make_shared<ReadView>();
+          next->generation = cur->generation;
+          next->universe = node;
+          for (const auto& [l, store] : cur->stores) {
+            next->stores.emplace_hint(
+                next->stores.end(), l,
+                std::make_shared<const StoreNode>(
+                    node, store->store.BoundTo(&node->universe)));
+          }
           PublishView(std::move(next));
         }
         // else: a refresh superseded this build mid-flight. The result
         // still serves this (overlapping, hence linearizable) request,
         // pinned by the returned handle, and dies when that handle drops.
       }
-      universe_flights_.erase(top_l);
+      universe_flight_.reset();
     }
+    // The superseded view, and with it the universe grown from unless a
+    // handle still reads it, is released before the waiters wake.
+    base.reset();
     flight->Finish(built.ok() ? Status::OK() : built.status());
-    if (!built.ok()) return built.status();
-    return PinnedUniverse{std::move(gen), ptr};
+    if (node == nullptr) return built.status();
+    return node;
   }
 }
 
@@ -219,16 +238,51 @@ Result<Solution> Session::SummarizeWith(
   return solution;
 }
 
-const SolutionStore* Session::CoveringStore(const ReadView& view, int top_l,
-                                            const PrecomputeOptions& resolved) {
+const std::shared_ptr<const Session::StoreNode>* Session::CoveringStore(
+    const ReadView& view, int top_l, const PrecomputeOptions& resolved) {
   // Serve the narrowest cached grid with L' >= top_l — but only when it
   // actually covers the requested (k, D) ranges; a wider-L store built
   // with a narrower grid must not shadow a request for rows it lacks.
   for (auto it = view.stores.lower_bound(top_l); it != view.stores.end();
        ++it) {
-    if (resolved.CoveredBy(*it->second)) return it->second;
+    if (resolved.CoveredBy(it->second->store)) return &it->second;
   }
   return nullptr;
+}
+
+namespace {
+
+/// The handle to a store node: it pins the store and its universe.
+template <typename Node>
+std::shared_ptr<const SolutionStore> StoreHandle(std::shared_ptr<Node> node) {
+  const SolutionStore* store = &node->store;
+  return std::shared_ptr<const SolutionStore>(std::move(node), store);
+}
+
+}  // namespace
+
+std::shared_ptr<const Session::StoreNode> Session::AddStore(
+    std::shared_ptr<const UniverseNode> universe, int top_l,
+    SolutionStore store) {
+  std::unique_lock<std::shared_mutex> lock = WriterLock();
+  std::shared_ptr<const ReadView> cur = CurrentView();
+  if (cur->generation != universe->generation) {
+    // Superseded by a refresh mid-build: the node serves the overlapping
+    // request from the retired generation, which drains when the last
+    // reader drops.
+    return std::make_shared<const StoreNode>(std::move(universe),
+                                             std::move(store));
+  }
+  // The view's universe is the generation's widest, so it holds every id
+  // of the universe the store was built over.
+  auto node = std::make_shared<const StoreNode>(
+      cur->universe, store.BoundTo(&cur->universe->universe));
+  // emplace, never replace: a narrower-grid store at this L may exist and
+  // keeps serving the requests it covers.
+  auto next = std::make_shared<ReadView>(*cur);
+  next->stores.emplace(top_l, node);
+  PublishView(std::move(next));
+  return node;
 }
 
 Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
@@ -248,10 +302,10 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
       resolved_for = view->generation.get();
       key.clear();
     }
-    if (const SolutionStore* store = CoveringStore(*view, top_l, resolved)) {
+    if (const auto* store = CoveringStore(*view, top_l, resolved)) {
       Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
       if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-      return std::shared_ptr<const SolutionStore>(view->generation, store);
+      return StoreHandle(*store);
     }
     // Miss: coalesce with an identical in-flight precompute, or lead one.
     if (key.empty()) {
@@ -265,11 +319,10 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
       if (fresh->generation.get() != resolved_for) {
         continue;  // refresh landed since the probe: re-resolve first
       }
-      if (const SolutionStore* store =
-              CoveringStore(*fresh, top_l, resolved)) {
+      if (const auto* store = CoveringStore(*fresh, top_l, resolved)) {
         Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-        return std::shared_ptr<const SolutionStore>(fresh->generation, store);
+        return StoreHandle(*store);
       }
       auto fit = store_flights_.find(key);
       if (fit != store_flights_.end()) {
@@ -289,36 +342,21 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     }
     Counters().store_misses.fetch_add(1, std::memory_order_relaxed);
     if (trace != nullptr) trace->built = true;
-    // The universe build has its own single-flight; no session lock held.
-    // The store is derived from (and attached to) the same generation the
-    // universe belongs to, so the two always retire and die together.
+    // The universe has its own single flight; no session lock held. The
+    // store joins the generation of the universe it was built over, so a
+    // refresh retires the two together.
     auto build = [&]() -> Result<std::shared_ptr<const SolutionStore>> {
-      QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned,
-                           PinnedUniverseFor(top_l, /*trace=*/nullptr));
+      QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> universe,
+                           ServingUniverse(top_l, /*trace=*/nullptr));
       PrecomputeOptions run_options = options;
       if (run_options.num_threads <= 0) {
         run_options.num_threads = num_threads();
       }
       QAG_ASSIGN_OR_RETURN(
           SolutionStore store,
-          Precompute::Run(*pinned.universe, top_l, run_options));
-      auto owned = std::make_unique<SolutionStore>(std::move(store));
-      const SolutionStore* ptr = owned.get();
-      std::unique_lock<std::shared_mutex> lock = WriterLock();
-      pinned.generation->stores.push_back(std::move(owned));
-      std::shared_ptr<const ReadView> cur = CurrentView();
-      if (cur->generation == pinned.generation) {
-        // emplace, never replace: a narrower-grid store at this L may
-        // exist and keeps serving the requests it covers.
-        auto next = std::make_shared<ReadView>(*cur);
-        next->stores.emplace(top_l, ptr);
-        PublishView(std::move(next));
-      }
-      // else: superseded by a refresh mid-precompute — the handle serves
-      // the overlapping request from the retired generation, which drains
-      // when the last reader drops.
-      return std::shared_ptr<const SolutionStore>(std::move(pinned.generation),
-                                                  ptr);
+          Precompute::Run(universe->universe, top_l, run_options));
+      return StoreHandle(
+          AddStore(std::move(universe), top_l, std::move(store)));
     };
     Result<std::shared_ptr<const SolutionStore>> outcome = build();
     {
@@ -334,7 +372,7 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
                                    RequestTrace* trace) {
   // Narrowest store with L' >= top_l that can answer (d, k); a narrower-
   // grid store is skipped if a wider cached one has the row. Lock-free:
-  // the pinned view keeps every candidate's generation alive for the
+  // the pinned view keeps every candidate and its universe alive for the
   // whole scan.
   std::shared_ptr<const ReadView> view = CurrentView();
   Status first_error = Status::OK();
@@ -342,7 +380,7 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
   for (auto it = view->stores.lower_bound(top_l); it != view->stores.end();
        ++it) {
     found_store = true;
-    Result<Solution> solution = it->second->Retrieve(d, k);
+    Result<Solution> solution = it->second->store.Retrieve(d, k);
     if (solution.ok()) {
       Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
       if (trace != nullptr) trace->cache_hit = true;
@@ -359,11 +397,11 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
 }
 
 Status Session::SaveGuidance(int top_l, const std::string& path) const {
-  // Mirror of the universe cache policy: the narrowest cached grid with
-  // L' >= top_l serves (its replays cover the top-L' >= top-L elements,
-  // and every stored (k, D) solution remains valid for the narrower
-  // coverage request by Proposition 6.1). The pinned view keeps the
-  // store's generation alive across the file write; no lock is held.
+  // The narrowest cached grid with L' >= top_l serves (its replays cover
+  // the top-L' >= top-L elements, and every stored (k, D) solution remains
+  // valid for the narrower coverage request by Proposition 6.1). The
+  // pinned view keeps the store and its universe alive across the file
+  // write; no lock is held.
   std::shared_ptr<const ReadView> view = CurrentView();
   auto it = view->stores.lower_bound(top_l);
   if (it == view->stores.end()) {
@@ -372,7 +410,7 @@ Status Session::SaveGuidance(int top_l, const std::string& path) const {
         "no guidance precomputed covering this L; call Guidance() first");
   }
   Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-  return SaveSolutionStore(*it->second, path);
+  return SaveSolutionStore(it->second->store, path);
 }
 
 Status Session::LoadGuidance(int top_l, const std::string& path) {
@@ -392,23 +430,13 @@ Status Session::LoadGuidance(int top_l, const std::string& path) {
         StrCat("file holds a grid for L=", header.l,
                ", too narrow for requested L=", top_l));
   }
-  QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned,
-                       PinnedUniverseFor(header.l, /*trace=*/nullptr));
+  QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> universe,
+                       ServingUniverse(header.l, /*trace=*/nullptr));
   QAG_ASSIGN_OR_RETURN(SolutionStore store,
-                       DeserializeSolutionStore(pinned.universe, text));
-  auto owned = std::make_unique<SolutionStore>(std::move(store));
-  const SolutionStore* ptr = owned.get();
-  std::unique_lock<std::shared_mutex> lock = WriterLock();
-  pinned.generation->stores.push_back(std::move(owned));
-  std::shared_ptr<const ReadView> cur = CurrentView();
-  if (cur->generation == pinned.generation) {
-    auto next = std::make_shared<ReadView>(*cur);
-    next->stores.emplace(header.l, ptr);
-    PublishView(std::move(next));
-  }
-  // else: a refresh raced the load; the loaded grid no longer matches the
-  // live answer set, so it must not enter the serving view — it drains
-  // with its retired generation.
+                       DeserializeSolutionStore(&universe->universe, text));
+  // A refresh racing the load keeps the grid out of the view: it no longer
+  // matches the live answer set.
+  AddStore(std::move(universe), header.l, std::move(store));
   return Status::OK();
 }
 
@@ -416,7 +444,7 @@ Session::CacheStats Session::cache_stats() const {
   CacheStats stats;
   {
     std::shared_ptr<const ReadView> view = CurrentView();
-    stats.universes = static_cast<int>(view->universes.size());
+    stats.universes = view->universe != nullptr ? 1 : 0;
     stats.stores = static_cast<int>(view->stores.size());
     // The pin is dropped here, before the graveyard probe below: a
     // generation retired by a racing refresh must not read as "still
@@ -431,8 +459,10 @@ Session::CacheStats Session::cache_stats() const {
     for (const std::weak_ptr<Generation>& entry : graveyard_) {
       if (std::shared_ptr<Generation> gen = entry.lock()) {
         ++alive;
-        stats.retired_universes += static_cast<int>(gen->universes.size());
-        stats.retired_stores += static_cast<int>(gen->stores.size());
+        stats.retired_universes +=
+            gen->live_universes.load(std::memory_order_relaxed);
+        stats.retired_stores +=
+            gen->live_stores.load(std::memory_order_relaxed);
       }
     }
     stats.graveyard_size = alive;

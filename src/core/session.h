@@ -27,39 +27,44 @@ namespace qagview::core {
 /// cached structures. Session implements that policy:
 ///
 ///  * the answer set is fixed per session (new query => new session);
-///  * cluster universes are cached per L, and a request at L is served by
-///    the narrowest cached universe with L' >= L (its cluster set is a
-///    superset, and every algorithm counts the top L against the
-///    request's L). A miss grows the widest cached universe below L
-///    (ClusterUniverse::Grow: only the new levels' clusters are generated
-///    and mapped) and builds cold only when there is none; a grown
+///  * one cluster universe per answer-set generation: the widest built so
+///    far. It serves every request at an L up to its own (universe(L)'s
+///    clusters are a prefix of universe(L')'s for L <= L', and every
+///    algorithm counts the top L against the request's L). A request above
+///    it misses: the session grows it (ClusterUniverse::Grow: only the new
+///    levels' clusters are generated and mapped), builds cold only when
+///    there is none, and publishes the grown universe in its place. A grown
 ///    universe is bit-identical to a cold one, so the answer never depends
 ///    on which levels were built first;
-///  * precomputed solution stores (the §6.2 grids) are cached per L;
+///  * precomputed solution stores (the §6.2 grids) are cached per L, each
+///    bound to the generation's one universe: publishing a grown universe
+///    rebinds every cached grid to it (SolutionStore::BoundTo, O(1) and
+///    bit-identical, since a grid's cluster ids are prefix ids), so nothing
+///    cached keeps a superseded universe alive;
 ///  * Summarize / Retrieve requests then run at interactive speed.
 ///
 /// **Thread safety — the RCU read path.** Every public method may be
 /// called concurrently from any number of client threads (the contract the
 /// `service::QueryService` layer builds on). The session's entire serving
-/// state — the live answer-set generation plus the universe/store cache
-/// maps — is one immutable `ReadView` snapshot behind an atomically
+/// state — the live answer-set generation, its universe and its store
+/// cache — is one immutable `ReadView` snapshot behind an atomically
 /// published pointer. A warm request performs a single atomic load of that
-/// pointer, which pins the generation for the request's duration, and then
-/// serves every answer/universe/store lookup from the snapshot without
-/// acquiring any lock: warm hits are wait-free with respect to writers and
-/// to each other, so warm throughput scales with the core count instead of
-/// collapsing on a shared mutex. Writers (cache fills, refreshes) never
-/// mutate a published view; they take the writer mutex, build a new view
-/// copy-on-write, and publish it with an atomic store (pin → serve → drop,
-/// classic read-copy-update). Expensive builds still run *outside* the
-/// writer lock and are **single-flight**: when N clients concurrently miss
-/// on the same universe L or the same Guidance (L, options) grid, exactly
-/// one performs the build while the others block on the in-flight entry
-/// and then serve from the republished view — never N duplicate
-/// precomputes. Coalesced waits are counted in `CacheStats`. Results
-/// remain bit-identical to any serial execution order: builds are
-/// deterministic in their (answer set, L, options) inputs alone, and
-/// views, stores, and universes are immutable once published.
+/// pointer, which pins the snapshot for the request's duration, and then
+/// serves every answer/universe/store lookup from it without acquiring any
+/// lock: warm hits are wait-free with respect to writers and to each
+/// other, so warm throughput scales with the core count instead of
+/// collapsing on a shared mutex. Writers (cache fills, growth, refreshes)
+/// never mutate a published view; they take the writer mutex, build a new
+/// view copy-on-write, and publish it with an atomic store (pin → serve →
+/// drop, classic read-copy-update). Expensive builds still run *outside*
+/// the writer lock and are **single-flight**: one growth flight per
+/// session (a miss waits for any growth in flight, then either hits or
+/// grows from its result) and one flight per Guidance (L, options) grid,
+/// so N clients missing together never run N duplicate builds. Coalesced
+/// waits are counted in `CacheStats`. Results remain bit-identical to any
+/// serial execution order: builds are deterministic in their (answer set,
+/// L, options) inputs alone, and views, stores, and universes are
+/// immutable once published.
 ///
 /// The per-op statistics counters are sharded per thread
 /// (common/sharded_stats.h) and aggregated when `cache_stats()` is read,
@@ -72,20 +77,19 @@ namespace qagview::core {
 /// fixed for the session's lifetime: Refresh() installs the answer set
 /// re-executed against a newer table snapshot. Every structure the session
 /// hands out — answer sets, cluster universes, solution stores — is
-/// returned as a `std::shared_ptr` **handle** whose control block pins the
-/// *generation* it belongs to (the answer set plus every universe/store
-/// built from it; they reference each other internally and live or die
-/// together). When a content-changing refresh supersedes a generation, it
-/// is *retired*: dropped from the serving view and tracked in a graveyard
-/// ledger, but kept alive exactly as long as at least one external handle
-/// (or a reader still inside its pinned view) references it. The moment
-/// the last handle drops, the retired generation is destroyed
-/// (**drain-then-evict**) — in-flight readers are never torn down, and a
-/// session under sustained updates no longer accumulates superseded
-/// generations without bound. View admission is guarded by generation
-/// identity (exact, collision-free): a build that races a refresh
-/// publishes into its own — now retired — generation instead of the view
-/// (its result still serves the overlapping request: a linearizable
+/// returned as a `std::shared_ptr` **handle** that pins exactly what it
+/// reads: an answer-set handle its answer set, a universe handle that
+/// universe and its answer set, a store handle that store and the universe
+/// it is bound to. A universe superseded by growth is therefore freed when
+/// its last handle drops, and so is a *retired* generation — one a
+/// content-changing refresh superseded: it leaves the serving view, is
+/// tracked in a graveyard ledger, and lives exactly as long as some handle
+/// (or a reader still inside its pinned view) reads from it
+/// (**drain-then-evict**). In-flight readers are never torn down, and a
+/// session under sustained updates or a climbing L never accumulates
+/// superseded structures. View admission is guarded by generation identity
+/// (exact, collision-free): a build that races a refresh stays out of the
+/// view (its result still serves the overlapping request: a linearizable
 /// pre-refresh view, pinned by the returned handle). The ownership rule
 /// for callers: **never store a raw pointer obtained from a handle; hold
 /// the shared_ptr for as long as the structure is read.**
@@ -164,12 +168,11 @@ class Session {
                              const HybridOptions& options = HybridOptions(),
                              RequestTrace* trace = nullptr);
 
-  /// Summarize variant that also reports which cached universe served the
+  /// Summarize variant that also reports which universe served the
   /// request — the universe the returned Solution's cluster ids index
-  /// into. Renderers must use it rather than a second UniverseFor(params.L)
-  /// lookup: under concurrency a narrower universe may be published
-  /// between the two calls, and cluster ids are only meaningful in the
-  /// universe that produced them.
+  /// into. Renderers should use it rather than a second UniverseFor(params.L)
+  /// lookup, which may return another universe (a refresh may land between
+  /// the two calls).
   Result<Solution> SummarizeWith(
       const Params& params,
       std::shared_ptr<const ClusterUniverse>* universe_out,
@@ -212,15 +215,17 @@ class Session {
   /// no change to the session.
   Status LoadGuidance(int top_l, const std::string& path);
 
-  /// A handle to the universe serving requests at coverage level `top_l`
-  /// (cached; concurrent misses for the same L coalesce onto one build,
-  /// which grows the widest cached universe below top_l when there is
-  /// one). The handle pins the universe's generation across refreshes.
-  /// Warm hits are lock-free.
+  /// A handle to the universe serving requests at coverage level `top_l`:
+  /// the session's universe, whose L may exceed top_l. A miss (top_l above
+  /// it) waits for any growth in flight, then grows the universe to top_l
+  /// or builds it cold when there is none. The handle pins the universe
+  /// and its answer set across growth and refreshes. Warm hits are
+  /// lock-free.
   Result<std::shared_ptr<const ClusterUniverse>> UniverseFor(
       int top_l, RequestTrace* trace = nullptr);
 
   struct CacheStats {
+    /// Universes the serving view holds: 0 before the first build, then 1.
     int universes = 0;
     int stores = 0;
     int64_t universe_hits = 0;
@@ -236,8 +241,9 @@ class Session {
     /// unchanged and reused every cache.
     int64_t refreshes = 0;
     int64_t refresh_full_reuses = 0;
-    /// Superseded structures still retained because an external handle
-    /// pins their generation (0 once every reader drained).
+    /// Universes and stores of retired generations still retained by
+    /// external handles (0 once every reader drained). A grid rebound to a
+    /// grown universe counts once per universe a handle pins it under.
     int retired_universes = 0;
     int retired_stores = 0;
     /// Retired generations currently retained by external handles.
@@ -273,43 +279,52 @@ class Session {
   }
 
  private:
-  /// One answer-set generation and everything built from it. Universes
-  /// point at the answer set and stores point at universes, so the three
-  /// layers retire and die together; every handle the session returns is a
-  /// shared_ptr aliased to the owning Generation's control block. The
-  /// owning vectors are only mutated under the writer mutex; readers never
-  /// touch them (they hold raw pointers handed out inside a pinned view).
+  /// One answer-set generation: the answer set that every universe and
+  /// store built from it reads. The nodes below pin it, so it lives as long
+  /// as anything built from it. The counters census what is still alive,
+  /// for cache_stats' retired counts.
   struct Generation {
     std::unique_ptr<AnswerSet> answers;
-    std::vector<std::unique_ptr<ClusterUniverse>> universes;
-    std::vector<std::unique_ptr<SolutionStore>> stores;
+    std::atomic<int> live_universes{0};
+    std::atomic<int> live_stores{0};
   };
 
-  /// The atomically published serving snapshot: the live generation plus
-  /// the cache maps over its structures. Immutable after publication —
-  /// every change (cache fill, refresh, load) builds a successor view and
-  /// swaps the pointer, so a reader that loaded a view once can serve an
-  /// entire request from it without locks or torn state. Invariant: every
-  /// map entry points into `generation` (admission compares generation
-  /// identity), so a hit returns a handle aliased to that generation's
-  /// control block.
+  /// A universe and the generation it reads. Universe handles alias it.
+  struct UniverseNode {
+    UniverseNode(std::shared_ptr<Generation> generation,
+                 ClusterUniverse universe);
+    ~UniverseNode();
+    std::shared_ptr<Generation> generation;
+    ClusterUniverse universe;
+  };
+
+  /// A store and the universe it is bound to. Store handles alias it.
+  struct StoreNode {
+    StoreNode(std::shared_ptr<const UniverseNode> universe,
+              SolutionStore store);
+    ~StoreNode();
+    std::shared_ptr<const UniverseNode> universe;
+    SolutionStore store;
+  };
+
+  /// The atomically published serving snapshot: the live generation, its
+  /// universe and the stores bound to it. Immutable after publication —
+  /// every change (cache fill, growth, refresh, load) builds a successor
+  /// view and swaps the pointer, so a reader that loaded a view once can
+  /// serve an entire request from it without locks or torn state.
+  /// Invariants: `universe` and every store belong to `generation`
+  /// (admission compares generation identity), and every store is bound to
+  /// `universe`.
   struct ReadView {
     std::shared_ptr<Generation> generation;
-    // Keyed by the top_l the universe was built for.
-    std::map<int, const ClusterUniverse*> universes;
+    /// The widest universe built for the generation so far; null before
+    /// the first build.
+    std::shared_ptr<const UniverseNode> universe;
     // Keyed by top_l. A multimap because one L can accumulate several
     // grids (different (k, D) option sets); within a generation stores
     // are never replaced, so narrower-grid stores keep serving what they
     // cover.
-    std::multimap<int, const SolutionStore*> stores;
-  };
-
-  /// A universe plus the generation that owns it — the internal currency
-  /// of the build paths, which must attach derived structures (stores) to
-  /// the same generation they read from.
-  struct PinnedUniverse {
-    std::shared_ptr<Generation> generation;
-    const ClusterUniverse* universe = nullptr;
+    std::multimap<int, std::shared_ptr<const StoreNode>> stores;
   };
 
   /// Per-thread shard of the request counters (relaxed increments on a
@@ -350,19 +365,28 @@ class Session {
 
   CounterShard& Counters() const { return shards_.Local(); }
 
-  /// UniverseFor, with the owning generation exposed for internal callers
-  /// (Guidance / LoadGuidance) that derive stores from the universe.
-  Result<PinnedUniverse> PinnedUniverseFor(int top_l, RequestTrace* trace);
+  /// UniverseFor, returning the node for internal callers (Guidance,
+  /// LoadGuidance) that bind stores to the universe.
+  Result<std::shared_ptr<const UniverseNode>> ServingUniverse(
+      int top_l, RequestTrace* trace);
+
+  /// Publishes `store`, built for `top_l` over `universe`, into the
+  /// serving view, bound to the view's universe; returns its node. When a
+  /// refresh retired `universe`'s generation meanwhile, the store stays out
+  /// of the view and its node serves only the caller. Takes mu_.
+  std::shared_ptr<const StoreNode> AddStore(
+      std::shared_ptr<const UniverseNode> universe, int top_l,
+      SolutionStore store);
 
   /// The narrowest store in `view` with L' >= top_l covering the resolved
   /// options, or nullptr. Lock-free and allocation-free.
-  static const SolutionStore* CoveringStore(const ReadView& view, int top_l,
-                                            const PrecomputeOptions& resolved);
+  static const std::shared_ptr<const StoreNode>* CoveringStore(
+      const ReadView& view, int top_l, const PrecomputeOptions& resolved);
 
-  /// Serializes writers: view publication, the flight maps, the graveyard
-  /// ledger, and Generation ownership vectors. Readers take it shared only
-  /// on the cold observability path (cache_stats); the warm serving paths
-  /// never touch it. Never held across a build or a flight wait.
+  /// Serializes writers: view publication, the flights and the graveyard
+  /// ledger. Readers take it shared only on the cold observability path
+  /// (cache_stats); the warm serving paths never touch it. Never held
+  /// across a build or a flight wait.
   mutable std::shared_mutex mu_;
 
   /// The published serving snapshot; access only through CurrentView /
@@ -370,11 +394,10 @@ class Session {
   /// own strong reference to the live generation lives inside it.
   std::shared_ptr<const ReadView> view_;
 
-  // In-flight builds: universe flights keyed by top_l (a flight for
-  // L' >= top_l satisfies a waiter at top_l), store flights keyed by
-  // PrecomputeOptions::CacheKey (exact grid-shape identity). Guarded by
-  // mu_ (miss path only).
-  std::map<int, std::shared_ptr<FlightLatch>> universe_flights_;
+  // In-flight builds, guarded by mu_ (miss path only): the one universe
+  // growth (null when none runs), and store flights keyed by
+  // PrecomputeOptions::CacheKey (exact grid-shape identity).
+  std::shared_ptr<FlightLatch> universe_flight_;
   std::map<std::string, std::shared_ptr<FlightLatch>> store_flights_;
 
   /// Graveyard ledger: weak references to retired generations. Holding

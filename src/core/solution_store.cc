@@ -11,6 +11,7 @@ SolutionStore::SolutionStore(const ClusterUniverse* universe, int l,
                              int k_max, std::vector<Trace> traces)
     : universe_(universe), l_(l), k_max_(k_max) {
   QAG_CHECK(universe != nullptr);
+  std::map<int, PerD> per_d_values;
   for (Trace& trace : traces) {
     QAG_CHECK(!trace.states.empty());
     QAG_CHECK(trace.states.size() == trace.values.size());
@@ -65,8 +66,18 @@ SolutionStore::SolutionStore(const ClusterUniverse* universe, int l,
     }
     num_intervals_ += static_cast<int64_t>(entries.size());
     per_d.tree = IntervalTree<int>(std::move(entries));
-    per_d_.emplace(trace.d, std::move(per_d));
+    per_d_values.emplace(trace.d, std::move(per_d));
   }
+  per_d_ = std::make_shared<const std::map<int, PerD>>(std::move(per_d_values));
+}
+
+SolutionStore SolutionStore::BoundTo(const ClusterUniverse* universe) const {
+  QAG_DCHECK(universe != nullptr &&
+             &universe->answer_set() == &universe_->answer_set() &&
+             universe->num_clusters() >= universe_->num_clusters());
+  SolutionStore bound = *this;
+  bound.universe_ = universe;
+  return bound;
 }
 
 Result<SolutionStore> SolutionStore::FromParts(
@@ -79,6 +90,7 @@ Result<SolutionStore> SolutionStore::FromParts(
   store.universe_ = universe;
   store.l_ = l;
   store.k_max_ = k_max;
+  std::map<int, PerD> per_d_values;
   for (PartsPerD& part : parts) {
     if (part.size_value.empty()) {
       return Status::InvalidArgument(
@@ -90,7 +102,7 @@ Result<SolutionStore> SolutionStore::FromParts(
             StrCat("D=", part.d, " state sizes must strictly decrease"));
       }
     }
-    if (store.per_d_.count(part.d) != 0) {
+    if (per_d_values.count(part.d) != 0) {
       return Status::InvalidArgument(StrCat("duplicate D=", part.d));
     }
     PerD per_d;
@@ -107,12 +119,21 @@ Result<SolutionStore> SolutionStore::FromParts(
         return Status::InvalidArgument(
             StrCat("D=", part.d, " has a malformed interval record"));
       }
+      // A cluster outside the top l would load only where a wider universe
+      // happens to hold it.
+      if (universe->TopCoveredCount(record.cluster_id, l) == 0) {
+        return Status::InvalidArgument(
+            StrCat("D=", part.d, " names a cluster that covers none of the "
+                   "top L=", l, " elements"));
+      }
       entries.push_back({record.lo, record.hi, record.cluster_id});
     }
     store.num_intervals_ += static_cast<int64_t>(entries.size());
     per_d.tree = IntervalTree<int>(std::move(entries));
-    store.per_d_.emplace(part.d, std::move(per_d));
+    per_d_values.emplace(part.d, std::move(per_d));
   }
+  store.per_d_ =
+      std::make_shared<const std::map<int, PerD>>(std::move(per_d_values));
   return store;
 }
 
@@ -143,8 +164,8 @@ Result<std::vector<SolutionStore::IntervalRecord>> SolutionStore::Intervals(
 }
 
 Result<const SolutionStore::PerD*> SolutionStore::FindD(int d) const {
-  auto it = per_d_.find(d);
-  if (it == per_d_.end()) {
+  auto it = per_d_->find(d);
+  if (it == per_d_->end()) {
     return Status::NotFound(StrCat("no precomputed solutions for D=", d));
   }
   return &it->second;
@@ -152,8 +173,8 @@ Result<const SolutionStore::PerD*> SolutionStore::FindD(int d) const {
 
 std::vector<int> SolutionStore::d_values() const {
   std::vector<int> out;
-  out.reserve(per_d_.size());
-  for (const auto& [d, unused] : per_d_) out.push_back(d);
+  out.reserve(per_d_->size());
+  for (const auto& [d, unused] : *per_d_) out.push_back(d);
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -20,6 +21,12 @@ namespace qagview::core {
 /// Bottom-Up replay it never returns, so the set of k values for which a
 /// cluster is in the solution is one contiguous interval. Retrieval is a
 /// stabbing query at k.
+///
+/// A store reads its cluster ids in the universe it is bound to. Ids are
+/// prefix ids: a universe grown from another keeps every id it held, with
+/// the same pattern and coverage. So BoundTo moves a store onto any wider
+/// universe of the same answer set, and every retrieval stays bit-identical.
+/// The per-D trees are shared between such copies, and are immutable.
 class SolutionStore {
  public:
   /// Per-D replay trace handed over by the precompute layer: the solution
@@ -37,6 +44,11 @@ class SolutionStore {
   /// outlive the store.
   SolutionStore(const ClusterUniverse* universe, int l, int k_max,
                 std::vector<Trace> traces);
+
+  /// This grid bound to `universe`, which must be a universe of the same
+  /// answer set at least as wide as the one the store reads now; it must
+  /// outlive the copy. O(1): the copy shares the per-D trees.
+  SolutionStore BoundTo(const ClusterUniverse* universe) const;
 
   /// One stored (cluster, k-interval) record (inspection/serialization).
   struct IntervalRecord {
@@ -56,7 +68,9 @@ class SolutionStore {
   };
 
   /// Rebuilds a store from previously extracted parts (the deserialization
-  /// path); validates size monotonicity and interval sanity.
+  /// path); validates size monotonicity and interval sanity, and that every
+  /// cluster covers at least one of the top `l` elements, as every cluster
+  /// a precompute at `l` can pick does.
   static Result<SolutionStore> FromParts(const ClusterUniverse* universe,
                                          int l, int k_max,
                                          std::vector<PartsPerD> parts);
@@ -69,9 +83,8 @@ class SolutionStore {
 
   int l() const { return l_; }
   int k_max() const { return k_max_; }
-  /// The universe this store's cluster ids index into — the store's
-  /// transitive input. The session's cache-admission check compares its
-  /// answer-set identity.
+  /// The universe this store is bound to: the one its cluster ids index
+  /// into, which may be wider than the one it was built over (BoundTo).
   const ClusterUniverse* universe() const { return universe_; }
   /// Content fingerprint of the answer set behind the universe this store
   /// was built (or deserialized) against, recorded for refresh
@@ -118,7 +131,8 @@ class SolutionStore {
   const ClusterUniverse* universe_;
   int l_;
   int k_max_;
-  std::map<int, PerD> per_d_;
+  // Built once, then shared by every copy BoundTo makes.
+  std::shared_ptr<const std::map<int, PerD>> per_d_;
   int64_t num_intervals_ = 0;
   int64_t naive_entries_ = 0;
 };

@@ -617,10 +617,10 @@ Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
     QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
     // Render against the exact universe that produced the solution — a
-    // second UniverseFor(params.L) lookup could return a narrower
-    // universe published concurrently, in which the solution's cluster
-    // ids would be meaningless. The handle also pins the universe's
-    // generation while the layers render, even if a refresh lands.
+    // second UniverseFor(params.L) lookup could return another
+    // generation's universe if a refresh landed between the two, in which
+    // the solution's cluster ids would be meaningless. The handle also
+    // pins the universe while the layers render.
     std::shared_ptr<const core::ClusterUniverse> universe;
     QAG_ASSIGN_OR_RETURN(
         out.solution,

@@ -20,7 +20,9 @@ int PatternSet::TotalComplexity() const {
 }
 
 PatternSet PatternsFromSolution(const core::ClusterUniverse& universe,
-                                const core::Solution& solution) {
+                                const core::Solution& solution,
+                                int top_l) {
+  if (top_l <= 0) top_l = universe.top_l();
   PatternSet out;
   for (int id : solution.cluster_ids) {
     const core::Cluster& c = universe.cluster(id);
@@ -32,7 +34,7 @@ PatternSet PatternsFromSolution(const core::ClusterUniverse& universe,
     }
     p.avg_value = universe.Average(id);
     p.count = universe.covered_count(id);
-    p.top_count = universe.top_covered_count(id);
+    p.top_count = universe.TopCoveredCount(id, top_l);
     for (int32_t e : universe.covered(id)) {
       p.member_ids.push_back(static_cast<int>(e));
     }

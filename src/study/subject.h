@@ -32,9 +32,11 @@ struct PatternSet {
 };
 
 /// Converts a QAGView solution into study patterns (equality predicates on
-/// the non-wildcard positions; the Figure-1b display).
+/// the non-wildcard positions; the Figure-1b display). Top counts count
+/// covered ranks within the top `top_l`; 0 means the universe's L.
 PatternSet PatternsFromSolution(const core::ClusterUniverse& universe,
-                                const core::Solution& solution);
+                                const core::Solution& solution,
+                                int top_l = 0);
 
 /// Converts a trained decision tree's positive rules into study patterns.
 PatternSet PatternsFromDecisionTree(const core::AnswerSet& s,

@@ -11,7 +11,8 @@ namespace qagview::viz {
 
 SankeyDiagram BuildSankey(const core::ClusterUniverse& universe,
                           const core::Solution& old_solution,
-                          const core::Solution& new_solution) {
+                          const core::Solution& new_solution, int top_l) {
+  if (top_l <= 0) top_l = universe.top_l();
   SankeyDiagram d;
   const core::AnswerSet& s = universe.answer_set();
   auto fill_side = [&](const core::Solution& solution,
@@ -20,7 +21,7 @@ SankeyDiagram BuildSankey(const core::ClusterUniverse& universe,
     for (int id : solution.cluster_ids) {
       labels->push_back(universe.cluster(id).ToString(s));
       sizes->push_back(universe.covered_count(id));
-      tops->push_back(universe.top_covered_count(id));
+      tops->push_back(universe.TopCoveredCount(id, top_l));
     }
   };
   fill_side(old_solution, &d.left_labels, &d.left_sizes, &d.left_top_counts);

@@ -27,9 +27,12 @@ struct SankeyDiagram {
 };
 
 /// Builds the diagram for two consecutive solutions over the same universe.
+/// The top counts count covered ranks within the top `top_l`; 0 means the
+/// universe's L. A session serves a request at L from a universe built for
+/// any L' >= L, so pass the L on display.
 SankeyDiagram BuildSankey(const core::ClusterUniverse& universe,
                           const core::Solution& old_solution,
-                          const core::Solution& new_solution);
+                          const core::Solution& new_solution, int top_l = 0);
 
 /// The weighted earth-mover objective of Definition A.3:
 /// D = Σ_ij overlap[i][j] · |pos_left[i] - pos_right[j]|.

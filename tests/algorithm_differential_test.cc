@@ -13,8 +13,8 @@
 //    greedy weights;
 //  * every algorithm answers a request at L from a universe built for a
 //    wider L' exactly as from one built at L: a session serves L from the
-//    narrowest cached universe with L' >= L, so the answer must not depend
-//    on which universes other requests built.
+//    widest universe it has built, so the answer must not depend on which
+//    levels other requests asked for.
 
 #include <algorithm>
 #include <vector>
@@ -131,7 +131,8 @@ TEST_P(AlgorithmDifferentialTest, SingletonRegimeAllThreeAlgorithmsAgree) {
     bool unique = true;
     for (int c = 0; c < universe.num_clusters(); ++c) {
       if (universe.cluster(c).level() > 0 &&
-          universe.top_covered_count(c) == universe.covered_count(c)) {
+          universe.TopCoveredCount(c, universe.top_l()) ==
+              universe.covered_count(c)) {
         unique = false;
         break;
       }

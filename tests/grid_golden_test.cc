@@ -88,7 +88,7 @@ uint64_t UniverseFingerprint(const ClusterUniverse& u) {
     hash.Add(static_cast<uint64_t>(u.covered_count(id)));
     for (int32_t e : u.covered(id)) hash.Add(static_cast<uint64_t>(e));
     hash.Add(DoubleBits(u.covered_sum(id)));
-    hash.Add(static_cast<uint64_t>(u.top_covered_count(id)));
+    hash.Add(static_cast<uint64_t>(u.TopCoveredCount(id, u.top_l())));
   }
   for (int i = 0; i < u.top_l(); ++i) {
     hash.Add(static_cast<uint64_t>(u.singleton_id(i)));

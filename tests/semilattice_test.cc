@@ -71,7 +71,7 @@ TEST(ClusterUniverseTest, GeneratesAllGeneralizationsOfTopL) {
   }
   // And nothing else: every cluster covers >= 1 top-L element.
   for (int id = 0; id < u->num_clusters(); ++id) {
-    EXPECT_GT(u->top_covered_count(id), 0);
+    EXPECT_GT(u->TopCoveredCount(id, u->top_l()), 0);
   }
   // Upper bound: at most L * 2^m clusters (deduplicated).
   EXPECT_LE(u->num_clusters(), 3 * 16);
@@ -127,7 +127,8 @@ TEST(ClusterUniverseTest, NaiveMappingMatchesOptimized) {
       EXPECT_EQ(testutil::Covered(*fast, id), testutil::Covered(*naive, other));
       EXPECT_EQ(SumBits(fast->covered_sum(id)),
                 SumBits(naive->covered_sum(other)));
-      EXPECT_EQ(fast->top_covered_count(id), naive->top_covered_count(other));
+      EXPECT_EQ(fast->TopCoveredCount(id, fast->top_l()),
+                naive->TopCoveredCount(other, naive->top_l()));
     }
   }
 }
@@ -203,8 +204,8 @@ TEST(ClusterUniverseTest, PackedPathAtDomain255Boundary) {
     EXPECT_EQ(testutil::Covered(*packed, id),
               testutil::Covered(*fallback, other));
     EXPECT_EQ(packed->covered_sum(id), fallback->covered_sum(other));
-    EXPECT_EQ(packed->top_covered_count(id),
-              fallback->top_covered_count(other));
+    EXPECT_EQ(packed->TopCoveredCount(id, packed->top_l()),
+              fallback->TopCoveredCount(other, fallback->top_l()));
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(packed->cluster(packed->singleton_id(i)),
@@ -385,7 +386,8 @@ void ExpectSameUniverse(const ClusterUniverse& grown,
     ASSERT_EQ(testutil::Covered(grown, id), testutil::Covered(cold, id))
         << cold.cluster(id).ToString();
     ASSERT_EQ(SumBits(grown.covered_sum(id)), SumBits(cold.covered_sum(id)));
-    ASSERT_EQ(grown.top_covered_count(id), cold.top_covered_count(id))
+    ASSERT_EQ(grown.TopCoveredCount(id, grown.top_l()),
+              cold.TopCoveredCount(id, cold.top_l()))
         << cold.cluster(id).ToString();
     ASSERT_EQ(grown.FindId(cold.cluster(id)), id);
   }

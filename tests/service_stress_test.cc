@@ -118,9 +118,9 @@ Result<Footprint> RunOp(QueryService& service, int op) {
 }
 
 /// Opens both sessions and pre-warms each one's widest universe (L=16) so
-/// the narrowest-covering-universe policy serves every request from the
-/// same universe in the serial and concurrent runs — making cluster ids,
-/// not just patterns, comparable across runs. A Summarize at L=16 is the
+/// each session serves every request from that one universe in the serial
+/// and concurrent runs — making cluster ids, not just patterns, comparable
+/// across runs. A Summarize at L=16 is the
 /// service-API warm trigger (one recorded request + one universe build per
 /// session, accounted for in the stats assertions below).
 void WarmUp(QueryService& service) {

@@ -246,7 +246,7 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   EXPECT_GE(stats.max_latency_ms, 0.0);
 }
 
-// A session serves Explore at L from its narrowest cached universe with
+// A session serves Explore at L from its one universe, built for some
 // L' >= L. The answer must not depend on that: after an Explore at L = 60,
 // an Explore at L = 10 equals a fresh service's, top counts and the
 // expanded layer's "in top-L" header included.

@@ -3,6 +3,7 @@
 // results bit-identical to a serial execution, and (c) coalesce identical
 // concurrent builds onto a single precompute (single-flight).
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -136,10 +137,9 @@ TEST(SessionConcurrencyTest, MixedWorkloadBitIdenticalToSerial) {
   const PrecomputeOptions kGridB = GridOptions(8, {1, 2, 3});
 
   // The finite request set every thread draws from. Pre-warming the widest
-  // universe pins the serving universe (and so the cluster-id space) to be
-  // identical in the serial and concurrent executions; without it the
-  // narrowest-covering-universe policy would make ids depend on which
-  // universes happen to exist, even though the chosen clusters don't.
+  // universe makes the serial and concurrent executions serve every request
+  // from the same universe, so even the statistics match; the cluster ids
+  // would match without it, since a session's universes share prefix ids.
   struct Expected {
     std::vector<int> ids;
     double average = 0.0;
@@ -241,7 +241,8 @@ bool SameUniverse(const ClusterUniverse& a, const ClusterUniverse& b) {
     if (!(a.cluster(id) == b.cluster(id)) ||
         testutil::Covered(a, id) != testutil::Covered(b, id) ||
         Bits(a.covered_sum(id)) != Bits(b.covered_sum(id)) ||
-        a.top_covered_count(id) != b.top_covered_count(id)) {
+        a.TopCoveredCount(id, a.top_l()) !=
+            b.TopCoveredCount(id, b.top_l())) {
       return false;
     }
   }
@@ -281,6 +282,86 @@ TEST(SessionConcurrencyTest, InterleavedAscendingLevelsMatchColdBuilds) {
     });
   }
   for (auto& t : threads) t.join();
+}
+
+TEST(SessionConcurrencyTest, OldHandlesStayValidWhileTheSessionGrows) {
+  // Readers hold universe and store handles taken at L = 10 while another
+  // thread climbs the session to L = 60: each level replaces the session's
+  // universe and rebinds its grids, and frees what no handle reads. Every
+  // read through an old handle, or a fresh one, must match the reads taken
+  // before the climb.
+  constexpr int kFirstL = 10;
+  constexpr int kLastL = 60;
+  auto session = MakeSession(67, 160);
+  const PrecomputeOptions options = GridOptions(8, {1, 2});
+  auto universe = session->UniverseFor(kFirstL);
+  auto store = session->Guidance(kFirstL, options);
+  ASSERT_TRUE(universe.ok());
+  ASSERT_TRUE(store.ok());
+  std::map<std::pair<int, int>, Solution> expected;
+  for (int d : {1, 2}) {
+    for (int k = (*store)->MinK(d).value(); k <= 8; ++k) {
+      expected.emplace(std::make_pair(d, k), (*store)->Retrieve(d, k).value());
+    }
+  }
+  const int clusters = (*universe)->num_clusters();
+  auto same = [](const Solution& a, const Solution& b) {
+    return a.cluster_ids == b.cluster_ids &&
+           Bits(a.average) == Bits(b.average);
+  };
+
+  std::atomic<bool> climbing{true};
+  testutil::StartLatch latch(kThreads);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    latch.ArriveAndWait();
+    for (int l = kFirstL + 1; l <= kLastL; ++l) {
+      if (!session->Guidance(l, options).ok() ||
+          !session->Summarize({3, l, 2}).ok()) {
+        ADD_FAILURE() << "climb failed at L=" << l;
+        break;  // the readers stop once climbing clears
+      }
+    }
+    climbing.store(false);
+  });
+  for (int t = 1; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each reader holds copies of the old handles, and retakes fresh ones
+      // as it goes, dropping the previous: some pin a universe the climb
+      // has superseded, and free it when they drop.
+      std::shared_ptr<const ClusterUniverse> old_universe = *universe;
+      std::shared_ptr<const SolutionStore> old_store = *store;
+      latch.ArriveAndWait();
+      int rounds = 0;
+      while (climbing.load() || rounds < 3) {
+        ++rounds;
+        auto fresh_store = session->Guidance(kFirstL, options);
+        ASSERT_TRUE(fresh_store.ok());
+        auto fresh_universe = session->UniverseFor(kFirstL + t);
+        ASSERT_TRUE(fresh_universe.ok());
+        EXPECT_GE((*fresh_universe)->num_clusters(), clusters);
+        EXPECT_EQ(old_universe->num_clusters(), clusters);
+        for (const auto& [dk, want] : expected) {
+          auto held = old_store->Retrieve(dk.first, dk.second);
+          auto again = (*fresh_store)->Retrieve(dk.first, dk.second);
+          auto served = session->Retrieve(kFirstL, dk.first, dk.second);
+          ASSERT_TRUE(held.ok() && again.ok() && served.ok());
+          EXPECT_TRUE(same(*held, want));
+          EXPECT_TRUE(same(*again, want));
+          EXPECT_TRUE(same(*served, want));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  Session::CacheStats stats = session->cache_stats();
+  EXPECT_EQ(stats.universes, 1);
+  // At most one growth per level: a reader's request may grow a level
+  // before the climb reaches it.
+  EXPECT_LE(stats.universe_misses, kLastL - kFirstL + 1);
+  auto widest = session->UniverseFor(1);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ((*widest)->top_l(), kLastL);
 }
 
 TEST(SessionConcurrencyTest, ConcurrentSummarizeSharesOneUniverse) {

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,12 @@ std::unique_ptr<Session> MakeSession(uint64_t seed = 3, int n = 100) {
   return std::move(session).value();
 }
 
+uint64_t DoubleBits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 TEST(SessionTest, SummarizeProducesFeasibleSolutions) {
   auto session = MakeSession();
   Params params{4, 12, 2};
@@ -38,11 +46,86 @@ TEST(SessionTest, UniverseCacheReusesWiderUniverse) {
   ASSERT_TRUE(session->UniverseFor(20).ok());   // miss: builds L=20
   ASSERT_TRUE(session->UniverseFor(10).ok());   // hit: 20 covers 10
   ASSERT_TRUE(session->UniverseFor(20).ok());   // hit
-  ASSERT_TRUE(session->UniverseFor(30).ok());   // miss: wider
+  ASSERT_TRUE(session->UniverseFor(30).ok());   // miss: grows to 30
   Session::CacheStats stats = session->cache_stats();
-  EXPECT_EQ(stats.universes, 2);
+  EXPECT_EQ(stats.universes, 1);  // the L=30 universe replaced the L=20 one
   EXPECT_EQ(stats.universe_misses, 2);
   EXPECT_EQ(stats.universe_hits, 2);
+}
+
+TEST(SessionTest, ClimbKeepsOneUniverseAndFreesTheSuperseded) {
+  // Nothing cached pins a superseded universe: after a 50-level climb with
+  // no handle held, the first level's universe is gone.
+  auto session = MakeSession(5, 120);
+  PrecomputeOptions options;
+  options.k_min = 2;
+  options.k_max = 6;
+  options.d_values = {1, 2};
+  std::weak_ptr<const ClusterUniverse> first;
+  {
+    auto universe = session->UniverseFor(10);
+    ASSERT_TRUE(universe.ok());
+    first = *universe;
+  }
+  for (int l = 10; l < 60; ++l) {
+    SCOPED_TRACE(StrCat("L=", l));
+    ASSERT_TRUE(session->Guidance(l, options).ok());
+    ASSERT_TRUE(session->Summarize({3, l, 2}).ok());
+    ASSERT_TRUE(session->Retrieve(l, 2, 4).ok());
+  }
+  EXPECT_TRUE(first.expired());
+  Session::CacheStats stats = session->cache_stats();
+  EXPECT_EQ(stats.universes, 1);
+  EXPECT_EQ(stats.universe_misses, 50);
+  EXPECT_EQ(stats.stores, 50);
+  auto widest = session->UniverseFor(1);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ((*widest)->top_l(), 59);
+}
+
+TEST(SessionTest, OldHandlesOutliveGrowthAndRetrieveBitIdentically) {
+  // Handles taken at L = 10 pin what they read: after the session grows to
+  // L = 40 they still read the L = 10 universe and retrieve what they did.
+  auto session = MakeSession(15, 120);
+  PrecomputeOptions options;
+  options.k_min = 2;
+  options.k_max = 8;
+  options.d_values = {1, 2, 3};
+  auto universe = session->UniverseFor(10);
+  auto store = session->Guidance(10, options);
+  ASSERT_TRUE(universe.ok());
+  ASSERT_TRUE(store.ok());
+  std::vector<Solution> before;
+  for (int d = 1; d <= 3; ++d) {
+    for (int k = (*store)->MinK(d).value(); k <= 8; ++k) {
+      before.push_back((*store)->Retrieve(d, k).value());
+    }
+  }
+  const int clusters = (*universe)->num_clusters();
+
+  ASSERT_TRUE(session->Guidance(40, options).ok());
+  auto grown = session->UniverseFor(40);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_NE(grown->get(), universe->get());
+  EXPECT_GT((*grown)->num_clusters(), clusters);
+
+  EXPECT_EQ((*universe)->top_l(), 10);
+  EXPECT_EQ((*universe)->num_clusters(), clusters);
+  size_t i = 0;
+  for (int d = 1; d <= 3; ++d) {
+    for (int k = (*store)->MinK(d).value(); k <= 8; ++k, ++i) {
+      Result<Solution> again = (*store)->Retrieve(d, k);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(again->cluster_ids, before[i].cluster_ids);
+      EXPECT_EQ(DoubleBits(again->average), DoubleBits(before[i].average));
+      // The session's own copy of the L = 10 grid, now over the grown
+      // universe, serves the same solution.
+      Result<Solution> served = session->Retrieve(10, d, k);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_EQ(served->cluster_ids, before[i].cluster_ids);
+      EXPECT_EQ(DoubleBits(served->average), DoubleBits(before[i].average));
+    }
+  }
 }
 
 TEST(SessionTest, CachedSummarizeMatchesDirectRun) {
@@ -346,36 +429,85 @@ std::string Explore(Session& session, const Params& params) {
          RenderExpanded(answers, view, /*max_members=*/4, params.L);
 }
 
-TEST(SessionTest, ClimbingOneLevelAtATimeMatchesFreshSessions) {
-  // Each new level grows the universe of the level below; every grid and
-  // every Explore response must be the one a session asked only at that
-  // level returns.
+/// Asks one session for every L of `levels` in turn; each Summarize and
+/// Explore response must be the one a session asked only at that L
+/// returns, and so must each grid when `with_grids` (levels ascending: a
+/// wider grid still serves a narrower L).
+void ExpectLevelsMatchFreshSessions(const std::vector<int>& levels,
+                                    bool with_grids) {
   PrecomputeOptions options;
   options.k_min = 2;
   options.k_max = 8;
-  auto climbing = MakeSession(29, 120);
+  auto session = MakeSession(29, 120);
   Rng rng(29);
-  for (int l = 10; l <= 24; ++l) {
+  int widest = 0;
+  int64_t growths = 0;
+  for (int l : levels) {
     SCOPED_TRACE(StrCat("L=", l));
     const Params params{2 + static_cast<int>(rng.Index(5)), l,
                         1 + static_cast<int>(rng.Index(4))};
     auto fresh = MakeSession(29, 120);
-    auto grid = climbing->Guidance(l, options);
-    auto fresh_grid = fresh->Guidance(l, options);
-    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
-    ASSERT_TRUE(fresh_grid.ok()) << fresh_grid.status().ToString();
-    EXPECT_EQ(GridSolutions(**grid), GridSolutions(**fresh_grid));
-    EXPECT_EQ(Explore(*climbing, params), Explore(*fresh, params));
-    // One miss per level: nothing at or above it was cached, and the level
-    // below was.
-    EXPECT_EQ(climbing->cache_stats().universe_misses, l - 9);
+    if (with_grids) {
+      auto grid = session->Guidance(l, options);
+      auto fresh_grid = fresh->Guidance(l, options);
+      ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+      ASSERT_TRUE(fresh_grid.ok()) << fresh_grid.status().ToString();
+      EXPECT_EQ(GridSolutions(**grid), GridSolutions(**fresh_grid));
+    }
+    Result<Solution> summary = session->Summarize(params);
+    Result<Solution> fresh_summary = fresh->Summarize(params);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    ASSERT_TRUE(fresh_summary.ok()) << fresh_summary.status().ToString();
+    EXPECT_EQ(summary->cluster_ids, fresh_summary->cluster_ids);
+    EXPECT_EQ(DoubleBits(summary->average),
+              DoubleBits(fresh_summary->average));
+    EXPECT_EQ(Explore(*session, params), Explore(*fresh, params));
+    // One miss per new widest level, which grows the one universe; every
+    // other level is served by the universe already held.
+    if (l > widest) {
+      widest = l;
+      ++growths;
+    }
+    EXPECT_EQ(session->cache_stats().universe_misses, growths);
+    EXPECT_EQ(session->cache_stats().universes, 1);
+  }
+}
+
+std::vector<int> Levels(int first, int last) {
+  std::vector<int> levels;
+  for (int l = first; l <= last; ++l) levels.push_back(l);
+  return levels;
+}
+
+TEST(SessionTest, ClimbingOneLevelAtATimeMatchesFreshSessions) {
+  // Ascending, each new level grows the universe of the level below.
+  {
+    SCOPED_TRACE("ascending");
+    ExpectLevelsMatchFreshSessions(Levels(10, 24), /*with_grids=*/true);
+  }
+  // Descending, the first level builds the only universe and every later
+  // one is served from it.
+  {
+    SCOPED_TRACE("descending");
+    std::vector<int> levels = Levels(10, 24);
+    std::reverse(levels.begin(), levels.end());
+    ExpectLevelsMatchFreshSessions(levels, /*with_grids=*/false);
+  }
+  // Shuffled: growth by varying steps, between levels below the
+  // universe's.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(StrCat("shuffled, seed ", seed));
+    std::vector<int> levels = Levels(10, 24);
+    Rng rng(seed);
+    rng.Shuffle(&levels);
+    ExpectLevelsMatchFreshSessions(levels, /*with_grids=*/false);
   }
 }
 
 TEST(SessionTest, SummarizeWithReportsTheServingUniverse) {
   // The returned Solution's cluster ids index into the universe handed
-  // back by SummarizeWith — which, under the narrowest-covering policy,
-  // is not necessarily one built for params.L.
+  // back by SummarizeWith — the session's one universe, which need not be
+  // one built for params.L.
   auto session = MakeSession(23);
   ASSERT_TRUE(session->UniverseFor(25).ok());  // widest, serves everything
   std::shared_ptr<const ClusterUniverse> used;

@@ -9,6 +9,7 @@
 
 #include "common/hash.h"
 #include "core/precompute.h"
+#include "core/session.h"
 #include "core/solution_store_io.h"
 #include "test_util.h"
 
@@ -428,6 +429,53 @@ TEST(StoreFromPartsTest, ValidatesParts) {
   EXPECT_FALSE(
       SolutionStore::FromParts(&inst.u, 10, 8, {ok_part, ok_part}).ok());
   EXPECT_TRUE(SolutionStore::FromParts(&inst.u, 10, 8, {ok_part}).ok());
+}
+
+TEST(StoreIoTest, GridNamingAClusterOutsideItsLFailsEverywhere) {
+  // A sealed grid for L = 10 whose interval names a cluster that covers
+  // none of the top 10 elements. A universe at L = 10 has no such cluster;
+  // a wider one has it, and must refuse the file all the same, so whether
+  // the file loads never depends on the levels a session served before.
+  constexpr uint64_t kSeed = 23;
+  Instance wide = MakeInstance(kSeed, 80, 4, 3, 30);
+  int outside = -1;
+  for (int id = 0; id < wide.u.num_clusters() && outside < 0; ++id) {
+    if (wide.u.covered(id)[0] >= 10) outside = id;
+  }
+  ASSERT_GE(outside, 0);
+  std::string row = "i 1 8";
+  for (int32_t code : wide.u.cluster(outside).pattern()) {
+    row += code == kWildcard ? " *" : " " + std::to_string(code);
+  }
+  const std::string text =
+      Sealed(Header(*wide.set, "10", "8", "4", "1") +
+             "d 1 states 1 intervals 1\ns 1 0.5\n" + row + "\n");
+
+  auto on_wide = DeserializeSolutionStore(&wide.u, text);
+  EXPECT_EQ(on_wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(on_wide.status().ToString().find("none of the top L=10"),
+            std::string::npos)
+      << on_wide.status().ToString();
+
+  const std::string path = testing::TempDir() + "/qagview_outside_l.store";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file), text.size());
+    std::fclose(file);
+  }
+  auto fresh = Session::Create(testutil::MakeRandomAnswerSet(kSeed, 80, 4, 3));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->LoadGuidance(10, path).code(),
+            StatusCode::kInvalidArgument);
+  auto widened =
+      Session::Create(testutil::MakeRandomAnswerSet(kSeed, 80, 4, 3));
+  ASSERT_TRUE(widened.ok());
+  ASSERT_TRUE((*widened)->UniverseFor(30).ok());
+  EXPECT_EQ((*widened)->LoadGuidance(10, path).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*widened)->cache_stats().stores, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "core/hybrid.h"
 #include "core/precompute.h"
+#include "core/session.h"
 #include "test_util.h"
 #include "viz/assignment.h"
 #include "viz/param_grid.h"
@@ -150,6 +151,44 @@ TEST(SankeyTest, CrossingCountBasics) {
   EXPECT_EQ(CountCrossings(d, id2, swapped), 1);
   d.overlap = {{5, 5}, {5, 5}};  // full bipartite: one crossing pair
   EXPECT_EQ(CountCrossings(d, id2, id2), 1);
+}
+
+TEST(SankeyTest, TopCountsAreTakenAtTheDisplayedL) {
+  // A session that holds a universe at L = 25 serves L = 10 from it. The
+  // diagram at L = 10 must count top elements as a cold L = 10 universe
+  // does, not against the universe's own L.
+  auto session =
+      core::Session::Create(testutil::MakeRandomAnswerSet(13, 100, 5, 3));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->UniverseFor(25).ok());
+  const core::Params old_params{6, 10, 2};
+  const core::Params new_params{4, 10, 2};
+  std::shared_ptr<const ClusterUniverse> held;
+  auto old_solution = (*session)->SummarizeWith(old_params, &held);
+  auto new_solution = (*session)->Summarize(new_params);
+  ASSERT_TRUE(old_solution.ok()) << old_solution.status().ToString();
+  ASSERT_TRUE(new_solution.ok()) << new_solution.status().ToString();
+  ASSERT_EQ(held->top_l(), 25);
+  SankeyDiagram served =
+      BuildSankey(*held, *old_solution, *new_solution, /*top_l=*/10);
+
+  std::shared_ptr<const AnswerSet> answers = (*session)->answers();
+  auto cold = ClusterUniverse::Build(answers.get(), 10);
+  ASSERT_TRUE(cold.ok());
+  auto cold_old = core::Hybrid::Run(*cold, old_params);
+  auto cold_new = core::Hybrid::Run(*cold, new_params);
+  ASSERT_TRUE(cold_old.ok() && cold_new.ok());
+  SankeyDiagram expected = BuildSankey(*cold, *cold_old, *cold_new);
+  EXPECT_EQ(served.left_labels, expected.left_labels);
+  EXPECT_EQ(served.right_labels, expected.right_labels);
+  EXPECT_EQ(served.left_top_counts, expected.left_top_counts);
+  EXPECT_EQ(served.right_top_counts, expected.right_top_counts);
+  EXPECT_EQ(served.left_sizes, expected.left_sizes);
+  EXPECT_EQ(served.overlap, expected.overlap);
+  // Counted at the universe's own L, the diagram would differ here.
+  SankeyDiagram at_universe_l =
+      BuildSankey(*held, *old_solution, *new_solution);
+  EXPECT_NE(at_universe_l.left_top_counts, expected.left_top_counts);
 }
 
 TEST(SankeyTest, RenderShowsLabelsAndRibbons) {
