@@ -3,7 +3,9 @@
 // single-vs-precompute cumulative comparison over six runs, plus the
 // thread-scaling curve of the parallel (k, D) precompute (one Bottom-Up
 // replay per D distributed over a ThreadPool), the serial universe build on
-// the same instance, and that universe grown from narrower ones.
+// the same instance, that universe grown from narrower ones, and the grid
+// climbing L one level at a time, derived from the level below where it can
+// be.
 //
 // Emits BENCH_fig7_precompute.json next to the text output; see
 // bench/README.md for the schema. QAGVIEW_BENCH_SMOKE=1 shrinks the
@@ -133,8 +135,11 @@ bool UniversesIdentical(const core::ClusterUniverse& a,
 int main() {
   const bool smoke = benchutil::SmokeMode();
   // Set when a smoke run's one-level grow costs more than half the cold
-  // build timed beside it; the run then fails once its JSON is written.
+  // build timed beside it, or when its climb derives no grid or derives
+  // at more than a tenth of a precompute's cost; the run then fails once
+  // its JSON is written.
   bool slow_growth = false;
+  bool slow_derivation = false;
   benchutil::JsonReporter reporter("fig7_precompute");
 
   // Paper-scale instances, shrunk in smoke mode so CI finishes in seconds.
@@ -358,8 +363,88 @@ int main() {
         slow_growth = true;
       }
     }
+
+    // The grid climbing L one level at a time, as a session widens: at each
+    // level the cold precompute and, where the seeds of the grid one level
+    // below cover the new answer, the grid derived from it
+    // (Precompute::Widen), which must be the cold one. One thread, so the
+    // ratio is the serial cost a derivation saves.
+    constexpr int kClimb = 20;
+    std::printf(
+        "\nthe grid climbing L = %d..%d, cold and derived from L - 1:\n",
+        big_l - kClimb, big_l);
+    std::printf("%-10s %14s %14s %12s\n", "L", "cold(ms)", "derive(ms)",
+                "identical?");
+    options.num_threads = 1;
+    std::vector<double> cold_ms;
+    std::vector<double> derive_ms;
+    std::optional<core::SolutionStore> below;
+    for (int l = big_l - kClimb; l <= big_l; ++l) {
+      WallTimer timer;
+      auto cold = core::Precompute::Run(*universe, l, options);
+      const double run_ms = timer.ElapsedMillis();
+      QAG_CHECK(cold.ok()) << cold.status().ToString();
+      if (!below.has_value()) {  // the climb's base level
+        below.emplace(std::move(cold).value());
+        continue;
+      }
+      cold_ms.push_back(run_ms);
+      std::optional<core::SolutionStore> derived;
+      benchutil::TimingStats d = benchutil::TimeStats(
+          [&] {
+            derived = core::Precompute::Widen(*below, *universe, l, options);
+          },
+          smoke ? 5 : 9);
+      if (derived.has_value()) {
+        QAG_CHECK(StoresIdentical(*derived, *cold))
+            << "grid derived at L=" << l << " differs from the precompute";
+        derive_ms.push_back(d.median_ms);
+        std::printf("%-10d %14.2f %14.4f %12s\n", l, run_ms, d.median_ms,
+                    "yes");
+      } else {
+        std::printf("%-10d %14.2f %14s %12s\n", l, run_ms, "-", "-");
+      }
+      below.emplace(std::move(cold).value());
+    }
+    auto median = [](std::vector<double> v) {
+      if (v.empty()) return 0.0;
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double cold_median = median(cold_ms);
+    const double derive_median = median(derive_ms);
+    const int derived_levels = static_cast<int>(derive_ms.size());
+    const double derive_ratio =
+        derived_levels > 0 ? cold_median / derive_median : 0.0;
+    std::printf("%d of %d levels derived; median cold %.2f ms, median "
+                "derived %.4f ms (cold/derive %.0fx)\n",
+                derived_levels, kClimb, cold_median, derive_median,
+                derive_ratio);
+    reporter.Add(
+        "grid_derive",
+        {{"N", n_large}, {"L", big_l}, {"levels", kClimb},
+         {"k_max", grid_k_max}},
+        {derive_median,
+         derived_levels > 0
+             ? *std::min_element(derive_ms.begin(), derive_ms.end())
+             : 0.0,
+         derived_levels},
+        {{"derived_levels", derived_levels},
+         {"cold_over_derive", derive_ratio}});
+    // The same-run gate: some level must derive, and a derived level must
+    // cost at most a tenth of a cold one (smoke runs derive in
+    // microseconds against milliseconds), whatever the host's speed.
+    if (smoke && (derived_levels == 0 || derive_ratio < 10.0)) {
+      std::fprintf(stderr,
+                   "FAIL: %d of %d levels derived their grid; median "
+                   "derived %.4f ms against median cold %.2f ms (cold/derive "
+                   "%.1fx < 10x)\n",
+                   derived_levels, kClimb, derive_median, cold_median,
+                   derive_ratio);
+      slow_derivation = true;
+    }
   }
 
   reporter.WriteFile();
-  return slow_growth ? 1 : 0;
+  return slow_growth || slow_derivation ? 1 : 0;
 }

@@ -14,10 +14,20 @@ namespace qagview::core {
 PrecomputeOptions PrecomputeOptions::ResolvedFor(int num_attrs) const {
   PrecomputeOptions resolved = *this;
   if (resolved.k_max <= 0) resolved.k_max = std::max(resolved.k_min, 20);
-  if (resolved.d_values.empty()) {
-    for (int d = 1; d <= num_attrs; ++d) resolved.d_values.push_back(d);
+  std::vector<int>& ds = resolved.d_values;
+  if (ds.empty()) {
+    for (int d = 1; d <= num_attrs; ++d) ds.push_back(d);
   }
+  std::sort(ds.begin(), ds.end());
+  ds.erase(std::unique(ds.begin(), ds.end()), ds.end());
+  resolved.c = std::max(2, resolved.c);
   return resolved;
+}
+
+bool PrecomputeOptions::SameGrid(const PrecomputeOptions& other) const {
+  return k_min == other.k_min && k_max == other.k_max &&
+         d_values == other.d_values && c == other.c &&
+         use_delta_judgment == other.use_delta_judgment;
 }
 
 bool PrecomputeOptions::CoveredBy(const SolutionStore& store) const {
@@ -70,7 +80,7 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   }
 
   int k_max = resolved.k_max;
-  if (k_max < options.k_min) {
+  if (k_max < resolved.k_min) {
     return Status::InvalidArgument("k_max must be >= k_min");
   }
 
@@ -79,9 +89,9 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   // top_l acts as top_l; the 64-bit cap keeps c·k_max from overflowing.
   WallTimer timer;
   FixedOrderOptions fo;
-  fo.use_delta_judgment = options.use_delta_judgment;
-  const int budget = static_cast<int>(std::min<int64_t>(
-      int64_t{std::max(2, options.c)} * k_max, top_l));
+  fo.use_delta_judgment = resolved.use_delta_judgment;
+  const int budget = static_cast<int>(
+      std::min<int64_t>(int64_t{resolved.c} * k_max, top_l));
   QAG_ASSIGN_OR_RETURN(std::vector<int> initial,
                        FixedOrder::RunPhase(universe, budget, top_l,
                                             /*distance_d=*/0, fo));
@@ -98,11 +108,11 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   if (d_values.size() == 1) num_threads = 1;  // nothing to distribute
   std::vector<SolutionStore::Trace> traces(d_values.size());
   BottomUpOptions bu;
-  bu.use_delta_judgment = options.use_delta_judgment;
+  bu.use_delta_judgment = resolved.use_delta_judgment;
   auto replay = [&](size_t i) {
     SolutionStore::Trace& trace = traces[i];
     trace.d = d_values[i];
-    internal::MergeDown(universe, top_l, initial, trace.d, options.k_min, bu,
+    internal::MergeDown(universe, top_l, initial, trace.d, resolved.k_min, bu,
                         [&trace](const GreedyState& state) {
                           trace.states.push_back(state.clusters());
                           trace.values.push_back(state.Average());
@@ -123,7 +133,30 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
     stats->initial_clusters = static_cast<int>(initial.size());
     stats->num_threads = num_threads;
   }
-  return SolutionStore(&universe, top_l, k_max, std::move(traces));
+  return SolutionStore(&universe, top_l, k_max, std::move(traces),
+                       {resolved, std::move(initial)});
+}
+
+std::optional<SolutionStore> Precompute::Widen(
+    const SolutionStore& grid, const ClusterUniverse& universe, int top_l,
+    const PrecomputeOptions& options) {
+  const SolutionStore::Source* source = grid.source();
+  if (source == nullptr || grid.l() >= top_l || top_l > universe.top_l()) {
+    return std::nullopt;
+  }
+  QAG_DCHECK(&universe.answer_set() == &grid.universe()->answer_set());
+  if (!options.ResolvedFor(universe.answer_set().num_attrs())
+           .SameGrid(source->options)) {
+    return std::nullopt;
+  }
+  // The seeds are ids of universe(grid.l()), a prefix of `universe`.
+  for (int e = grid.l(); e < top_l; ++e) {
+    if (std::none_of(source->seeds.begin(), source->seeds.end(),
+                     [&](int id) { return universe.CoversElement(id, e); })) {
+      return std::nullopt;
+    }
+  }
+  return grid.WidenedTo(&universe, top_l);
 }
 
 }  // namespace qagview::core

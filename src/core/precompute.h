@@ -1,57 +1,14 @@
 #ifndef QAGVIEW_CORE_PRECOMPUTE_H_
 #define QAGVIEW_CORE_PRECOMPUTE_H_
 
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
+#include "core/precompute_options.h"
 #include "core/solution_store.h"
 
 namespace qagview::core {
-
-struct PrecomputeOptions {
-  /// k range of interest (grid x-axis of Figure 2). k_max <= 0 derives a
-  /// default from the Fixed-Order phase output size.
-  int k_min = 2;
-  int k_max = 0;
-  /// D values to precompute (one Bottom-Up replay each). Empty derives
-  /// 1..m — the §6.2 grid rows. D = 0 is additionally accepted as the
-  /// explicit "no distance constraint" row (the distance phase is a no-op,
-  /// matching Params::D == 0 elsewhere); it is never part of the default.
-  std::vector<int> d_values;
-  /// Fixed-Order phase budget multiplier (runs once with c·k_max, D=0).
-  int c = 3;
-  bool use_delta_judgment = true;
-  /// Worker count for the per-D Bottom-Up replays (each replay is an
-  /// independent read-only pass over the shared universe). <= 0 uses the
-  /// hardware concurrency; 1 is the exact serial path. The resulting store
-  /// is bit-identical for every thread count.
-  int num_threads = 0;
-
-  /// Copy with the derived defaults materialized against a schema of
-  /// `num_attrs` grouping attributes: empty `d_values` becomes 1..m and
-  /// `k_max <= 0` becomes max(k_min, 20) — exactly the defaults
-  /// Precompute::Run applies. Two option sets with equal resolved fields
-  /// produce bit-identical stores for a given (universe, top_l).
-  /// core::Session's lock-free warm path resolves a request once, against
-  /// the schema of the answer-set generation it pinned, and probes every
-  /// cached store with the same resolved copy.
-  PrecomputeOptions ResolvedFor(int num_attrs) const;
-
-  /// Whether a cached store can serve a request with these options: every
-  /// requested D row present, the k range at least as wide on both ends.
-  /// `*this` must already be resolved (ResolvedFor) — the check is
-  /// allocation-free and lock-free, as required on the warm Guidance hit
-  /// path, where it runs once per cached candidate on every request.
-  bool CoveredBy(const SolutionStore& store) const;
-
-  /// Stable identity of the resolved (top_l, grid-shape) request, used as
-  /// the single-flight coalescing key by core::Session: concurrent
-  /// Guidance calls with equal keys trigger exactly one precompute.
-  /// `num_threads` is excluded — it never changes the resulting store.
-  /// Only computed on the miss path; warm hits never build a key.
-  std::string CacheKey(int top_l, int num_attrs) const;
-};
 
 /// Wall-clock breakdown of one precompute run (Figures 7c-7f bars).
 struct PrecomputeStats {
@@ -72,13 +29,46 @@ struct PrecomputeStats {
 /// merge process once per D, and because every round merges clusters, the
 /// states visited on the way down are exactly the solutions for every k
 /// from c·k_max down to k_min. The traces feed the interval-tree
-/// SolutionStore.
+/// SolutionStore, which keeps the resolved options and the Fixed-Order
+/// output (the grid's *seeds*) beside them.
+///
+/// **The grid depends on L only through its seeds.** Let S be the seeds at
+/// l, and let S cover every element in [l, L). Then the grid at L is the
+/// grid at l:
+///  * Fixed-Order at L processes the top l elements exactly as at l. Before
+///    the i-th candidate its state holds at most i clusters (each step adds
+///    at most one), so a budget min(c·k_max, l) = l that differs from
+///    min(c·k_max, L) never binds in the first l steps. After them the
+///    state is S, and each element in [l, L) is skipped as covered without
+///    touching the state, so the output at L is S.
+///  * Neither phase's choices read L: Fixed-Order and the default-rule
+///    Bottom-Up replays score candidates by the average over all covered
+///    elements, and only the Min-Size rule, which the precompute never
+///    uses, counts elements outside the top L. The same seeds therefore
+///    give the same traces, k_max and value ladders.
+/// Widen applies this, so a session widening L one step at a time replays
+/// only where the new answers fall outside the seeds.
 class Precompute {
  public:
   static Result<SolutionStore> Run(const ClusterUniverse& universe, int top_l,
                                    const PrecomputeOptions& options =
                                        PrecomputeOptions(),
                                    PrecomputeStats* stats = nullptr);
+
+  /// `grid` at the wider `top_l`, bound to `universe`, when Run(universe,
+  /// top_l, options) would replay `grid`'s seeds: `grid` was replayed by
+  /// Run (a loaded grid has no seeds), its options resolve alike
+  /// (SameGrid), l = grid.l() < top_l, and its seeds cover every element in
+  /// [l, top_l). The result shares the grid's trees and seeds and is
+  /// bit-identical to Run's. Nothing otherwise. `universe` must be a
+  /// universe of `grid`'s answer set with top_l() >= top_l. Costs at most
+  /// (top_l − l) × |seeds| CoversElement probes, each O(1) on a packed
+  /// universe; a precompute at top_l would sweep the same elements against
+  /// as many clusters, then replay every D.
+  static std::optional<SolutionStore> Widen(const SolutionStore& grid,
+                                            const ClusterUniverse& universe,
+                                            int top_l,
+                                            const PrecomputeOptions& options);
 };
 
 }  // namespace qagview::core

@@ -1,0 +1,68 @@
+#ifndef QAGVIEW_CORE_PRECOMPUTE_OPTIONS_H_
+#define QAGVIEW_CORE_PRECOMPUTE_OPTIONS_H_
+
+#include <string>
+#include <vector>
+
+namespace qagview::core {
+
+class SolutionStore;
+
+/// The shape of one (k, D) grid (§6.2), as a request names it. Implemented
+/// in core/precompute.cc; declared apart from Precompute so that a
+/// SolutionStore can record the resolved options it was replayed with.
+struct PrecomputeOptions {
+  /// k range of interest (grid x-axis of Figure 2). k_max <= 0 derives a
+  /// default from the Fixed-Order phase output size.
+  int k_min = 2;
+  int k_max = 0;
+  /// D values to precompute (one Bottom-Up replay each). Empty derives
+  /// 1..m — the §6.2 grid rows. D = 0 is additionally accepted as the
+  /// explicit "no distance constraint" row (the distance phase is a no-op,
+  /// matching Params::D == 0 elsewhere); it is never part of the default.
+  std::vector<int> d_values;
+  /// Fixed-Order phase budget multiplier (runs once with c·k_max, D=0).
+  /// Values below 2 act as 2.
+  int c = 3;
+  bool use_delta_judgment = true;
+  /// Worker count for the per-D Bottom-Up replays (each replay is an
+  /// independent read-only pass over the shared universe). <= 0 uses the
+  /// hardware concurrency; 1 is the exact serial path. The resulting store
+  /// is bit-identical for every thread count.
+  int num_threads = 0;
+
+  /// Copy with the derived defaults materialized against a schema of
+  /// `num_attrs` grouping attributes — exactly what Precompute::Run
+  /// replays: empty `d_values` becomes 1..m, listed ones are sorted with
+  /// duplicates dropped (the grid holds one row per D), `k_max <= 0`
+  /// becomes max(k_min, 20), and `c` below 2 becomes 2. Two option sets
+  /// with equal resolved fields (SameGrid) produce bit-identical stores for
+  /// a given (universe, top_l). Idempotent. core::Session's lock-free warm
+  /// path resolves a request once, against the schema of the answer-set
+  /// generation it pinned, and probes every cached store with the same
+  /// resolved copy.
+  PrecomputeOptions ResolvedFor(int num_attrs) const;
+
+  /// Whether two resolved option sets describe the same grid at any L:
+  /// every field equal except `num_threads`, which never changes a store.
+  bool SameGrid(const PrecomputeOptions& other) const;
+
+  /// Whether a cached store can serve a request with these options: every
+  /// requested D row present, the k range at least as wide on both ends.
+  /// `*this` must already be resolved (ResolvedFor) — the check is
+  /// allocation-free and lock-free, as required on the warm Guidance hit
+  /// path, where it runs once per cached candidate on every request.
+  bool CoveredBy(const SolutionStore& store) const;
+
+  /// Stable identity of the resolved (top_l, grid-shape) request, used as
+  /// the single-flight coalescing key by core::Session: concurrent
+  /// Guidance calls with equal keys trigger exactly one precompute, and
+  /// option sets that resolve alike share a key. `num_threads` is excluded
+  /// — it never changes the resulting store. Only computed on the miss
+  /// path; warm hits never build a key.
+  std::string CacheKey(int top_l, int num_attrs) const;
+};
+
+}  // namespace qagview::core
+
+#endif  // QAGVIEW_CORE_PRECOMPUTE_OPTIONS_H_

@@ -1,6 +1,8 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -261,6 +263,24 @@ std::shared_ptr<const SolutionStore> StoreHandle(std::shared_ptr<Node> node) {
 
 }  // namespace
 
+std::optional<SolutionStore> Session::WidenCachedStore(
+    const UniverseNode& universe, int top_l,
+    const PrecomputeOptions& resolved) const {
+  std::shared_ptr<const ReadView> view = CurrentView();
+  if (view->generation != universe.generation) return std::nullopt;
+  // The widest grid below top_l replayed with these options decides: if a
+  // narrower one's seeds covered every answer up to top_l, the widest one
+  // replayed those same seeds (Precompute's proof), so it covers them too.
+  for (auto it = std::make_reverse_iterator(view->stores.lower_bound(top_l));
+       it != view->stores.rend(); ++it) {
+    const SolutionStore& grid = it->second->store;
+    if (grid.source() != nullptr && grid.source()->options.SameGrid(resolved)) {
+      return Precompute::Widen(grid, universe.universe, top_l, resolved);
+    }
+  }
+  return std::nullopt;
+}
+
 std::shared_ptr<const Session::StoreNode> Session::AddStore(
     std::shared_ptr<const UniverseNode> universe, int top_l,
     SolutionStore store) {
@@ -348,15 +368,22 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     auto build = [&]() -> Result<std::shared_ptr<const SolutionStore>> {
       QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> universe,
                            ServingUniverse(top_l, /*trace=*/nullptr));
-      PrecomputeOptions run_options = options;
-      if (run_options.num_threads <= 0) {
-        run_options.num_threads = num_threads();
+      std::optional<SolutionStore> store =
+          WidenCachedStore(*universe, top_l, resolved);
+      if (store.has_value()) {
+        Counters().store_derivations.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        PrecomputeOptions run_options = options;
+        if (run_options.num_threads <= 0) {
+          run_options.num_threads = num_threads();
+        }
+        QAG_ASSIGN_OR_RETURN(
+            SolutionStore run,
+            Precompute::Run(universe->universe, top_l, run_options));
+        store.emplace(std::move(run));
       }
-      QAG_ASSIGN_OR_RETURN(
-          SolutionStore store,
-          Precompute::Run(universe->universe, top_l, run_options));
       return StoreHandle(
-          AddStore(std::move(universe), top_l, std::move(store)));
+          AddStore(std::move(universe), top_l, std::move(*store)));
     };
     Result<std::shared_ptr<const SolutionStore>> outcome = build();
     {
@@ -479,6 +506,8 @@ Session::CacheStats Session::cache_stats() const {
         shard.universe_coalesced.load(std::memory_order_relaxed);
     stats.store_coalesced +=
         shard.store_coalesced.load(std::memory_order_relaxed);
+    stats.store_derivations +=
+        shard.store_derivations.load(std::memory_order_relaxed);
     stats.refreshes += shard.refreshes.load(std::memory_order_relaxed);
     stats.refresh_full_reuses +=
         shard.refresh_full_reuses.load(std::memory_order_relaxed);

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -40,7 +41,11 @@ namespace qagview::core {
 ///    bound to the generation's one universe: publishing a grown universe
 ///    rebinds every cached grid to it (SolutionStore::BoundTo, O(1) and
 ///    bit-identical, since a grid's cluster ids are prefix ids), so nothing
-///    cached keeps a superseded universe alive;
+///    cached keeps a superseded universe alive. A grid miss first tries to
+///    derive the grid from the widest cached grid below its L with the same
+///    resolved options (Precompute::Widen: no replay when that grid's
+///    seeds cover the answers in between, and bit-identical to a
+///    precompute) and precomputes only when it cannot;
 ///  * Summarize / Retrieve requests then run at interactive speed.
 ///
 /// **Thread safety — the RCU read path.** Every public method may be
@@ -183,10 +188,14 @@ class Session {
   /// handle to the store. Like UniverseFor, a cached grid for any L' >=
   /// top_l serves the request (Proposition 6.1: the wider grid's solutions
   /// cover the narrower request) — but only when it also covers the
-  /// requested (k, D) ranges; otherwise a fresh grid is precomputed.
-  /// Concurrent calls with the same (top_l, options) grid shape coalesce
-  /// onto one precompute. The handle pins the store's generation across
-  /// refreshes; drop it when done reading. Warm hits are lock-free.
+  /// requested (k, D) ranges. Otherwise the grid at top_l is derived from
+  /// the widest cached grid below top_l with the same resolved options
+  /// when Precompute::Widen allows (CacheStats::store_derivations), and
+  /// precomputed when it does not; either way the result equals a fresh
+  /// precompute at top_l. Concurrent calls with the same (top_l, options)
+  /// grid shape coalesce onto one build. The handle pins the store's
+  /// generation across refreshes; drop it when done reading. Warm hits are
+  /// lock-free.
   Result<std::shared_ptr<const SolutionStore>> Guidance(
       int top_l, const PrecomputeOptions& options = PrecomputeOptions(),
       RequestTrace* trace = nullptr);
@@ -237,6 +246,10 @@ class Session {
     /// it serves from the freshly published view).
     int64_t universe_coalesced = 0;
     int64_t store_coalesced = 0;
+    /// Store misses served by widening a cached grid below the requested L
+    /// (Precompute::Widen) instead of precomputing; each also counts in
+    /// store_misses.
+    int64_t store_derivations = 0;
     /// Refresh() calls, and the subset that proved the answer set
     /// unchanged and reused every cache.
     int64_t refreshes = 0;
@@ -336,6 +349,7 @@ class Session {
     std::atomic<int64_t> store_misses{0};
     std::atomic<int64_t> universe_coalesced{0};
     std::atomic<int64_t> store_coalesced{0};
+    std::atomic<int64_t> store_derivations{0};
     std::atomic<int64_t> refreshes{0};
     std::atomic<int64_t> refresh_full_reuses{0};
   };
@@ -369,6 +383,15 @@ class Session {
   /// LoadGuidance) that bind stores to the universe.
   Result<std::shared_ptr<const UniverseNode>> ServingUniverse(
       int top_l, RequestTrace* trace);
+
+  /// The grid at `top_l` derived from the widest cached grid below it
+  /// replayed with `resolved` options (Precompute::Widen), bound to
+  /// `universe`; nothing when there is none, its seeds leave an answer in
+  /// between uncovered, or a refresh retired `universe`'s generation.
+  /// Lock-free: reads the current view.
+  std::optional<SolutionStore> WidenCachedStore(
+      const UniverseNode& universe, int top_l,
+      const PrecomputeOptions& resolved) const;
 
   /// Publishes `store`, built for `top_l` over `universe`, into the
   /// serving view, bound to the view's universe; returns its node. When a

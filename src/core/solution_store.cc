@@ -8,10 +8,13 @@
 namespace qagview::core {
 
 SolutionStore::SolutionStore(const ClusterUniverse* universe, int l,
-                             int k_max, std::vector<Trace> traces)
+                             int k_max, std::vector<Trace> traces,
+                             Source source)
     : universe_(universe), l_(l), k_max_(k_max) {
   QAG_CHECK(universe != nullptr);
-  std::map<int, PerD> per_d_values;
+  auto shared = std::make_shared<Shared>();
+  shared->source = std::move(source);
+  std::map<int, PerD>& per_d_values = shared->per_d;
   for (Trace& trace : traces) {
     QAG_CHECK(!trace.states.empty());
     QAG_CHECK(trace.states.size() == trace.values.size());
@@ -68,7 +71,7 @@ SolutionStore::SolutionStore(const ClusterUniverse* universe, int l,
     per_d.tree = IntervalTree<int>(std::move(entries));
     per_d_values.emplace(trace.d, std::move(per_d));
   }
-  per_d_ = std::make_shared<const std::map<int, PerD>>(std::move(per_d_values));
+  shared_ = std::move(shared);
 }
 
 SolutionStore SolutionStore::BoundTo(const ClusterUniverse* universe) const {
@@ -78,6 +81,17 @@ SolutionStore SolutionStore::BoundTo(const ClusterUniverse* universe) const {
   SolutionStore bound = *this;
   bound.universe_ = universe;
   return bound;
+}
+
+SolutionStore SolutionStore::WidenedTo(const ClusterUniverse* universe,
+                                       int l) const {
+  QAG_DCHECK(universe != nullptr &&
+             &universe->answer_set() == &universe_->answer_set() &&
+             universe->top_l() >= l && l >= l_);
+  SolutionStore widened = *this;
+  widened.universe_ = universe;
+  widened.l_ = l;
+  return widened;
 }
 
 Result<SolutionStore> SolutionStore::FromParts(
@@ -90,7 +104,8 @@ Result<SolutionStore> SolutionStore::FromParts(
   store.universe_ = universe;
   store.l_ = l;
   store.k_max_ = k_max;
-  std::map<int, PerD> per_d_values;
+  auto shared = std::make_shared<Shared>();
+  std::map<int, PerD>& per_d_values = shared->per_d;
   for (PartsPerD& part : parts) {
     if (part.size_value.empty()) {
       return Status::InvalidArgument(
@@ -132,8 +147,7 @@ Result<SolutionStore> SolutionStore::FromParts(
     per_d.tree = IntervalTree<int>(std::move(entries));
     per_d_values.emplace(part.d, std::move(per_d));
   }
-  store.per_d_ =
-      std::make_shared<const std::map<int, PerD>>(std::move(per_d_values));
+  store.shared_ = std::move(shared);
   return store;
 }
 
@@ -164,8 +178,8 @@ Result<std::vector<SolutionStore::IntervalRecord>> SolutionStore::Intervals(
 }
 
 Result<const SolutionStore::PerD*> SolutionStore::FindD(int d) const {
-  auto it = per_d_->find(d);
-  if (it == per_d_->end()) {
+  auto it = shared_->per_d.find(d);
+  if (it == shared_->per_d.end()) {
     return Status::NotFound(StrCat("no precomputed solutions for D=", d));
   }
   return &it->second;
@@ -173,8 +187,8 @@ Result<const SolutionStore::PerD*> SolutionStore::FindD(int d) const {
 
 std::vector<int> SolutionStore::d_values() const {
   std::vector<int> out;
-  out.reserve(per_d_->size());
-  for (const auto& [d, unused] : *per_d_) out.push_back(d);
+  out.reserve(shared_->per_d.size());
+  for (const auto& [d, unused] : shared_->per_d) out.push_back(d);
   return out;
 }
 

@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "core/interval_tree.h"
+#include "core/precompute_options.h"
 #include "core/solution.h"
 
 namespace qagview::core {
@@ -26,7 +28,8 @@ namespace qagview::core {
 /// prefix ids: a universe grown from another keeps every id it held, with
 /// the same pattern and coverage. So BoundTo moves a store onto any wider
 /// universe of the same answer set, and every retrieval stays bit-identical.
-/// The per-D trees are shared between such copies, and are immutable.
+/// The per-D trees, and what the grid was replayed from, are shared between
+/// such copies, and are immutable.
 class SolutionStore {
  public:
   /// Per-D replay trace handed over by the precompute layer: the solution
@@ -39,11 +42,21 @@ class SolutionStore {
     std::vector<double> values;
   };
 
+  /// What Precompute::Run replayed the traces from. Precompute::Widen reads
+  /// it to derive the grid at a wider L without replaying.
+  struct Source {
+    /// The resolved options (PrecomputeOptions::ResolvedFor).
+    PrecomputeOptions options;
+    /// The Fixed-Order output every per-D replay starts from: at most
+    /// c·k_max ids.
+    std::vector<int> seeds;
+  };
+
   /// Builds interval trees from replay traces. `k_max` caps the stored k
   /// range (queries above it return the first state). The universe must
   /// outlive the store.
   SolutionStore(const ClusterUniverse* universe, int l, int k_max,
-                std::vector<Trace> traces);
+                std::vector<Trace> traces, Source source);
 
   /// This grid bound to `universe`, which must be a universe of the same
   /// answer set at least as wide as the one the store reads now; it must
@@ -70,7 +83,7 @@ class SolutionStore {
   /// Rebuilds a store from previously extracted parts (the deserialization
   /// path); validates size monotonicity and interval sanity, and that every
   /// cluster covers at least one of the top `l` elements, as every cluster
-  /// a precompute at `l` can pick does.
+  /// a precompute at `l` can pick does. The store has no source().
   static Result<SolutionStore> FromParts(const ClusterUniverse* universe,
                                          int l, int k_max,
                                          std::vector<PartsPerD> parts);
@@ -83,6 +96,10 @@ class SolutionStore {
 
   int l() const { return l_; }
   int k_max() const { return k_max_; }
+  /// What the grid was replayed from; null for a loaded grid (FromParts).
+  const Source* source() const {
+    return shared_->source ? &*shared_->source : nullptr;
+  }
   /// The universe this store is bound to: the one its cluster ids index
   /// into, which may be wider than the one it was built over (BoundTo).
   const ClusterUniverse* universe() const { return universe_; }
@@ -126,13 +143,24 @@ class SolutionStore {
     int min_size = 0;
   };
 
+  /// The per-D trees and the source, built once, then shared by every
+  /// copy BoundTo or WidenedTo makes.
+  struct Shared {
+    std::map<int, PerD> per_d;
+    std::optional<Source> source;
+  };
+
   Result<const PerD*> FindD(int d) const;
+
+  /// This grid as the grid at `l`, bound to `universe` (top_l() >= l).
+  /// Only Precompute::Widen, which proves the two equal, calls it.
+  SolutionStore WidenedTo(const ClusterUniverse* universe, int l) const;
+  friend class Precompute;
 
   const ClusterUniverse* universe_;
   int l_;
   int k_max_;
-  // Built once, then shared by every copy BoundTo makes.
-  std::shared_ptr<const std::map<int, PerD>> per_d_;
+  std::shared_ptr<const Shared> shared_;
   int64_t num_intervals_ = 0;
   int64_t naive_entries_ = 0;
 };

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -335,6 +337,225 @@ TEST(PrecomputeTest, HugeBudgetsActAsL) {
           << "d=" << d << " k=" << k;
     }
   }
+}
+
+// Options that replay the same grid resolve alike: listed D rows are a set
+// (sorted, one row per D), and c below 2 acts as 2. So they share one
+// single-flight key, and a repeated D is stored once.
+TEST(PrecomputeTest, ResolvedOptionsAreCanonical) {
+  constexpr int kAttrs = 4;
+  PrecomputeOptions ascending = GridOptions(2, 8, {1, 3});
+  PrecomputeOptions descending = GridOptions(2, 8, {3, 1});
+  EXPECT_EQ(ascending.CacheKey(30, kAttrs), descending.CacheKey(30, kAttrs));
+  EXPECT_TRUE(ascending.ResolvedFor(kAttrs).SameGrid(
+      descending.ResolvedFor(kAttrs)));
+  PrecomputeOptions c0 = ascending;
+  c0.c = 0;
+  PrecomputeOptions c1 = ascending;
+  c1.c = 1;
+  PrecomputeOptions c2 = ascending;
+  c2.c = 2;
+  EXPECT_EQ(c0.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));
+  EXPECT_EQ(c1.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));
+  EXPECT_NE(ascending.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));  // c=3
+  PrecomputeOptions resolved = GridOptions(2, 8, {2, 0, 2}).ResolvedFor(kAttrs);
+  EXPECT_EQ(resolved.d_values, (std::vector<int>{0, 2}));
+  EXPECT_EQ(resolved.ResolvedFor(kAttrs).d_values, resolved.d_values);
+
+  Instance inst = MakeInstance(47, 90, kAttrs, 4, 24);
+  auto once = Precompute::Run(inst.u, 24, GridOptions(2, 8, {2}));
+  auto twice = Precompute::Run(inst.u, 24, GridOptions(2, 8, {2, 2}));
+  ASSERT_TRUE(once.ok() && twice.ok());
+  EXPECT_EQ(twice->num_intervals(), once->num_intervals());
+  EXPECT_EQ(twice->naive_entries(), once->naive_entries());
+  EXPECT_EQ(SerializeSolutionStore(*twice), SerializeSolutionStore(*once));
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Two grids are the same grid: L, k range, rows, every (size, value)
+/// ladder and interval set, every (d, k) solution's ids and average bits,
+/// and both space metrics.
+void ExpectSameGrid(const SolutionStore& got, const SolutionStore& want) {
+  ASSERT_EQ(got.l(), want.l());
+  ASSERT_EQ(got.k_max(), want.k_max());
+  ASSERT_EQ(got.d_values(), want.d_values());
+  EXPECT_EQ(got.num_intervals(), want.num_intervals());
+  EXPECT_EQ(got.naive_entries(), want.naive_entries());
+  auto sorted = [](const SolutionStore& store, int d) {
+    Result<std::vector<SolutionStore::IntervalRecord>> records =
+        store.Intervals(d);
+    std::vector<std::tuple<int, int, int>> out;
+    for (const auto& r : records.value()) {
+      out.emplace_back(r.lo, r.hi, r.cluster_id);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (int d : want.d_values()) {
+    SCOPED_TRACE(StrCat("d=", d));
+    EXPECT_EQ(got.MinK(d).value(), want.MinK(d).value());
+    EXPECT_EQ(got.SizeValues(d).value(), want.SizeValues(d).value());
+    EXPECT_EQ(sorted(got, d), sorted(want, d));
+    for (int k = want.MinK(d).value(); k <= want.k_max(); ++k) {
+      Result<Solution> a = got.Retrieve(d, k);
+      Result<Solution> b = want.Retrieve(d, k);
+      ASSERT_TRUE(a.ok() && b.ok()) << "k=" << k;
+      EXPECT_EQ(a->cluster_ids, b->cluster_ids) << "k=" << k;
+      EXPECT_EQ(Bits(a->average), Bits(b->average)) << "k=" << k;
+      EXPECT_EQ(Bits(got.Value(d, k).value()), Bits(want.Value(d, k).value()))
+          << "k=" << k;
+    }
+  }
+}
+
+/// Whether some seed of `grid` covers each element in [grid.l(), top_l).
+bool SeedsCover(const SolutionStore& grid, const ClusterUniverse& u,
+                int top_l) {
+  for (int e = grid.l(); e < top_l; ++e) {
+    bool covered = false;
+    for (int id : grid.source()->seeds) {
+      const auto& members = u.covered(id);
+      covered = covered ||
+                std::find(members.begin(), members.end(), e) != members.end();
+    }
+    if (!covered) return false;
+  }
+  return true;
+}
+
+// Derived ≡ cold: on seeded answer sets and option variants, every grid
+// Widen returns equals a precompute at its L, and Widen returns one exactly
+// when the seeds cover the answers in between. Each level is widened from
+// each of the five levels below it, as a session widens from the widest
+// grid it holds.
+TEST(PrecomputeTest, WidenedGridEqualsColdPrecompute) {
+  struct Variant {
+    const char* name;
+    PrecomputeOptions options;
+  };
+  auto with = [](PrecomputeOptions options, auto&& edit) {
+    edit(options);
+    return options;
+  };
+  const std::vector<Variant> variants = {
+      {"k_max 4", GridOptions(2, 4, {})},
+      {"k_max 8", GridOptions(2, 8, {})},
+      {"c 2", with(GridOptions(2, 6, {}),
+                   [](PrecomputeOptions& o) { o.c = 2; })},
+      {"D {0, 2}", GridOptions(2, 5, {0, 2})},
+      {"D {1, 3}", GridOptions(2, 5, {3, 1})},
+      {"k_min 3", GridOptions(3, 6, {})},
+      {"no delta", with(GridOptions(2, 5, {}),
+                        [](PrecomputeOptions& o) {
+                          o.use_delta_judgment = false;
+                        })},
+  };
+  struct Shape {
+    uint64_t seed;
+    int n, m, domain;
+  };
+  constexpr int kFirstL = 12;
+  constexpr int kLastL = 48;
+  constexpr int kReach = 5;
+  int derived = 0;
+  int refused = 0;
+  for (const Shape& shape : {Shape{53, 160, 4, 4}, Shape{59, 220, 5, 3},
+                             Shape{61, 260, 6, 3}}) {
+    Instance inst =
+        MakeInstance(shape.seed, shape.n, shape.m, shape.domain, kLastL);
+    for (const Variant& variant : variants) {
+      SCOPED_TRACE(StrCat("seed=", shape.seed, " ", variant.name));
+      std::vector<std::optional<SolutionStore>> cold(kLastL + 1);
+      for (int l = kFirstL; l <= kLastL; ++l) {
+        auto run = Precompute::Run(inst.u, l, variant.options);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        cold[static_cast<size_t>(l)].emplace(std::move(run).value());
+      }
+      for (int l = kFirstL; l < kLastL; ++l) {
+        const SolutionStore& grid = *cold[static_cast<size_t>(l)];
+        for (int top_l = l + 1; top_l <= std::min(l + kReach, kLastL);
+             ++top_l) {
+          SCOPED_TRACE(StrCat("l=", l, " top_l=", top_l));
+          std::optional<SolutionStore> widened =
+              Precompute::Widen(grid, inst.u, top_l, variant.options);
+          ASSERT_EQ(widened.has_value(), SeedsCover(grid, inst.u, top_l));
+          if (!widened.has_value()) {
+            ++refused;
+            continue;
+          }
+          ++derived;
+          EXPECT_EQ(widened->source()->seeds, grid.source()->seeds);
+          EXPECT_EQ(widened->universe(), &inst.u);
+          ExpectSameGrid(*widened, *cold[static_cast<size_t>(top_l)]);
+          // The seeds at top_l are the seeds at l.
+          EXPECT_EQ(cold[static_cast<size_t>(top_l)]->source()->seeds,
+                    grid.source()->seeds);
+        }
+      }
+    }
+  }
+  EXPECT_GT(derived, 0);
+  EXPECT_GT(refused, 0);
+}
+
+// Widen returns nothing where it cannot prove the grid: an answer in the gap
+// that no seed covers, a loaded grid (no seeds), another grid shape, an L
+// that is not wider, or one past the universe.
+TEST(PrecomputeTest, WidenRefusesWhatItCannotProve) {
+  Instance inst = MakeInstance(67, 200, 5, 3, 40);
+  const PrecomputeOptions options = GridOptions(2, 6, {});
+  // A level whose seeds cover the next answer, and one whose seeds do not.
+  int covered_l = -1;
+  int uncovered_l = -1;
+  for (int l = 20; l < 40 && (covered_l < 0 || uncovered_l < 0); ++l) {
+    auto grid = Precompute::Run(inst.u, l, options);
+    ASSERT_TRUE(grid.ok());
+    (SeedsCover(*grid, inst.u, l + 1) ? covered_l : uncovered_l) = l;
+  }
+  ASSERT_GE(covered_l, 0);
+  ASSERT_GE(uncovered_l, 0);
+
+  auto uncovered = Precompute::Run(inst.u, uncovered_l, options);
+  ASSERT_TRUE(uncovered.ok());
+  EXPECT_FALSE(
+      Precompute::Widen(*uncovered, inst.u, uncovered_l + 1, options));
+  // The gap fails on its one uncovered answer, wherever the gap ends.
+  EXPECT_FALSE(
+      Precompute::Widen(*uncovered, inst.u, uncovered_l + 3, options));
+
+  auto grid = Precompute::Run(inst.u, covered_l, options);
+  ASSERT_TRUE(grid.ok());
+  ASSERT_TRUE(Precompute::Widen(*grid, inst.u, covered_l + 1, options));
+  // The request's options resolve alike: widening with them works.
+  PrecomputeOptions same = options;
+  same.d_values = {5, 4, 3, 2, 1, 1};
+  same.num_threads = 3;
+  EXPECT_TRUE(Precompute::Widen(*grid, inst.u, covered_l + 1, same));
+
+  auto loaded =
+      DeserializeSolutionStore(&inst.u, SerializeSolutionStore(*grid));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->source(), nullptr);
+  EXPECT_FALSE(Precompute::Widen(*loaded, inst.u, covered_l + 1, options));
+
+  for (auto edit : std::vector<void (*)(PrecomputeOptions*)>{
+           [](PrecomputeOptions* o) { o->k_max = 7; },
+           [](PrecomputeOptions* o) { o->k_min = 3; },
+           [](PrecomputeOptions* o) { o->c = 2; },
+           [](PrecomputeOptions* o) { o->d_values = {1, 2}; },
+           [](PrecomputeOptions* o) { o->use_delta_judgment = false; }}) {
+    PrecomputeOptions other = options;
+    edit(&other);
+    EXPECT_FALSE(Precompute::Widen(*grid, inst.u, covered_l + 1, other));
+  }
+  EXPECT_FALSE(Precompute::Widen(*grid, inst.u, covered_l, options));
+  EXPECT_FALSE(Precompute::Widen(*grid, inst.u, covered_l - 1, options));
+  EXPECT_FALSE(Precompute::Widen(*grid, inst.u, 41, options));
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // statistics, and error paths. Concurrency is exercised separately in
 // service_stress_test.cc.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,6 +246,40 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   EXPECT_GE(stats.requests(), 6);
   EXPECT_GE(stats.total_latency_ms, 0.0);
   EXPECT_GE(stats.max_latency_ms, 0.0);
+}
+
+// d_values name a set of grid rows: a repeated D asks for one row, which
+// is replayed and stored once. A [2, 2] grid is the [2] grid, in every
+// response field but latency.
+TEST(QueryServiceTest, RepeatedDValueIsOneGridRow) {
+  auto guidance = [](std::vector<int> d_values) {
+    auto service = MakeService();
+    auto query = service->Query({kSqlCoarse, "val", {}});
+    QAG_CHECK(query.ok()) << query.status().ToString();
+    core::PrecomputeOptions options;
+    options.d_values = std::move(d_values);
+    auto response =
+        service->Guidance({query->handle, std::min(40, query->num_answers),
+                           options});
+    QAG_CHECK(response.ok()) << response.status().ToString();
+    return std::move(response).value();
+  };
+  const GuidanceResponse once = guidance({2});
+  const GuidanceResponse twice = guidance({2, 2});
+  EXPECT_EQ(twice.store_l, once.store_l);
+  EXPECT_EQ(twice.k_max, once.k_max);
+  EXPECT_EQ(twice.d_values, (std::vector<int>{2}));
+  EXPECT_EQ(twice.d_values, once.d_values);
+  EXPECT_EQ(twice.min_ks, once.min_ks);
+  EXPECT_EQ(twice.num_intervals, once.num_intervals);
+  EXPECT_EQ(twice.naive_entries, once.naive_entries);
+  EXPECT_EQ(twice.approx.is_exact, once.approx.is_exact);
+  EXPECT_EQ(twice.approx.sample_fraction, once.approx.sample_fraction);
+  EXPECT_EQ(twice.approx.max_bound, once.approx.max_bound);
+  EXPECT_EQ(twice.stats.cache_hit, once.stats.cache_hit);
+  EXPECT_EQ(twice.stats.coalesced, once.stats.coalesced);
+  EXPECT_EQ(twice.stats.built, once.stats.built);
+  EXPECT_EQ(twice.stats.refreshed, once.stats.refreshed);
 }
 
 // A session serves Explore at L from its one universe, built for some

@@ -3,6 +3,7 @@
 // results bit-identical to a serial execution, and (c) coalesce identical
 // concurrent builds onto a single precompute (single-flight).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,36 +254,91 @@ bool SameUniverse(const ClusterUniverse& a, const ClusterUniverse& b) {
   return true;
 }
 
+/// A grid as text: per D, its (size, value bits) ladder and its sorted
+/// intervals. Equal text means equal grids, whatever the trees' order.
+std::string GridText(const SolutionStore& store) {
+  std::string out = StrCat("L=", store.l(), " k_max=", store.k_max());
+  for (int d : store.d_values()) {
+    out += StrCat("\nd=", d, ":");
+    Result<std::vector<std::pair<int, double>>> ladder = store.SizeValues(d);
+    for (const auto& [size, value] : ladder.value()) {
+      out += StrCat(" ", size, "/", Bits(value));
+    }
+    Result<std::vector<SolutionStore::IntervalRecord>> records =
+        store.Intervals(d);
+    std::vector<std::tuple<int, int, int>> intervals;
+    for (const auto& r : records.value()) {
+      intervals.emplace_back(r.cluster_id, r.lo, r.hi);
+    }
+    std::sort(intervals.begin(), intervals.end());
+    for (const auto& [id, lo, hi] : intervals) {
+      out += StrCat(" ", id, "@[", lo, ",", hi, "]");
+    }
+  }
+  return out;
+}
+
 TEST(SessionConcurrencyTest, InterleavedAscendingLevelsMatchColdBuilds) {
-  // Thread t asks for L = 8 + t, 8 + t + 8, ...: every miss grows the
+  // Thread t climbs from L = 8 + t one level at a time, asking for the
+  // universe and the (k, D) grid at each. Every universe miss grows the
   // widest universe cached at that moment, whichever thread built it, and
-  // every universe served must equal a cold build at its L.
+  // rebinds the cached grids. From L = 16 on, the thread that misses a
+  // grid has just been served the grid at L − 1, so that is the widest
+  // grid below L, whichever thread built it: the miss derives from it
+  // exactly where a serial climb derives (k_max = 3 puts Fixed-Order's
+  // budget at 9, so most levels hold merged seeds). Every universe and
+  // grid served must equal a cold build at its L.
   constexpr int kFirstL = 8;
   constexpr int kLastL = 47;
+  const PrecomputeOptions options = GridOptions(3, {1, 2});
   auto session = MakeSession(61, 160);
   std::shared_ptr<const AnswerSet> answers = session->answers();
   std::map<int, ClusterUniverse> cold;
+  std::map<int, std::string> cold_grids;
   for (int l = kFirstL; l <= kLastL; ++l) {
     auto u = ClusterUniverse::Build(answers.get(), l);
     ASSERT_TRUE(u.ok()) << u.status().ToString();
+    auto grid = Precompute::Run(*u, l, options);
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    cold_grids.emplace(l, GridText(*grid));
     cold.emplace(l, std::move(u).value());
   }
+  // The derivations a serial climb makes from L = 16 on.
+  int64_t serial_derivations = 0;
+  {
+    auto serial = MakeSession(61, 160);
+    for (int l = kFirstL; l <= kLastL; ++l) {
+      const int64_t before = serial->cache_stats().store_derivations;
+      ASSERT_TRUE(serial->Guidance(l, options).ok());
+      if (l >= kFirstL + kThreads) {
+        serial_derivations += serial->cache_stats().store_derivations - before;
+      }
+    }
+  }
+  ASSERT_GT(serial_derivations, 0);
+
   testutil::StartLatch latch(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       latch.ArriveAndWait();
-      for (int l = kFirstL + t; l <= kLastL; l += kThreads) {
+      for (int l = kFirstL + t; l <= kLastL; ++l) {
         auto universe = session->UniverseFor(l);
         ASSERT_TRUE(universe.ok()) << universe.status().ToString();
         const ClusterUniverse& served = **universe;
         ASSERT_GE(served.top_l(), l);
         EXPECT_TRUE(SameUniverse(served, cold.at(served.top_l())))
             << "L=" << l << " served by L'=" << served.top_l();
+        auto grid = session->Guidance(l, options);
+        ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+        ASSERT_GE((*grid)->l(), l);
+        EXPECT_EQ(GridText(**grid), cold_grids.at((*grid)->l()))
+            << "L=" << l << " served by L'=" << (*grid)->l();
       }
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_GE(session->cache_stats().store_derivations, serial_derivations);
 }
 
 TEST(SessionConcurrencyTest, OldHandlesStayValidWhileTheSessionGrows) {

@@ -432,9 +432,12 @@ std::string Explore(Session& session, const Params& params) {
 /// Asks one session for every L of `levels` in turn; each Summarize and
 /// Explore response must be the one a session asked only at that L
 /// returns, and so must each grid when `with_grids` (levels ascending: a
-/// wider grid still serves a narrower L).
+/// wider grid still serves a narrower L). A fresh session precomputes its
+/// grid; the climbing one may derive it from the grid below
+/// (`derivations`, when set, receives how many it derived).
 void ExpectLevelsMatchFreshSessions(const std::vector<int>& levels,
-                                    bool with_grids) {
+                                    bool with_grids,
+                                    int64_t* derivations = nullptr) {
   PrecomputeOptions options;
   options.k_min = 2;
   options.k_max = 8;
@@ -471,6 +474,9 @@ void ExpectLevelsMatchFreshSessions(const std::vector<int>& levels,
     EXPECT_EQ(session->cache_stats().universe_misses, growths);
     EXPECT_EQ(session->cache_stats().universes, 1);
   }
+  if (derivations != nullptr) {
+    *derivations = session->cache_stats().store_derivations;
+  }
 }
 
 std::vector<int> Levels(int first, int last) {
@@ -484,6 +490,16 @@ TEST(SessionTest, ClimbingOneLevelAtATimeMatchesFreshSessions) {
   {
     SCOPED_TRACE("ascending");
     ExpectLevelsMatchFreshSessions(Levels(10, 24), /*with_grids=*/true);
+  }
+  // Ascending past Fixed-Order's budget (c·k_max = 24), where the seeds
+  // are merged clusters: a new level whose answers they cover derives its
+  // grid from the level below, and must still equal a precompute.
+  {
+    SCOPED_TRACE("ascending past the budget");
+    int64_t derivations = 0;
+    ExpectLevelsMatchFreshSessions(Levels(25, 60), /*with_grids=*/true,
+                                   &derivations);
+    EXPECT_GT(derivations, 0);
   }
   // Descending, the first level builds the only universe and every later
   // one is served from it.
