@@ -2,7 +2,7 @@
 // single-run, and precomputation times while varying k, L, and N, plus the
 // single-vs-precompute cumulative comparison over six runs, plus the
 // thread-scaling curve of the parallel (k, D) precompute (one Bottom-Up
-// replay per D distributed over a ThreadPool), the serial universe build on
+// replay per D spread over one ParallelFor call), the serial universe build on
 // the same instance, that universe grown from narrower ones, and the grid
 // climbing L one level at a time, derived from the level below where it can
 // be.

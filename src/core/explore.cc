@@ -32,19 +32,20 @@ TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
   return view;
 }
 
-std::string RenderSummary(const AnswerSet& s, const TwoLayerView& view) {
+std::string RenderSummary(const ClusterUniverse& universe,
+                          const TwoLayerView& view) {
+  const AnswerSet& s = universe.answer_set();
   std::ostringstream out;
   out << Join(s.attr_names(), "\t") << "\tavg val\t#tuples\n";
   for (const ClusterView& cv : view.clusters) {
-    std::string row = cv.pattern.substr(1, cv.pattern.size() - 2);  // drop ()
-    // The pattern renders as "a, b, c"; reuse it tab-separated.
-    std::string cells;
-    for (const std::string& part : Split(row, ',')) {
-      if (!cells.empty()) cells += "\t";
-      cells += std::string(StripWhitespace(part));
+    // One cell per attribute, from the cluster's codes: a value name may
+    // itself contain ", " or edge spaces.
+    const Cluster& cluster = universe.cluster(cv.cluster_id);
+    for (int a = 0; a < s.num_attrs(); ++a) {
+      out << (cluster.IsWildcard(a) ? "*" : s.ValueName(a, cluster[a]))
+          << "\t";
     }
-    out << cells << "\t" << FormatDouble(cv.average, 2) << "\t" << cv.count
-        << "\n";
+    out << FormatDouble(cv.average, 2) << "\t" << cv.count << "\n";
   }
   out << "solution avg = " << FormatDouble(view.solution_average, 4)
       << " over " << view.solution_count << " covered tuples\n";
@@ -81,8 +82,7 @@ std::string RenderExpanded(const AnswerSet& s, const TwoLayerView& view,
 
 std::string RenderSummary(const ClusterUniverse& universe,
                           const Solution& solution) {
-  return RenderSummary(universe.answer_set(),
-                       BuildTwoLayerView(universe, solution));
+  return RenderSummary(universe, BuildTwoLayerView(universe, solution));
 }
 
 std::string RenderExpanded(const ClusterUniverse& universe,

@@ -34,9 +34,11 @@ struct TwoLayerView {
 TwoLayerView BuildTwoLayerView(const ClusterUniverse& universe,
                                const Solution& solution, int top_l = 0);
 
-/// Renders the collapsed first layer (Figure 1b) of a view over answer set
-/// `s`: one row per cluster with its pattern and average value.
-std::string RenderSummary(const AnswerSet& s, const TwoLayerView& view);
+/// Renders the collapsed first layer (Figure 1b) of a view built over
+/// `universe`: one row per cluster, one cell per attribute (its value name,
+/// or * for a wildcard), then the average value and the covered count.
+std::string RenderSummary(const ClusterUniverse& universe,
+                          const TwoLayerView& view);
 
 /// Renders the expanded view (Figure 1c) of a view over answer set `s`, built
 /// at `top_l`: each cluster followed by the original result tuples it

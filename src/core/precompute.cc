@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/thread_pool.h"
+#include "common/cpu.h"
+#include "common/parallel_for.h"
 #include "common/timer.h"
 #include "core/bottom_up.h"
 #include "core/fixed_order.h"
@@ -24,6 +25,22 @@ PrecomputeOptions PrecomputeOptions::ResolvedFor(int num_attrs) const {
   return resolved;
 }
 
+Status PrecomputeOptions::Validate(int num_attrs) const {
+  if (k_min < 1) return Status::InvalidArgument("k_min must be >= 1");
+  for (int d : d_values) {
+    // d = 0 is the explicit "no distance constraint" row (no-op distance
+    // phase); the default grid itself is 1..m per §6.2.
+    if (d < 0 || d > num_attrs) {
+      return Status::InvalidArgument("D values must lie in [0, m]");
+    }
+  }
+  // k_max <= 0 resolves to max(k_min, 20).
+  if (k_max > 0 && k_max < k_min) {
+    return Status::InvalidArgument("k_max must be >= k_min");
+  }
+  return Status::OK();
+}
+
 bool PrecomputeOptions::SameGrid(const PrecomputeOptions& other) const {
   return k_min == other.k_min && k_max == other.k_max &&
          d_values == other.d_values && c == other.c &&
@@ -34,11 +51,11 @@ bool PrecomputeOptions::CoveredBy(const SolutionStore& store) const {
   if (store.k_max() < k_max) return false;
   for (int d : d_values) {
     // MinK doubles as the presence probe: an error means the store has no
-    // row for this D. A fresh build merges down to max(k_min, 1), so the
-    // cached row must reach at least as low.
+    // row for this D. A fresh build merges down to k_min, so the cached row
+    // must reach at least as low.
     Result<int> min_k = store.MinK(d);
     if (!min_k.ok()) return false;
-    if (*min_k > std::max(k_min, 1)) return false;
+    if (*min_k > k_min) return false;
   }
   return true;
 }
@@ -64,25 +81,11 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   if (top_l < 1 || top_l > universe.top_l()) {
     return Status::InvalidArgument("top_l out of range for this universe");
   }
-  if (options.k_min < 1) {
-    return Status::InvalidArgument("k_min must be >= 1");
-  }
-  int m = universe.answer_set().num_attrs();
-
+  const int m = universe.answer_set().num_attrs();
+  QAG_RETURN_IF_ERROR(options.Validate(m));
   const PrecomputeOptions resolved = options.ResolvedFor(m);
   const std::vector<int>& d_values = resolved.d_values;
-  for (int d : d_values) {
-    // d = 0 is the explicit "no distance constraint" row (no-op distance
-    // phase); the default grid itself is 1..m per §6.2.
-    if (d < 0 || d > m) {
-      return Status::InvalidArgument("D values must lie in [0, m]");
-    }
-  }
-
-  int k_max = resolved.k_max;
-  if (k_max < resolved.k_min) {
-    return Status::InvalidArgument("k_max must be >= k_min");
-  }
+  const int k_max = resolved.k_max;
 
   // Fixed-Order phase: once, distance-free, with the largest budget. It
   // never holds more clusters than its top_l candidates, so a budget past
@@ -100,38 +103,32 @@ Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
   // Bottom-Up replays, one per D, each recording the state after the
   // distance phase and after every merge on the way down to k_min. Each
   // replay is an independent read-only pass over the universe, so they run
-  // as one pool task per D; every task writes only its own pre-sized slot,
-  // making the store bit-identical to the serial order for any thread count.
+  // as one ParallelFor index per D; every index writes only its own
+  // pre-sized slot, making the store bit-identical to the serial order for
+  // any width.
   timer.Restart();
-  int num_threads = options.num_threads > 0 ? options.num_threads
-                                            : ThreadPool::DefaultNumThreads();
-  if (d_values.size() == 1) num_threads = 1;  // nothing to distribute
+  const int width =
+      options.num_threads > 0 ? options.num_threads : AvailableCpus();
   std::vector<SolutionStore::Trace> traces(d_values.size());
   BottomUpOptions bu;
   bu.use_delta_judgment = resolved.use_delta_judgment;
-  auto replay = [&](size_t i) {
-    SolutionStore::Trace& trace = traces[i];
-    trace.d = d_values[i];
+  auto replay = [&](int64_t i) {
+    SolutionStore::Trace& trace = traces[static_cast<size_t>(i)];
+    trace.d = d_values[static_cast<size_t>(i)];
     internal::MergeDown(universe, top_l, initial, trace.d, resolved.k_min, bu,
                         [&trace](const GreedyState& state) {
                           trace.states.push_back(state.clusters());
                           trace.values.push_back(state.Average());
                         });
   };
-  if (num_threads == 1) {
-    for (size_t i = 0; i < d_values.size(); ++i) replay(i);
-  } else {
-    ThreadPool pool(num_threads);
-    pool.ParallelFor(0, static_cast<int64_t>(d_values.size()),
-                     [&](int64_t i) { replay(static_cast<size_t>(i)); });
-  }
+  ParallelFor(width, 0, static_cast<int64_t>(d_values.size()), replay);
   double bottom_up_ms = timer.ElapsedMillis();
 
   if (stats != nullptr) {
     stats->fixed_order_ms = fixed_order_ms;
     stats->bottom_up_ms = bottom_up_ms;
     stats->initial_clusters = static_cast<int>(initial.size());
-    stats->num_threads = num_threads;
+    stats->num_threads = d_values.size() == 1 ? 1 : width;
   }
   return SolutionStore(&universe, top_l, k_max, std::move(traces),
                        {resolved, std::move(initial)});

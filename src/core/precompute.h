@@ -15,7 +15,9 @@ struct PrecomputeStats {
   double fixed_order_ms = 0.0;
   double bottom_up_ms = 0.0;
   int initial_clusters = 0;
-  /// Resolved worker count the Bottom-Up replays actually ran with.
+  /// Width the Bottom-Up replays were given: PrecomputeOptions::num_threads,
+  /// or AvailableCpus() for <= 0, and 1 for a grid of one D row. At most
+  /// min(this, number of D rows) threads ran them.
   int num_threads = 1;
   double total_ms() const { return fixed_order_ms + bottom_up_ms; }
 };

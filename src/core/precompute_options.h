@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace qagview::core {
 
 class SolutionStore;
@@ -25,11 +27,19 @@ struct PrecomputeOptions {
   /// Values below 2 act as 2.
   int c = 3;
   bool use_delta_judgment = true;
-  /// Worker count for the per-D Bottom-Up replays (each replay is an
-  /// independent read-only pass over the shared universe). <= 0 uses the
-  /// hardware concurrency; 1 is the exact serial path. The resulting store
-  /// is bit-identical for every thread count.
+  /// Width of the per-D Bottom-Up replays (each replay is an independent
+  /// read-only pass over the shared universe, run through one ParallelFor
+  /// call). <= 0 uses the CPUs this process may run on (AvailableCpus); 1
+  /// runs every replay on the calling thread. The resulting store is
+  /// bit-identical for every width.
   int num_threads = 0;
+
+  /// OK when Precompute::Run accepts these options for a schema of
+  /// `num_attrs` grouping attributes: k_min >= 1, every listed D in
+  /// [0, num_attrs], and a k_max that is either <= 0 (derived) or at least
+  /// k_min. Run calls it before any work and core::Session::Guidance before
+  /// any lookup, so a request is refused alike whatever a session caches.
+  Status Validate(int num_attrs) const;
 
   /// Copy with the derived defaults materialized against a schema of
   /// `num_attrs` grouping attributes — exactly what Precompute::Run
@@ -49,9 +59,10 @@ struct PrecomputeOptions {
 
   /// Whether a cached store can serve a request with these options: every
   /// requested D row present, the k range at least as wide on both ends.
-  /// `*this` must already be resolved (ResolvedFor) — the check is
-  /// allocation-free and lock-free, as required on the warm Guidance hit
-  /// path, where it runs once per cached candidate on every request.
+  /// `*this` must already be validated (Validate) and resolved
+  /// (ResolvedFor) — the check is allocation-free and lock-free, as
+  /// required on the warm Guidance hit path, where it runs once per cached
+  /// candidate on every request.
   bool CoveredBy(const SolutionStore& store) const;
 
   /// Stable identity of the resolved (top_l, grid-shape) request, used as

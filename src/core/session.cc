@@ -11,6 +11,20 @@
 
 namespace qagview::core {
 
+namespace {
+
+/// Every entry point taking an L checks it against the answer set it
+/// pinned before any cache lookup, so a cached wider structure never serves
+/// an L that a cold session refuses.
+Status CheckTopL(const AnswerSet& answers, int top_l) {
+  if (top_l < 1 || top_l > answers.size()) {
+    return Status::InvalidArgument("L out of range for this session");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Session::UniverseNode::UniverseNode(std::shared_ptr<Generation> generation,
                                     ClusterUniverse universe)
     : generation(std::move(generation)), universe(std::move(universe)) {
@@ -129,9 +143,7 @@ Result<std::shared_ptr<const ClusterUniverse>> Session::UniverseFor(
 
 Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
     int top_l, RequestTrace* trace) {
-  if (top_l < 1 || top_l > CurrentView()->generation->answers->size()) {
-    return Status::InvalidArgument("L out of range for this session");
-  }
+  QAG_RETURN_IF_ERROR(CheckTopL(*CurrentView()->generation->answers, top_l));
   auto covers = [top_l](const ReadView& view) {
     return view.universe != nullptr && view.universe->universe.top_l() >= top_l;
   };
@@ -307,10 +319,10 @@ std::shared_ptr<const Session::StoreNode> Session::AddStore(
 
 Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     int top_l, const PrecomputeOptions& options, RequestTrace* trace) {
-  // The request is resolved once against the schema of the pinned
-  // generation (and re-resolved only if a refresh swaps the generation
-  // mid-loop); the warm hit path below then probes every candidate store
-  // lock- and allocation-free. The coalescing key is only needed on a
+  // The request is validated and resolved once against the pinned
+  // generation (and again only if a refresh swaps the generation mid-loop),
+  // before any lookup; the warm hit path below then probes every candidate
+  // store lock- and allocation-free. The coalescing key is only needed on a
   // miss and is computed lazily there.
   PrecomputeOptions resolved;
   const Generation* resolved_for = nullptr;
@@ -318,7 +330,10 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
   while (true) {
     std::shared_ptr<const ReadView> view = CurrentView();
     if (resolved_for != view->generation.get()) {
-      resolved = options.ResolvedFor(view->generation->answers->num_attrs());
+      const AnswerSet& answers = *view->generation->answers;
+      QAG_RETURN_IF_ERROR(CheckTopL(answers, top_l));
+      QAG_RETURN_IF_ERROR(options.Validate(answers.num_attrs()));
+      resolved = options.ResolvedFor(answers.num_attrs());
       resolved_for = view->generation.get();
       key.clear();
     }
@@ -373,13 +388,9 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
       if (store.has_value()) {
         Counters().store_derivations.fetch_add(1, std::memory_order_relaxed);
       } else {
-        PrecomputeOptions run_options = options;
-        if (run_options.num_threads <= 0) {
-          run_options.num_threads = num_threads();
-        }
         QAG_ASSIGN_OR_RETURN(
             SolutionStore run,
-            Precompute::Run(universe->universe, top_l, run_options));
+            Precompute::Run(universe->universe, top_l, options));
         store.emplace(std::move(run));
       }
       return StoreHandle(
@@ -402,6 +413,7 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
   // the pinned view keeps every candidate and its universe alive for the
   // whole scan.
   std::shared_ptr<const ReadView> view = CurrentView();
+  QAG_RETURN_IF_ERROR(CheckTopL(*view->generation->answers, top_l));
   Status first_error = Status::OK();
   bool found_store = false;
   for (auto it = view->stores.lower_bound(top_l); it != view->stores.end();
@@ -430,6 +442,7 @@ Status Session::SaveGuidance(int top_l, const std::string& path) const {
   // pinned view keeps the store and its universe alive across the file
   // write; no lock is held.
   std::shared_ptr<const ReadView> view = CurrentView();
+  QAG_RETURN_IF_ERROR(CheckTopL(*view->generation->answers, top_l));
   auto it = view->stores.lower_bound(top_l);
   if (it == view->stores.end()) {
     Counters().store_misses.fetch_add(1, std::memory_order_relaxed);
@@ -441,6 +454,7 @@ Status Session::SaveGuidance(int top_l, const std::string& path) const {
 }
 
 Status Session::LoadGuidance(int top_l, const std::string& path) {
+  QAG_RETURN_IF_ERROR(CheckTopL(*answers(), top_l));
   QAG_ASSIGN_OR_RETURN(std::string text, ReadSolutionStoreFile(path));
   QAG_ASSIGN_OR_RETURN(SolutionStoreHeader header,
                        ParseSolutionStoreHeader(text));

@@ -195,14 +195,19 @@ class Session {
   /// precompute at top_l. Concurrent calls with the same (top_l, options)
   /// grid shape coalesce onto one build. The handle pins the store's
   /// generation across refreshes; drop it when done reading. Warm hits are
-  /// lock-free.
+  /// lock-free. A top_l outside [1, n] or options that Precompute::Run
+  /// refuses (PrecomputeOptions::Validate) fail with InvalidArgument before
+  /// any lookup, whatever is cached. `options` reaches Precompute::Run
+  /// unchanged, num_threads (the width of its replays) included.
   Result<std::shared_ptr<const SolutionStore>> Guidance(
       int top_l, const PrecomputeOptions& options = PrecomputeOptions(),
       RequestTrace* trace = nullptr);
 
   /// Retrieves a precomputed solution; requires a prior Guidance(L') with
   /// L' >= top_l. The narrowest such store that can answer (d, k) serves
-  /// the request, consistent with the universe cache. Lock-free.
+  /// the request, consistent with the universe cache. Lock-free. Like every
+  /// method below that takes an L, it refuses a top_l outside [1, n] with
+  /// InvalidArgument before any lookup.
   Result<Solution> Retrieve(int top_l, int d, int k,
                             RequestTrace* trace = nullptr);
 
@@ -279,17 +284,6 @@ class Session {
   /// requests happen-before the read (e.g. after joining the client
   /// threads); a read racing in-flight requests sees a monotonic snapshot.
   CacheStats cache_stats() const;
-
-  /// Worker count for the (k, D) precomputes issued by this session (the
-  /// universe build is serial). <= 0 (the default) uses the CPUs this
-  /// process may run on; explicit PrecomputeOptions::num_threads still
-  /// wins for that call.
-  void set_num_threads(int num_threads) {
-    num_threads_.store(num_threads, std::memory_order_relaxed);
-  }
-  int num_threads() const {
-    return num_threads_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// One answer-set generation: the answer set that every universe and
@@ -435,7 +429,6 @@ class Session {
   /// generations_evicted is derived: retired minus still-alive.
   int64_t generations_retired_ = 0;
 
-  std::atomic<int> num_threads_{0};
   mutable Sharded<CounterShard> shards_;
   mutable std::atomic<int64_t> writer_lock_acquisitions_{0};
 };

@@ -218,7 +218,6 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
                        snapshot));
       QAG_ASSIGN_OR_RETURN(std::unique_ptr<core::Session> session,
                            core::Session::Create(std::move(built.answers)));
-      session->set_num_threads(options_.num_threads);
       auto entry = std::make_unique<SessionEntry>();
       entry->session = std::move(session);
       entry->sql = trimmed;
@@ -563,7 +562,8 @@ Result<GuidanceResponse> QueryService::Guidance(
     QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
     core::Session::RequestTrace trace;
     Result<std::shared_ptr<const core::SolutionStore>> store =
-        entry->session->Guidance(request.top_l, request.options, &trace);
+        entry->session->Guidance(request.top_l, GridOptions(request.options),
+                                 &trace);
     MergeTrace(trace, &out.stats);
     out.approx = ApproxOf(entry->session->approximation());
     QAG_RETURN_IF_ERROR(store.status());
@@ -632,7 +632,7 @@ Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
     out.view =
         core::BuildTwoLayerView(*universe, out.solution, request.params.L);
     const core::AnswerSet& answers = universe->answer_set();
-    out.summary = core::RenderSummary(answers, out.view);
+    out.summary = core::RenderSummary(*universe, out.view);
     out.expanded = core::RenderExpanded(answers, out.view, request.max_members,
                                         request.params.L);
     MergeTrace(trace, &out.stats);
@@ -699,7 +699,8 @@ void QueryService::SchedulePrefetch(SessionEntry* entry, study::MoveKind kind,
       bool ok;
       if (want_store) {
         ok = entry->session
-                 ->Guidance(target, core::PrecomputeOptions(), &trace)
+                 ->Guidance(target, GridOptions(core::PrecomputeOptions()),
+                            &trace)
                  .ok();
       } else {
         ok = entry->session->UniverseFor(target, &trace).ok();
@@ -736,6 +737,12 @@ void QueryService::CountPrefetchHit(SessionEntry* entry, int level,
     entry->prefetched.erase(it);
   }
   Bump(&ServiceStats::prefetch_hits);
+}
+
+core::PrecomputeOptions QueryService::GridOptions(
+    core::PrecomputeOptions options) const {
+  if (options.num_threads <= 0) options.num_threads = options_.num_threads;
+  return options;
 }
 
 void QueryService::Bump(int64_t ServiceStats::*field) {

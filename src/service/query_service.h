@@ -25,10 +25,11 @@ namespace qagview::service {
 
 /// Service-wide knobs, fixed at construction.
 struct ServiceOptions {
-  /// Worker count of the (k, D) precomputes of every core::Session the
-  /// service opens (<= 0: the CPUs this process may run on); universe
-  /// builds are serial. Per-call PrecomputeOptions::num_threads still wins
-  /// for that call.
+  /// Width of the (k, D) precomputes the service's Guidance calls run, the
+  /// foreground ones and the prefetched ones: it fills in
+  /// PrecomputeOptions::num_threads wherever a request leaves that field
+  /// <= 0 (its default; it is never on the wire). <= 0 here too: the CPUs
+  /// this process may run on. Universe builds are serial.
   int num_threads = 0;
   /// Reservoir capacity of the per-dataset uniform samples backing
   /// approximate-first serving (DatasetCatalogOptions::sample_capacity).
@@ -377,6 +378,10 @@ class QueryService {
   /// counts the prefetch_hit. No-op unless options_.prefetch.
   void CountPrefetchHit(SessionEntry* entry, int level, bool want_store,
                         const RequestStats& rs);
+
+  /// `options` with ServiceOptions::num_threads as its width when it
+  /// leaves num_threads <= 0: what every Guidance call of the service runs.
+  core::PrecomputeOptions GridOptions(core::PrecomputeOptions options) const;
 
   /// Adds one to a ServiceStats counter in the calling thread's shard.
   void Bump(int64_t ServiceStats::*field);

@@ -1,7 +1,9 @@
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/bottom_up.h"
 #include "core/explore.h"
 #include "core/hybrid.h"
@@ -45,6 +47,39 @@ TEST(ExploreTest, SummaryRendersPatternsAndAverages) {
   EXPECT_NE(text.find("hdec"), std::string::npos);
   EXPECT_NE(text.find("avg val"), std::string::npos);
   EXPECT_NE(text.find("solution avg"), std::string::npos);
+}
+
+// A value name may hold ", " or edge spaces: each summary cell is one
+// attribute's value (or *), so every row has as many cells as the header.
+TEST(ExploreTest, SummaryCellsAreWholeValueNames) {
+  auto s = AnswerSet::FromRaw(
+      {"city", "kind"}, {{"Durham, NC", " Cary ", "Apex"}, {"shop", "cafe"}},
+      {{{0, 0}, 5.0}, {{1, 0}, 4.0}, {{2, 1}, 3.0}, {{0, 1}, 2.0}});
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto u = ClusterUniverse::Build(&*s, s->size());
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  Solution solution;
+  solution.cluster_ids = {u->singleton_id(0), u->singleton_id(1),
+                          u->FindId(Cluster::Generalize({2, 1}, 0b01))};
+  ASSERT_GE(solution.cluster_ids.back(), 0);
+
+  std::vector<std::string> lines = Split(RenderSummary(*u, solution), '\n');
+  ASSERT_GE(lines.size(), 4u);
+  const size_t cells = Split(lines[0], '\t').size();
+  EXPECT_EQ(cells, 4u);  // city, kind, avg val, #tuples
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 1; i <= 3; ++i) {
+    rows.push_back(Split(lines[i], '\t'));
+    EXPECT_EQ(rows.back().size(), cells) << lines[i];
+  }
+  // Rows are sorted by average: (Durham, NC, shop), ( Cary , shop), then
+  // (*, cafe) at (3 + 2) / 2.
+  EXPECT_EQ(rows[0][0], "Durham, NC");
+  EXPECT_EQ(rows[0][1], "shop");
+  EXPECT_EQ(rows[1][0], " Cary ");
+  EXPECT_EQ(rows[2][0], "*");
+  EXPECT_EQ(rows[2][1], "cafe");
+  EXPECT_EQ(rows[2][3], "2");
 }
 
 TEST(ExploreTest, ExpandedViewListsMembersWithRanks) {

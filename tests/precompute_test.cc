@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -182,12 +183,25 @@ TEST(PrecomputeTest, DefaultsAndValidation) {
       Precompute::Run(inst.u, 10, GridOptions(5, 3, {1})).ok());  // k_max<k_min
   EXPECT_FALSE(
       Precompute::Run(inst.u, 10, GridOptions(2, 8, {99})).ok());  // bad D
+  EXPECT_FALSE(Precompute::Run(inst.u, 10, GridOptions(0, 8, {1})).ok());
+
+  // Run refuses exactly what Validate refuses, against the schema's m = 4.
+  EXPECT_TRUE(GridOptions(2, 0, {}).Validate(4).ok());  // k_max derived
+  EXPECT_TRUE(GridOptions(3, 3, {0, 4}).Validate(4).ok());
+  EXPECT_EQ(GridOptions(0, 8, {1}).Validate(4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GridOptions(5, 3, {1}).Validate(4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GridOptions(2, 8, {5}).Validate(4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GridOptions(2, 8, {-1}).Validate(4).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PrecomputeTest, ParallelReplaysAreBitIdenticalAcrossThreadCounts) {
-  // The per-D replays run one pool task per D into pre-sized slots, so the
-  // store must be exactly — not approximately — the serial store for any
-  // worker count.
+  // The per-D replays run one ParallelFor index per D into pre-sized slots,
+  // so the store must be exactly — not approximately — the serial store for
+  // any width.
   Instance inst = MakeInstance(41, 120, 6, 3, 30);
   PrecomputeOptions options = GridOptions(2, 16, {1, 2, 3, 4, 5, 6});
   options.num_threads = 1;
@@ -556,6 +570,35 @@ TEST(PrecomputeTest, WidenRefusesWhatItCannotProve) {
   EXPECT_FALSE(Precompute::Widen(*grid, inst.u, covered_l, options));
   EXPECT_FALSE(Precompute::Widen(*grid, inst.u, covered_l - 1, options));
   EXPECT_FALSE(Precompute::Widen(*grid, inst.u, 41, options));
+}
+
+// Eight callers each run Precompute::Run at width 4 over one shared
+// universe at the same time: every call starts and joins its own threads,
+// and every store equals the serial one (the TSan job runs this binary).
+TEST(PrecomputeTest, ConcurrentRunsOverOneUniverseEqualTheSerialStore) {
+  Instance inst = MakeInstance(41, 120, 6, 3, 30);
+  PrecomputeOptions options = GridOptions(2, 16, {1, 2, 3, 4, 5, 6});
+  options.num_threads = 1;
+  auto serial = Precompute::Run(inst.u, 30, options);
+  ASSERT_TRUE(serial.ok());
+  options.num_threads = 4;
+  constexpr int kCallers = 8;
+  std::vector<std::optional<SolutionStore>> stores(kCallers);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      auto store = Precompute::Run(inst.u, 30, options);
+      if (store.ok()) {
+        stores[static_cast<size_t>(t)].emplace(std::move(store).value());
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) {
+    SCOPED_TRACE(StrCat("caller ", t));
+    ASSERT_TRUE(stores[static_cast<size_t>(t)].has_value());
+    ExpectSameGrid(*stores[static_cast<size_t>(t)], *serial);
+  }
 }
 
 }  // namespace

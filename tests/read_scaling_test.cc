@@ -64,8 +64,9 @@ struct GroundTruth {
 
 GroundTruth ColdTruth(int version) {
   auto session = MakeSessionAt(version);
-  session->set_num_threads(1);
-  auto store = session->Guidance(kTopL, Grid());
+  PrecomputeOptions serial = Grid();
+  serial.num_threads = 1;
+  auto store = session->Guidance(kTopL, serial);
   QAG_CHECK(store.ok());
   auto solution = (*store)->Retrieve(kD, kK);
   QAG_CHECK(solution.ok());

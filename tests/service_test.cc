@@ -248,6 +248,51 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   EXPECT_GE(stats.max_latency_ms, 0.0);
 }
 
+// A Guidance or Retrieve that a cold service refuses is refused alike, with
+// the same code, once the session holds grids at a wider L.
+TEST(QueryServiceTest, InvalidRequestsFailAlikeColdAndWarm) {
+  auto cold = MakeService();
+  auto warm = MakeService();
+  auto cold_query = cold->Query({kSqlCoarse, "val", {}});
+  auto warm_query = warm->Query({kSqlCoarse, "val", {}});
+  ASSERT_TRUE(cold_query.ok() && warm_query.ok());
+  ASSERT_GE(warm_query->num_answers, 20);
+  core::PrecomputeOptions wide;
+  wide.k_min = 1;
+  wide.k_max = 8;
+  ASSERT_TRUE(warm->Guidance({warm_query->handle, 20, {}}).ok());
+  ASSERT_TRUE(warm->Guidance({warm_query->handle, 20, wide}).ok());
+
+  core::PrecomputeOptions inverted;  // k_min 2 > k_max 1
+  inverted.k_max = 1;
+  core::PrecomputeOptions zero_k_min;
+  zero_k_min.k_min = 0;
+  zero_k_min.k_max = 4;
+  auto expect_alike = [&](const std::string& name, auto request) {
+    SCOPED_TRACE(name);
+    const Status on_cold = request(*cold, cold_query->handle);
+    const Status on_warm = request(*warm, warm_query->handle);
+    EXPECT_EQ(on_cold.code(), StatusCode::kInvalidArgument)
+        << on_cold.ToString();
+    EXPECT_EQ(on_warm.code(), on_cold.code()) << on_warm.ToString();
+  };
+  auto guidance = [](int top_l, core::PrecomputeOptions options) {
+    return [=](QueryService& service, QueryHandle handle) {
+      return service.Guidance({handle, top_l, options}).status();
+    };
+  };
+  auto retrieve = [](int top_l) {
+    return [=](QueryService& service, QueryHandle handle) {
+      return service.Retrieve({handle, top_l, 1, 2}).status();
+    };
+  };
+  expect_alike("Guidance L=8 k_min=2 k_max=1", guidance(8, inverted));
+  expect_alike("Guidance L=8 k_min=0", guidance(8, zero_k_min));
+  expect_alike("Guidance L=0", guidance(0, {}));
+  expect_alike("Retrieve L=-3", retrieve(-3));
+  expect_alike("Retrieve L=0", retrieve(0));
+}
+
 // d_values name a set of grid rows: a repeated D asks for one row, which
 // is replayed and stored once. A [2, 2] grid is the [2] grid, in every
 // response field but latency.

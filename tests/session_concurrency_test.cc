@@ -108,9 +108,13 @@ TEST(SessionConcurrencyTest, ConcurrentGuidanceSingleFlight) {
 }
 
 TEST(SessionConcurrencyTest, GuidanceErrorPropagatesToAllWaiters) {
-  auto session = MakeSession(47);
-  PrecomputeOptions bad = GridOptions(8, {1});
-  bad.k_min = 0;  // rejected by Precompute::Run
+  // A valid request whose build fails inside its flight: the universe
+  // build refuses more than ClusterUniverse::kMaxAttrs attributes.
+  auto created = Session::Create(testutil::MakeRandomAnswerSet(
+      47, 20, ClusterUniverse::kMaxAttrs + 1, 2));
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Session> session = std::move(created).value();
+  const PrecomputeOptions options = GridOptions(8, {1});
   testutil::StartLatch latch(4);
   std::vector<Status> statuses(4, Status::OK());
   std::vector<std::thread> threads;
@@ -118,14 +122,24 @@ TEST(SessionConcurrencyTest, GuidanceErrorPropagatesToAllWaiters) {
     threads.emplace_back([&, t] {
       latch.ArriveAndWait();
       statuses[static_cast<size_t>(t)] =
-          session->Guidance(12, bad).status();
+          session->Guidance(12, options).status();
     });
   }
   for (auto& t : threads) t.join();
-  for (const Status& status : statuses) EXPECT_FALSE(status.ok());
-  EXPECT_EQ(session->cache_stats().stores, 0);
-  // A failed flight leaves no residue: a correct request now succeeds.
-  EXPECT_TRUE(session->Guidance(12, GridOptions(8, {1})).ok());
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  Session::CacheStats stats = session->cache_stats();
+  EXPECT_EQ(stats.stores, 0);
+  EXPECT_EQ(stats.universes, 0);
+  // Every caller either led a failed build or waited on one.
+  EXPECT_EQ(stats.store_misses + stats.store_coalesced, 4);
+  // A failed flight leaves no residue: the request runs (and fails) again
+  // instead of waiting on a finished flight.
+  EXPECT_EQ(session->Guidance(12, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->cache_stats().store_misses, stats.store_misses + 1);
 }
 
 // The satellite-task workload: N threads × mixed Guidance / Retrieve /
@@ -147,20 +161,24 @@ TEST(SessionConcurrencyTest, MixedWorkloadBitIdenticalToSerial) {
     double average = 0.0;
     int count = 0;
   };
-  auto run_op = [&](Session& session, int op) -> Result<Solution> {
+  // `width`: the precomputes' num_threads (1 for the serial run).
+  auto run_op = [&](Session& session, int op, int width) -> Result<Solution> {
+    PrecomputeOptions grid_a = kGridA;
+    PrecomputeOptions grid_b = kGridB;
+    grid_a.num_threads = grid_b.num_threads = width;
     switch (op) {
       case 0:
-        QAG_RETURN_IF_ERROR(session.Guidance(20, kGridA).status());
+        QAG_RETURN_IF_ERROR(session.Guidance(20, grid_a).status());
         return session.Retrieve(20, 2, 6);
       case 1:
-        QAG_RETURN_IF_ERROR(session.Guidance(15, kGridB).status());
+        QAG_RETURN_IF_ERROR(session.Guidance(15, grid_b).status());
         return session.Retrieve(15, 3, 5);
       case 2:
         return session.Summarize({4, 12, 2});
       case 3:
         return session.Summarize({6, 18, 1});
       default:
-        QAG_RETURN_IF_ERROR(session.Guidance(20, kGridA).status());
+        QAG_RETURN_IF_ERROR(session.Guidance(20, grid_a).status());
         return session.Retrieve(20, 1, 8);
     }
   };
@@ -170,10 +188,9 @@ TEST(SessionConcurrencyTest, MixedWorkloadBitIdenticalToSerial) {
   std::map<int, Expected> expected;
   {
     auto serial = MakeSession(kSeed, kN);
-    serial->set_num_threads(1);
     ASSERT_TRUE(serial->UniverseFor(kTopL).ok());
     for (int op = 0; op < kOps; ++op) {
-      auto solution = run_op(*serial, op);
+      auto solution = run_op(*serial, op, /*width=*/1);
       ASSERT_TRUE(solution.ok()) << solution.status().ToString();
       expected[op] = {solution->cluster_ids, solution->average,
                       solution->covered_count};
@@ -195,7 +212,7 @@ TEST(SessionConcurrencyTest, MixedWorkloadBitIdenticalToSerial) {
       for (int round = 0; round < 3; ++round) {
         for (int op = 0; op < kOps; ++op) {
           int my_op = (op + t) % kOps;  // different interleavings per thread
-          auto solution = run_op(*shared, my_op);
+          auto solution = run_op(*shared, my_op, /*width=*/0);
           ASSERT_TRUE(solution.ok()) << solution.status().ToString();
           const Expected& want = expected.at(my_op);
           EXPECT_EQ(solution->cluster_ids, want.ids) << "op " << my_op;

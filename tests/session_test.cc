@@ -2,8 +2,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -374,18 +376,22 @@ TEST(SessionTest, GuidanceNeverInvalidatesEarlierStores) {
   EXPECT_TRUE(session->Retrieve(15, 1, 6).ok());
 }
 
-TEST(SessionTest, NumThreadsKnobPreservesResults) {
+// The request's num_threads is the width of its own precompute: any width
+// builds the same grid, and a grid built at one width serves a request at
+// another (the width is no part of a grid's identity).
+TEST(SessionTest, PrecomputeWidthPreservesResults) {
   auto serial = MakeSession(27, 150);
-  serial->set_num_threads(1);
   auto parallel = MakeSession(27, 150);
-  parallel->set_num_threads(8);
-  EXPECT_EQ(parallel->num_threads(), 8);
 
   PrecomputeOptions options;
   options.k_min = 2;
   options.k_max = 10;
+  options.num_threads = 1;
   ASSERT_TRUE(serial->Guidance(30, options).ok());
+  options.num_threads = 8;
   ASSERT_TRUE(parallel->Guidance(30, options).ok());
+  ASSERT_TRUE(serial->Guidance(30, options).ok());
+  EXPECT_EQ(serial->cache_stats().store_misses, 1);
   for (int d : {1, 2, 3}) {
     for (int k : {4, 7, 10}) {
       auto a = serial->Retrieve(30, d, k);
@@ -397,6 +403,71 @@ TEST(SessionTest, NumThreadsKnobPreservesResults) {
       EXPECT_EQ(a->average, b->average);
     }
   }
+}
+
+// A request a cold session refuses is refused alike, with the same code,
+// by a session that holds grids at a wider L: L and the grid options are
+// checked before any lookup.
+TEST(SessionTest, InvalidRequestsFailAlikeColdAndWarm) {
+  const std::string path = testing::TempDir() + "/qagview_invalid_l.txt";
+  auto cold = MakeSession(33);
+  auto warm = MakeSession(33);
+  PrecomputeOptions wide;
+  wide.k_min = 1;
+  wide.k_max = 8;
+  ASSERT_TRUE(warm->Guidance(20).ok());
+  ASSERT_TRUE(warm->Guidance(20, wide).ok());
+  ASSERT_TRUE(warm->SaveGuidance(20, path).ok());
+  const int warm_stores = warm->cache_stats().stores;
+
+  auto grid = [](int k_min, int k_max, std::vector<int> d_values = {}) {
+    PrecomputeOptions options;
+    options.k_min = k_min;
+    options.k_max = k_max;
+    options.d_values = std::move(d_values);
+    return options;
+  };
+  const int n = cold->answers()->size();
+  const std::vector<std::pair<std::string, std::function<Status(Session&)>>>
+      requests = {
+          {"Guidance L=0", [](Session& s) { return s.Guidance(0).status(); }},
+          {"Guidance L=-1",
+           [](Session& s) { return s.Guidance(-1).status(); }},
+          {"Guidance L=n+1",
+           [n](Session& s) { return s.Guidance(n + 1).status(); }},
+          {"Guidance k_min=2 k_max=1",
+           [&](Session& s) { return s.Guidance(8, grid(2, 1)).status(); }},
+          {"Guidance k_min=0",
+           [&](Session& s) { return s.Guidance(8, grid(0, 4)).status(); }},
+          {"Guidance D=6",
+           [&](Session& s) {
+             return s.Guidance(8, grid(2, 4, {6})).status();
+           }},
+          {"Retrieve L=0",
+           [](Session& s) { return s.Retrieve(0, 1, 2).status(); }},
+          {"Retrieve L=-3",
+           [](Session& s) { return s.Retrieve(-3, 1, 2).status(); }},
+          {"SaveGuidance L=-1",
+           [&](Session& s) { return s.SaveGuidance(-1, path + ".out"); }},
+          {"SaveGuidance L=0",
+           [&](Session& s) { return s.SaveGuidance(0, path + ".out"); }},
+          {"LoadGuidance L=0",
+           [&](Session& s) { return s.LoadGuidance(0, path); }},
+      };
+  for (const auto& [name, request] : requests) {
+    SCOPED_TRACE(name);
+    const Status on_cold = request(*cold);
+    const Status on_warm = request(*warm);
+    EXPECT_EQ(on_cold.code(), StatusCode::kInvalidArgument)
+        << on_cold.ToString();
+    EXPECT_EQ(on_warm.code(), on_cold.code()) << on_warm.ToString();
+  }
+  // Nothing was cached by a refused request.
+  EXPECT_EQ(cold->cache_stats().stores, 0);
+  EXPECT_EQ(cold->cache_stats().universes, 0);
+  EXPECT_EQ(warm->cache_stats().stores, warm_stores);
+  std::remove(path.c_str());
+  std::remove((path + ".out").c_str());
 }
 
 /// Every (d, k) solution of a grid: cluster ids (universe(L)'s ids are a
@@ -425,7 +496,7 @@ std::string Explore(Session& session, const Params& params) {
   const AnswerSet& answers = universe->answer_set();
   std::string out = StrCat("avg=", solution->average, " ids=");
   for (int id : solution->cluster_ids) out += StrCat(id, ",");
-  return out + "\n" + RenderSummary(answers, view) +
+  return out + "\n" + RenderSummary(*universe, view) +
          RenderExpanded(answers, view, /*max_members=*/4, params.L);
 }
 
