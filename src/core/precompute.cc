@@ -41,12 +41,6 @@ Status PrecomputeOptions::Validate(int num_attrs) const {
   return Status::OK();
 }
 
-bool PrecomputeOptions::SameGrid(const PrecomputeOptions& other) const {
-  return k_min == other.k_min && k_max == other.k_max &&
-         d_values == other.d_values && c == other.c &&
-         use_delta_judgment == other.use_delta_judgment;
-}
-
 bool PrecomputeOptions::CoveredBy(const SolutionStore& store) const {
   if (store.k_max() < k_max) return false;
   for (int d : d_values) {
@@ -58,20 +52,6 @@ bool PrecomputeOptions::CoveredBy(const SolutionStore& store) const {
     if (*min_k > k_min) return false;
   }
   return true;
-}
-
-std::string PrecomputeOptions::CacheKey(int top_l, int num_attrs) const {
-  PrecomputeOptions r = ResolvedFor(num_attrs);
-  std::string key = "L=" + std::to_string(top_l) +
-                    ";kmin=" + std::to_string(r.k_min) +
-                    ";kmax=" + std::to_string(r.k_max) +
-                    ";c=" + std::to_string(r.c) +
-                    ";delta=" + (r.use_delta_judgment ? "1" : "0") + ";d=";
-  for (size_t i = 0; i < r.d_values.size(); ++i) {
-    if (i > 0) key += ',';
-    key += std::to_string(r.d_values[i]);
-  }
-  return key;
 }
 
 Result<SolutionStore> Precompute::Run(const ClusterUniverse& universe,
@@ -142,8 +122,8 @@ std::optional<SolutionStore> Precompute::Widen(
     return std::nullopt;
   }
   QAG_DCHECK(&universe.answer_set() == &grid.universe()->answer_set());
-  if (!options.ResolvedFor(universe.answer_set().num_attrs())
-           .SameGrid(source->options)) {
+  if (options.ResolvedFor(universe.answer_set().num_attrs()).grid() !=
+      source->options.grid()) {
     return std::nullopt;
   }
   // The seeds are ids of universe(grid.l()), a prefix of `universe`.

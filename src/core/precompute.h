@@ -59,8 +59,8 @@ class Precompute {
 
   /// `grid` at the wider `top_l`, bound to `universe`, when Run(universe,
   /// top_l, options) would replay `grid`'s seeds: `grid` was replayed by
-  /// Run (a loaded grid has no seeds), its options resolve alike
-  /// (SameGrid), l = grid.l() < top_l, and its seeds cover every element in
+  /// Run (a loaded grid has no seeds), its options resolve alike (equal
+  /// grid()), l = grid.l() < top_l, and its seeds cover every element in
   /// [l, top_l). The result shares the grid's trees and seeds and is
   /// bit-identical to Run's. Nothing otherwise. `universe` must be a
   /// universe of `grid`'s answer set with top_l() >= top_l. Costs at most

@@ -1,7 +1,7 @@
 #ifndef QAGVIEW_CORE_PRECOMPUTE_OPTIONS_H_
 #define QAGVIEW_CORE_PRECOMPUTE_OPTIONS_H_
 
-#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -46,16 +46,20 @@ struct PrecomputeOptions {
   /// replays: empty `d_values` becomes 1..m, listed ones are sorted with
   /// duplicates dropped (the grid holds one row per D), `k_max <= 0`
   /// becomes max(k_min, 20), and `c` below 2 becomes 2. Two option sets
-  /// with equal resolved fields (SameGrid) produce bit-identical stores for
-  /// a given (universe, top_l). Idempotent. core::Session's lock-free warm
+  /// whose resolved copies have equal grid() produce bit-identical stores
+  /// for a given (universe, top_l). Idempotent. core::Session's lock-free warm
   /// path resolves a request once, against the schema of the answer-set
   /// generation it pinned, and probes every cached store with the same
   /// resolved copy.
   PrecomputeOptions ResolvedFor(int num_attrs) const;
 
-  /// Whether two resolved option sets describe the same grid at any L:
-  /// every field equal except `num_threads`, which never changes a store.
-  bool SameGrid(const PrecomputeOptions& other) const;
+  /// The fields that name a grid: every field but `num_threads`, which
+  /// never changes a store. Two resolved option sets with equal grid()
+  /// describe the same grid at any L: Precompute::Widen compares a cached
+  /// grid's options by it, and core::Session keys its single-flight grid
+  /// builds by (top_l, grid()) of the resolved options.
+  using Grid = std::tuple<int, int, std::vector<int>, int, bool>;
+  Grid grid() const { return {k_min, k_max, d_values, c, use_delta_judgment}; }
 
   /// Whether a cached store can serve a request with these options: every
   /// requested D row present, the k range at least as wide on both ends.
@@ -64,14 +68,6 @@ struct PrecomputeOptions {
   /// required on the warm Guidance hit path, where it runs once per cached
   /// candidate on every request.
   bool CoveredBy(const SolutionStore& store) const;
-
-  /// Stable identity of the resolved (top_l, grid-shape) request, used as
-  /// the single-flight coalescing key by core::Session: concurrent
-  /// Guidance calls with equal keys trigger exactly one precompute, and
-  /// option sets that resolve alike share a key. `num_threads` is excluded
-  /// — it never changes the resulting store. Only computed on the miss
-  /// path; warm hits never build a key.
-  std::string CacheKey(int top_l, int num_attrs) const;
 };
 
 }  // namespace qagview::core

@@ -23,6 +23,27 @@ Status CheckTopL(const AnswerSet& answers, int top_l) {
   return Status::OK();
 }
 
+/// Counts one step of a universe or store request — a hit, a wait on
+/// another caller's build, or a build — and flags it in the trace.
+void CountStep(FlightStep step, std::atomic<int64_t>& hits,
+               std::atomic<int64_t>& coalesced, std::atomic<int64_t>& misses,
+               Session::RequestTrace* trace) {
+  switch (step) {
+    case FlightStep::kHit:
+      hits.fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
+      return;
+    case FlightStep::kJoined:
+      coalesced.fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr) trace->coalesced = true;
+      return;
+    case FlightStep::kLed:
+      misses.fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr) trace->built = true;
+      return;
+  }
+}
+
 }  // namespace
 
 Session::UniverseNode::UniverseNode(std::shared_ptr<Generation> generation,
@@ -144,94 +165,72 @@ Result<std::shared_ptr<const ClusterUniverse>> Session::UniverseFor(
 Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
     int top_l, RequestTrace* trace) {
   QAG_RETURN_IF_ERROR(CheckTopL(*CurrentView()->generation->answers, top_l));
-  auto covers = [top_l](const ReadView& view) {
-    return view.universe != nullptr && view.universe->universe.top_l() >= top_l;
+  // The view probed last: a hit serves its universe, which serves any
+  // top_l up to its own L (all algorithms accept params.L <= the
+  // universe's L), and a leader grows from it.
+  std::shared_ptr<const ReadView> base;
+  auto probe =
+      [&]() -> std::optional<Result<std::shared_ptr<const UniverseNode>>> {
+    base = CurrentView();
+    const UniverseNode* held = base->universe.get();
+    if (held == nullptr || held->universe.top_l() < top_l) return std::nullopt;
+    return base->universe;
   };
-  auto hit = [&](const ReadView& view) {
-    Counters().universe_hits.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-    return view.universe;
+  auto report = [&](FlightStep step) {
+    CounterShard& c = Counters();
+    CountStep(step, c.universe_hits, c.universe_coalesced, c.universe_misses,
+              trace);
   };
-  while (true) {
-    // Warm path — the RCU read side: one atomic load pins the view, and
-    // its universe serves any top_l up to its own L (all algorithms accept
-    // params.L <= the universe's L). No locks, no shared-cacheline writes
-    // beyond the handle refcount and a per-thread counter shard.
-    std::shared_ptr<const ReadView> view = CurrentView();
-    if (covers(*view)) return hit(*view);
-    // Miss: lead the session's one growth, or wait for the one in flight
-    // (whatever its L) and look again.
-    std::shared_ptr<const ReadView> base;
-    std::shared_ptr<FlightLatch> flight;
-    {
-      std::unique_lock<std::shared_mutex> lock = WriterLock();
-      // Recheck the freshest view under the writer lock: publication is
-      // serialized by it, so a hit here is definitive.
-      std::shared_ptr<const ReadView> fresh = CurrentView();
-      if (covers(*fresh)) return hit(*fresh);
-      if (universe_flight_ != nullptr) {
-        flight = universe_flight_;
-      } else {
-        flight = universe_flight_ = std::make_shared<FlightLatch>();
-        base = std::move(fresh);
-      }
-    }
-    if (base == nullptr) {
-      Counters().universe_coalesced.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->coalesced = true;
-      Status status = flight->Wait();
-      if (!status.ok()) return status;
-      continue;
-    }
-    // Leader: build outside the lock (concurrent readers stay unblocked),
-    // publish a successor view under the writer lock, then release the
-    // waiters. The base view pins the answer set and the universe grown
-    // from for the build's duration. Growing gives the same universe as a
-    // cold build, for a fraction of the work.
-    Counters().universe_misses.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->built = true;
-    Result<ClusterUniverse> built =
-        base->universe != nullptr
-            ? ClusterUniverse::Grow(base->universe->universe, top_l)
-            : ClusterUniverse::Build(base->generation->answers.get(), top_l);
-    std::shared_ptr<const UniverseNode> node;
-    {
-      std::unique_lock<std::shared_mutex> lock = WriterLock();
-      if (built.ok()) {
-        node = std::make_shared<const UniverseNode>(
-            base->generation, std::move(built).value());
-        std::shared_ptr<const ReadView> cur = CurrentView();
-        // Only the *current* generation's structures enter the serving
-        // view (exact generation identity — no fingerprint collisions).
-        if (cur->generation == base->generation) {
-          // Only this flight changes a generation's universe, so cur holds
-          // the one grown from; its stores, base's and any added since,
-          // move onto the grown universe, which keeps their ids.
-          QAG_DCHECK(cur->universe == base->universe);
-          auto next = std::make_shared<ReadView>();
-          next->generation = cur->generation;
-          next->universe = node;
-          for (const auto& [l, store] : cur->stores) {
-            next->stores.emplace_hint(
-                next->stores.end(), l,
-                std::make_shared<const StoreNode>(
-                    node, store->store.BoundTo(&node->universe)));
-          }
-          PublishView(std::move(next));
-        }
-        // else: a refresh superseded this build mid-flight. The result
-        // still serves this (overlapping, hence linearizable) request,
-        // pinned by the returned handle, and dies when that handle drops.
-      }
-      universe_flight_.reset();
-    }
+  // Warm path — the RCU read side: one atomic load pins the view. No locks,
+  // no shared-cacheline writes beyond the handle refcount and a per-thread
+  // counter shard.
+  if (auto hit = probe()) {
+    report(FlightStep::kHit);
+    return std::move(*hit);
+  }
+  // Miss: lead the session's one growth, or wait for the one in flight
+  // (whatever its L) and look again. The leader builds outside the lock
+  // (concurrent readers stay unblocked) and publishes a successor view
+  // under it. The base view pins the answer set and the universe grown
+  // from for the build's duration. Growing gives the same universe as a
+  // cold build, for a fraction of the work.
+  auto grow = [&]() -> Result<std::shared_ptr<const UniverseNode>> {
     // The superseded view, and with it the universe grown from unless a
     // handle still reads it, is released before the waiters wake.
-    base.reset();
-    flight->Finish(built.ok() ? Status::OK() : built.status());
-    if (node == nullptr) return built.status();
+    const std::shared_ptr<const ReadView> from = std::move(base);
+    QAG_ASSIGN_OR_RETURN(
+        ClusterUniverse built,
+        from->universe != nullptr
+            ? ClusterUniverse::Grow(from->universe->universe, top_l)
+            : ClusterUniverse::Build(from->generation->answers.get(), top_l));
+    auto node = std::make_shared<const UniverseNode>(from->generation,
+                                                     std::move(built));
+    std::unique_lock<std::shared_mutex> lock = WriterLock();
+    std::shared_ptr<const ReadView> cur = CurrentView();
+    // Only the *current* generation's structures enter the serving view
+    // (exact generation identity — no fingerprint collisions). Else a
+    // refresh superseded this build mid-flight: the result still serves
+    // this (overlapping, hence linearizable) request, pinned by the
+    // returned handle, and dies when that handle drops.
+    if (cur->generation != from->generation) return node;
+    // Only this flight changes a generation's universe, so cur holds the
+    // one grown from; its stores, from's and any added since, move onto
+    // the grown universe, which keeps their ids.
+    QAG_DCHECK(cur->universe == from->universe);
+    auto next = std::make_shared<ReadView>();
+    next->generation = cur->generation;
+    next->universe = node;
+    for (const auto& [l, store] : cur->stores) {
+      next->stores.emplace_hint(
+          next->stores.end(), l,
+          std::make_shared<const StoreNode>(
+              node, store->store.BoundTo(&node->universe)));
+    }
+    PublishView(std::move(next));
     return node;
-  }
+  };
+  return universe_flight_.Run(
+      {}, [this] { return WriterLock(); }, probe, grow, report);
 }
 
 Result<Solution> Session::Summarize(const Params& params,
@@ -283,10 +282,11 @@ std::optional<SolutionStore> Session::WidenCachedStore(
   // The widest grid below top_l replayed with these options decides: if a
   // narrower one's seeds covered every answer up to top_l, the widest one
   // replayed those same seeds (Precompute's proof), so it covers them too.
+  const PrecomputeOptions::Grid wanted = resolved.grid();
   for (auto it = std::make_reverse_iterator(view->stores.lower_bound(top_l));
        it != view->stores.rend(); ++it) {
     const SolutionStore& grid = it->second->store;
-    if (grid.source() != nullptr && grid.source()->options.SameGrid(resolved)) {
+    if (grid.source() != nullptr && grid.source()->options.grid() == wanted) {
       return Precompute::Widen(grid, universe.universe, top_l, resolved);
     }
   }
@@ -319,15 +319,14 @@ std::shared_ptr<const Session::StoreNode> Session::AddStore(
 
 Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     int top_l, const PrecomputeOptions& options, RequestTrace* trace) {
-  // The request is validated and resolved once against the pinned
-  // generation (and again only if a refresh swaps the generation mid-loop),
-  // before any lookup; the warm hit path below then probes every candidate
-  // store lock- and allocation-free. The coalescing key is only needed on a
-  // miss and is computed lazily there.
+  // The request is validated and resolved against the generation of the
+  // view a probe pins, before any lookup (again only when a refresh swapped
+  // the generation); the probe then checks every candidate store lock- and
+  // allocation-free.
   PrecomputeOptions resolved;
   const Generation* resolved_for = nullptr;
-  std::string key;
-  while (true) {
+  auto probe =
+      [&]() -> std::optional<Result<std::shared_ptr<const SolutionStore>>> {
     std::shared_ptr<const ReadView> view = CurrentView();
     if (resolved_for != view->generation.get()) {
       const AnswerSet& answers = *view->generation->answers;
@@ -335,75 +334,46 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
       QAG_RETURN_IF_ERROR(options.Validate(answers.num_attrs()));
       resolved = options.ResolvedFor(answers.num_attrs());
       resolved_for = view->generation.get();
-      key.clear();
     }
-    if (const auto* store = CoveringStore(*view, top_l, resolved)) {
-      Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-      return StoreHandle(*store);
-    }
-    // Miss: coalesce with an identical in-flight precompute, or lead one.
-    if (key.empty()) {
-      key = options.CacheKey(top_l, view->generation->answers->num_attrs());
-    }
-    std::shared_ptr<FlightLatch> flight;
-    bool leader = false;
-    {
-      std::unique_lock<std::shared_mutex> lock = WriterLock();
-      std::shared_ptr<const ReadView> fresh = CurrentView();
-      if (fresh->generation.get() != resolved_for) {
-        continue;  // refresh landed since the probe: re-resolve first
-      }
-      if (const auto* store = CoveringStore(*fresh, top_l, resolved)) {
-        Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-        return StoreHandle(*store);
-      }
-      auto fit = store_flights_.find(key);
-      if (fit != store_flights_.end()) {
-        flight = fit->second;
-      } else {
-        flight = std::make_shared<FlightLatch>();
-        store_flights_.emplace(key, flight);
-        leader = true;
-      }
-    }
-    if (!leader) {
-      Counters().store_coalesced.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->coalesced = true;
-      Status status = flight->Wait();
-      if (!status.ok()) return status;
-      continue;
-    }
-    Counters().store_misses.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->built = true;
-    // The universe has its own single flight; no session lock held. The
-    // store joins the generation of the universe it was built over, so a
-    // refresh retires the two together.
-    auto build = [&]() -> Result<std::shared_ptr<const SolutionStore>> {
-      QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> universe,
-                           ServingUniverse(top_l, /*trace=*/nullptr));
-      std::optional<SolutionStore> store =
-          WidenCachedStore(*universe, top_l, resolved);
-      if (store.has_value()) {
-        Counters().store_derivations.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        QAG_ASSIGN_OR_RETURN(
-            SolutionStore run,
-            Precompute::Run(universe->universe, top_l, options));
-        store.emplace(std::move(run));
-      }
-      return StoreHandle(
-          AddStore(std::move(universe), top_l, std::move(*store)));
-    };
-    Result<std::shared_ptr<const SolutionStore>> outcome = build();
-    {
-      std::unique_lock<std::shared_mutex> lock = WriterLock();
-      store_flights_.erase(key);
-    }
-    flight->Finish(outcome.ok() ? Status::OK() : outcome.status());
-    return outcome;
+    const auto* store = CoveringStore(*view, top_l, resolved);
+    if (store == nullptr) return std::nullopt;
+    return StoreHandle(*store);
+  };
+  auto report = [&](FlightStep step) {
+    CounterShard& c = Counters();
+    CountStep(step, c.store_hits, c.store_coalesced, c.store_misses, trace);
+  };
+  // Warm path: no lock, and no flight key is built.
+  if (auto answer = probe()) {
+    if (answer->ok()) report(FlightStep::kHit);
+    return std::move(*answer);
   }
+  // Miss: coalesce with an identical in-flight precompute, or lead one.
+  // The key names the warm probe's resolution; a refresh changing the
+  // schema before the probe under the lock makes that probe re-resolve,
+  // and the build uses the new resolution, so a stale key only changes
+  // whom the request coalesces with. The universe has its own single
+  // flight; no session lock held. The store joins the generation of the
+  // universe it was built over, so a refresh retires the two together.
+  auto build = [&]() -> Result<std::shared_ptr<const SolutionStore>> {
+    QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> universe,
+                         ServingUniverse(top_l, /*trace=*/nullptr));
+    std::optional<SolutionStore> store =
+        WidenCachedStore(*universe, top_l, resolved);
+    if (store.has_value()) {
+      Counters().store_derivations.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      QAG_ASSIGN_OR_RETURN(
+          SolutionStore run,
+          Precompute::Run(universe->universe, top_l, options));
+      store.emplace(std::move(run));
+    }
+    return StoreHandle(
+        AddStore(std::move(universe), top_l, std::move(*store)));
+  };
+  return store_flights_.Run(
+      {top_l, resolved.grid()}, [this] { return WriterLock(); }, probe, build,
+      report);
 }
 
 Result<Solution> Session::Retrieve(int top_l, int d, int k,

@@ -8,6 +8,8 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -62,14 +64,14 @@ namespace qagview::core {
 /// never mutate a published view; they take the writer mutex, build a new
 /// view copy-on-write, and publish it with an atomic store (pin → serve →
 /// drop, classic read-copy-update). Expensive builds still run *outside*
-/// the writer lock and are **single-flight**: one growth flight per
-/// session (a miss waits for any growth in flight, then either hits or
-/// grows from its result) and one flight per Guidance (L, options) grid,
-/// so N clients missing together never run N duplicate builds. Coalesced
-/// waits are counted in `CacheStats`. Results remain bit-identical to any
-/// serial execution order: builds are deterministic in their (answer set,
-/// L, options) inputs alone, and views, stores, and universes are
-/// immutable once published.
+/// the writer lock and are **single-flight** (common/single_flight.h): one
+/// growth flight per session (a miss waits for any growth in flight, then
+/// either hits or grows from its result) and one flight per Guidance (L,
+/// options) grid, so N clients missing together never run N duplicate
+/// builds. Coalesced waits are counted in `CacheStats`. Results remain
+/// bit-identical to any serial execution order: builds are deterministic
+/// in their (answer set, L, options) inputs alone, and views, stores, and
+/// universes are immutable once published.
 ///
 /// The per-op statistics counters are sharded per thread
 /// (common/sharded_stats.h) and aggregated when `cache_stats()` is read,
@@ -411,11 +413,11 @@ class Session {
   /// own strong reference to the live generation lives inside it.
   std::shared_ptr<const ReadView> view_;
 
-  // In-flight builds, guarded by mu_ (miss path only): the one universe
-  // growth (null when none runs), and store flights keyed by
-  // PrecomputeOptions::CacheKey (exact grid-shape identity).
-  std::shared_ptr<FlightLatch> universe_flight_;
-  std::map<std::string, std::shared_ptr<FlightLatch>> store_flights_;
+  // Builds in flight, guarded by mu_ (miss paths only): the session's one
+  // universe growth, whatever its L, and the grid precomputes, keyed by
+  // (top_l, grid()) of the resolved options (exact grid-shape identity).
+  SingleFlight<std::monostate> universe_flight_;
+  SingleFlight<std::pair<int, PrecomputeOptions::Grid>> store_flights_;
 
   /// Graveyard ledger: weak references to retired generations. Holding
   /// them weak is the eviction mechanism — a retired generation's only

@@ -207,14 +207,21 @@ void HttpServer::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
+    bool stopping = false;
     bool admitted = false;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      if (static_cast<int>(queue_.size()) < options_.max_queue &&
-          !stopping_.load(std::memory_order_acquire)) {
+      stopping = stopping_.load(std::memory_order_acquire);
+      if (!stopping && static_cast<int>(queue_.size()) < options_.max_queue) {
         queue_.push_back(fd);
         admitted = true;
       }
+    }
+    if (stopping) {
+      // Shutdown began since the check above: refuse the connection as that
+      // check does, so rejected_503 counts only a full queue.
+      ::close(fd);
+      return;
     }
     if (admitted) {
       admitted_.fetch_add(1, std::memory_order_relaxed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -139,133 +140,98 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
     key += '\x1f';
     key += FormatDouble(options.confidence, 6);
   }
-  // Reports the published answer set's shape and provenance (one wait-free
-  // answers() load covers both).
-  auto fill = [&out](const SessionEntry& entry, QueryHandle handle) {
-    out.handle = handle;
-    std::shared_ptr<const core::AnswerSet> answers = entry.session->answers();
-    out.num_answers = answers->size();
-    out.num_attrs = answers->num_attrs();
-    out.approx = ApproxOf(answers->approximation());
-    out.confidence = answers->approximation().confidence;
+  // The registry's handle for the key, or nothing: lock-free on the warm
+  // path, and the flight's probe under mu_ on a miss.
+  auto lookup = [&]() -> std::optional<Result<QueryHandle>> {
+    std::shared_ptr<const Registry> registry = CurrentRegistry();
+    auto it = registry->by_key.find(key);
+    if (it == registry->by_key.end()) return std::nullopt;
+    return it->second;
   };
-  while (true) {
-    {
-      // Warm path: one atomic registry load, no locks.
-      SessionEntry* entry = nullptr;
-      QueryHandle handle = -1;
-      std::shared_ptr<const Registry> registry = CurrentRegistry();
-      auto it = registry->by_key.find(key);
-      if (it != registry->by_key.end()) {
-        handle = it->second;
-        entry = registry->entries[static_cast<size_t>(handle)];
-      }
-      if (entry != nullptr) {
-        // Bring a stale handle up to date before reporting its shape.
-        Status fresh = EnsureFresh(entry, &out.stats);
-        if (!fresh.ok()) {
-          return Finish(RequestKind::kQuery, timer, fresh, std::move(out));
-        }
-        fill(*entry, handle);
-        if (entry->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
-          // Safety net: re-arm refinement if the set is still approximate
-          // (e.g. a refresh republished an approximate generation, or an
-          // earlier refinement errored). Deduplicated, never blocking.
-          ScheduleRefinement(entry);
-        }
-        if (!out.stats.coalesced && !out.stats.refreshed) {
-          out.stats.cache_hit = true;
-        }
-        return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
-      }
+  auto report = [&out](FlightStep step) {
+    if (step == FlightStep::kJoined) out.stats.coalesced = true;
+    if (step == FlightStep::kLed) out.stats.built = true;
+  };
+  // Execute outside the lock: SQL + answer-set materialization are the
+  // expensive part, and the pinned catalog snapshot stays valid regardless
+  // of concurrent dataset updates (snapshots are immutable).
+  auto build = [&]() -> Result<QueryHandle> {
+    CatalogSnapshot snapshot = datasets_.Snapshot();
+    QAG_ASSIGN_OR_RETURN(
+        BuiltAnswers built,
+        BuildAnswers(trimmed, value_column, options.mode, options.confidence,
+                     /*require_exact=*/false, snapshot));
+    QAG_ASSIGN_OR_RETURN(std::unique_ptr<core::Session> session,
+                         core::Session::Create(std::move(built.answers)));
+    auto entry = std::make_unique<SessionEntry>();
+    entry->session = std::move(session);
+    entry->sql = trimmed;
+    entry->value_column = value_column;
+    entry->mode = options.mode;
+    entry->confidence = options.confidence;
+    // The tables the execution actually resolved, at the versions the
+    // snapshot pinned: the handle's staleness condition.
+    for (const std::string& name : snapshot.sql.accessed()) {
+      entry->deps.emplace(name, snapshot.versions.at(name));
     }
-    // Miss: lead the execution, or join an identical in-flight one.
-    std::shared_ptr<FlightLatch> flight;
-    bool leader = false;
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      if (CurrentRegistry()->by_key.count(key) != 0) {
-        continue;  // published since the check
-      }
-      auto fit = query_flights_.find(key);
-      if (fit != query_flights_.end()) {
-        flight = fit->second;
-      } else {
-        flight = std::make_shared<FlightLatch>();
-        query_flights_.emplace(key, flight);
-        leader = true;
-      }
+    entry->fresh_at.store(snapshot.catalog_version, std::memory_order_release);
+    // Publish: copy-on-write registry successor under the writer lock.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto next = std::make_shared<Registry>(*CurrentRegistry());
+    QueryHandle handle = static_cast<QueryHandle>(next->entries.size());
+    next->entries.push_back(entry.get());
+    next->by_key.emplace(key, handle);
+    owned_.push_back(std::move(entry));
+    PublishRegistry(std::move(next));
+    return handle;
+  };
+  // Warm path: one atomic registry load, no locks. A miss leads the
+  // execution or joins an identical one in flight.
+  std::optional<Result<QueryHandle>> found = lookup();
+  if (!found.has_value()) {
+    found = query_flights_.Run(
+        key, [this] { return WriterLock(); }, lookup, build, report);
+  }
+  const Result<QueryHandle>& handle = *found;
+  if (!handle.ok()) {
+    return Finish(RequestKind::kQuery, timer, handle.status(), std::move(out));
+  }
+  SessionEntry* entry =
+      CurrentRegistry()->entries[static_cast<size_t>(*handle)];
+  if (!out.stats.built) {
+    // Bring a stale handle up to date before reporting its shape.
+    Status fresh = EnsureFresh(entry, &out.stats);
+    if (!fresh.ok()) {
+      return Finish(RequestKind::kQuery, timer, fresh, std::move(out));
     }
-    if (!leader) {
-      out.stats.coalesced = true;
-      Status status = flight->Wait();
-      if (!status.ok()) {
-        return Finish(RequestKind::kQuery, timer, status, std::move(out));
-      }
-      continue;  // the leader published the session; serve from cache
+    if (!out.stats.coalesced && !out.stats.refreshed) {
+      out.stats.cache_hit = true;
     }
-    out.stats.built = true;
-    // Execute outside the lock: SQL + answer-set materialization are the
-    // expensive part, and the pinned catalog snapshot stays valid
-    // regardless of concurrent dataset updates (snapshots are immutable).
-    SessionEntry* published = nullptr;
-    auto build = [&]() -> Result<QueryHandle> {
-      CatalogSnapshot snapshot = datasets_.Snapshot();
-      QAG_ASSIGN_OR_RETURN(
-          BuiltAnswers built,
-          BuildAnswers(trimmed, value_column, options.mode,
-                       options.confidence, /*require_exact=*/false,
-                       snapshot));
-      QAG_ASSIGN_OR_RETURN(std::unique_ptr<core::Session> session,
-                           core::Session::Create(std::move(built.answers)));
-      auto entry = std::make_unique<SessionEntry>();
-      entry->session = std::move(session);
-      entry->sql = trimmed;
-      entry->value_column = value_column;
-      entry->mode = options.mode;
-      entry->confidence = options.confidence;
-      // The tables the execution actually resolved, at the versions the
-      // snapshot pinned: the handle's staleness condition.
-      for (const std::string& name : snapshot.sql.accessed()) {
-        entry->deps.emplace(name, snapshot.versions.at(name));
-      }
-      entry->fresh_at.store(snapshot.catalog_version,
-                            std::memory_order_release);
-      // Publish: copy-on-write registry successor under the writer lock.
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      std::shared_ptr<const Registry> cur = CurrentRegistry();
-      auto next = std::make_shared<Registry>(*cur);
-      QueryHandle handle = static_cast<QueryHandle>(next->entries.size());
-      published = entry.get();
-      next->entries.push_back(entry.get());
-      next->by_key.emplace(key, handle);
-      owned_.push_back(std::move(entry));
-      PublishRegistry(std::move(next));
-      return handle;
-    };
-    Result<QueryHandle> outcome = build();
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      query_flights_.erase(key);
-    }
-    flight->Finish(outcome.ok() ? Status::OK() : outcome.status());
-    if (!outcome.ok()) {
-      return Finish(RequestKind::kQuery, timer, outcome.status(),
-                    std::move(out));
-    }
-    fill(*published, *outcome);
-    if (published->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
-      // Two-phase publication, phase two: the exact build runs in the
-      // background and republishes through the refresh machinery; this
-      // (foreground) response returns the approximate set now.
-      ScheduleRefinement(published);
-    }
+  }
+  // The published answer set's shape and provenance (one wait-free
+  // answers() load covers both).
+  out.handle = *handle;
+  std::shared_ptr<const core::AnswerSet> answers = entry->session->answers();
+  out.num_answers = answers->size();
+  out.num_attrs = answers->num_attrs();
+  out.approx = ApproxOf(answers->approximation());
+  out.confidence = answers->approximation().confidence;
+  if (entry->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
+    // Two-phase publication, phase two: the exact build runs in the
+    // background and republishes through the refresh machinery; this
+    // (foreground) response returns the approximate set now. On a cached
+    // handle this re-arms refinement if the set is still approximate (e.g.
+    // a refresh republished an approximate generation, or an earlier
+    // refinement errored). Deduplicated, never blocking.
+    ScheduleRefinement(entry);
+  }
+  if (out.stats.built) {
     // A freshly built session is the coldest it will ever be: speculate on
     // the exploration levels sessions historically open with, in the
     // background, without delaying this response.
-    SchedulePrefetch(published, study::MoveKind::kQuery, /*level=*/0);
-    return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
+    SchedulePrefetch(entry, study::MoveKind::kQuery, /*level=*/0);
   }
+  return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
 }
 
 Result<QueryService::SessionEntry*> QueryService::Lookup(
@@ -369,119 +335,93 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
       !needs_upgrade()) {
     return Status::OK();
   }
-  while (true) {
-    // The catalog moved past the last verification (or an upgrade is
-    // owed). Walk the per-table dependency versions to see whether one of
-    // *this* query's inputs actually changed (an update to an unrelated
-    // dataset lands here once, re-stamps fresh_at, and the fast path
-    // resumes).
+  // The catalog moved past the last verification (or an upgrade is owed).
+  // The probe, under mu_, walks the per-table dependency versions to see
+  // whether one of *this* query's inputs actually changed (an update to an
+  // unrelated dataset lands here once, re-stamps fresh_at, and the fast
+  // path resumes).
+  bool stale = false;
+  bool upgrade = false;
+  auto probe = [&]() -> std::optional<Status> {
     const uint64_t observed_version = datasets_.version();
-    bool stale = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      stale = DepsChangedLocked(*entry);
-    }
-    if (!stale && !needs_upgrade()) {
-      // Verified fresh as of `observed_version`, which was read *before*
-      // the walk: a mutation racing the walk at most leaves an older stamp
-      // and the next request re-verifies.
-      entry->fresh_at.store(observed_version, std::memory_order_release);
-      return Status::OK();
-    }
-    // Stale or owing an upgrade: lead the rebuild, or coalesce onto the
-    // flight already in progress. Refreshes and refinements share one
-    // flight per entry, which is what serializes them: a refinement
-    // joining a refresh waits it out and re-checks (restart); a refresh
-    // joining a refinement the same (its freshness may already be covered
-    // by the refinement's newer snapshot).
-    std::shared_ptr<FlightLatch> flight;
-    bool leader = false;
-    bool upgrade = false;
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      // Recheck under the exclusive lock: a rebuild that completed since
-      // the fast check already updated the deps / published exact.
-      const uint64_t recheck_version = datasets_.version();
-      stale = DepsChangedLocked(*entry);
-      upgrade = needs_upgrade();
-      if (!stale && !upgrade) {
-        entry->fresh_at.store(recheck_version, std::memory_order_release);
-        return Status::OK();
-      }
-      if (entry->refresh_flight != nullptr) {
-        flight = entry->refresh_flight;
-      } else {
-        flight = std::make_shared<FlightLatch>();
-        entry->refresh_flight = flight;
-        leader = true;
-      }
-    }
-    if (!leader) {
-      if (rs != nullptr) rs->coalesced = true;
-      Status status = flight->Wait();
-      if (!status.ok()) return status;
-      continue;  // re-check: the catalog may have moved again meanwhile
-    }
-    if (rs != nullptr && stale) rs->refreshed = true;
-    // Rebuild against a fresh pinned snapshot — always the *newest* one,
-    // so a refinement overtaken by dataset updates publishes the new data,
-    // not a stale exact set — and hand the result to Session::Refresh,
-    // which reuses every cache whose input fingerprint is provably
-    // unchanged. Exactness of the build: a refinement (require_exact) and
-    // an exact-only entry always build exact; an approximate-mode entry
-    // refreshing in the foreground builds approximate again and re-arms
-    // background refinement below, so foreground latency stays flat.
-    const bool exact_build =
-        require_exact || entry->mode == QueryMode::kExactOnly;
+    stale = DepsChangedLocked(*entry);
+    upgrade = needs_upgrade();
+    if (stale || upgrade) return std::nullopt;
+    // Verified fresh as of `observed_version`, which was read *before* the
+    // walk: a mutation racing the walk at most leaves an older stamp and
+    // the next request re-verifies.
+    entry->fresh_at.store(observed_version, std::memory_order_release);
+    return Status::OK();
+  };
+  bool led = false;
+  auto report = [&](FlightStep step) {
+    led = step == FlightStep::kLed;
+    if (rs == nullptr) return;
+    if (step == FlightStep::kJoined) rs->coalesced = true;
+    if (led && stale) rs->refreshed = true;
+  };
+  // Stale or owing an upgrade: lead the rebuild, or coalesce onto the
+  // flight already in progress. Refreshes and refinements share one
+  // flight per entry, which is what serializes them: a refinement joining
+  // a refresh waits it out and re-checks (restart); a refresh joining a
+  // refinement the same (its freshness may already be covered by the
+  // refinement's newer snapshot).
+  //
+  // The leader rebuilds against a fresh pinned snapshot — always the
+  // *newest* one, so a refinement overtaken by dataset updates publishes
+  // the new data, not a stale exact set — and hands the result to
+  // Session::Refresh, which reuses every cache whose input fingerprint is
+  // provably unchanged. Exactness of the build: a refinement
+  // (require_exact) and an exact-only entry always build exact; an
+  // approximate-mode entry refreshing in the foreground builds approximate
+  // again and re-arms background refinement below, so foreground latency
+  // stays flat.
+  const bool exact_build =
+      require_exact || entry->mode == QueryMode::kExactOnly;
+  auto rebuild = [&]() -> Status {
+    CatalogSnapshot snapshot = datasets_.Snapshot();
+    // An exact refresh of changed data keeps the grouped state, so the
+    // next append folds in only its rows.
+    QAG_ASSIGN_OR_RETURN(
+        BuiltAnswers built,
+        BuildAnswers(entry->sql, entry->value_column, entry->mode,
+                     entry->confidence, exact_build, snapshot,
+                     stale && exact_build ? &entry->fold : nullptr));
     core::Session::RefreshStats refresh_stats;
-    auto rebuild = [&]() -> Status {
-      CatalogSnapshot snapshot = datasets_.Snapshot();
-      // An exact refresh of changed data keeps the grouped state, so the
-      // next append folds in only its rows.
-      QAG_ASSIGN_OR_RETURN(
-          BuiltAnswers built,
-          BuildAnswers(entry->sql, entry->value_column, entry->mode,
-                       entry->confidence, exact_build, snapshot,
-                       stale && exact_build ? &entry->fold : nullptr));
-      QAG_RETURN_IF_ERROR(
-          entry->session->Refresh(std::move(built.answers), &refresh_stats));
-      std::unique_lock<std::shared_mutex> lock(mu_);
+    QAG_RETURN_IF_ERROR(
+        entry->session->Refresh(std::move(built.answers), &refresh_stats));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       entry->deps.clear();
       for (const std::string& name : snapshot.sql.accessed()) {
         entry->deps.emplace(name, snapshot.versions.at(name));
       }
       entry->fresh_at.store(snapshot.catalog_version,
                             std::memory_order_release);
-      return Status::OK();
-    };
-    Status outcome = rebuild();
-    if (outcome.ok()) {
-      // Count the rebuild *before* releasing the flight: a waiter
-      // unblocked by Finish may read stats() immediately, and must see
-      // the refresh/refinement it waited on already accounted.
-      if (led_rebuild != nullptr) *led_rebuild = true;
-      StatShard& shard = stat_shards_.Local();
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (stale) {
-        ++shard.stats.refreshes;
-        if (!refresh_stats.refreshed) ++shard.stats.refresh_full_reuses;
-      }
-      if (upgrade && exact_build) ++shard.stats.refinements;
     }
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      entry->refresh_flight.reset();
+    // Count the rebuild *before* releasing the flight: a waiter unblocked
+    // by it may read stats() immediately, and must see the
+    // refresh/refinement it waited on already accounted.
+    StatShard& shard = stat_shards_.Local();
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (stale) {
+      ++shard.stats.refreshes;
+      if (!refresh_stats.refreshed) ++shard.stats.refresh_full_reuses;
     }
-    flight->Finish(outcome);
-    if (outcome.ok() && !exact_build &&
-        entry->mode == QueryMode::kApproxFirst &&
-        !entry->session->approximation().is_exact) {
-      // The foreground refresh republished an approximate set: schedule
-      // the exact phase (outside every lock; deduplicated per entry).
-      ScheduleRefinement(entry);
-    }
-    return outcome;
+    if (upgrade && exact_build) ++shard.stats.refinements;
+    return Status::OK();
+  };
+  Status outcome = refresh_flights_.Run(
+      entry, [this] { return WriterLock(); }, probe, rebuild, report);
+  led = led && outcome.ok();
+  if (led_rebuild != nullptr) *led_rebuild = led;
+  if (led && !exact_build && entry->mode == QueryMode::kApproxFirst &&
+      !entry->session->approximation().is_exact) {
+    // The foreground refresh republished an approximate set: schedule the
+    // exact phase (outside every lock; deduplicated per entry).
+    ScheduleRefinement(entry);
   }
+  return outcome;
 }
 
 void QueryService::ScheduleRefinement(SessionEntry* entry) {

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -255,9 +254,6 @@ class QueryService {
     /// per-table dependency walk is skipped entirely. Monotonic;
     /// published (release) after the deps it vouches for.
     std::atomic<uint64_t> fresh_at{0};
-    /// In-flight stale-handle refresh concurrent users coalesce onto.
-    /// Guarded by mu_.
-    std::shared_ptr<FlightLatch> refresh_flight;
     /// Prefetch ledger: speculative builds completed for this entry that
     /// no foreground request has claimed yet, as (level, built-a-grid)
     /// pairs. A foreground warm hit at a covered level consumes one entry
@@ -270,7 +266,7 @@ class QueryService {
     /// first exact refresh on, so a later one whose only change is an
     /// append folds in just the appended rows. Empty until then: an entry
     /// whose tables never change holds none. Touched only by the refresh
-    /// leader (one at a time per entry, see refresh_flight).
+    /// leader (one at a time per entry, see refresh_flights_).
     FoldState fold;
   };
 
@@ -297,10 +293,15 @@ class QueryService {
   std::shared_ptr<const Registry> CurrentRegistry() const {
     return std::atomic_load_explicit(&registry_, std::memory_order_acquire);
   }
-  /// Caller holds mu_ exclusively (writers serialized).
+  /// Caller holds mu_ (writers serialized).
   void PublishRegistry(std::shared_ptr<const Registry> next) {
     std::atomic_store_explicit(&registry_, std::move(next),
                                std::memory_order_release);
+  }
+  /// Takes mu_: the lock every single-flight miss of the service holds
+  /// while it probes.
+  std::unique_lock<std::mutex> WriterLock() {
+    return std::unique_lock<std::mutex>(mu_);
   }
 
   /// An answer set built from a catalog snapshot, with its provenance.
@@ -351,7 +352,7 @@ class QueryService {
                    bool* led_rebuild = nullptr);
 
   /// Whether a table the entry's query read has a version other than the
-  /// one it was executed against. Caller holds mu_ (shared or exclusive).
+  /// one it was executed against. Caller holds mu_.
   bool DepsChangedLocked(const SessionEntry& entry) const;
 
   /// Reconcile for ordinary serving: freshness only, no exactness upgrade.
@@ -409,18 +410,21 @@ class QueryService {
   DatasetCatalog datasets_;
 
   /// Guards the registry write side (owned_, republication), per-entry
-  /// deps, and the flight maps. Warm reads never touch it. Never held
+  /// deps, and the builds in flight. Warm reads never touch it. Never held
   /// across SQL execution, session construction, or a flight wait.
-  mutable std::shared_mutex mu_;
+  std::mutex mu_;
   /// Owns every SessionEntry ever created (append-only; entries live for
   /// the service's lifetime, so registry raw pointers never dangle).
   std::vector<std::unique_ptr<SessionEntry>> owned_;
   /// The published registry snapshot; access only through CurrentRegistry
   /// / PublishRegistry (C++17 shared_ptr atomic free functions).
   std::shared_ptr<const Registry> registry_;
-  // In-flight Query() executions concurrent identical calls wait on.
-  // Guarded by mu_.
-  std::map<std::string, std::shared_ptr<FlightLatch>> query_flights_;
+  // Builds in flight, guarded by mu_: Query() executions, keyed by the
+  // session key, and stale-handle refreshes (and refinements), one per
+  // entry. Entries live as long as the service, so an entry key stays
+  // valid.
+  SingleFlight<std::string> query_flights_;
+  SingleFlight<const SessionEntry*> refresh_flights_;
 
   mutable Sharded<StatShard> stat_shards_;
 

@@ -354,24 +354,28 @@ TEST(PrecomputeTest, HugeBudgetsActAsL) {
 }
 
 // Options that replay the same grid resolve alike: listed D rows are a set
-// (sorted, one row per D), and c below 2 acts as 2. So they share one
-// single-flight key, and a repeated D is stored once.
+// (sorted, one row per D), and c below 2 acts as 2. So they name one grid
+// (and share one single-flight key), and a repeated D is stored once.
 TEST(PrecomputeTest, ResolvedOptionsAreCanonical) {
   constexpr int kAttrs = 4;
+  auto grid = [](const PrecomputeOptions& options) {
+    return options.ResolvedFor(kAttrs).grid();
+  };
   PrecomputeOptions ascending = GridOptions(2, 8, {1, 3});
   PrecomputeOptions descending = GridOptions(2, 8, {3, 1});
-  EXPECT_EQ(ascending.CacheKey(30, kAttrs), descending.CacheKey(30, kAttrs));
-  EXPECT_TRUE(ascending.ResolvedFor(kAttrs).SameGrid(
-      descending.ResolvedFor(kAttrs)));
+  EXPECT_EQ(grid(ascending), grid(descending));
   PrecomputeOptions c0 = ascending;
   c0.c = 0;
   PrecomputeOptions c1 = ascending;
   c1.c = 1;
   PrecomputeOptions c2 = ascending;
   c2.c = 2;
-  EXPECT_EQ(c0.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));
-  EXPECT_EQ(c1.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));
-  EXPECT_NE(ascending.CacheKey(30, kAttrs), c2.CacheKey(30, kAttrs));  // c=3
+  EXPECT_EQ(grid(c0), grid(c2));
+  EXPECT_EQ(grid(c1), grid(c2));
+  EXPECT_NE(grid(ascending), grid(c2));  // c=3
+  PrecomputeOptions threads = ascending;
+  threads.num_threads = 3;
+  EXPECT_EQ(grid(threads), grid(ascending));  // width never changes a store
   PrecomputeOptions resolved = GridOptions(2, 8, {2, 0, 2}).ResolvedFor(kAttrs);
   EXPECT_EQ(resolved.d_values, (std::vector<int>{0, 2}));
   EXPECT_EQ(resolved.ResolvedFor(kAttrs).d_values, resolved.d_values);

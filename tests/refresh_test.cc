@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +181,42 @@ TEST(ServiceRefreshTest, AppendTriggersTransparentRefreshOnNextUse) {
   ASSERT_TRUE(cold_explore.ok());
   EXPECT_EQ(warm_explore->summary, cold_explore->summary);
   EXPECT_EQ(warm_explore->expanded, cold_explore->expanded);
+}
+
+// One append makes the handle stale for all its users at once, and they
+// share one refresh: exactly one leads it (`refreshed`), and the rest wait
+// on it (`coalesced`) or arrive after it and find the handle fresh.
+TEST(ServiceRefreshTest, ConcurrentUsersOfAStaleHandleShareOneRefresh) {
+  QueryService service;
+  ASSERT_TRUE(
+      service.RegisterTable("ratings", testutil::MakeRatingsTable(11, 600))
+          .ok());
+  auto info = service.Query({kSql, "val", {}});
+  ASSERT_TRUE(info.ok());
+  testutil::RandomTableSpec spec;
+  ASSERT_TRUE(
+      service.AppendRows({"ratings", testutil::MakeRandomRows(spec, 99, 50)})
+          .ok());
+  const int64_t refreshes_before = service.stats().refreshes;
+
+  constexpr int kUsers = 8;
+  testutil::StartLatch latch(kUsers);
+  std::vector<service::RequestStats> stats(kUsers);
+  std::vector<std::thread> users;
+  for (int t = 0; t < kUsers; ++t) {
+    users.emplace_back([&, t] {
+      latch.ArriveAndWait();
+      auto summary = service.Summarize({info->handle, {3, 8, 2}});
+      ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+      stats[static_cast<size_t>(t)] = summary->stats;
+    });
+  }
+  for (std::thread& user : users) user.join();
+
+  int refreshed = 0;
+  for (const service::RequestStats& s : stats) refreshed += s.refreshed;
+  EXPECT_EQ(refreshed, 1);
+  EXPECT_EQ(service.stats().refreshes, refreshes_before + 1);
 }
 
 TEST(ServiceRefreshTest, QuietDeltaProvablyUnchangedReusesAllCaches) {
