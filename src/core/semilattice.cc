@@ -214,7 +214,6 @@ Result<ClusterUniverse> ClusterUniverse::Build(const AnswerSet* s, int top_l,
   u.answer_set_ = s;
   u.top_l_ = top_l;
   u.packed_ = !options.force_unpacked && CanPack(*s);
-  u.input_fingerprint_ = s->content_fingerprint();
   u.Extend(/*base=*/nullptr,
            options.naive_mapping ? Scan::kPerCluster : Scan::kProbe);
   return u;
@@ -232,7 +231,6 @@ Result<ClusterUniverse> ClusterUniverse::Grow(const ClusterUniverse& base,
   u.answer_set_ = base.answer_set_;
   u.top_l_ = top_l;
   u.packed_ = base.packed_;
-  u.input_fingerprint_ = base.input_fingerprint_;
   // What cluster generation extends. Populate copies base's coverage
   // arrays itself, once it knows their final sizes.
   u.clusters_ = base.clusters_;

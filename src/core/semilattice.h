@@ -91,12 +91,6 @@ class ClusterUniverse {
   /// Whether the packed-uint64 index fast path is in use (see CanPack).
   bool packed_index() const { return packed_; }
 
-  /// Content fingerprint of the answer set this universe was built from
-  /// (recorded at Build time), for refresh observability and store
-  /// serialization-era checks. The session's authoritative staleness test
-  /// is answer_set() object identity — exact, no collisions.
-  uint64_t input_fingerprint() const { return input_fingerprint_; }
-
   int num_clusters() const { return static_cast<int>(clusters_.size()); }
   const Cluster& cluster(int id) const {
     return clusters_[static_cast<size_t>(id)];
@@ -199,7 +193,6 @@ class ClusterUniverse {
   const AnswerSet* answer_set_ = nullptr;
   int top_l_ = 0;
   bool packed_ = false;
-  uint64_t input_fingerprint_ = 0;
   std::vector<Cluster> clusters_;
   std::unordered_map<std::vector<int32_t>, int, VectorHash<int32_t>> ids_;
   FlatMap64 packed_ids_;

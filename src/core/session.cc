@@ -97,25 +97,20 @@ Approximation Session::approximation() const {
   return CurrentView()->generation->answers->approximation();
 }
 
-Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
-  RefreshStats local;
+Status Session::Refresh(AnswerSet answers, bool* refreshed) {
   Counters().refreshes.fetch_add(1, std::memory_order_relaxed);
   const uint64_t new_fp = answers.content_fingerprint();
-  std::unique_lock<std::shared_mutex> lock = WriterLock();
+  std::unique_lock<std::mutex> lock = WriterLock();
   std::shared_ptr<const ReadView> view = CurrentView();
   const AnswerSet& current = *view->generation->answers;
-  local.hierarchy_reused =
-      answers.domain_fingerprint() == current.domain_fingerprint() &&
-      answers.attr_names() == current.attr_names();
-  if (new_fp == current.content_fingerprint() &&
-      answers.SameContent(current)) {
-    // Provably unchanged: every cached structure's input fingerprint still
-    // matches, so the whole session keeps serving warm; the freshly built
+  const bool changed = new_fp != current.content_fingerprint() ||
+                       !answers.SameContent(current);
+  if (refreshed != nullptr) *refreshed = changed;
+  if (!changed) {
+    // Provably unchanged: every cached structure was built from this very
+    // content, so the whole session keeps serving warm; the freshly built
     // copy is discarded.
-    local.universes_reused = view->universe != nullptr ? 1 : 0;
-    local.stores_reused = static_cast<int>(view->stores.size());
     Counters().refresh_full_reuses.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) *stats = local;
     return Status::OK();
   }
   // Content changed: every cached entry belongs to the outgoing generation
@@ -129,9 +124,6 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
   // deliberately does not reuse-by-fingerprint: a 64-bit collision must
   // not keep a stale grid serving, so the authoritative identity is the
   // generation object itself.
-  local.refreshed = true;
-  local.universes_retired = view->universe != nullptr ? 1 : 0;
-  local.stores_retired = static_cast<int>(view->stores.size());
   graveyard_.emplace_back(view->generation);
   ++generations_retired_;
   auto next_generation = std::make_shared<Generation>();
@@ -150,7 +142,6 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
                        return g.expired();
                      }),
       graveyard_.end());
-  if (stats != nullptr) *stats = local;
   return Status::OK();
 }
 
@@ -205,7 +196,7 @@ Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
             : ClusterUniverse::Build(from->generation->answers.get(), top_l));
     auto node = std::make_shared<const UniverseNode>(from->generation,
                                                      std::move(built));
-    std::unique_lock<std::shared_mutex> lock = WriterLock();
+    std::unique_lock<std::mutex> lock = WriterLock();
     std::shared_ptr<const ReadView> cur = CurrentView();
     // Only the *current* generation's structures enter the serving view
     // (exact generation identity — no fingerprint collisions). Else a
@@ -296,7 +287,7 @@ std::optional<SolutionStore> Session::WidenCachedStore(
 std::shared_ptr<const Session::StoreNode> Session::AddStore(
     std::shared_ptr<const UniverseNode> universe, int top_l,
     SolutionStore store) {
-  std::unique_lock<std::shared_mutex> lock = WriterLock();
+  std::unique_lock<std::mutex> lock = WriterLock();
   std::shared_ptr<const ReadView> cur = CurrentView();
   if (cur->generation != universe->generation) {
     // Superseded by a refresh mid-build: the node serves the overlapping
@@ -462,7 +453,7 @@ Session::CacheStats Session::cache_stats() const {
     // retained" merely because this observer holds the outgoing view.
   }
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     // Count what the graveyard still retains by probing the ledger's weak
     // references: an entry that no longer locks has been evicted (its
     // readers drained and the generation was destroyed).

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <variant>
@@ -76,8 +75,8 @@ namespace qagview::core {
 /// The per-op statistics counters are sharded per thread
 /// (common/sharded_stats.h) and aggregated when `cache_stats()` is read,
 /// so the bookkeeping itself is not a point of cacheline contention
-/// either. `CacheStats::writer_lock_acquisitions` counts every exclusive
-/// acquisition of the writer mutex — the invariant "a warm hit acquires
+/// either. `CacheStats::writer_lock_acquisitions` counts every writer's
+/// acquisition of the session mutex — the invariant "a warm hit acquires
 /// the writer lock zero times" is asserted by tests/read_scaling_test.cc.
 ///
 /// **Versioned refresh and handle lifetime.** The answer set is no longer
@@ -127,34 +126,19 @@ class Session {
   /// through the normal graveyard ledger.
   Approximation approximation() const;
 
-  /// What one Refresh() reused versus rebuilt, for service statistics and
-  /// the differential harness.
-  struct RefreshStats {
-    /// The content fingerprint changed: the new answer set was installed
-    /// and mismatched caches were retired. False = provably unchanged,
-    /// everything reused, the session keeps serving warm.
-    bool refreshed = false;
-    /// The attribute/value-name hierarchy (code space) is unchanged, even
-    /// if element values moved.
-    bool hierarchy_reused = false;
-    int universes_reused = 0;
-    int universes_retired = 0;
-    int stores_reused = 0;
-    int stores_retired = 0;
-  };
-
   /// Incremental refresh: hands the session the answer set re-executed
-  /// against a newer table snapshot. Compares input fingerprints plus an
+  /// against a newer table snapshot. Compares content fingerprints plus an
   /// exact content check — reuse is provable, not probabilistic: when
   /// unchanged, the new copy is discarded and every cache stays warm; when
   /// changed, the new answer set is installed and the outgoing generation
   /// (every cached universe / store, by the view-admission invariant) is
   /// retired — it survives precisely until its last external handle drops,
-  /// then is evicted. Readers concurrent with a refresh are never blocked:
+  /// then is evicted. `*refreshed` (when given) says which: true when the
+  /// content changed. Readers concurrent with a refresh are never blocked:
   /// they keep serving from whichever view they pinned, and the next
   /// request observes the new one. Results after Refresh are bit-identical
   /// to a fresh session built from the same answer set.
-  Status Refresh(AnswerSet answers, RefreshStats* stats = nullptr);
+  Status Refresh(AnswerSet answers, bool* refreshed = nullptr);
 
   /// What happened to one request, for per-request service statistics:
   /// exactly one of the flags is set by UniverseFor / Guidance; Retrieve
@@ -274,12 +258,12 @@ class Session {
     /// reclaimed. Monotonic; graveyard_size + generations_evicted equals
     /// the number of content-changing refreshes.
     int64_t generations_evicted = 0;
-    /// Exclusive acquisitions of the session's writer mutex, ever. The
-    /// warm-path invariant — a cache hit takes the writer lock zero times
-    /// — is asserted against this counter by read_scaling_test. Only cold
-    /// events (misses, publishes, refreshes, loads) may advance it, so
-    /// the single relaxed increment per acquisition is itself off the
-    /// warm path.
+    /// Writer acquisitions of the session's mutex, ever. The warm-path
+    /// invariant — a cache hit takes the writer lock zero times — is
+    /// asserted against this counter by read_scaling_test. Only cold
+    /// events (misses, publishes, refreshes, loads) may advance it, so the
+    /// single relaxed increment per acquisition is itself off the warm
+    /// path.
     int64_t writer_lock_acquisitions = 0;
   };
   /// Aggregates the per-thread counter shards. Exact once the counted
@@ -359,8 +343,8 @@ class Session {
     return std::atomic_load_explicit(&view_, std::memory_order_acquire);
   }
 
-  /// Publishes a successor view (release store). Caller holds mu_
-  /// exclusively — writers are serialized; readers are never blocked.
+  /// Publishes a successor view (release store). Caller holds mu_ —
+  /// writers are serialized; readers are never blocked.
   void PublishView(std::shared_ptr<const ReadView> next) {
     std::atomic_store_explicit(&view_, std::move(next),
                                std::memory_order_release);
@@ -368,9 +352,9 @@ class Session {
 
   /// Acquires the writer mutex, counting the acquisition (the counter
   /// read_scaling_test pins warm-hit wait-freedom against).
-  std::unique_lock<std::shared_mutex> WriterLock() const {
+  std::unique_lock<std::mutex> WriterLock() const {
     writer_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_lock<std::shared_mutex>(mu_);
+    return std::unique_lock<std::mutex>(mu_);
   }
 
   CounterShard& Counters() const { return shards_.Local(); }
@@ -403,10 +387,10 @@ class Session {
       const ReadView& view, int top_l, const PrecomputeOptions& resolved);
 
   /// Serializes writers: view publication, the flights and the graveyard
-  /// ledger. Readers take it shared only on the cold observability path
-  /// (cache_stats); the warm serving paths never touch it. Never held
-  /// across a build or a flight wait.
-  mutable std::shared_mutex mu_;
+  /// ledger. Besides them only cache_stats takes it, directly (so it is not
+  /// counted as a writer acquisition); the warm serving paths never touch
+  /// it. Never held across a build or a flight wait.
+  mutable std::mutex mu_;
 
   /// The published serving snapshot; access only through CurrentView /
   /// PublishView (C++17 shared_ptr atomic free functions). The session's

@@ -103,13 +103,6 @@ class SolutionStore {
   /// The universe this store is bound to: the one its cluster ids index
   /// into, which may be wider than the one it was built over (BoundTo).
   const ClusterUniverse* universe() const { return universe_; }
-  /// Content fingerprint of the answer set behind the universe this store
-  /// was built (or deserialized) against, recorded for refresh
-  /// observability (the authoritative staleness test is answer-set
-  /// identity via universe()).
-  uint64_t input_fingerprint() const {
-    return universe_->input_fingerprint();
-  }
   /// Attribute count of the underlying answer set (serialization header).
   int num_attrs() const;
   /// The pattern of a stored cluster id (serialization renders patterns,

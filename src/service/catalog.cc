@@ -1,6 +1,5 @@
 #include "service/catalog.h"
 
-#include <tuple>
 #include <utility>
 
 #include "common/string_util.h"
@@ -18,15 +17,32 @@ uint64_t DatasetCatalog::SampleSeed(const std::string& key) {
   return h;
 }
 
-std::pair<std::shared_ptr<storage::RowReservoir>,
-          std::shared_ptr<const storage::TableSample>>
-DatasetCatalog::StartSample(const std::string& key,
-                            const storage::Table& table) const {
-  if (options_.sample_capacity <= 0) return {};
-  auto reservoir = std::make_shared<storage::RowReservoir>(
-      options_.sample_capacity, SampleSeed(key));
-  reservoir->Feed(table.num_rows());
-  return {reservoir, storage::TakeSample(table, reservoir->ids())};
+DatasetCatalog::Entry DatasetCatalog::NewEntry(const std::string& key,
+                                               storage::Table table) const {
+  Entry entry;
+  entry.snapshot.table = std::make_shared<storage::Table>(std::move(table));
+  if (options_.sample_capacity > 0) {
+    entry.reservoir = std::make_shared<storage::RowReservoir>(
+        options_.sample_capacity, SampleSeed(key));
+    entry.reservoir->Feed(entry.snapshot.table->num_rows());
+    entry.snapshot.sample =
+        storage::TakeSample(*entry.snapshot.table, entry.reservoir->ids());
+  }
+  return entry;
+}
+
+uint64_t DatasetCatalog::Publish(std::string key, Entry entry) {
+  auto next = std::make_shared<State>(*CurrentState());
+  const uint64_t version = ++next->version;
+  entry.snapshot.version = version;
+  if (entry.snapshot.lineage == 0) entry.snapshot.lineage = version;
+  next->tables.insert_or_assign(std::move(key), std::move(entry));
+  // Readers holding the previous state keep it, and every table it holds.
+  std::atomic_store_explicit(&state_,
+                             std::shared_ptr<const State>(std::move(next)),
+                             std::memory_order_release);
+  version_.store(version, std::memory_order_release);
+  return version;
 }
 
 Status DatasetCatalog::Register(const std::string& name,
@@ -35,21 +51,15 @@ Status DatasetCatalog::Register(const std::string& name,
   if (key.empty()) {
     return Status::InvalidArgument("dataset name must be non-empty");
   }
-  Entry entry;
-  entry.snapshot.table = std::make_shared<storage::Table>(std::move(table));
-  // The sample is taken before the exclusive lock: there is no reason to
-  // hold every reader out while it gathers.
-  std::tie(entry.reservoir, entry.snapshot.sample) =
-      StartSample(key, *entry.snapshot.table);
-  entry.writer = std::make_shared<std::mutex>();
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (tables_.count(key) != 0) {
+  // The sample is taken before the lock: there is no reason to hold the
+  // other writers out while it gathers.
+  Entry entry = NewEntry(key, std::move(table));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (CurrentState()->tables.count(key) != 0) {
     return Status::AlreadyExists(
         StrCat("dataset '", name, "' is already registered"));
   }
-  entry.snapshot.version = ++version_;
-  entry.snapshot.lineage = entry.snapshot.version;
-  tables_.emplace(std::move(key), std::move(entry));
+  Publish(std::move(key), std::move(entry));
   return Status::OK();
 }
 
@@ -63,49 +73,27 @@ Result<uint64_t> DatasetCatalog::AppendRows(
     const std::string& name,
     const std::vector<std::vector<storage::Value>>& rows) {
   std::string key = ToLower(name);
-  // The dataset's writer mutex serializes the whole read-clone-publish
-  // window (lost-update guard) without blocking writers to other datasets.
-  // Readers never wait on it, and mu_ is held only for the map accesses.
-  std::shared_ptr<std::mutex> writer;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = tables_.find(key);
-    if (it == tables_.end()) {
-      return Status::NotFound(
-          StrCat("dataset '", name, "' is not registered"));
-    }
-    writer = it->second.writer;
+  // The lock spans the whole read-clone-publish window, so a concurrent
+  // writer cannot publish over this append (lost update).
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const State> current = CurrentState();
+  auto it = current->tables.find(key);
+  if (it == current->tables.end()) {
+    return Status::NotFound(StrCat("dataset '", name, "' is not registered"));
   }
-  std::lock_guard<std::mutex> write_lock(*writer);
-  TableSnapshot current;
-  std::shared_ptr<storage::RowReservoir> reservoir;
-  {
-    // Re-read under the writer lock: another writer may have published a
-    // newer snapshot between the lookup and the lock acquisition. The
-    // reservoir is fetched here too — it is only ever swapped under this
-    // writer mutex (ReplaceTable), which we now hold.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const Entry& e = tables_.at(key);
-    current = e.snapshot;
-    reservoir = e.reservoir;
-  }
+  Entry entry = it->second;
   // The clone shares the current snapshot's column buffers; the batch is
   // written past the rows the current snapshot reads.
-  storage::Table next = current.table->Clone();
+  storage::Table next = entry.snapshot.table->Clone();
   QAG_RETURN_IF_ERROR(next.AppendRows(rows));
   // Feed the reservoir only after AppendRows validated the whole batch, so
   // a rejected append leaves the sample (like the table) untouched.
-  std::shared_ptr<const storage::TableSample> sample;
-  if (reservoir != nullptr) {
-    reservoir->Feed(static_cast<int64_t>(rows.size()));
-    sample = storage::TakeSample(next, reservoir->ids());
+  if (entry.reservoir != nullptr) {
+    entry.reservoir->Feed(static_cast<int64_t>(rows.size()));
+    entry.snapshot.sample = storage::TakeSample(next, entry.reservoir->ids());
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = tables_.at(key);
   entry.snapshot.table = std::make_shared<storage::Table>(std::move(next));
-  entry.snapshot.sample = std::move(sample);
-  entry.snapshot.version = ++version_;  // old snapshot lives on via pins
-  return entry.snapshot.version;
+  return Publish(std::move(key), std::move(entry));
 }
 
 Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
@@ -114,94 +102,50 @@ Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
   if (key.empty()) {
     return Status::InvalidArgument("dataset name must be non-empty");
   }
-  auto snapshot = std::make_shared<storage::Table>(std::move(table));
   // The replacement's sample starts from scratch (a new lineage, and the
-  // schema may change), taken before any lock as in Register.
-  auto [reservoir, sample] = StartSample(key, *snapshot);
-  while (true) {
-    std::shared_ptr<std::mutex> writer;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = tables_.find(key);
-      if (it != tables_.end()) writer = it->second.writer;
-    }
-    if (writer == nullptr) {
-      // Creating: publish under the exclusive lock, unless another writer
-      // registered the name meanwhile (then retry with its writer mutex).
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      if (tables_.count(key) != 0) continue;
-      Entry entry;
-      entry.snapshot.table = snapshot;
-      entry.snapshot.sample = sample;
-      entry.snapshot.version = ++version_;
-      entry.snapshot.lineage = entry.snapshot.version;
-      entry.writer = std::make_shared<std::mutex>();
-      entry.reservoir = reservoir;
-      uint64_t version = entry.snapshot.version;
-      tables_.emplace(std::move(key), std::move(entry));
-      return version;
-    }
-    // Replacing: hold the dataset's writer mutex so a concurrent
-    // AppendRows clone cannot publish over this replacement (lost update).
-    std::lock_guard<std::mutex> write_lock(*writer);
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry& entry = tables_.at(key);
-    entry.snapshot.table = snapshot;
-    entry.snapshot.sample = sample;
-    entry.snapshot.version = ++version_;
-    entry.snapshot.lineage = entry.snapshot.version;
-    entry.reservoir = reservoir;
-    return entry.snapshot.version;
-  }
+  // schema may change), taken before the lock as in Register.
+  Entry entry = NewEntry(key, std::move(table));
+  std::lock_guard<std::mutex> lock(mu_);
+  return Publish(std::move(key), std::move(entry));
 }
 
 TableSnapshot DatasetCatalog::Find(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = tables_.find(ToLower(name));
-  return it == tables_.end() ? TableSnapshot() : it->second.snapshot;
+  std::shared_ptr<const State> state = CurrentState();
+  auto it = state->tables.find(ToLower(name));
+  return it == state->tables.end() ? TableSnapshot() : it->second.snapshot;
 }
 
 uint64_t DatasetCatalog::TableVersion(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = tables_.find(ToLower(name));
-  return it == tables_.end() ? 0 : it->second.snapshot.version;
+  return Find(name).version;
 }
 
 uint64_t DatasetCatalog::version() const {
-  // Lock-free: the QueryService staleness fast path reads this once per
-  // warm request. Writers bump the counter under mu_ exclusive after
-  // installing the new snapshot; acquire pairs with that (seq_cst) bump.
   return version_.load(std::memory_order_acquire);
 }
 
 std::vector<std::string> DatasetCatalog::names() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_ptr<const State> state = CurrentState();
   std::vector<std::string> out;
-  out.reserve(tables_.size());
-  for (const auto& [name, entry] : tables_) out.push_back(name);
+  out.reserve(state->tables.size());
+  for (const auto& [name, entry] : state->tables) out.push_back(name);
   return out;  // map iteration order: already sorted
 }
 
 int DatasetCatalog::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return static_cast<int>(tables_.size());
+  return static_cast<int>(CurrentState()->tables.size());
 }
 
 CatalogSnapshot DatasetCatalog::Snapshot() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_ptr<const State> state = CurrentState();
   CatalogSnapshot out;
-  // Stable while the shared lock excludes writers.
-  out.catalog_version = version_.load(std::memory_order_relaxed);
-  out.pins.reserve(tables_.size());
-  for (const auto& [name, entry] : tables_) {
-    out.sql.Register(name, entry.snapshot.table.get());
-    out.versions.emplace(name, entry.snapshot.version);
-    out.lineages.emplace(name, entry.snapshot.lineage);
-    out.pins.push_back(entry.snapshot.table);
-    if (entry.snapshot.sample != nullptr) {
-      out.sql.RegisterSample(name, &entry.snapshot.sample->rows,
-                             entry.snapshot.sample->population_rows);
-      out.sample_pins.push_back(entry.snapshot.sample);
+  out.catalog_version = state->version;
+  for (const auto& [name, entry] : state->tables) {
+    const TableSnapshot& table = entry.snapshot;
+    out.tables.emplace(name, table);
+    out.sql.Register(name, table.table.get());
+    if (table.sample != nullptr) {
+      out.sql.RegisterSample(name, &table.sample->rows,
+                             table.sample->population_rows);
     }
   }
   return out;

@@ -6,9 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -33,20 +31,13 @@ struct TableSnapshot {
 };
 
 /// Point-in-time view of the whole catalog for one SQL execution: a
-/// sql::Catalog of raw table pointers, the shared_ptr pins keeping those
-/// snapshots alive while the query runs, and the per-table versions the
-/// refresh layer records as the query's dependencies.
+/// sql::Catalog of raw pointers, and the table snapshots (by lower-cased
+/// name) that keep what it points to alive while the query runs and hold
+/// the versions the refresh layer records as the query's dependencies.
 struct CatalogSnapshot {
   sql::Catalog sql;
   uint64_t catalog_version = 0;
-  /// Lower-cased name -> version, for every table in the snapshot.
-  std::map<std::string, uint64_t> versions;
-  /// Lower-cased name -> lineage (TableSnapshot::lineage), likewise.
-  std::map<std::string, uint64_t> lineages;
-  /// Keeps every table in `sql` alive for the snapshot's lifetime.
-  std::vector<std::shared_ptr<const storage::Table>> pins;
-  /// Keeps every sample registered in `sql` alive alongside its table.
-  std::vector<std::shared_ptr<const storage::TableSample>> sample_pins;
+  std::map<std::string, TableSnapshot> tables;
 };
 
 struct DatasetCatalogOptions {
@@ -72,6 +63,10 @@ struct DatasetCatalogOptions {
 /// current one's append-only buffers, and the batch is written past the
 /// rows the current snapshot reads. The sample of the new version is
 /// Column::Take over the row ids one RowReservoir per lineage holds.
+///
+/// Readers take one atomic load of the published State and no lock.
+/// Writers serialize on one mutex across their read-clone-publish window,
+/// so no update is lost, and publish the successor State in one step.
 class DatasetCatalog {
  public:
   explicit DatasetCatalog(DatasetCatalogOptions options = {})
@@ -108,9 +103,8 @@ class DatasetCatalog {
   uint64_t TableVersion(const std::string& name) const;
 
   /// Catalog-wide version: bumps on every Register / AppendRows /
-  /// ReplaceTable. 0 = empty, never mutated. Lock-free (one atomic load):
-  /// this is the staleness fast path every warm QueryService request takes,
-  /// so it must never contend with snapshot readers or writers.
+  /// ReplaceTable. 0 = empty, never mutated. One atomic load: the
+  /// staleness fast path every warm QueryService request takes.
   uint64_t version() const;
 
   /// Registered names (lower-cased), sorted.
@@ -119,24 +113,21 @@ class DatasetCatalog {
   int size() const;
 
   /// A pinned point-in-time view of all current tables for one query
-  /// execution: the sql::Catalog plus the versions and pins described on
-  /// CatalogSnapshot.
+  /// execution (see CatalogSnapshot).
   CatalogSnapshot Snapshot() const;
 
  private:
   struct Entry {
     TableSnapshot snapshot;
-    /// Serializes writers to THIS dataset across the read-clone-publish
-    /// window of AppendRows/ReplaceTable (lost-update guard) without
-    /// blocking writers to other datasets; readers only ever take mu_.
-    /// Shared so a writer can hold it while mu_ is released.
-    std::shared_ptr<std::mutex> writer;
-    /// The dataset's reservoir over the row ids of its lineage. Mutated
-    /// only while the dataset's writer mutex is held (AppendRows feeds each
-    /// batch's row count in; ReplaceTable installs a fresh one); readers
-    /// see only the immutable TableSample each version takes from it.
-    /// Nullptr when sampling is disabled.
+    /// The reservoir over the row ids of the snapshot's lineage. Only
+    /// writers feed it, under mu_. Nullptr when sampling is disabled.
     std::shared_ptr<storage::RowReservoir> reservoir;
+  };
+
+  /// The published catalog. Immutable once published.
+  struct State {
+    uint64_t version = 0;
+    std::map<std::string, Entry> tables;  // by lower-cased name
   };
 
   /// Deterministic per-dataset reservoir seed (FNV-1a of the lower-cased
@@ -144,22 +135,27 @@ class DatasetCatalog {
   /// catalog from the same inputs reproduces every sample.
   static uint64_t SampleSeed(const std::string& key);
 
-  /// A fresh reservoir fed with `table`'s rows and the sample it holds
-  /// (both nullptr when sampling is disabled).
-  std::pair<std::shared_ptr<storage::RowReservoir>,
-            std::shared_ptr<const storage::TableSample>>
-  StartSample(const std::string& key, const storage::Table& table) const;
+  /// A new lineage holding `table`, with a fresh reservoir fed with its
+  /// rows and the sample it holds (none when sampling is disabled).
+  Entry NewEntry(const std::string& key, storage::Table table) const;
+
+  std::shared_ptr<const State> CurrentState() const {
+    return std::atomic_load_explicit(&state_, std::memory_order_acquire);
+  }
+
+  /// Publishes the successor of the current state: `entry` under `key` at
+  /// the next version, which it returns. An entry with lineage 0 starts
+  /// its lineage at that version. Caller holds mu_.
+  uint64_t Publish(std::string key, Entry entry);
 
   const DatasetCatalogOptions options_;
-  mutable std::shared_mutex mu_;
-  /// Written only under mu_ exclusive (writers are serialized); atomic so
-  /// version() reads it without the lock. A bump is published (release)
-  /// after the new table snapshot is installed in tables_, so a reader
-  /// that observes the new version and then takes mu_ sees the snapshot.
+  /// Serializes writers. Readers never take it.
+  std::mutex mu_;
+  /// Read through CurrentState, written through Publish.
+  std::shared_ptr<const State> state_ = std::make_shared<const State>();
+  /// state_->version, stored (release) after state_: version() never runs
+  /// ahead of the state a reader loads after it.
   std::atomic<uint64_t> version_{0};
-  // Keyed by lower-cased name. Entries are never erased, so a writer
-  // mutex fetched under mu_ stays the dataset's writer mutex forever.
-  std::map<std::string, Entry> tables_;
 };
 
 }  // namespace qagview::service

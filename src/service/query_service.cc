@@ -172,7 +172,7 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
     // The tables the execution actually resolved, at the versions the
     // snapshot pinned: the handle's staleness condition.
     for (const std::string& name : snapshot.sql.accessed()) {
-      entry->deps.emplace(name, snapshot.versions.at(name));
+      entry->deps.emplace(name, snapshot.tables.at(name).version);
     }
     entry->fresh_at.store(snapshot.catalog_version, std::memory_order_release);
     // Publish: copy-on-write registry successor under the writer lock.
@@ -254,9 +254,10 @@ Result<storage::Table> QueryService::ExecuteExact(
   QAG_ASSIGN_OR_RETURN(sql::SelectStatement stmt,
                        sql::Parser::ParseSelect(sql));
   const std::string table = ToLower(stmt.table_name);
-  auto lineage = snapshot.lineages.find(table);
+  auto pinned = snapshot.tables.find(table);
   if (fold->state != nullptr && fold->table == table &&
-      lineage != snapshot.lineages.end() && lineage->second == fold->lineage) {
+      pinned != snapshot.tables.end() &&
+      pinned->second.lineage == fold->lineage) {
     // Same lineage: the table only grew by appends since the fold's state
     // was taken.
     Result<std::optional<storage::Table>> folded =
@@ -265,7 +266,7 @@ Result<storage::Table> QueryService::ExecuteExact(
   }
   fold->state.reset();
   fold->table = table;
-  fold->lineage = lineage == snapshot.lineages.end() ? 0 : lineage->second;
+  fold->lineage = pinned == snapshot.tables.end() ? 0 : pinned->second.lineage;
   return sql::ExecuteSelectRetained(stmt, snapshot.sql, &fold->state);
 }
 
@@ -387,14 +388,14 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
         BuildAnswers(entry->sql, entry->value_column, entry->mode,
                      entry->confidence, exact_build, snapshot,
                      stale && exact_build ? &entry->fold : nullptr));
-    core::Session::RefreshStats refresh_stats;
+    bool refreshed = false;
     QAG_RETURN_IF_ERROR(
-        entry->session->Refresh(std::move(built.answers), &refresh_stats));
+        entry->session->Refresh(std::move(built.answers), &refreshed));
     {
       std::lock_guard<std::mutex> lock(mu_);
       entry->deps.clear();
       for (const std::string& name : snapshot.sql.accessed()) {
-        entry->deps.emplace(name, snapshot.versions.at(name));
+        entry->deps.emplace(name, snapshot.tables.at(name).version);
       }
       entry->fresh_at.store(snapshot.catalog_version,
                             std::memory_order_release);
@@ -406,7 +407,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
     std::lock_guard<std::mutex> lock(shard.mu);
     if (stale) {
       ++shard.stats.refreshes;
-      if (!refresh_stats.refreshed) ++shard.stats.refresh_full_reuses;
+      if (!refreshed) ++shard.stats.refresh_full_reuses;
     }
     if (upgrade && exact_build) ++shard.stats.refinements;
     return Status::OK();

@@ -58,10 +58,10 @@ TEST(EvictionTest, GraveyardStaysBoundedUnderSustainedRefreshes) {
       ASSERT_TRUE(store.ok()) << store.status().ToString();
       ASSERT_TRUE((*store)->Retrieve(1, 3).ok());
     }  // both handles dropped here
-    Session::RefreshStats rs;
-    ASSERT_TRUE(session->Refresh(Answers(2 + static_cast<uint64_t>(i)), &rs)
-                    .ok());
-    ASSERT_TRUE(rs.refreshed) << "seeds must differ in content";
+    bool changed = false;
+    ASSERT_TRUE(
+        session->Refresh(Answers(2 + static_cast<uint64_t>(i)), &changed).ok());
+    ASSERT_TRUE(changed) << "seeds must differ in content";
     ++refreshed;
 
     Session::CacheStats stats = session->cache_stats();
@@ -89,9 +89,9 @@ TEST(EvictionTest, HeldHandlePinsExactlyItsGeneration) {
   // no handles (no caches are even built for them), so only the pinned
   // first generation survives in the graveyard.
   for (uint64_t i = 0; i < 3; ++i) {
-    Session::RefreshStats rs;
-    ASSERT_TRUE(session->Refresh(Answers(10 + i), &rs).ok());
-    ASSERT_TRUE(rs.refreshed);
+    bool changed = false;
+    ASSERT_TRUE(session->Refresh(Answers(10 + i), &changed).ok());
+    ASSERT_TRUE(changed);
     Session::CacheStats stats = session->cache_stats();
     EXPECT_EQ(stats.graveyard_size, 1);
     EXPECT_EQ(stats.live_generations, 2);

@@ -140,7 +140,8 @@ TEST(ReadScalingTest, ReadersPinCompleteGenerationsAcrossRefreshes) {
         // underneath.
         auto store = session->Guidance(kTopL, Grid());
         ASSERT_TRUE(store.ok()) << store.status().ToString();
-        auto it = truths.find((*store)->input_fingerprint());
+        auto it = truths.find(
+            (*store)->universe()->answer_set().content_fingerprint());
         ASSERT_NE(it, truths.end()) << "handle from an uncommitted state";
         auto solution = (*store)->Retrieve(kD, kK);
         ASSERT_TRUE(solution.ok()) << solution.status().ToString();
@@ -171,7 +172,8 @@ TEST(ReadScalingTest, ReadersPinCompleteGenerationsAcrossRefreshes) {
   {
     auto store = session->Guidance(kTopL, Grid());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_EQ((*store)->input_fingerprint(), final_truth.answers_fp);
+    EXPECT_EQ((*store)->universe()->answer_set().content_fingerprint(),
+              final_truth.answers_fp);
     auto solution = (*store)->Retrieve(kD, kK);
     ASSERT_TRUE(solution.ok());
     EXPECT_EQ(solution->cluster_ids, final_truth.ids);
@@ -194,7 +196,8 @@ TEST(ReadScalingTest, HandleTakenBeforeRefreshStaysBitIdentical) {
   ASSERT_TRUE(session->Refresh(MakeVersion(1)).ok());
 
   // The pre-refresh handle still serves version 0, bit-identically...
-  EXPECT_EQ((*before)->input_fingerprint(), t0.answers_fp);
+  EXPECT_EQ((*before)->universe()->answer_set().content_fingerprint(),
+            t0.answers_fp);
   auto old_solution = (*before)->Retrieve(kD, kK);
   ASSERT_TRUE(old_solution.ok());
   EXPECT_EQ(old_solution->cluster_ids, t0.ids);
@@ -205,7 +208,8 @@ TEST(ReadScalingTest, HandleTakenBeforeRefreshStaysBitIdentical) {
   // ...while a handle taken after the refresh sees the new version.
   auto after = session->Guidance(kTopL, Grid());
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->input_fingerprint(), t1.answers_fp);
+  EXPECT_EQ((*after)->universe()->answer_set().content_fingerprint(),
+            t1.answers_fp);
   auto new_solution = (*after)->Retrieve(kD, kK);
   ASSERT_TRUE(new_solution.ok());
   EXPECT_EQ(new_solution->cluster_ids, t1.ids);

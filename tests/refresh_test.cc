@@ -43,14 +43,9 @@ TEST(SessionRefreshTest, UnchangedContentReusesEveryCache) {
   auto store = (*session)->Guidance(10, SmallGrid());
   ASSERT_TRUE(store.ok());
 
-  Session::RefreshStats stats;
-  ASSERT_TRUE((*session)->Refresh(std::move(answers), &stats).ok());
-  EXPECT_FALSE(stats.refreshed);
-  EXPECT_TRUE(stats.hierarchy_reused);
-  EXPECT_EQ(stats.universes_reused, 1);
-  EXPECT_EQ(stats.universes_retired, 0);
-  EXPECT_EQ(stats.stores_reused, 1);
-  EXPECT_EQ(stats.stores_retired, 0);
+  bool changed = true;
+  ASSERT_TRUE((*session)->Refresh(std::move(answers), &changed).ok());
+  EXPECT_FALSE(changed);
 
   // The identical universe and store keep serving — same pointers.
   auto universe_after = (*session)->UniverseFor(10);
@@ -78,17 +73,12 @@ TEST(SessionRefreshTest, ChangedContentRetiresCachesButKeepsPointersAlive) {
   core::Solution old_solution = *(*session)->Retrieve(10, 1, 4);
 
   // Same domains, different elements: content changes, hierarchy doesn't.
-  Session::RefreshStats stats;
+  bool changed = false;
   ASSERT_TRUE(
       (*session)
-          ->Refresh(testutil::MakeRandomAnswerSet(8, 80, 4, 4), &stats)
+          ->Refresh(testutil::MakeRandomAnswerSet(8, 80, 4, 4), &changed)
           .ok());
-  EXPECT_TRUE(stats.refreshed);
-  EXPECT_TRUE(stats.hierarchy_reused);
-  EXPECT_EQ(stats.universes_reused, 0);
-  EXPECT_EQ(stats.universes_retired, 1);
-  EXPECT_EQ(stats.stores_reused, 0);
-  EXPECT_EQ(stats.stores_retired, 1);
+  EXPECT_TRUE(changed);
 
   // Retired pointers stay dereferenceable (drained, not torn down).
   EXPECT_EQ((*universe)->num_clusters(), old_clusters);
@@ -116,17 +106,16 @@ TEST(SessionRefreshTest, ChangedContentRetiresCachesButKeepsPointersAlive) {
   EXPECT_EQ(cache.retired_stores, 1);
 }
 
-TEST(SessionRefreshTest, DomainChangeClearsHierarchyReuse) {
+TEST(SessionRefreshTest, DomainChangeRefreshes) {
   auto session = Session::Create(testutil::MakeRandomAnswerSet(7, 60, 4, 4));
   ASSERT_TRUE(session.ok());
-  Session::RefreshStats stats;
+  bool changed = false;
   // Different domain size => different value-name hierarchy.
   ASSERT_TRUE(
       (*session)
-          ->Refresh(testutil::MakeRandomAnswerSet(7, 60, 4, 5), &stats)
+          ->Refresh(testutil::MakeRandomAnswerSet(7, 60, 4, 5), &changed)
           .ok());
-  EXPECT_TRUE(stats.refreshed);
-  EXPECT_FALSE(stats.hierarchy_reused);
+  EXPECT_TRUE(changed);
 }
 
 // --- QueryService over the versioned catalog ----------------------------

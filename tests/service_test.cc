@@ -75,7 +75,7 @@ TEST(DatasetCatalogTest, RegisterFindAndSnapshot) {
   CatalogSnapshot snapshot = catalog.Snapshot();
   EXPECT_EQ(snapshot.sql.Find("ratings"), first);
   EXPECT_EQ(snapshot.catalog_version, 1u);
-  EXPECT_EQ(snapshot.versions.at("ratings"), 1u);
+  EXPECT_EQ(snapshot.tables.at("ratings").version, 1u);
   // The executor records resolved tables as the query's dependency set.
   EXPECT_EQ(snapshot.sql.accessed(),
             std::vector<std::string>{"ratings"});
