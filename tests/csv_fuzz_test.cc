@@ -44,7 +44,10 @@ const CorpusCase kCorpus[] = {
     {"huge_integer_overflows_to_double_or_string",
      "a\n99999999999999999999\n", 1},
     {"mixed_types_fall_back_to_string", "a\n1\nx\n2.5\n", 3},
-    {"embedded_newline_in_quotes_is_an_error", "a,b\n\"x\ny\",2\n", -1},
+    {"embedded_newline_in_quotes_stays_in_the_field", "a,b\n\"x\ny\",2\n",
+     1},
+    {"embedded_crlf_in_quotes", "a,b\r\n\"x\r\ny\",2\r\n", 1},
+    {"quoted_newline_left_open", "a,b\n\"x\ny,2\n", -1},
     {"duplicate_header_names", "a,a\n1,2\n", 1},
     {"empty_header_name", ",b\n1,2\n", 1},
     {"unicode_bytes", "a,b\n\xc3\xa9,\xf0\x9f\x99\x82\n", 1},
@@ -64,6 +67,27 @@ TEST(CsvFuzzTest, CorpusParsesOrFailsCleanly) {
   }
 }
 
+TEST(CsvFuzzTest, QuotedLineBreaksStayInTheField) {
+  auto table = ReadCsvString("a,b\n\"x\ny\",\"p\r\nq\"\r\n");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 1);
+  EXPECT_EQ(table->Get(0, 0).as_string(), "x\ny");
+  EXPECT_EQ(table->Get(0, 1).as_string(), "p\r\nq");
+}
+
+// An unterminated quote runs to the end of the input; the error names the
+// line where it opened and quotes only the start of that line.
+TEST(CsvFuzzTest, UnterminatedQuoteErrorStaysShort) {
+  std::string text = "a,b\n1,2\n\"oops" + std::string(100, 'z') + ",2\n";
+  while (text.size() < (1u << 20)) text += "1,2\n";
+  auto table = ReadCsvString(text);
+  ASSERT_FALSE(table.ok());
+  const std::string& message = table.status().message();
+  EXPECT_LT(message.size(), 200u) << message;
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("\"oops"), std::string::npos) << message;
+}
+
 TEST(CsvFuzzTest, RoundTripIsStable) {
   // Write(Read(x)) reparses to an identical table: same schema, same
   // cells. Quoting-sensitive content included.
@@ -71,7 +95,9 @@ TEST(CsvFuzzTest, RoundTripIsStable) {
       "name,score,note\n"
       "\"comma, inc\",1.5,plain\n"
       "quote\"\"y,2,\"tail\"\n"
-      ",3,\n";
+      ",3,\n"
+      "\"two\nlines\",4,\"crlf\r\nend\"\n"
+      "lone\r,5,\"cr\r\"\n";
   auto first = ReadCsvString(text);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   std::string written = WriteCsvString(*first);

@@ -310,6 +310,20 @@ TEST(CsvTest, RoundTrip) {
   EXPECT_EQ(parsed->Get(0, 0).as_string(), "ann");
   EXPECT_TRUE(parsed->Get(2, 1).is_null());
   EXPECT_DOUBLE_EQ(parsed->Get(1, 2).ToDouble(), 4.0);
+
+  // One column: an empty cell is written as "", not as a blank line the
+  // reader would skip.
+  Table one(Schema({{"n", ValueType::kInt64}}));
+  ASSERT_TRUE(one.AppendRow({Value::Int(1)}).ok());
+  ASSERT_TRUE(one.AppendRow({Value::Null()}).ok());
+  ASSERT_TRUE(one.AppendRow({Value::Int(3)}).ok());
+  auto one_parsed = ReadCsvString(WriteCsvString(one));
+  ASSERT_TRUE(one_parsed.ok()) << one_parsed.status().ToString();
+  ASSERT_EQ(one_parsed->num_rows(), 3);
+  EXPECT_EQ(one_parsed->schema().field(0).type, ValueType::kInt64);
+  EXPECT_EQ(one_parsed->Get(0, 0).as_int(), 1);
+  EXPECT_TRUE(one_parsed->Get(1, 0).is_null());
+  EXPECT_EQ(one_parsed->Get(2, 0).as_int(), 3);
 }
 
 TEST(CsvTest, FileRoundTrip) {
@@ -320,6 +334,14 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_rows(), 3);
   EXPECT_FALSE(ReadCsvFile("/nonexistent/nope.csv").ok());
+
+  // A directory is not a regular file: an IOError naming the path.
+  auto dir = ReadCsvFile(testing::TempDir());
+  ASSERT_FALSE(dir.ok());
+  EXPECT_EQ(dir.status().code(), StatusCode::kIOError);
+  EXPECT_NE(dir.status().message().find(testing::TempDir()),
+            std::string::npos)
+      << dir.status().ToString();
 }
 
 // The catalog's sample of each version -- Column::Take over a RowReservoir's
