@@ -48,10 +48,12 @@ namespace {
 
 using namespace qagview;
 
-/// Connects to the server and goes silent: the accepted fd occupies a
-/// worker (or a queue slot) until the read timeout fires. This is how the
-/// overload section pins a 1-worker server deterministically — offered
-/// rate alone cannot guarantee a full queue at any instant.
+/// Connects to the server and sends a partial request line: the request is
+/// admitted and then occupies a worker (or a queue slot) until the read
+/// timeout fires. This is how the overload section pins a 1-worker server
+/// deterministically — offered rate alone cannot guarantee a full queue at
+/// any instant. (A connection that sends nothing is never admitted: the
+/// server admits requests, not connections.)
 int ConnectAndStall(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   QAG_CHECK(fd >= 0) << "socket() failed";
@@ -62,6 +64,10 @@ int ConnectAndStall(int port) {
   QAG_CHECK(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)) == 0)
       << "connect() failed";
+  constexpr char kPartial[] = "GET /healthz HT";
+  QAG_CHECK(::send(fd, kPartial, sizeof(kPartial) - 1, MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(sizeof(kPartial) - 1))
+      << "send() failed";
   return fd;
 }
 
@@ -219,13 +225,13 @@ int main() {
     server::HttpServer http(&service, options);
     QAG_CHECK_OK(http.Start());
 
-    // Pin the single worker and fill both queue slots with silent
-    // connections; keep adding until the server has demonstrably admitted
+    // Pin the single worker and fill both queue slots with stalled
+    // requests; keep adding until the server has demonstrably admitted
     // three (worker busy + queue full), so the shed below is guaranteed.
     std::vector<int> stalls;
     while (http.stats().admitted < 3) {
       stalls.push_back(ConnectAndStall(http.port()));
-      // Let the acceptor catch up before re-checking: connect() returns on
+      // Let the poller catch up before re-checking: connect() returns on
       // the SYN backlog, ahead of admission.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       QAG_CHECK(stalls.size() < 64) << "server never filled its queue";

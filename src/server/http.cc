@@ -7,6 +7,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -124,10 +125,22 @@ void SetSocketTimeouts(int fd, int timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
+bool HttpRequest::KeepAlive() const {
+  if (version != "HTTP/1.1") return false;
+  const std::string* connection = FindHeader("Connection");
+  if (connection == nullptr) return true;
+  // A comma-separated token list, e.g. "keep-alive, close".
+  for (const std::string& token : Split(*connection, ',')) {
+    if (EqualsIgnoreCase(StripWhitespace(token), "close")) return false;
+  }
+  return true;
+}
+
 Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
-                                    int* error_status) {
+                                    std::string* buffer, int* error_status) {
   *error_status = 400;
-  std::string buf;
+  std::string& buf = *buffer;
+  char chunk[4096];
   // Phase 1: read until the end of the header block ("\r\n\r\n").
   size_t header_end = std::string::npos;
   size_t scanned = 0;  // bytes already known not to start the terminator
@@ -150,7 +163,6 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
       *error_status = 431;
       return Status::InvalidArgument("request headers exceed limit");
     }
-    char chunk[4096];
     ssize_t n = RecvSome(fd, chunk, sizeof(chunk));
     if (n == 0) {
       if (buf.empty()) {
@@ -210,8 +222,9 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
     return Status::Unimplemented("Transfer-Encoding is not supported");
   }
 
-  // Phase 2: the body, exactly Content-Length bytes.
-  size_t body_start = header_end + 4;
+  // Phase 2: the body, exactly Content-Length bytes; bytes past it belong
+  // to the next request and stay in the buffer.
+  const size_t body_start = header_end + 4;
   const std::string* content_length = request.FindHeader("Content-Length");
   size_t body_len = 0;
   if (content_length != nullptr) {
@@ -228,14 +241,10 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
     *error_status = 411;
     return Status::InvalidArgument("Content-Length required");
   }
-  request.body = buf.substr(body_start);
-  if (request.body.size() > body_len) {
-    return Status::InvalidArgument("bytes beyond Content-Length");
-  }
-  while (request.body.size() < body_len) {
-    char chunk[4096];
-    size_t want = std::min(sizeof(chunk), body_len - request.body.size());
-    ssize_t n = RecvSome(fd, chunk, want);
+  const size_t request_end = body_start + body_len;
+  while (buf.size() < request_end) {
+    ssize_t n = RecvSome(fd, chunk,
+                         std::min(sizeof(chunk), request_end - buf.size()));
     if (n == 0) {
       return Status::InvalidArgument("connection closed mid-body");
     }
@@ -247,8 +256,10 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
       *error_status = 0;
       return Status::IOError(StrCat("recv: ", std::strerror(errno)));
     }
-    request.body.append(chunk, static_cast<size_t>(n));
+    buf.append(chunk, static_cast<size_t>(n));
   }
+  request.body.assign(buf, body_start, body_len);
+  buf.erase(0, request_end);
   *error_status = 200;
   return request;
 }
@@ -270,14 +281,15 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-std::string SerializeResponse(const HttpResponse& response) {
+std::string SerializeResponse(const HttpResponse& response, bool close) {
   std::string out = StrCat("HTTP/1.1 ", response.status, " ",
                            ReasonPhrase(response.status), "\r\n");
   for (const auto& [name, value] : response.headers) {
     out += StrCat(name, ": ", value, "\r\n");
   }
   out += StrCat("Content-Length: ", response.body.size(), "\r\n");
-  out += "Connection: close\r\n\r\n";
+  if (close) out += "Connection: close\r\n";
+  out += "\r\n";
   out += response.body;
   return out;
 }
@@ -323,7 +335,7 @@ Result<HttpClientResponse> HttpFetch(const std::string& host, int port,
                                      const std::string& body,
                                      const HttpLimits& limits) {
   std::string raw = StrCat(method, " ", target, " HTTP/1.1\r\n",
-                           "Host: ", host, "\r\n");
+                           "Host: ", host, "\r\nConnection: close\r\n");
   if (!body.empty() || method == "POST" || method == "PUT") {
     raw += "Content-Type: application/json\r\n";
     raw += StrCat("Content-Length: ", body.size(), "\r\n");

@@ -18,22 +18,28 @@ namespace qagview::server {
 struct HttpLimits {
   int max_header_bytes = 16 * 1024;
   int max_body_bytes = 1 << 20;
-  /// SO_RCVTIMEO / SO_SNDTIMEO on the connection, per syscall.
+  /// SO_RCVTIMEO / SO_SNDTIMEO on the connection, per syscall. The server
+  /// also closes a kept-alive connection that sat idle this long.
   int io_timeout_ms = 5000;
 };
 
-/// One parsed request. The server speaks the minimal interoperable subset:
-/// one request per connection (`Connection: close` on every response), no
-/// keep-alive, no chunked transfer encoding.
+/// One parsed request. The server speaks a minimal interoperable subset of
+/// HTTP/1.1: persistent connections with pipelining (requests are answered
+/// in order), Content-Length bodies only, no chunked transfer encoding.
 struct HttpRequest {
   std::string method;   // "GET", "POST" — uppercase as received
   std::string target;   // "/query" — as received, no normalization
-  std::string version;  // "HTTP/1.1"
+  std::string version;  // "HTTP/1.1" or "HTTP/1.0"
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
 
   /// First header with the given name (case-insensitive), or nullptr.
   const std::string* FindHeader(std::string_view name) const;
+
+  /// Whether the client lets the connection carry another request after
+  /// this one: HTTP/1.1 without a `close` token in its Connection header.
+  /// HTTP/1.0 requests always close.
+  bool KeepAlive() const;
 };
 
 struct HttpResponse {
@@ -44,19 +50,25 @@ struct HttpResponse {
   std::string body;
 };
 
-/// Reads one request from a connected socket, enforcing `limits`. On
-/// failure, `*error_status` suggests the HTTP status to answer with —
-/// 400 malformed, 408 timeout, 411 missing Content-Length, 413 body too
-/// large, 431 headers too large, 501 Transfer-Encoding — or 0 when the
+/// Reads one request from a connected socket, enforcing `limits`.
+/// `*buffer` holds the connection's bytes received but not yet parsed: the
+/// request starts at its first byte, and on success it keeps whatever
+/// arrived past the request's end — the start of a pipelined next
+/// request. On failure, `*error_status` suggests the HTTP status to answer
+/// with — 400 malformed, 408 timeout, 411 missing Content-Length, 413 body
+/// too large, 431 headers too large, 501 Transfer-Encoding — or 0 when the
 /// peer is gone (EOF before the first byte, reset) and no response should
-/// be written. Never crashes on hostile bytes; the malformed-request
-/// corpus in server_test drives byte soups through this path.
+/// be written; either way the stream cannot be parsed further and the
+/// connection must close. Never crashes on hostile bytes; the
+/// malformed-request corpus in server_test drives byte soups through this
+/// path.
 Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits,
-                                    int* error_status);
+                                    std::string* buffer, int* error_status);
 
-/// Serializes a response with Content-Length, Connection: close, and the
-/// standard reason phrase.
-std::string SerializeResponse(const HttpResponse& response);
+/// Serializes a response with Content-Length and the standard reason
+/// phrase, plus `Connection: close` when `close` is set (HTTP/1.1
+/// connections persist otherwise).
+std::string SerializeResponse(const HttpResponse& response, bool close);
 
 /// The reason phrase for a status code ("OK", "Service Unavailable", ...).
 const char* ReasonPhrase(int status);
@@ -85,8 +97,10 @@ struct HttpClientResponse {
   const std::string* FindHeader(std::string_view name) const;
 };
 
-/// Convenience client: issues `method target` with `body` (POST bodies get
-/// a Content-Length) and parses the status line, headers, and body.
+/// Convenience one-shot client: issues `method target` with `body` (POST
+/// bodies get a Content-Length) and `Connection: close`, so the exchange
+/// ends when the server closes after its response, and parses the status
+/// line, headers, and body.
 Result<HttpClientResponse> HttpFetch(const std::string& host, int port,
                                      const std::string& method,
                                      const std::string& target,

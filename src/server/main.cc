@@ -29,7 +29,7 @@ void Usage(const char* argv0) {
                "\n"
                "  --port P     0..65535 (0: the kernel picks; default 8080)\n"
                "  --workers N  1..1024 request workers (default 4)\n"
-               "  --queue N    0..1048576 connections waiting for a worker\n"
+               "  --queue N    1..1048576 requests waiting for a worker\n"
                "               before the server answers 503 (default 64)\n"
                "  --prefetch   speculatively build likely next exploration\n"
                "               levels in the background\n",
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       options.num_workers = IntFlag(argv[0], "--workers", next(), 1, 1024);
     } else if (arg == "--queue") {
-      options.max_queue = IntFlag(argv[0], "--queue", next(), 0, 1 << 20);
+      options.max_queue = IntFlag(argv[0], "--queue", next(), 1, 1 << 20);
     } else if (arg == "--prefetch") {
       service_options.prefetch = true;
     } else if (arg == "--dataset") {

@@ -3,12 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "common/string_util.h"
@@ -19,6 +22,10 @@ namespace qagview::server {
 using json::Json;
 
 namespace {
+
+/// How often the poller retries an accept a transient error put off, and
+/// sweeps connections idle past `limits.io_timeout_ms`.
+constexpr std::chrono::milliseconds kTick(100);
 
 int HttpStatusFor(StatusCode code) {
   switch (code) {
@@ -89,29 +96,30 @@ Status HttpServer::Start() {
     return Status::InvalidArgument(
         StrCat("port ", options_.port, " outside [0, 65535]"));
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(StrCat("socket: ", std::strerror(errno)));
+  if (options_.max_queue < 1) {
+    return Status::InvalidArgument(
+        StrCat("max_queue ", options_.max_queue, " below 1"));
   }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     return Status::InvalidArgument(
         StrCat("bad bind address \"", options_.bind_address, "\""));
   }
+  // The poller drains the backlog until accept() would block.
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) {
+    return Status::IOError(StrCat("socket: ", std::strerror(errno)));
+  }
+  int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     Status status = Status::IOError(StrCat("bind: ", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    CloseFds();
     return status;
   }
   // The listen backlog sits in front of our own admission queue; keep it
@@ -119,8 +127,7 @@ Status HttpServer::Start() {
   // the kernel.
   if (::listen(listen_fd_, 64) != 0) {
     Status status = Status::IOError(StrCat("listen: ", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    CloseFds();
     return status;
   }
 
@@ -130,15 +137,26 @@ Status HttpServer::Start() {
                     &bound_len) != 0) {
     Status status =
         Status::IOError(StrCat("getsockname: ", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    CloseFds();
+    return status;
+  }
+
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event listen_event{};
+  listen_event.events = EPOLLIN;
+  listen_event.data.ptr = &listen_fd_;
+  epoll_event wake_event{};
+  wake_event.events = EPOLLIN;
+  wake_event.data.ptr = &wake_fd_;
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_event) != 0) {
+    Status status = Status::IOError(StrCat("epoll: ", std::strerror(errno)));
+    CloseFds();
     return status;
   }
   port_ = ntohs(bound.sin_port);
-
-  // A timed accept() (SO_RCVTIMEO applies to accept) lets the acceptor
-  // notice `stopping_` without the close-the-fd-under-accept race.
-  SetSocketTimeouts(listen_fd_, /*timeout_ms=*/100);
 
   started_ = true;
   stopping_.store(false, std::memory_order_relaxed);
@@ -147,7 +165,7 @@ Status HttpServer::Start() {
   for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  poller_ = std::thread([this] { PollLoop(); });
   return Status::OK();
 }
 
@@ -155,24 +173,39 @@ void HttpServer::Shutdown() {
   if (!started_) return;
   started_ = false;
 
-  // 1. Stop admissions. The acceptor polls `stopping_` on its accept
-  //    timeout; shutdown() is a best-effort immediate wake. The fd is only
-  //    closed after the join so the acceptor never races a reused fd.
-  stopping_.store(true, std::memory_order_release);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  // 1. Stop admissions. Set under the lock, so every admission and
+  //    hand-back decided under it sees either the old or the new state.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_.store(true, std::memory_order_release);
   }
+  // An eventfd write fails only on counter overflow, and the poller's tick
+  // notices stopping_ regardless.
+  const uint64_t wake = 1;
+  [[maybe_unused]] const ssize_t woke = ::write(wake_fd_, &wake, sizeof(wake));
+  // The poller closes every idle connection on its way out. Closing the
+  // listening socket right after refuses the backlog instead of leaving it
+  // waiting for the drain.
+  if (poller_.joinable()) poller_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 
   // 2. Drain: workers keep serving until the queue is empty, then exit on
-  //    the stop signal. Every admitted connection gets its response.
+  //    the stop signal. Every admitted request gets its response, and each
+  //    connection closes after it.
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  CloseFds();
+}
+
+void HttpServer::CloseFds() {
+  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 ServerStats HttpServer::stats() const {
@@ -187,83 +220,142 @@ ServerStats HttpServer::stats() const {
   return out;
 }
 
-void HttpServer::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;  // accept timeout tick: re-check stopping_ and wait again
+void HttpServer::PollLoop() {
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
+  Clock::time_point next_tick = Clock::now() + kTick;
+  while (!stopping_.load(std::memory_order_acquire)) {
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents,
+                               static_cast<int>(kTick.count()));
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == &listen_fd_) {
+        AcceptPending();
+      } else if (tag != &wake_fd_) {  // a wake only ends the loop
+        OnReadable(static_cast<Connection*>(tag));
       }
-      // Hard error on the listening socket: no more admissions.
-      return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
+    const Clock::time_point now = Clock::now();
+    if (now >= next_tick) {
+      next_tick = now + kTick;
+      SetListening(true);
+      // A timeout of 0 or less means none, as for SO_RCVTIMEO.
+      if (options_.limits.io_timeout_ms > 0) {
+        CloseIdle(now -
+                  std::chrono::milliseconds(options_.limits.io_timeout_ms));
+      }
+    }
+  }
+  CloseIdle(Clock::time_point::max());
+}
+
+void HttpServer::AcceptPending() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED, or a network error
+        // accept(2) says to retry: the listening socket stays readable, so
+        // leave the backlog until the next tick instead of spinning on it.
+        // Kept-alive connections hold fds, so fd pressure is normal.
+        SetListening(false);
+      }
       return;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
     SetSocketTimeouts(fd, options_.limits.io_timeout_ms);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    bool stopping = false;
-    bool admitted = false;
+    Connection* conn;
     {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      stopping = stopping_.load(std::memory_order_acquire);
-      if (!stopping && static_cast<int>(queue_.size()) < options_.max_queue) {
-        queue_.push_back(fd);
-        admitted = true;
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      conn = &connections_[fd];
+      conn->fd = fd;
+      conn->idle = true;
+      conn->idle_since = Clock::now();
     }
-    if (stopping) {
-      // Shutdown began since the check above: refuse the connection as that
-      // check does, so rejected_503 counts only a full queue.
-      ::close(fd);
-      return;
-    }
-    if (admitted) {
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      queue_cv_.notify_one();
-      continue;
-    }
+    if (!Arm(conn, EPOLL_CTL_ADD)) Close(conn);
+  }
+}
 
-    // Shed at the door: the acceptor itself writes the canned 503 so a
-    // saturated worker pool cannot delay the rejection.
+void HttpServer::SetListening(bool on) {
+  epoll_event event{};
+  if (on) event.events = EPOLLIN;
+  event.data.ptr = &listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &event);
+}
+
+void HttpServer::OnReadable(Connection* conn) {
+  char chunk[4096];
+  const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n > 0) {
+    Admit(conn, std::string_view(chunk, static_cast<size_t>(n)));
+  } else if (n < 0 &&
+             (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    if (!Arm(conn, EPOLL_CTL_MOD)) Close(conn);  // woken with nothing to read
+  } else {
+    Close(conn);  // the peer closed or reset between requests: no request
+  }
+}
+
+void HttpServer::Admit(Connection* conn, std::string_view received) {
+  bool stopping = false;
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    conn->idle = false;
+    conn->buffer.append(received);
+    stopping = stopping_.load(std::memory_order_relaxed);
+    if (!stopping && static_cast<int>(queue_.size()) < options_.max_queue) {
+      queue_.push_back(conn);
+      admitted = true;
+    }
+  }
+  if (admitted) {
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    queue_cv_.notify_one();
+    return;
+  }
+  if (!stopping) {
+    // Shed at the door. One non-blocking send: the poller must not wait on
+    // a peer that stopped reading, and the connection closes right after.
     rejected_503_.fetch_add(1, std::memory_order_relaxed);
     HttpResponse response = ErrorResponse(
         503, "Unavailable", "server overloaded: admission queue full");
     response.headers.emplace_back("Retry-After",
                                   StrCat(options_.retry_after_seconds));
-    WriteFull(fd, SerializeResponse(response));
-    ::close(fd);
+    const std::string bytes = SerializeResponse(response, /*close=*/true);
+    ::send(conn->fd, bytes.data(), bytes.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   }
+  // During shutdown the request is refused without a reply, as the drain
+  // refuses new connections, so rejected_503 counts only a full queue.
+  Close(conn);
 }
 
 void HttpServer::WorkerLoop() {
   for (;;) {
-    int fd = -1;
+    Connection* conn = nullptr;
     {
-      std::unique_lock<std::mutex> lock(queue_mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [this] {
         return !queue_.empty() || stopping_.load(std::memory_order_acquire);
       });
       if (queue_.empty()) return;  // stopping and drained
-      fd = queue_.front();
+      conn = queue_.front();
       queue_.pop_front();
     }
-    ServeConnection(fd);
+    ServeRequest(conn);
   }
 }
 
-void HttpServer::ServeConnection(int fd) {
+void HttpServer::ServeRequest(Connection* conn) {
   int error_status = 0;
-  Result<HttpRequest> request =
-      ReadHttpRequest(fd, options_.limits, &error_status);
+  Result<HttpRequest> request = ReadHttpRequest(
+      conn->fd, options_.limits, &conn->buffer, &error_status);
   if (!request.ok()) {
     if (error_status == 0) {
-      // Peer vanished before saying anything; nothing to answer.
+      // Peer vanished mid-request; nothing to answer.
       io_errors_.fetch_add(1, std::memory_order_relaxed);
     } else {
       if (error_status >= 500) {
@@ -271,18 +363,19 @@ void HttpServer::ServeConnection(int fd) {
       } else {
         client_errors_4xx_.fetch_add(1, std::memory_order_relaxed);
       }
-      WriteFull(fd, SerializeResponse(ErrorResponse(
-                        error_status, "BadRequest",
-                        request.status().message())));
+      WriteFull(conn->fd,
+                SerializeResponse(ErrorResponse(error_status, "BadRequest",
+                                                request.status().message()),
+                                  /*close=*/true));
     }
-    ::close(fd);
+    Close(conn);
     return;
   }
 
-  // Exactly one counter per admitted connection (a peer that resets while
-  // we write still counts in its response class, not as an io_error), so
+  // Exactly one counter per admitted request (a peer that resets while we
+  // write still counts in its response class, not as an io_error), so
   // `admitted == served_2xx + 4xx + 5xx + io_errors` holds — the zero-drop
-  // invariant the graceful-drain test asserts.
+  // invariant the graceful-drain tests assert.
   HttpResponse response = Dispatch(*request);
   if (response.status >= 500) {
     server_errors_5xx_.fetch_add(1, std::memory_order_relaxed);
@@ -291,8 +384,78 @@ void HttpServer::ServeConnection(int fd) {
   } else {
     served_2xx_.fetch_add(1, std::memory_order_relaxed);
   }
-  WriteFull(fd, SerializeResponse(response));
+  // A health probe gets a new connection each time, so it also checks the
+  // path a new client takes: a probe on a kept-alive connection would go on
+  // reading "ok" while the poller accepts no one.
+  const bool close = !request->KeepAlive() || request->target == "/healthz" ||
+                     stopping_.load(std::memory_order_acquire);
+  if (WriteFull(conn->fd, SerializeResponse(response, close)) && !close) {
+    Release(conn);
+  } else {
+    Close(conn);
+  }
+}
+
+void HttpServer::Release(Connection* conn) {
+  // Pipelined bytes already buffered: the next request goes through the
+  // door like any other.
+  if (!conn->buffer.empty()) {
+    Admit(conn, {});
+    return;
+  }
+  // An idle connection holds no request memory: a 1 MiB body must not stay
+  // allocated for as long as its client keeps the connection open.
+  conn->buffer.shrink_to_fit();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Armed and marked idle under the lock: the drain, which closes idle
+    // connections, must see this one either armed and idle or not at all,
+    // and the poller, woken for it at once, waits here to admit it.
+    if (!stopping_.load(std::memory_order_relaxed) &&
+        Arm(conn, EPOLL_CTL_MOD)) {
+      conn->idle = true;
+      conn->idle_since = Clock::now();
+      return;
+    }
+  }
+  Close(conn);
+}
+
+bool HttpServer::Arm(Connection* conn, int op) {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.ptr = conn;
+  return ::epoll_ctl(epoll_fd_, op, conn->fd, &event) == 0;
+}
+
+void HttpServer::Close(Connection* conn) {
+  const int fd = conn->fd;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    connections_.erase(fd);
+  }
   ::close(fd);
+}
+
+void HttpServer::CloseIdle(Clock::time_point cutoff) {
+  std::vector<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->second.idle && it->second.idle_since <= cutoff) {
+        fds.push_back(it->first);
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (int fd : fds) {
+    // Leave the epoll set explicitly: the connection is armed, and its
+    // entry would outlive close() if a fork left the fd open elsewhere.
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+    ::close(fd);
+  }
 }
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) {

@@ -1,7 +1,7 @@
 // server_smoke: start an in-process HTTP server over a synthetic dataset,
 // drive a short open-loop burst through the load generator, and hard-check
 // the outcome. Deliberately small — the sanitizer CI step runs this binary
-// (plus server_test) so the acceptor/worker/shutdown machinery gets a
+// (plus server_test) so the poller/worker/shutdown machinery gets a
 // TSan/ASan pass on every change without a long soak.
 //
 // Not named *_test.cc on purpose: the tests/CMakeLists.txt glob builds
