@@ -220,7 +220,6 @@ int main() {
     server::ServerOptions options;
     options.num_workers = 1;
     options.max_queue = 2;
-    options.retry_after_seconds = 1;
     options.limits.io_timeout_ms = 3000;
     server::HttpServer http(&service, options);
     QAG_CHECK_OK(http.Start());

@@ -8,7 +8,8 @@
 namespace qagview {
 
 namespace {
-LogLevel g_min_level = LogLevel::kInfo;
+/// The least severe level that is emitted.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -27,9 +28,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_min_level = level; }
-LogLevel GetLogLevel() { return g_min_level; }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -38,7 +36,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_min_level || level_ == LogLevel::kFatal) {
+  if (level_ >= kMinLevel) {
     std::cerr << stream_.str() << std::endl;
   }
   if (level_ == LogLevel::kFatal) {

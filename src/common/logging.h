@@ -6,11 +6,9 @@
 
 namespace qagview {
 
+/// Severity of a log statement. kDebug statements are not emitted; kFatal
+/// ones abort.
 enum class LogLevel { kDebug = 0, kInfo, kWarning, kError, kFatal };
-
-/// \brief Sets the minimum level that is actually emitted (default kInfo).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "core/hybrid.h"
 #include "core/solution_store_io.h"
 
 namespace qagview::core {
@@ -42,6 +43,21 @@ void CountStep(FlightStep step, std::atomic<int64_t>& hits,
       if (trace != nullptr) trace->built = true;
       return;
   }
+}
+
+/// The handle to a universe node: it pins the universe and its generation.
+template <typename Node>
+std::shared_ptr<const ClusterUniverse> UniverseHandle(
+    std::shared_ptr<Node> node) {
+  const ClusterUniverse* universe = &node->universe;
+  return std::shared_ptr<const ClusterUniverse>(std::move(node), universe);
+}
+
+/// The handle to a store node: it pins the store and its universe.
+template <typename Node>
+std::shared_ptr<const SolutionStore> StoreHandle(std::shared_ptr<Node> node) {
+  const SolutionStore* store = &node->store;
+  return std::shared_ptr<const SolutionStore>(std::move(node), store);
 }
 
 }  // namespace
@@ -91,10 +107,6 @@ std::shared_ptr<const AnswerSet> Session::answers() const {
   std::shared_ptr<const ReadView> view = CurrentView();
   return std::shared_ptr<const AnswerSet>(view->generation,
                                           view->generation->answers.get());
-}
-
-Approximation Session::approximation() const {
-  return CurrentView()->generation->answers->approximation();
 }
 
 Status Session::Refresh(AnswerSet answers, bool* refreshed) {
@@ -149,20 +161,22 @@ Result<std::shared_ptr<const ClusterUniverse>> Session::UniverseFor(
     int top_l, RequestTrace* trace) {
   QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> node,
                        ServingUniverse(top_l, trace));
-  const ClusterUniverse* universe = &node->universe;
-  return std::shared_ptr<const ClusterUniverse>(std::move(node), universe);
+  return UniverseHandle(std::move(node));
 }
 
 Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
-    int top_l, RequestTrace* trace) {
-  QAG_RETURN_IF_ERROR(CheckTopL(*CurrentView()->generation->answers, top_l));
-  // The view probed last: a hit serves its universe, which serves any
-  // top_l up to its own L (all algorithms accept params.L <= the
-  // universe's L), and a leader grows from it.
+    int top_l, RequestTrace* trace, const Params* params) {
+  // The view probed last: the request is checked against its answer set,
+  // a hit serves its universe, which serves any top_l up to its own L (all
+  // algorithms accept params.L <= the universe's L), and a leader grows
+  // from it.
   std::shared_ptr<const ReadView> base;
   auto probe =
       [&]() -> std::optional<Result<std::shared_ptr<const UniverseNode>>> {
     base = CurrentView();
+    const AnswerSet& answers = *base->generation->answers;
+    QAG_RETURN_IF_ERROR(params != nullptr ? ValidateParams(answers, *params)
+                                          : CheckTopL(answers, top_l));
     const UniverseNode* held = base->universe.get();
     if (held == nullptr || held->universe.top_l() < top_l) return std::nullopt;
     return base->universe;
@@ -175,10 +189,8 @@ Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
   // Warm path — the RCU read side: one atomic load pins the view. No locks,
   // no shared-cacheline writes beyond the handle refcount and a per-thread
   // counter shard.
-  if (auto hit = probe()) {
-    report(FlightStep::kHit);
-    return std::move(*hit);
-  }
+  std::optional<Result<std::shared_ptr<const UniverseNode>>> served = probe();
+  if (served.has_value() && served->ok()) report(FlightStep::kHit);
   // Miss: lead the session's one growth, or wait for the one in flight
   // (whatever its L) and look again. The leader builds outside the lock
   // (concurrent readers stay unblocked) and publishes a successor view
@@ -220,25 +232,23 @@ Result<std::shared_ptr<const Session::UniverseNode>> Session::ServingUniverse(
     PublishView(std::move(next));
     return node;
   };
-  return universe_flight_.Run(
-      {}, [this] { return WriterLock(); }, probe, grow, report);
+  if (!served.has_value()) {
+    served = universe_flight_.Run(
+        {}, [this] { return WriterLock(); }, probe, grow, report);
+  }
+  if (trace != nullptr && served->ok()) {
+    trace->approx = (**served)->generation->answers->approximation();
+  }
+  return std::move(*served);
 }
 
-Result<Solution> Session::Summarize(const Params& params,
-                                    const HybridOptions& options,
-                                    RequestTrace* trace) {
-  return SummarizeWith(params, /*universe_out=*/nullptr, options, trace);
-}
-
-Result<Solution> Session::SummarizeWith(
+Result<Solution> Session::Summarize(
     const Params& params, std::shared_ptr<const ClusterUniverse>* universe_out,
-    const HybridOptions& options, RequestTrace* trace) {
-  QAG_RETURN_IF_ERROR(
-      ValidateParams(*CurrentView()->generation->answers, params));
-  QAG_ASSIGN_OR_RETURN(std::shared_ptr<const ClusterUniverse> universe,
-                       UniverseFor(params.L, trace));
-  Result<Solution> solution = Hybrid::Run(*universe, params, options);
-  if (universe_out != nullptr) *universe_out = std::move(universe);
+    RequestTrace* trace) {
+  QAG_ASSIGN_OR_RETURN(std::shared_ptr<const UniverseNode> node,
+                       ServingUniverse(params.L, trace, &params));
+  Result<Solution> solution = Hybrid::Run(node->universe, params);
+  if (universe_out != nullptr) *universe_out = UniverseHandle(std::move(node));
   return solution;
 }
 
@@ -253,17 +263,6 @@ const std::shared_ptr<const Session::StoreNode>* Session::CoveringStore(
   }
   return nullptr;
 }
-
-namespace {
-
-/// The handle to a store node: it pins the store and its universe.
-template <typename Node>
-std::shared_ptr<const SolutionStore> StoreHandle(std::shared_ptr<Node> node) {
-  const SolutionStore* store = &node->store;
-  return std::shared_ptr<const SolutionStore>(std::move(node), store);
-}
-
-}  // namespace
 
 std::optional<SolutionStore> Session::WidenCachedStore(
     const UniverseNode& universe, int top_l,
@@ -335,10 +334,8 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     CountStep(step, c.store_hits, c.store_coalesced, c.store_misses, trace);
   };
   // Warm path: no lock, and no flight key is built.
-  if (auto answer = probe()) {
-    if (answer->ok()) report(FlightStep::kHit);
-    return std::move(*answer);
-  }
+  std::optional<Result<std::shared_ptr<const SolutionStore>>> served = probe();
+  if (served.has_value() && served->ok()) report(FlightStep::kHit);
   // Miss: coalesce with an identical in-flight precompute, or lead one.
   // The key names the warm probe's resolution; a refresh changing the
   // schema before the probe under the lock makes that probe re-resolve,
@@ -362,9 +359,15 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     return StoreHandle(
         AddStore(std::move(universe), top_l, std::move(*store)));
   };
-  return store_flights_.Run(
-      {top_l, resolved.grid()}, [this] { return WriterLock(); }, probe, build,
-      report);
+  if (!served.has_value()) {
+    served = store_flights_.Run(
+        {top_l, resolved.grid()}, [this] { return WriterLock(); }, probe,
+        build, report);
+  }
+  if (trace != nullptr && served->ok()) {
+    trace->approx = (**served)->universe()->answer_set().approximation();
+  }
+  return std::move(*served);
 }
 
 Result<Solution> Session::Retrieve(int top_l, int d, int k,
@@ -383,7 +386,10 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
     Result<Solution> solution = it->second->store.Retrieve(d, k);
     if (solution.ok()) {
       Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->cache_hit = true;
+      if (trace != nullptr) {
+        trace->cache_hit = true;
+        trace->approx = view->generation->answers->approximation();
+      }
       return solution;
     }
     if (first_error.ok()) first_error = solution.status();

@@ -14,8 +14,8 @@
 #include "common/result.h"
 #include "common/sharded_stats.h"
 #include "common/single_flight.h"
-#include "core/hybrid.h"
 #include "core/precompute.h"
+#include "core/solution.h"
 #include "core/solution_store.h"
 #include "storage/table.h"
 
@@ -56,21 +56,24 @@ namespace qagview::core {
 /// cache — is one immutable `ReadView` snapshot behind an atomically
 /// published pointer. A warm request performs a single atomic load of that
 /// pointer, which pins the snapshot for the request's duration, and then
-/// serves every answer/universe/store lookup from it without acquiring any
-/// lock: warm hits are wait-free with respect to writers and to each
-/// other, so warm throughput scales with the core count instead of
-/// collapsing on a shared mutex. Writers (cache fills, growth, refreshes)
-/// never mutate a published view; they take the writer mutex, build a new
-/// view copy-on-write, and publish it with an atomic store (pin → serve →
-/// drop, classic read-copy-update). Expensive builds still run *outside*
-/// the writer lock and are **single-flight** (common/single_flight.h): one
-/// growth flight per session (a miss waits for any growth in flight, then
-/// either hits or grows from its result) and one flight per Guidance (L,
-/// options) grid, so N clients missing together never run N duplicate
-/// builds. Coalesced waits are counted in `CacheStats`. Results remain
-/// bit-identical to any serial execution order: builds are deterministic
-/// in their (answer set, L, options) inputs alone, and views, stores, and
-/// universes are immutable once published.
+/// checks its arguments and serves every answer/universe/store lookup from
+/// it without acquiring any lock: warm hits are wait-free with respect to
+/// writers and to each other, so warm throughput scales with the core
+/// count instead of collapsing on a shared mutex. The request's
+/// `RequestTrace` takes the answer's provenance from what it pinned too,
+/// so an answer is never labelled with a later generation's. Writers
+/// (cache fills, growth, refreshes) never mutate a published view; they
+/// take the writer mutex, build a new view copy-on-write, and publish it
+/// with an atomic store (pin → serve → drop, classic read-copy-update).
+/// Expensive builds still run *outside* the writer lock and are
+/// **single-flight** (common/single_flight.h): one growth flight per
+/// session (a miss waits for any growth in flight, then either hits or
+/// grows from its result) and one flight per Guidance (L, options) grid,
+/// so N clients missing together never run N duplicate builds. Coalesced
+/// waits are counted in `CacheStats`. Results remain bit-identical to any
+/// serial execution order: builds are deterministic in their (answer set,
+/// L, options) inputs alone, and views, stores, and universes are
+/// immutable once published.
 ///
 /// The per-op statistics counters are sharded per thread
 /// (common/sharded_stats.h) and aggregated when `cache_stats()` is read,
@@ -115,17 +118,6 @@ class Session {
   /// one atomic view load, no locks.
   std::shared_ptr<const AnswerSet> answers() const;
 
-  /// Exact/approximate provenance of the currently published answer set.
-  /// Wait-free (one atomic view load). **Two-phase publication** rides on
-  /// the ordinary Refresh machinery: a session created from an approximate
-  /// answer set serves it immediately, and when the background exact build
-  /// lands, Refresh installs it as a content change — `is_exact`
-  /// participates in the content fingerprint and SameContent, so the exact
-  /// set is never "full-reused" against its approximate predecessor, even
-  /// if every estimate matched. The approximate generation then drains
-  /// through the normal graveyard ledger.
-  Approximation approximation() const;
-
   /// Incremental refresh: hands the session the answer set re-executed
   /// against a newer table snapshot. Compares content fingerprints plus an
   /// exact content check — reuse is provable, not probabilistic: when
@@ -137,7 +129,13 @@ class Session {
   /// content changed. Readers concurrent with a refresh are never blocked:
   /// they keep serving from whichever view they pinned, and the next
   /// request observes the new one. Results after Refresh are bit-identical
-  /// to a fresh session built from the same answer set.
+  /// to a fresh session built from the same answer set. **Two-phase
+  /// publication** rides on it: a session created from an approximate
+  /// answer set serves it at once, and the exact set, when it lands, is a
+  /// content change (`is_exact` is part of the content fingerprint and of
+  /// SameContent), so it is never "full-reused" against its approximate
+  /// predecessor, even if every estimate matched. The approximate
+  /// generation then drains through the graveyard like any retired one.
   Status Refresh(AnswerSet answers, bool* refreshed = nullptr);
 
   /// What happened to one request, for per-request service statistics:
@@ -151,23 +149,22 @@ class Session {
     bool coalesced = false;
     /// Performed the build (cache miss, this caller was the leader).
     bool built = false;
+    /// Provenance of the generation whose universe or grid produced the
+    /// answer, read from the view or node the request pinned: a refresh
+    /// publishing another generation mid-request cannot change it.
+    /// Meaningful only when the request returns an answer.
+    Approximation approx;
   };
 
   /// One-off summarization (Hybrid) under the given parameters; builds or
-  /// reuses the universe for params.L.
-  Result<Solution> Summarize(const Params& params,
-                             const HybridOptions& options = HybridOptions(),
-                             RequestTrace* trace = nullptr);
-
-  /// Summarize variant that also reports which universe served the
-  /// request — the universe the returned Solution's cluster ids index
-  /// into. Renderers should use it rather than a second UniverseFor(params.L)
-  /// lookup, which may return another universe (a refresh may land between
-  /// the two calls).
-  Result<Solution> SummarizeWith(
+  /// reuses the universe for params.L. `universe_out` (when given) receives
+  /// the universe that served the request, which the returned Solution's
+  /// cluster ids index into. Renderers should use it rather than a second
+  /// UniverseFor(params.L) lookup, which may return another universe (a
+  /// refresh may land between the two calls).
+  Result<Solution> Summarize(
       const Params& params,
-      std::shared_ptr<const ClusterUniverse>* universe_out,
-      const HybridOptions& options = HybridOptions(),
+      std::shared_ptr<const ClusterUniverse>* universe_out = nullptr,
       RequestTrace* trace = nullptr);
 
   /// Ensures a (k, D) grid serving `top_l` is precomputed and returns a
@@ -359,10 +356,11 @@ class Session {
 
   CounterShard& Counters() const { return shards_.Local(); }
 
-  /// UniverseFor, returning the node for internal callers (Guidance,
-  /// LoadGuidance) that bind stores to the universe.
+  /// UniverseFor, returning the node for internal callers (Summarize,
+  /// Guidance, LoadGuidance). The probe checks the request against the
+  /// answer set of the view it pins: `params` when given, else `top_l`.
   Result<std::shared_ptr<const UniverseNode>> ServingUniverse(
-      int top_l, RequestTrace* trace);
+      int top_l, RequestTrace* trace, const Params* params = nullptr);
 
   /// The grid at `top_l` derived from the widest cached grid below it
   /// replayed with `resolved` options (Precompute::Widen), bound to

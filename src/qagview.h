@@ -54,9 +54,9 @@
 ///               SQL -> cached answer sets, shared sessions with
 ///               single-flight builds, per-request statistics
 ///   server/     dependency-free HTTP/1.1 front end over QueryService
-///               (acceptor + worker pool, bounded admission, graceful
-///               drain), JSON serde for the api.h structs, open-loop
-///               load generator
+///               (epoll poller + worker pool, keep-alive connections,
+///               bounded per-request admission, graceful drain), JSON
+///               serde for the api.h structs, open-loop load generator
 ///   viz/        parameter grid (Fig 2), Sankey comparison + placement
 ///               optimization (Fig 13-16, A.7)
 ///   study/      simulated-subject user study (Section 8)

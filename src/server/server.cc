@@ -27,6 +27,9 @@ namespace {
 /// sweeps connections idle past `limits.io_timeout_ms`.
 constexpr std::chrono::milliseconds kTick(100);
 
+/// Seconds a shed request's 503 asks its client to wait (Retry-After).
+constexpr char kRetryAfterSeconds[] = "1";
+
 int HttpStatusFor(StatusCode code) {
   switch (code) {
     case StatusCode::kInvalidArgument:
@@ -66,22 +69,40 @@ HttpResponse ErrorResponse(const Status& status) {
                        StatusCodeToString(status.code()), status.message());
 }
 
-/// Parses the request body, applies FromJson, calls the service, and
+/// Parses the request body, applies `from_json`, calls the service, and
 /// serializes the response — the one shape every POST endpoint shares.
-template <typename Request, typename Response>
+template <auto from_json, auto call>
 HttpResponse HandleJson(const HttpRequest& request,
-                        Result<Request> (*from_json)(const Json&),
-                        Result<Response> (service::QueryService::*call)(
-                            const Request&),
                         service::QueryService* service) {
   Result<Json> doc = Json::Parse(request.body);
   if (!doc.ok()) return ErrorResponse(doc.status());
-  Result<Request> parsed = from_json(*doc);
+  auto parsed = from_json(*doc);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  Result<Response> response = (service->*call)(*parsed);
+  auto response = (service->*call)(*parsed);
   if (!response.ok()) return ErrorResponse(response.status());
   return JsonResponse(200, ToJson(*response));
 }
+
+/// The POST-with-JSON-body endpoints: each target once, with its handler.
+struct PostRoute {
+  const char* target;
+  HttpResponse (*handle)(const HttpRequest&, service::QueryService*);
+};
+
+using service::QueryService;
+constexpr PostRoute kPostRoutes[] = {
+    {"/query", &HandleJson<&QueryRequestFromJson, &QueryService::Query>},
+    {"/summarize",
+     &HandleJson<&SummarizeRequestFromJson, &QueryService::Summarize>},
+    {"/guidance",
+     &HandleJson<&GuidanceRequestFromJson, &QueryService::Guidance>},
+    {"/retrieve",
+     &HandleJson<&RetrieveRequestFromJson, &QueryService::Retrieve>},
+    {"/explore", &HandleJson<&ExploreRequestFromJson, &QueryService::Explore>},
+    {"/refine", &HandleJson<&RefineRequestFromJson, &QueryService::Refine>},
+    {"/append_rows",
+     &HandleJson<&AppendRowsRequestFromJson, &QueryService::AppendRows>},
+};
 
 }  // namespace
 
@@ -323,8 +344,7 @@ void HttpServer::Admit(Connection* conn, std::string_view received) {
     rejected_503_.fetch_add(1, std::memory_order_relaxed);
     HttpResponse response = ErrorResponse(
         503, "Unavailable", "server overloaded: admission queue full");
-    response.headers.emplace_back("Retry-After",
-                                  StrCat(options_.retry_after_seconds));
+    response.headers.emplace_back("Retry-After", kRetryAfterSeconds);
     const std::string bytes = SerializeResponse(response, /*close=*/true);
     ::send(conn->fd, bytes.data(), bytes.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   }
@@ -460,7 +480,6 @@ void HttpServer::CloseIdle(Clock::time_point cutoff) {
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
   const std::string& target = request.target;
-  const bool is_post = request.method == "POST";
   const bool is_get = request.method == "GET";
 
   if (target == "/healthz") {
@@ -478,49 +497,14 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
     return JsonResponse(200, std::move(body));
   }
 
-  // Everything below is POST-with-JSON-body.
-  static const char* kPostEndpoints[] = {"/query",   "/summarize",
-                                         "/guidance", "/retrieve",
-                                         "/explore",  "/refine",
-                                         "/append_rows"};
-  bool known_post = false;
-  for (const char* endpoint : kPostEndpoints) {
-    if (target == endpoint) known_post = true;
+  for (const PostRoute& route : kPostRoutes) {
+    if (target != route.target) continue;
+    if (request.method != "POST") {
+      return ErrorResponse(405, "MethodNotAllowed", "use POST");
+    }
+    return route.handle(request, service_);
   }
-  if (!known_post) {
-    return ErrorResponse(404, "NotFound",
-                         StrCat("no such endpoint: ", target));
-  }
-  if (!is_post) return ErrorResponse(405, "MethodNotAllowed", "use POST");
-
-  using service::QueryService;
-  if (target == "/query") {
-    return HandleJson(request, &QueryRequestFromJson, &QueryService::Query,
-                      service_);
-  }
-  if (target == "/summarize") {
-    return HandleJson(request, &SummarizeRequestFromJson,
-                      &QueryService::Summarize, service_);
-  }
-  if (target == "/guidance") {
-    return HandleJson(request, &GuidanceRequestFromJson,
-                      &QueryService::Guidance, service_);
-  }
-  if (target == "/retrieve") {
-    return HandleJson(request, &RetrieveRequestFromJson,
-                      &QueryService::Retrieve, service_);
-  }
-  if (target == "/explore") {
-    return HandleJson(request, &ExploreRequestFromJson, &QueryService::Explore,
-                      service_);
-  }
-  if (target == "/refine") {
-    return HandleJson(request, &RefineRequestFromJson, &QueryService::Refine,
-                      service_);
-  }
-  // target == "/append_rows"
-  return HandleJson(request, &AppendRowsRequestFromJson,
-                    &QueryService::AppendRows, service_);
+  return ErrorResponse(404, "NotFound", StrCat("no such endpoint: ", target));
 }
 
 }  // namespace qagview::server

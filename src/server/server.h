@@ -33,8 +33,6 @@ struct ServerOptions {
   /// growing an unbounded backlog whose tail latency lies to every client.
   /// Start() rejects values below 1.
   int max_queue = 64;
-  /// Seconds advertised in the 503 Retry-After header.
-  int retry_after_seconds = 1;
   /// Wire limits; `limits.io_timeout_ms` is also how long a kept-alive
   /// connection may sit idle before the server closes it.
   HttpLimits limits;

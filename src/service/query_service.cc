@@ -15,15 +15,7 @@ namespace qagview::service {
 
 namespace {
 
-/// Folds a core-session trace into the request's stats (which may already
-/// carry refresh/coalesce flags from EnsureFresh).
-void MergeTrace(const core::Session::RequestTrace& trace, RequestStats* rs) {
-  rs->cache_hit = trace.cache_hit;
-  rs->coalesced = rs->coalesced || trace.coalesced;
-  rs->built = trace.built;
-}
-
-/// A response's provenance block, from one approximation() load.
+/// A response's provenance block.
 ApproxMeta ApproxOf(const core::Approximation& approx) {
   ApproxMeta out;
   out.is_exact = approx.is_exact;
@@ -107,10 +99,7 @@ Result<Response> QueryService::Finish(RequestKind kind, const WallTimer& timer,
 
 Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
   WallTimer timer;
-  // Foreground gate: while any serving request is in flight, the scheduler
-  // parks its prefetch lane, so speculation can never delay the answer the
-  // user is actually waiting on. A null scheduler pointer (prefetch off)
-  // makes the guard a no-op with zero atomics.
+  // The foreground gate, as in Serve.
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
   const std::string trimmed(StripWhitespace(request.sql));
@@ -200,7 +189,7 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
       CurrentRegistry()->entries[static_cast<size_t>(*handle)];
   if (!out.stats.built) {
     // Bring a stale handle up to date before reporting its shape.
-    Status fresh = EnsureFresh(entry, &out.stats);
+    Status fresh = Reconcile(entry, /*require_exact=*/false, &out.stats);
     if (!fresh.ok()) {
       return Finish(RequestKind::kQuery, timer, fresh, std::move(out));
     }
@@ -229,7 +218,8 @@ Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
     // A freshly built session is the coldest it will ever be: speculate on
     // the exploration levels sessions historically open with, in the
     // background, without delaying this response.
-    SchedulePrefetch(entry, study::MoveKind::kQuery, /*level=*/0);
+    Prefetch(entry, RequestKind::kQuery, /*level=*/0, out.stats,
+             !out.approx.is_exact);
   }
   return Finish(RequestKind::kQuery, timer, Status::OK(), std::move(out));
 }
@@ -324,7 +314,8 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
   // An exactness upgrade is owed when the caller demands exact and the
   // published set is not (wait-free check: one atomic view load).
   auto needs_upgrade = [&] {
-    return require_exact && !entry->session->approximation().is_exact;
+    return require_exact &&
+           !entry->session->answers()->approximation().is_exact;
   };
   // Warm fast path: the catalog version still equals the version this
   // entry was last verified fresh at, so no dataset — of any name — has
@@ -379,6 +370,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
   // stays flat.
   const bool exact_build =
       require_exact || entry->mode == QueryMode::kExactOnly;
+  bool rebuilt_approximate = false;
   auto rebuild = [&]() -> Status {
     CatalogSnapshot snapshot = datasets_.Snapshot();
     // An exact refresh of changed data keeps the grouped state, so the
@@ -388,6 +380,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
         BuildAnswers(entry->sql, entry->value_column, entry->mode,
                      entry->confidence, exact_build, snapshot,
                      stale && exact_build ? &entry->fold : nullptr));
+    rebuilt_approximate = built.approximate;
     bool refreshed = false;
     QAG_RETURN_IF_ERROR(
         entry->session->Refresh(std::move(built.answers), &refreshed));
@@ -416,8 +409,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
       entry, [this] { return WriterLock(); }, probe, rebuild, report);
   led = led && outcome.ok();
   if (led_rebuild != nullptr) *led_rebuild = led;
-  if (led && !exact_build && entry->mode == QueryMode::kApproxFirst &&
-      !entry->session->approximation().is_exact) {
+  if (led && rebuilt_approximate && entry->mode == QueryMode::kApproxFirst) {
     // The foreground refresh republished an approximate set: schedule the
     // exact phase (outside every lock; deduplicated per entry).
     ScheduleRefinement(entry);
@@ -447,143 +439,128 @@ void QueryService::ScheduleRefinement(SessionEntry* entry) {
       ++shard.stats.refinements_superseded;
     }
     rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kRefine, rs, !entry->session->approximation().is_exact);
+    Record(RequestKind::kRefine, rs, /*approximate=*/false);
   };
   scheduler_.Submit(BackgroundScheduler::Lane::kRefinement, /*token=*/0,
                     std::move(task));
 }
 
-Result<RefineResponse> QueryService::Refine(const RefineRequest& request) {
+template <typename Response, typename Op>
+Result<Response> QueryService::Serve(RequestKind kind, QueryHandle handle,
+                                     int level, Op op) {
   WallTimer timer;
+  // Foreground gate: while any serving request is in flight, the scheduler
+  // parks its prefetch lane, so speculation can never delay the answer the
+  // user is actually waiting on. A null scheduler pointer (prefetch off)
+  // makes the guard a no-op with zero atomics.
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  RefineResponse out;
+  Response out;
   auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
-    QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/true, &out.stats));
-    out.approx = ApproxOf(entry->session->approximation());
+    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
+    QAG_RETURN_IF_ERROR(Reconcile(entry, kind == RequestKind::kRefine,
+                                  &out.stats));
+    core::Session::RequestTrace trace;
+    Status status = op(*entry->session, &trace, &out);
+    out.stats.cache_hit = trace.cache_hit;
+    out.stats.coalesced = out.stats.coalesced || trace.coalesced;
+    out.stats.built = trace.built;
+    QAG_RETURN_IF_ERROR(status);
+    // The provenance of the generation the answer came from, never a later
+    // load: a refinement publishing mid-request must not relabel it.
+    out.approx = ApproxOf(trace.approx);
+    Prefetch(entry, kind, level, out.stats, !out.approx.is_exact);
     return Status::OK();
   };
   Status status = run();
-  return Finish(RequestKind::kRefine, timer, status, std::move(out));
+  return Finish(kind, timer, status, std::move(out));
+}
+
+Result<RefineResponse> QueryService::Refine(const RefineRequest& request) {
+  // Reconcile returns OK only once it found or published an exact
+  // generation, which is the answer: the trace keeps its exact default.
+  return Serve<RefineResponse>(
+      RequestKind::kRefine, request.handle, /*level=*/0,
+      [](core::Session&, core::Session::RequestTrace*, RefineResponse*) {
+        return Status::OK();
+      });
 }
 
 Result<SummarizeResponse> QueryService::Summarize(
     const SummarizeRequest& request) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  SummarizeResponse out;
-  auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
-    core::Session::RequestTrace trace;
-    Result<core::Solution> solution = entry->session->Summarize(
-        request.params, core::HybridOptions(), &trace);
-    MergeTrace(trace, &out.stats);
-    out.approx = ApproxOf(entry->session->approximation());
-    QAG_RETURN_IF_ERROR(solution.status());
-    out.solution = std::move(solution).value();
-    CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);
-    SchedulePrefetch(entry, study::MoveKind::kSummarize, request.params.L);
-    return Status::OK();
-  };
-  Status status = run();
-  return Finish(RequestKind::kSummarize, timer, status, std::move(out));
+  return Serve<SummarizeResponse>(
+      RequestKind::kSummarize, request.handle, request.params.L,
+      [&](core::Session& session, core::Session::RequestTrace* trace,
+          SummarizeResponse* out) -> Status {
+        QAG_ASSIGN_OR_RETURN(out->solution,
+                             session.Summarize(request.params,
+                                               /*universe_out=*/nullptr,
+                                               trace));
+        return Status::OK();
+      });
 }
 
 Result<GuidanceResponse> QueryService::Guidance(
     const GuidanceRequest& request) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  GuidanceResponse out;
-  auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
-    core::Session::RequestTrace trace;
-    Result<std::shared_ptr<const core::SolutionStore>> store =
-        entry->session->Guidance(request.top_l, GridOptions(request.options),
-                                 &trace);
-    MergeTrace(trace, &out.stats);
-    out.approx = ApproxOf(entry->session->approximation());
-    QAG_RETURN_IF_ERROR(store.status());
-    CountPrefetchHit(entry, request.top_l, /*want_store=*/true, out.stats);
-    SchedulePrefetch(entry, study::MoveKind::kGuidance, request.top_l);
-    const core::SolutionStore& grid = **store;
-    out.store_l = grid.l();
-    out.k_max = grid.k_max();
-    out.d_values = grid.d_values();
-    for (int d : out.d_values) {
-      QAG_ASSIGN_OR_RETURN(int min_k, grid.MinK(d));
-      out.min_ks.push_back(min_k);
-    }
-    out.num_intervals = grid.num_intervals();
-    out.naive_entries = grid.naive_entries();
-    return Status::OK();
-  };
-  Status status = run();
-  return Finish(RequestKind::kGuidance, timer, status, std::move(out));
+  return Serve<GuidanceResponse>(
+      RequestKind::kGuidance, request.handle, request.top_l,
+      [&](core::Session& session, core::Session::RequestTrace* trace,
+          GuidanceResponse* out) -> Status {
+        QAG_ASSIGN_OR_RETURN(
+            std::shared_ptr<const core::SolutionStore> store,
+            session.Guidance(request.top_l, GridOptions(request.options),
+                             trace));
+        out->store_l = store->l();
+        out->k_max = store->k_max();
+        out->d_values = store->d_values();
+        for (int d : out->d_values) {
+          QAG_ASSIGN_OR_RETURN(int min_k, store->MinK(d));
+          out->min_ks.push_back(min_k);
+        }
+        out->num_intervals = store->num_intervals();
+        out->naive_entries = store->naive_entries();
+        return Status::OK();
+      });
 }
 
 Result<RetrieveResponse> QueryService::Retrieve(
     const RetrieveRequest& request) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RetrieveResponse out;
-  auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
-    core::Session::RequestTrace trace;
-    Result<core::Solution> solution = entry->session->Retrieve(
-        request.top_l, request.d, request.k, &trace);
-    MergeTrace(trace, &out.stats);
-    out.approx = ApproxOf(entry->session->approximation());
-    QAG_RETURN_IF_ERROR(solution.status());
-    out.solution = std::move(solution).value();
-    return Status::OK();
-  };
-  Status status = run();
-  return Finish(RequestKind::kRetrieve, timer, status, std::move(out));
+  return Serve<RetrieveResponse>(
+      RequestKind::kRetrieve, request.handle, request.top_l,
+      [&](core::Session& session, core::Session::RequestTrace* trace,
+          RetrieveResponse* out) -> Status {
+        QAG_ASSIGN_OR_RETURN(out->solution,
+                             session.Retrieve(request.top_l, request.d,
+                                              request.k, trace));
+        return Status::OK();
+      });
 }
 
 Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  ExploreResponse out;
-  auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &out.stats));
-    core::Session::RequestTrace trace;
-    // Render against the exact universe that produced the solution — a
-    // second UniverseFor(params.L) lookup could return another
-    // generation's universe if a refresh landed between the two, in which
-    // the solution's cluster ids would be meaningless. The handle also
-    // pins the universe while the layers render.
-    std::shared_ptr<const core::ClusterUniverse> universe;
-    QAG_ASSIGN_OR_RETURN(
-        out.solution,
-        entry->session->SummarizeWith(request.params, &universe,
-                                      core::HybridOptions(), &trace));
-    // The universe may be a wider one (L' > L); the top counts and the
-    // expanded layer's header count against the request's L. Both layers
-    // render from this one view.
-    out.view =
-        core::BuildTwoLayerView(*universe, out.solution, request.params.L);
-    const core::AnswerSet& answers = universe->answer_set();
-    out.summary = core::RenderSummary(*universe, out.view);
-    out.expanded = core::RenderExpanded(answers, out.view, request.max_members,
-                                        request.params.L);
-    MergeTrace(trace, &out.stats);
-    out.approx = ApproxOf(entry->session->approximation());
-    CountPrefetchHit(entry, request.params.L, /*want_store=*/false, out.stats);
-    SchedulePrefetch(entry, study::MoveKind::kExplore, request.params.L);
-    return Status::OK();
-  };
-  Status status = run();
-  return Finish(RequestKind::kExplore, timer, status, std::move(out));
+  return Serve<ExploreResponse>(
+      RequestKind::kExplore, request.handle, request.params.L,
+      [&](core::Session& session, core::Session::RequestTrace* trace,
+          ExploreResponse* out) -> Status {
+        // Render against the universe that produced the solution: a second
+        // UniverseFor(params.L) lookup could return another generation's
+        // universe if a refresh landed between the two, in which the
+        // solution's cluster ids would be meaningless. The handle also
+        // pins the universe while the layers render.
+        std::shared_ptr<const core::ClusterUniverse> universe;
+        QAG_ASSIGN_OR_RETURN(
+            out->solution,
+            session.Summarize(request.params, &universe, trace));
+        // The universe may be a wider one (L' > L); the top counts and the
+        // expanded layer's header count against the request's L. Both
+        // layers render from this one view.
+        out->view = core::BuildTwoLayerView(*universe, out->solution,
+                                            request.params.L);
+        out->summary = core::RenderSummary(*universe, out->view);
+        out->expanded =
+            core::RenderExpanded(universe->answer_set(), out->view,
+                                 request.max_members, request.params.L);
+        return Status::OK();
+      });
 }
 
 // --- Typed per-handle accessors (the narrow replacements for the removed
@@ -593,14 +570,14 @@ Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
 Result<std::shared_ptr<const core::AnswerSet>> QueryService::Answers(
     QueryHandle handle) {
   QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-  QAG_RETURN_IF_ERROR(EnsureFresh(entry, /*rs=*/nullptr));
+  QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/false, nullptr));
   return entry->session->answers();
 }
 
 Status QueryService::SaveGuidance(QueryHandle handle, int top_l,
                                   const std::string& path) {
   QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-  QAG_RETURN_IF_ERROR(EnsureFresh(entry, /*rs=*/nullptr));
+  QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/false, nullptr));
   return entry->session->SaveGuidance(top_l, path);
 }
 
@@ -612,30 +589,61 @@ Result<core::Session::CacheStats> QueryService::SessionCacheStats(
 
 // --- Background work: speculation. -------------------------------------------
 
-void QueryService::SchedulePrefetch(SessionEntry* entry, study::MoveKind kind,
-                                    int level) {
+void QueryService::Prefetch(SessionEntry* entry, RequestKind kind, int level,
+                            const RequestStats& rs, bool approximate) {
   if (!options_.prefetch) return;
-  // While the published set is approximate the background cycles belong to
-  // the exact refinement; anything speculated now would be retired by the
+  study::MoveKind move;
+  switch (kind) {
+    case RequestKind::kQuery: move = study::MoveKind::kQuery; break;
+    case RequestKind::kSummarize: move = study::MoveKind::kSummarize; break;
+    case RequestKind::kGuidance: move = study::MoveKind::kGuidance; break;
+    case RequestKind::kExplore: move = study::MoveKind::kExplore; break;
+    default: return;  // Retrieve and Refine are not exploration moves
+  }
+  // Guidance historically leads to more guidance (drill-downs over the
+  // grid), so it claims and speculates whole stores; after Summarize /
+  // Explore / Query the cheaper universe covers the likely next move.
+  const bool want_store = move == study::MoveKind::kGuidance;
+  // Only a warm serve can have been a prefetch win, and only if a ledger
+  // entry covers the request: a universe or store for L' >= level serves
+  // level (wider structures subsume narrower requests), and a store
+  // satisfies a universe request but not vice versa.
+  if (rs.cache_hit) {
+    bool claimed = false;
+    {
+      std::lock_guard<std::mutex> lock(entry->prefetch_mu);
+      auto it = std::find_if(entry->prefetched.begin(),
+                             entry->prefetched.end(),
+                             [&](const std::pair<int, bool>& p) {
+                               return p.first >= level &&
+                                      (p.second || !want_store);
+                             });
+      // Claim once: a single speculative build must not be counted as a
+      // win by every later request it keeps serving.
+      if (it != entry->prefetched.end()) {
+        entry->prefetched.erase(it);
+        claimed = true;
+      }
+    }
+    if (claimed) Bump(&ServiceStats::prefetch_hits);
+  }
+  // While the answer is approximate the background cycles belong to the
+  // exact refinement; anything speculated now would be retired by the
   // exact republish anyway.
-  if (!entry->session->approximation().is_exact) return;
+  if (approximate) return;
   const int num_answers =
       static_cast<int>(entry->session->answers()->size());
   const std::vector<int> targets =
-      kind == study::MoveKind::kQuery
+      move == study::MoveKind::kQuery
           ? predictor_.InitialLevels(num_answers)
-          : predictor_.NextLevels(kind, level, num_answers);
-  // Guidance historically leads to more guidance (drill-downs over the
-  // grid), so speculate whole stores there; after Summarize/Explore/Query
-  // the cheaper universe covers the likely next move.
-  const bool want_store = kind == study::MoveKind::kGuidance;
+          : predictor_.NextLevels(move, level, num_answers);
   const uint64_t token = datasets_.version();
   for (int target : targets) {
     Bump(&ServiceStats::prefetch_issued);
     auto task = [this, entry, target, want_store] {
       // Token validity at dequeue proves no catalog mutation landed since
       // submit, so the entry is as fresh as when the predictor fired: no
-      // EnsureFresh, no locks on the foreground path.
+      // Reconcile, no locks on the foreground path.
       core::Session::RequestTrace trace;
       bool ok;
       if (want_store) {
@@ -656,28 +664,6 @@ void QueryService::SchedulePrefetch(SessionEntry* entry, study::MoveKind kind,
     scheduler_.Submit(BackgroundScheduler::Lane::kPrefetch, token,
                       std::move(task));
   }
-}
-
-void QueryService::CountPrefetchHit(SessionEntry* entry, int level,
-                                    bool want_store, const RequestStats& rs) {
-  // Only a warm serve can have been a prefetch win, and only if a ledger
-  // entry covers the request: a universe or store for L' >= level serves
-  // level (wider structures subsume narrower requests), and a store
-  // satisfies a universe request but not vice versa.
-  if (!options_.prefetch || !rs.cache_hit) return;
-  {
-    std::lock_guard<std::mutex> lock(entry->prefetch_mu);
-    auto it = std::find_if(entry->prefetched.begin(), entry->prefetched.end(),
-                           [&](const std::pair<int, bool>& p) {
-                             return p.first >= level &&
-                                    (p.second || !want_store);
-                           });
-    if (it == entry->prefetched.end()) return;
-    // Claim once: a single speculative build must not be counted as a win
-    // by every later request it keeps serving.
-    entry->prefetched.erase(it);
-  }
-  Bump(&ServiceStats::prefetch_hits);
 }
 
 core::PrecomputeOptions QueryService::GridOptions(

@@ -355,30 +355,12 @@ class QueryService {
   /// one it was executed against. Caller holds mu_.
   bool DepsChangedLocked(const SessionEntry& entry) const;
 
-  /// Reconcile for ordinary serving: freshness only, no exactness upgrade.
-  Status EnsureFresh(SessionEntry* entry, RequestStats* rs) {
-    return Reconcile(entry, /*require_exact=*/false, rs);
-  }
-
   /// Queues a background exact refinement of an approx-first entry
   /// (deduplicated per entry; never blocks the caller). Rides the
   /// scheduler's kRefinement lane with token 0: a refinement is owed
   /// work, never superseded by catalog movement (Reconcile always builds
   /// from the newest snapshot anyway).
   void ScheduleRefinement(SessionEntry* entry);
-
-  /// Enqueues speculative builds for the levels the predictor expects
-  /// next, on the kPrefetch lane with the current catalog version as the
-  /// validity token (a dataset mutation drops them unrun). `level` is the
-  /// observed move's coverage level (ignored for kQuery, which prefetches
-  /// the predicted initial levels). No-op unless options_.prefetch.
-  void SchedulePrefetch(SessionEntry* entry, study::MoveKind kind, int level);
-
-  /// Consumes a ledger entry covering a foreground warm hit at `level`
-  /// (want_store: the request needed a grid, not just a universe) and
-  /// counts the prefetch_hit. No-op unless options_.prefetch.
-  void CountPrefetchHit(SessionEntry* entry, int level, bool want_store,
-                        const RequestStats& rs);
 
   /// `options` with ServiceOptions::num_threads as its width when it
   /// leaves num_threads <= 0: what every Guidance call of the service runs.
@@ -399,12 +381,36 @@ class QueryService {
   /// `approximate`: the request served from an approximate answer set.
   void Record(RequestKind kind, const RequestStats& stats, bool approximate);
 
+  /// After a served exploration move (Query, Summarize, Guidance, Explore)
+  /// at coverage level `level`: when it was a warm hit, consumes a
+  /// prefetch-ledger entry covering it and counts the prefetch_hit; then,
+  /// unless the answer was `approximate`, enqueues speculative builds for
+  /// the levels the predictor expects next, on the kPrefetch lane with the
+  /// current catalog version as the validity token (a dataset mutation
+  /// drops them unrun). A kQuery move prefetches the predicted initial
+  /// levels. No-op unless options_.prefetch.
+  void Prefetch(SessionEntry* entry, RequestKind kind, int level,
+                const RequestStats& rs, bool approximate);
+
   /// Stamps `out.stats.latency_ms`, records the request, and returns `out`
   /// on success or `status` on failure — the tail every op but AppendRows
   /// shares.
   template <typename Response>
   Result<Response> Finish(RequestKind kind, const WallTimer& timer,
                           const Status& status, Response out);
+
+  /// The one path of the handle ops (Refine, Summarize, Guidance, Retrieve,
+  /// Explore): times the request under the foreground guard, looks the
+  /// handle up and reconciles it (exact too, for Refine), then runs
+  /// `op(session, &trace, &out)` — the op's session call and response
+  /// fields, returning a Status. It folds the trace into `out.stats`, takes
+  /// `out.approx` from the trace (the generation that produced the
+  /// answer), runs Prefetch for the move at `level`, and records the
+  /// request. The op is a lambda called in place: no type erasure, no
+  /// allocation.
+  template <typename Response, typename Op>
+  Result<Response> Serve(RequestKind kind, QueryHandle handle, int level,
+                         Op op);
 
   const ServiceOptions options_;
   DatasetCatalog datasets_;
@@ -428,7 +434,7 @@ class QueryService {
 
   mutable Sharded<StatShard> stat_shards_;
 
-  /// The prediction policy behind SchedulePrefetch (stateless, shared).
+  /// The prediction policy behind Prefetch (stateless, shared).
   ExplorationPredictor predictor_;
 
   /// The one home for all deferred work, on one worker so refinements run

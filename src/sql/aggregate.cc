@@ -14,18 +14,6 @@ Result<AggKind> AggKindFromName(const std::string& name, bool star) {
   return Status::ParseError("unknown aggregate function: " + name);
 }
 
-const char* AggKindToString(AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount: return "count";
-    case AggKind::kCountStar: return "count(*)";
-    case AggKind::kSum: return "sum";
-    case AggKind::kAvg: return "avg";
-    case AggKind::kMin: return "min";
-    case AggKind::kMax: return "max";
-  }
-  return "?";
-}
-
 void Aggregator::Add(const storage::Value& v) {
   if (kind_ == AggKind::kCountStar) {
     ++count_;

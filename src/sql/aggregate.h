@@ -15,8 +15,6 @@ enum class AggKind { kCount, kCountStar, kSum, kAvg, kMin, kMax };
 /// `star` selects count(*) over count(expr).
 Result<AggKind> AggKindFromName(const std::string& name, bool star);
 
-const char* AggKindToString(AggKind kind);
-
 /// \brief Streaming aggregate accumulator (SQL NULL semantics: NULL inputs
 /// are skipped by every aggregate except count(*)).
 ///

@@ -4,14 +4,6 @@
 
 namespace qagview::sql {
 
-const char* UnaryOpToString(UnaryOp op) {
-  switch (op) {
-    case UnaryOp::kNot: return "NOT";
-    case UnaryOp::kNegate: return "-";
-  }
-  return "?";
-}
-
 const char* BinaryOpToString(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return "+";

@@ -26,7 +26,6 @@ enum class BinaryOp {
   kAnd, kOr,
 };
 
-const char* UnaryOpToString(UnaryOp op);
 const char* BinaryOpToString(BinaryOp op);
 
 /// \brief Expression tree node.

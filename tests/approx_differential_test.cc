@@ -12,10 +12,13 @@
 //      published view — the approximate set or the exact set, never a
 //      blend — and the warm path stays writer-lock-free once refinement
 //      quiesces, with the retired approximate generation draining to an
-//      empty graveyard.
+//      empty graveyard; and every Summarize / Explore response racing a
+//      refinement carries the provenance of the generation that produced
+//      its answer.
 //
 // The TSan/ASan CI jobs run this binary explicitly: mode (c) races 8
-// reader threads against the background exact build's republication.
+// reader threads against the background exact build's republication, and
+// 3 against a synchronous Refine.
 
 #include <algorithm>
 #include <atomic>
@@ -356,6 +359,155 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     // its memory was reclaimed (graveyard empty).
     EXPECT_EQ(service.stats().graveyard_size, 0);
   }
+}
+
+bool SameSolution(const core::Solution& a, const core::Solution& b) {
+  return a.cluster_ids == b.cluster_ids && a.covered_sum == b.covered_sum &&
+         a.covered_count == b.covered_count && a.average == b.average &&
+         a.covered_min == b.covered_min;
+}
+
+bool SameAnswer(const SummarizeResponse& a, const SummarizeResponse& b) {
+  return SameSolution(a.solution, b.solution);
+}
+
+bool SameAnswer(const ExploreResponse& a, const ExploreResponse& b) {
+  return SameSolution(a.solution, b.solution) && a.summary == b.summary &&
+         a.expanded == b.expanded;
+}
+
+bool SameApprox(const ApproxMeta& a, const ApproxMeta& b) {
+  return a.is_exact == b.is_exact && a.sample_fraction == b.sample_fraction &&
+         a.max_bound == b.max_bound;
+}
+
+/// Tallies of one op's responses against the two answers it may return.
+struct LabelCheck {
+  std::atomic<int> approximate{0};  // the approximate answer, labelled so
+  std::atomic<int> exact{0};        // the exact answer, labelled so
+  std::atomic<int> mislabelled{0};  // one answer, the other's provenance
+  std::atomic<int> unknown{0};      // neither answer
+
+  template <typename Response>
+  void Check(const Response& got, const Response& approx,
+             const Response& exact_answer) {
+    const Response* want = SameAnswer(got, approx)         ? &approx
+                           : SameAnswer(got, exact_answer) ? &exact_answer
+                                                           : nullptr;
+    if (want == nullptr) {
+      ++unknown;
+    } else if (!SameApprox(got.approx, want->approx)) {
+      ++mislabelled;
+    } else if (want == &approx) {
+      ++approximate;
+    } else {
+      ++exact;
+    }
+  }
+};
+
+// A response's `approx` describes the answer it returns: a request that
+// pinned the approximate generation says so even when refinement publishes
+// the exact one while it is in flight. Readers loop over Summarize and
+// Explore on an approx-only handle while the main thread refines it; every
+// response must be the approximate or the exact answer (each taken from a
+// cold service), labelled as such.
+TEST(ApproxConcurrency, EveryResponseLabelsTheGenerationThatAnsweredIt) {
+  constexpr int kSeeds = 24;
+  int raced = 0;
+  for (int rep = 0; rep < kSeeds; ++rep) {
+    const uint64_t seed = 0xB0A7u + static_cast<uint64_t>(rep);
+    SCOPED_TRACE(StrCat("rep ", rep));
+    testutil::RandomTableSpec spec;
+    const int rows = 4000;
+    QueryOptions approx_only;
+    approx_only.mode = QueryMode::kApproxOnly;
+    approx_only.confidence = kConfidence;
+
+    // The two answers, from a cold approximate twin (samples are
+    // deterministic per dataset name) and a cold exact service.
+    QueryService twin(ApproxOptions());
+    QueryService exact(ApproxOptions());
+    ASSERT_TRUE(twin.RegisterTable("ratings", testutil::MakeRandomTable(
+                                                  spec, seed, rows))
+                    .ok());
+    ASSERT_TRUE(exact.RegisterTable("ratings", testutil::MakeRandomTable(
+                                                   spec, seed, rows))
+                    .ok());
+    auto twin_info = twin.Query({kRefineSql, "val", approx_only});
+    auto exact_info = exact.Query({kRefineSql, "val", {}});
+    ASSERT_TRUE(twin_info.ok()) << twin_info.status().ToString();
+    ASSERT_TRUE(exact_info.ok()) << exact_info.status().ToString();
+    ASSERT_FALSE(twin_info->approx.is_exact);
+    const int top_l = std::min(
+        {6, twin_info->num_answers, exact_info->num_answers});
+    const core::Params params{std::min(3, top_l), top_l, 2};
+    auto approx_summary = twin.Summarize({twin_info->handle, params});
+    auto exact_summary = exact.Summarize({exact_info->handle, params});
+    auto approx_explore = twin.Explore({twin_info->handle, params});
+    auto exact_explore = exact.Explore({exact_info->handle, params});
+    ASSERT_TRUE(approx_summary.ok() && exact_summary.ok() &&
+                approx_explore.ok() && exact_explore.ok());
+    // A seed whose two answers agree cannot tell a mislabel apart.
+    if (SameAnswer(*approx_summary, *exact_summary) ||
+        SameAnswer(*approx_explore, *exact_explore)) {
+      continue;
+    }
+    ++raced;
+
+    QueryService service(ApproxOptions());
+    ASSERT_TRUE(service
+                    .RegisterTable("ratings", testutil::MakeRandomTable(
+                                                  spec, seed, rows))
+                    .ok());
+    auto info = service.Query({kRefineSql, "val", approx_only});
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    // Warm the approximate universe, so the race is between warm reads
+    // and the exact publish.
+    ASSERT_TRUE(service.Summarize({info->handle, params}).ok());
+
+    constexpr int kReaders = 3;
+    LabelCheck summaries;
+    LabelCheck explores;
+    std::atomic<bool> refined{false};
+    testutil::StartLatch latch(kReaders + 1);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        latch.ArriveAndWait();
+        // Until the refinement returned, and one round after it.
+        for (bool last = false; !last;) {
+          last = refined.load(std::memory_order_acquire);
+          for (int op = 0; op < 2; ++op) {
+            if ((op + t) % 2 == 0) {
+              auto got = service.Summarize({info->handle, params});
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              summaries.Check(*got, *approx_summary, *exact_summary);
+            } else {
+              auto got = service.Explore({info->handle, params});
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              explores.Check(*got, *approx_explore, *exact_explore);
+            }
+          }
+        }
+      });
+    }
+    latch.ArriveAndWait();
+    auto refine = service.Refine({info->handle});
+    refined.store(true, std::memory_order_release);
+    for (auto& reader : readers) reader.join();
+    ASSERT_TRUE(refine.ok()) << refine.status().ToString();
+    EXPECT_TRUE(refine->approx.is_exact);
+
+    EXPECT_EQ(summaries.mislabelled.load(), 0);
+    EXPECT_EQ(explores.mislabelled.load(), 0);
+    EXPECT_EQ(summaries.unknown.load(), 0);
+    EXPECT_EQ(explores.unknown.load(), 0);
+    // Every reader's last round ran after the publish.
+    EXPECT_GE(summaries.exact.load() + explores.exact.load(), kReaders);
+  }
+  // Most seeds tell the two answers apart, so the race ran.
+  EXPECT_GE(raced, kSeeds / 2);
 }
 
 }  // namespace

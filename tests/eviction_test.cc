@@ -142,8 +142,8 @@ TEST(EvictionTest, PostEvictionResultsBitIdenticalToColdRebuild) {
 
   std::shared_ptr<const ClusterUniverse> warm_universe;
   std::shared_ptr<const ClusterUniverse> cold_universe;
-  auto warm_solution = warm->SummarizeWith(params, &warm_universe);
-  auto cold_solution = cold->SummarizeWith(params, &cold_universe);
+  auto warm_solution = warm->Summarize(params, &warm_universe);
+  auto cold_solution = cold->Summarize(params, &cold_universe);
   ASSERT_TRUE(warm_solution.ok());
   ASSERT_TRUE(cold_solution.ok());
   EXPECT_EQ(warm_solution->cluster_ids, cold_solution->cluster_ids);

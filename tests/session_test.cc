@@ -490,7 +490,7 @@ std::string GridSolutions(const SolutionStore& store) {
 /// drawn from the universe that produced the solution.
 std::string Explore(Session& session, const Params& params) {
   std::shared_ptr<const ClusterUniverse> universe;
-  Result<Solution> solution = session.SummarizeWith(params, &universe);
+  Result<Solution> solution = session.Summarize(params, &universe);
   QAG_CHECK(solution.ok()) << solution.status().ToString();
   TwoLayerView view = BuildTwoLayerView(*universe, *solution, params.L);
   const AnswerSet& answers = universe->answer_set();
@@ -593,13 +593,13 @@ TEST(SessionTest, ClimbingOneLevelAtATimeMatchesFreshSessions) {
 
 TEST(SessionTest, SummarizeWithReportsTheServingUniverse) {
   // The returned Solution's cluster ids index into the universe handed
-  // back by SummarizeWith — the session's one universe, which need not be
+  // back by Summarize — the session's one universe, which need not be
   // one built for params.L.
   auto session = MakeSession(23);
   ASSERT_TRUE(session->UniverseFor(25).ok());  // widest, serves everything
   std::shared_ptr<const ClusterUniverse> used;
   Params params{4, 10, 2};
-  auto solution = session->SummarizeWith(params, &used);
+  auto solution = session->Summarize(params, &used);
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
   ASSERT_NE(used, nullptr);
   EXPECT_EQ(used->top_l(), 25);  // served by the pre-built wide universe

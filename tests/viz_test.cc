@@ -164,7 +164,7 @@ TEST(SankeyTest, TopCountsAreTakenAtTheDisplayedL) {
   const core::Params old_params{6, 10, 2};
   const core::Params new_params{4, 10, 2};
   std::shared_ptr<const ClusterUniverse> held;
-  auto old_solution = (*session)->SummarizeWith(old_params, &held);
+  auto old_solution = (*session)->Summarize(old_params, &held);
   auto new_solution = (*session)->Summarize(new_params);
   ASSERT_TRUE(old_solution.ok()) << old_solution.status().ToString();
   ASSERT_TRUE(new_solution.ok()) << new_solution.status().ToString();
